@@ -16,7 +16,6 @@ import dataclasses
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,12 +24,11 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, VARIANTS
-from .data import CsvLayout, load_csv, save_csv
+from .data import CsvLayout, load_csv, save_csv, write_atomic
 from .errors import ConfigurationError, EvographError
 from .graph_learner import export_graphs
 from .model import Model, load_checkpoint
-from .synth import (RegimeSpec, cluster_coupling, generate, score_recovery,
-                    two_regime_benchmark)
+from .synth import RegimeSpec, cluster_coupling, generate, two_regime_benchmark
 from . import trainer
 
 EXIT_OK = 0
@@ -67,18 +65,8 @@ class RunManifest:
     def write(self, out_dir: Path) -> Path:
         """Atomic write: temp file in the target directory, then rename."""
         out_dir.mkdir(parents=True, exist_ok=True)
-        target = out_dir / "manifest.json"
         payload = json.dumps(dataclasses.asdict(self), indent=2)
-        fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(payload)
-            os.replace(tmp, target)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return target
+        return write_atomic(out_dir / "manifest.json", payload.encode("utf-8"))
 
 
 def claim_out_dir(out_dir, force: bool) -> Path:

@@ -14,9 +14,6 @@ VARIANTS = ("full", "static_only", "no_scale_specific", "shared_evolution")
 TASKS = ("single", "multi")
 LOSSES = ("mae", "mse")
 
-# learning-rate search grid used by the experiment harness
-LR_GRID = (0.01, 0.005, 0.001, 0.0005, 0.0001)
-
 
 @dataclass
 class ModelConfig:

@@ -3,6 +3,7 @@
 The on-disk format is a plain CSV (rows = time steps, columns = node-major
 then channel) with an optional JSON sidecar carrying {name, N, T, C,
 granularity}.  All arrays are float64 with axis order (N, T, C).
+:func:`write_atomic` is the package's one way to replace a file whole.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
+import uuid
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -142,6 +145,25 @@ def save_csv(dataset: TimeSeriesDataset, path) -> None:
         "node_ids": list(dataset.node_ids),
     }
     path.with_name(path.name + SIDECAR_SUFFIX).write_text(json.dumps(meta, indent=2))
+
+
+def write_atomic(path, payload: bytes) -> Path:
+    """Replace ``path`` with ``payload``: a temp file in the target
+    directory, then a rename, so readers see the old file or the new one,
+    never a partial write.  On failure the temp file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    # os.open, unlike mkstemp, leaves the file mode to the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+    return path
 
 
 @dataclass

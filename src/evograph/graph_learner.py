@@ -5,6 +5,14 @@ seeds a GRU whose input is a sequence of segment-mean summaries of the
 temporal features.  Each GRU state is turned into a directed adjacency
 matrix by a pairwise scorer with a sigmoid mask, so a feature sequence of
 M segments yields M graphs that evolve smoothly in time.
+
+The scorer is two two-layer ReLU perceptrons (edge and mask) over the pair
+input α_i ‖ α_j.  Their first layer splits as W = [W_L; W_R], so its
+pre-activation is the outer sum α_i W_L + α_j W_R + b: one (C_e, 2H) GEMM
+per side serves both heads, and the (B, N², 2·C_e) pair tensor is never
+built.  The fused op (:func:`tensor.pairwise_mlp`) recomputes the
+(B, N, N, 2H) hidden layer in its backward pass instead of keeping it on
+the tape, so a graph retains only its (B, N, N) outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, SequenceTooShortError
-from .nn import Conv1d, Linear, Mlp2, ParamStore
+from .nn import Conv1d, Linear, ParamStore
 from .tensor import Tensor
 
 
@@ -142,7 +150,10 @@ class Egl:
     """Evolving graph learner: params for one (layer's) graph source.
 
     The segment interval d is supplied per call, so one parameter set can
-    serve several scales.
+    serve several scales.  Pair scoring is one fused op: the edge and mask
+    perceptrons (``{name}.edge.fc1``/``fc2`` and ``{name}.mask.fc1``/``fc2``,
+    plain affine maps over 2·C_e pair features) run as an outer sum of
+    per-node projections, and their hidden layer is recomputed in backward.
     """
 
     def __init__(self, store: ParamStore, name: str, c_in: int, c_e: int,
@@ -150,19 +161,22 @@ class Egl:
         self.c_e = c_e
         self.init_proj = Linear(store, f"{name}.init", c_s + attr_dim, c_e)
         self.gru = GruCell(store, f"{name}.gru", c_in, c_e) if with_gru else None
-        self.edge_scorer = Mlp2(store, f"{name}.edge", 2 * c_e, c_e, 1,
-                                final_relu=True)
+        self.edge_fc1 = Linear(store, f"{name}.edge.fc1", 2 * c_e, c_e)
+        self.edge_fc2 = Linear(store, f"{name}.edge.fc2", c_e, 1)
         # the final ReLU can permanently kill a score that wanders below
         # zero, so start the scorer almost flat and safely positive: a tiny
         # output coupling keeps embedding drift from railing scores while
         # the embeddings are still forming, and deliberate per-edge pressure
         # can still prune weak connections later (the ReLU's actual job)
-        self.edge_scorer.fc2.w.data *= 0.05
-        self.edge_scorer.fc2.b.data = np.ones_like(self.edge_scorer.fc2.b.data)
-        self.mask_scorer = Mlp2(store, f"{name}.mask", 2 * c_e, c_e, 1)
+        self.edge_fc2.w.data *= 0.05
+        self.edge_fc2.b.data = np.ones_like(self.edge_fc2.b.data)
+        self.mask_fc1 = Linear(store, f"{name}.mask.fc1", 2 * c_e, c_e)
+        self.mask_fc2 = Linear(store, f"{name}.mask.fc2", c_e, 1)
         # bias the sigmoid mask low: early edge differentiation then happens
         # on the smooth mask path, where a wrong guess is always recoverable
-        self.mask_scorer.fc2.b.data -= 2.0
+        self.mask_fc2.b.data -= 2.0
+        self.heads = [(fc1.w, fc1.b, fc2.w, fc2.b) for fc1, fc2 in
+                      ((self.edge_fc1, self.edge_fc2), (self.mask_fc1, self.mask_fc2))]
 
     def init_hidden(self, alpha_s: Tensor, attrs: Tensor | None = None) -> Tensor:
         """α⁰ = tanh(affine(α_s [‖ node attrs])) — the GRU's initial state."""
@@ -175,16 +189,10 @@ class Egl:
         Returns (A, Â, mask logits), each (B, N, N): Â from a ReLU-capped
         scorer, A = Â ⊙ σ(mask).
         """
-        n = alpha.shape[-2]
-        idx_i = np.repeat(np.arange(n), n)
-        idx_j = np.tile(np.arange(n), n)
-        axis = alpha.ndim - 2
-        left = T.gather(alpha, idx_i, axis=axis)
-        right = T.gather(alpha, idx_j, axis=axis)
-        pairs = T.concat([left, right], axis=alpha.ndim - 1)  # (B, N², 2C_e)
-        square = alpha.shape[:-2] + (n, n)
-        a_hat = T.reshape(self.edge_scorer(pairs), square)
-        mask = T.reshape(self.mask_scorer(pairs), square)
+        scores = T.pairwise_mlp(alpha, self.heads)  # (B, N, N, 2)
+        square = scores.shape[:-1]
+        a_hat = T.relu(T.reshape(T.narrow(scores, -1, 0, 1), square))
+        mask = T.reshape(T.narrow(scores, -1, 1, 1), square)
         a = T.mul(a_hat, T.sigmoid(mask))
         return a, a_hat, mask
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelConfig
+from .data import write_atomic
 from .errors import (ConfigurationError, ContractError, DimensionError,
                      LoadError, SequenceTooShortError)
 from .graph_learner import (Egl, EvolvingGraphSequence, SegmentSpec,
@@ -328,8 +329,11 @@ def _encode(arr: np.ndarray) -> dict:
 
 
 def _decode(blob: dict) -> np.ndarray:
-    raw = base64.b64decode(blob["data"])
-    return np.frombuffer(raw, dtype=np.float64).reshape(blob["shape"]).copy()
+    try:
+        raw = base64.b64decode(blob["data"], validate=True)
+        return np.frombuffer(raw, dtype=np.float64).reshape(blob["shape"]).copy()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise LoadError(f"malformed tensor in checkpoint: {exc!r}") from None
 
 
 def save_checkpoint(model: Model, path, optimizer_state: dict | None = None,
@@ -349,7 +353,7 @@ def save_checkpoint(model: Model, path, optimizer_state: dict | None = None,
         "scaler": scaler,
         "extra": extra or {},
     }
-    Path(path).write_bytes(json.dumps(blob).encode("utf-8"))
+    write_atomic(path, json.dumps(blob).encode("utf-8"))
 
 
 _STATE_SCALARS = ("lr", "beta1", "beta2", "eps")
@@ -366,11 +370,14 @@ def _encode_state(state: dict) -> dict:
 
 
 def _decode_state(blob: dict) -> dict:
-    out = {
-        "t": blob["t"],
-        "m": {name: _decode(b) for name, b in blob["m"].items()},
-        "v": {name: _decode(b) for name, b in blob["v"].items()},
-    }
+    try:
+        out = {
+            "t": blob["t"],
+            "m": {name: _decode(b) for name, b in blob["m"].items()},
+            "v": {name: _decode(b) for name, b in blob["v"].items()},
+        }
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise LoadError(f"malformed optimizer state in checkpoint: {exc!r}") from None
     for key in _STATE_SCALARS:
         if key in blob:
             out[key] = blob[key]
@@ -385,11 +392,16 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         blob = json.loads(path.read_bytes().decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise LoadError(f"unreadable checkpoint {path}: {exc}") from None
+    if not isinstance(blob, dict):
+        raise LoadError(f"checkpoint {path} is not a JSON object")
     if blob.get("version") != CHECKPOINT_VERSION:
         raise LoadError(
             f"checkpoint version {blob.get('version')} unsupported "
             f"(expected {CHECKPOINT_VERSION})"
         )
+    for key in ("config", "params", "reference_series"):
+        if not isinstance(blob.get(key), dict):
+            raise LoadError(f"checkpoint {path} has no {key!r} object")
     model = Model(ModelConfig.from_dict(blob["config"]))
     saved = blob["params"]
     expected = set(model.store.params)

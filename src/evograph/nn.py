@@ -76,23 +76,6 @@ class Conv1d:
         return y
 
 
-class Mlp2:
-    """Two-layer perceptron with ReLU hidden activation, scalar or vector out."""
-
-    def __init__(self, store: ParamStore, name: str, d_in: int, d_hidden: int,
-                 d_out: int, final_relu: bool = False):
-        self.fc1 = Linear(store, f"{name}.fc1", d_in, d_hidden)
-        self.fc2 = Linear(store, f"{name}.fc2", d_hidden, d_out)
-        self.final_relu = final_relu
-
-    def __call__(self, x: Tensor) -> Tensor:
-        h = T.relu(self.fc1(x))
-        y = self.fc2(h)
-        if self.final_relu:
-            y = T.relu(y)
-        return y
-
-
 class LayerNorm:
     """Learnable layer normalisation along the last axis."""
 

@@ -179,24 +179,6 @@ def ring_coupling(n: int, strength: float = 0.9, reverse: bool = False,
     return a
 
 
-def hub_coupling(n: int, center: int, strength: float = 0.9,
-                 self_loop: float = 0.9) -> Array:
-    """Star graph: every node follows ``center``, which follows itself.
-
-    The hub runs a smooth AR(1) while followers copy it one step late, so
-    the hub's identity is readable from single-node statistics (lag-1
-    autocorrelation ≈ self_loop for the hub vs. self_loop·strength for a
-    follower).  The spectral radius equals ``self_loop`` regardless of
-    ``strength``.
-    """
-    if not 0 <= center < n:
-        raise ConfigurationError(f"hub center {center} outside 0..{n - 1}")
-    a = np.zeros((n, n))
-    a[:, center] = strength
-    a[center, center] = self_loop
-    return a
-
-
 def cluster_coupling(n: int, hub: int, members, strength: float = 0.9,
                      self_loop: float = 0.9) -> Array:
     """Star over a subset of nodes: ``members`` follow ``hub``, which follows

@@ -15,8 +15,10 @@ compute forward values only.
 
 Design constraints: float64 everywhere; no implicit broadcasting between
 tensors (scalar * tensor excepted) — shape adaptation happens through
-explicit ops (``bias_add``, ``broadcast_leading``, ``gather``) so every
-backward rule stays auditable.
+explicit ops (``bias_add``, ``broadcast_leading``) so every backward rule
+stays auditable.  :func:`pairwise_mlp` is the one fused op: it scores all
+node pairs without materialising the pair tensor and recomputes its hidden
+layer in the backward pass instead of storing it.
 """
 
 from __future__ import annotations
@@ -545,20 +547,106 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     return _make(out, (x,), back)
 
 
-def gather(x: Tensor, indices, axis: int) -> Tensor:
-    """Select rows along ``axis`` by an integer index vector (with repeats)."""
-    idx = np.asarray(indices, dtype=np.intp)
-    if idx.ndim != 1:
-        raise DimensionError("gather: indices must be 1-D")
-    ax = axis % x.ndim
-    out = np.take(x.data, idx, axis=ax)
+_PAIR_BLOCK = 1 << 16  # hidden-layer elements per block in pairwise_mlp
 
-    def back(g, x=x, idx=idx, ax=ax):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (slice(None),) * ax + (idx,), g)
-        _accumulate(x, gx)
 
-    return _make(out, (x,), back)
+def pairwise_mlp(alpha: Tensor,
+                 heads: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]]) -> Tensor:
+    """Score every ordered node pair with k two-layer ReLU perceptrons.
+
+    ``alpha`` is (..., N, C); each head is ``(w1, b1, w2, b2)`` with shapes
+    (2C, H), (H,), (H, 1), (1,), H shared by all heads.  Output ``[..., i, j, h]`` is head h's raw
+    (pre-output-activation) score of the pair input ``α_i ‖ α_j``:
+    ``relu([α_i, α_j] @ w1 + b1) @ w2 + b2``.
+
+    Splitting ``w1 = [W_L; W_R]`` makes the pre-activation the outer sum
+    ``(α W_L)_i + (α W_R)_j + b1``, so the (..., N², 2C) pair tensor is
+    never built, and all heads share one GEMM per side.  The backward
+    recomputes the (..., N, N, kH) hidden layer instead of keeping it,
+    and reduces over j and i for the left and right halves.  Both passes
+    walk the leading axes in blocks of whole graphs, so the transient
+    hidden layer is one block, not the whole batch.
+    """
+    if alpha.ndim < 2 or not heads:
+        raise DimensionError(
+            f"pairwise_mlp needs (..., N, C) embeddings and at least one head, "
+            f"got {alpha.shape} and {len(heads)} heads"
+        )
+    c, k, hd = alpha.shape[-1], len(heads), heads[0][0].shape[-1]
+    for head in heads:
+        shapes = tuple(p.shape for p in head)
+        if shapes != ((2 * c, hd), (hd,), (hd, 1), (1,)):
+            raise DimensionError(
+                f"pairwise_mlp: head shapes {shapes} do not fit {2 * c} pair "
+                f"features and {hd} hidden units"
+            )
+    width = k * hd
+    w_left = np.concatenate([w1.data[:c] for w1, _, _, _ in heads], axis=1)
+    w_right = np.concatenate([w1.data[c:] for w1, _, _, _ in heads], axis=1)
+    b1_all = np.concatenate([b1.data for _, b1, _, _ in heads])
+    # block-diagonal output layer: head i reads only its own hidden units
+    w2_blk = np.zeros((width, k))
+    for i, (_, _, w2, _) in enumerate(heads):
+        w2_blk[i * hd:(i + 1) * hd, i] = w2.data[:, 0]
+    b2_all = np.concatenate([b2.data for _, _, _, b2 in heads])
+    n = alpha.shape[-2]
+    lead = alpha.shape[:-2]
+    flat_alpha = alpha.data.reshape(-1, n, c)
+    rows = flat_alpha.shape[0]
+    # b1 rides on the left projection, the small (rows, N, kH) side
+    left = flat_alpha @ w_left + b1_all
+    right = flat_alpha @ w_right
+    # whole graphs per block, about 512 KB of hidden layer each, so a
+    # block's passes over its hidden layer run in cache
+    step = max(1, _PAIR_BLOCK // (n * n * width))
+    blocks = [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+
+    def hidden_layer(rs: slice) -> Array:
+        """relu(L_i + R_j + b1) for graphs ``rs`` as (·, kH) rows."""
+        pre = left[rs, :, None, :] + right[rs, None, :, :]
+        np.maximum(pre, 0.0, out=pre)
+        return pre.reshape(-1, width)
+
+    out = np.empty((rows, n * n, k))
+    for rs in blocks:
+        out[rs] = (hidden_layer(rs) @ w2_blk).reshape(-1, n * n, k)
+    out += b2_all
+    out = out.reshape(lead + (n, n, k))
+
+    def back(g, alpha=alpha, heads=heads):
+        g3 = g.reshape(rows, n * n, k)
+        g_w2 = np.zeros((width, k))
+        g_left = np.empty((rows, n, width))
+        g_right = np.empty((rows, n, width))
+        for rs in blocks:
+            h = hidden_layer(rs)
+            g_rs = g3[rs].reshape(-1, k)
+            g_w2 += h.T @ g_rs
+            g_pre = g_rs @ w2_blk.T
+            g_pre *= h > 0
+            g_pre = g_pre.reshape(-1, n, n, width)
+            g_left[rs] = g_pre.sum(axis=2)   # over j
+            g_right[rs] = g_pre.sum(axis=1)  # over i
+        g_left = g_left.reshape(-1, width)
+        g_right = g_right.reshape(-1, width)
+        g_b1 = g_left.sum(axis=0)
+        # one contiguous row per head, so each sum is pairwise
+        g_b2 = np.ascontiguousarray(g3.reshape(-1, k).T).sum(axis=1)
+        if alpha.requires_grad:
+            g_alpha = g_left @ w_left.T + g_right @ w_right.T
+            _accumulate(alpha, g_alpha.reshape(alpha.shape))
+        a2 = flat_alpha.reshape(-1, c)
+        g_w_left = a2.T @ g_left
+        g_w_right = a2.T @ g_right
+        for i, (w1, b1, w2, b2) in enumerate(heads):
+            cols = slice(i * hd, (i + 1) * hd)
+            _accumulate(w1, np.concatenate([g_w_left[:, cols], g_w_right[:, cols]]))
+            _accumulate(b1, g_b1[cols])
+            _accumulate(w2, g_w2[cols, i:i + 1])
+            _accumulate(b2, g_b2[i:i + 1])
+
+    parents = (alpha,) + tuple(p for head in heads for p in head)
+    return _make(out, parents, back)
 
 
 def broadcast_leading(x: Tensor, n: int) -> Tensor:
@@ -636,18 +724,7 @@ def row_normalize(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Convenience losses
-
-def mae_loss(pred: Tensor, target: Tensor) -> Tensor:
-    _check_same_shape(pred, target, "mae_loss")
-    return reduce_mean(absolute(sub(pred, target)))
-
-
-def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
-    _check_same_shape(pred, target, "mse_loss")
-    d = sub(pred, target)
-    return reduce_mean(mul(d, d))
-
+# Initialisation
 
 def uniform_init(shape: tuple[int, ...], fan_in: int, rng: np.random.Generator) -> Array:
     bound = 1.0 / math.sqrt(max(fan_in, 1))

@@ -171,12 +171,12 @@ def _grad_list(params: dict[str, Tensor]) -> list[Array]:
     return grads
 
 
-def _abort(loss_value: float, epoch: int, batch: int,
+def _abort(what: str, value: float, epoch: int, batch: int,
            params: dict[str, Tensor]) -> TrainingAbortedError:
     norms = {name: float(np.linalg.norm(p.data)) for name, p in params.items()}
     total = math.sqrt(sum(v * v for v in norms.values()))
     err = TrainingAbortedError(
-        f"non-finite loss {loss_value!r} at epoch {epoch}, batch {batch}; "
+        f"non-finite {what} {value!r} at epoch {epoch}, batch {batch}; "
         f"global parameter norm {total:.6g}"
     )
     err.diagnostic = {"epoch": epoch, "batch": batch,
@@ -196,9 +196,13 @@ def _run_epoch(forward, params: dict[str, Tensor], opt: Adam, xs: Array,
             loss = loss_tensor(pred, ys[idx], cfg.loss)
         value = float(loss.data)
         if not math.isfinite(value):
-            raise _abort(value, epoch, bi, params)
+            raise _abort("loss", value, epoch, bi, params)
         tape.backward(loss)
-        clip_gradients(_grad_list(params), cfg.clip_norm)
+        # a NaN norm fails `norm > max_norm`, so clipping would pass NaN
+        # gradients straight to Adam: stop before the step instead
+        norm = clip_gradients(_grad_list(params), cfg.clip_norm)
+        if not math.isfinite(norm):
+            raise _abort("gradient norm", norm, epoch, bi, params)
         opt.step()
         total += value * idx.size
         seen += idx.size

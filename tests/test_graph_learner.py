@@ -156,6 +156,66 @@ class TestAdjacency:
             assert np.allclose(a_all.data[b], a_one.data)
 
 
+class TestPairScorerReference:
+    """The fused scorer against the pair tensor built explicitly."""
+
+    @staticmethod
+    def reference(egl, alpha):
+        """(B, N², 2C) pairs in numpy, both MLPs through plain ops."""
+        b, n, c = alpha.shape
+        a = alpha.data
+        pairs = Tensor(np.concatenate([
+            np.repeat(a[:, :, None, :], n, axis=2),
+            np.repeat(a[:, None, :, :], n, axis=1),
+        ], axis=-1).reshape(b, n * n, 2 * c), requires_grad=True)
+
+        def mlp(fc1, fc2):
+            hidden = T.relu(T.bias_add(T.matmul(pairs, fc1.w), fc1.b))
+            return T.reshape(T.bias_add(T.matmul(hidden, fc2.w), fc2.b), (b, n, n))
+
+        a_hat = T.relu(mlp(egl.edge_fc1, egl.edge_fc2))
+        mask = mlp(egl.mask_fc1, egl.mask_fc2)
+        return T.mul(a_hat, T.sigmoid(mask)), a_hat, mask, pairs
+
+    def test_outputs_and_gradients_match(self):
+        st = store(11)
+        egl = Egl(st, "egl", c_in=3, c_e=5, c_s=4)
+        rng = np.random.default_rng(12)
+        for p in st.params.values():  # leave the flat init so all paths carry gradient
+            p.data = p.data + 0.5 * rng.normal(size=p.shape)
+        alpha = Tensor(rng.normal(size=(3, 7, 5)), requires_grad=True)
+        weights = [Tensor(rng.normal(size=(3, 7, 7))) for _ in range(3)]
+        scorer = [k for k in st.params if ".edge." in k or ".mask." in k]
+        assert len(scorer) == 8
+
+        def run(outputs):
+            with T.Tape() as tape:
+                outs = outputs()
+                loss = T.reduce_sum(T.mul(outs[0], weights[0]))
+                for o, w in zip(outs[1:3], weights[1:]):
+                    loss = T.add(loss, T.reduce_sum(T.mul(o, w)))
+            tape.backward(loss)
+            return outs, {k: st.params[k].grad.copy() for k in scorer}
+
+        fused, g_fused = run(lambda: egl.derive_adjacency(alpha))
+        g_alpha = alpha.grad.copy()
+        ref, g_ref = run(lambda: self.reference(egl, alpha))
+        # the pair tensor's gradient folds back onto α_i (left) and α_j (right)
+        g_pairs = ref[3].grad.reshape(3, 7, 7, 10)
+        g_alpha_ref = g_pairs[..., :5].sum(axis=2) + g_pairs[..., 5:].sum(axis=1)
+
+        def close(x, y):
+            return np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
+
+        assert np.any(fused[1].data == 0) and np.any(fused[1].data > 0)
+        for got, want in zip(fused, ref[:3]):
+            assert close(got.data, want.data)
+        for k in scorer:
+            assert np.any(g_ref[k] != 0), k
+            assert close(g_fused[k], g_ref[k]), k
+        assert close(g_alpha, g_alpha_ref)
+
+
 class TestEvolve:
     def make(self, seed=0):
         return Egl(store(seed), "egl", c_in=3, c_e=4, c_s=5)

@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -266,13 +269,65 @@ class TestCheckpoint:
         model = tiny_model()
         path = tmp_path / "ck.bin"
         save_checkpoint(model, path)
-        import json
-
         blob = json.loads(path.read_bytes())
         blob["version"] = 99
         path.write_bytes(json.dumps(blob).encode())
         with pytest.raises(LoadError, match="version"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("drop", ["config", "params", "reference_series"])
+    def test_missing_section(self, tmp_path, drop):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(tiny_model(), path)
+        blob = json.loads(path.read_bytes())
+        del blob[drop]
+        path.write_text(json.dumps(blob))
+        with pytest.raises(LoadError, match=drop):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", ['[1, 2]', '"checkpoint"', '{"version": 1}'])
+    def test_not_a_checkpoint_object(self, tmp_path, text):
+        path = tmp_path / "ck.bin"
+        path.write_text(text)
+        with pytest.raises(LoadError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("reference_series", {"data": "not base64!", "shape": [1]}, "malformed tensor"),
+        ("reference_series", {"data": "AAAA"}, "malformed tensor"),
+        ("optimizer", {"m": {}}, "malformed optimizer state"),
+        ("optimizer", {"t": 1, "m": [], "v": {}}, "malformed optimizer state"),
+    ])
+    def test_malformed_entry(self, tmp_path, key, value, match):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(tiny_model(), path)
+        blob = json.loads(path.read_bytes())
+        blob[key] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(LoadError, match=match):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_old_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(tiny_model(), path)
+        old = path.read_bytes()
+        other = tiny_model(seed=5)
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(other, path)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["ck.bin"]
+
+    def test_file_mode_follows_umask(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(tiny_model(), path)
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        assert path.stat().st_mode == plain.stat().st_mode
 
 
 class TestParamCensus:

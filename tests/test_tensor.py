@@ -196,15 +196,81 @@ class TestConcatSlice:
         tape.backward(loss)
         assert x.grad.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0, 0.0]
 
-    def test_gather_scatter(self):
-        x = t(np.arange(8.0).reshape(4, 2))
-        idx = [0, 0, 3]
-        with Tape() as tape:
-            y = T.gather(x, idx, axis=0)
-            loss = T.reduce_sum(y)
-        assert y.shape == (3, 2)
-        tape.backward(loss)
-        assert x.grad[:, 0].tolist() == [2.0, 0.0, 0.0, 1.0]
+
+class TestPairwiseMlp:
+    C, H = 3, 4
+
+    def heads(self, seed=0, k=2):
+        rng = np.random.default_rng(seed)
+        out = []
+        for _ in range(k):
+            out.append((t(rng.normal(size=(2 * self.C, self.H))),
+                        t(rng.normal(size=self.H)),
+                        t(rng.normal(size=(self.H, 1))),
+                        t(rng.normal(size=1))))
+        # hidden unit 0 of the first head is dead for every pair
+        out[0][1].data[0] = -50.0
+        return out
+
+    def reference(self, alpha, heads):
+        """Per-pair loop over [α_i, α_j] in plain numpy."""
+        a = alpha.data
+        n = a.shape[-2]
+        out = np.zeros(a.shape[:-2] + (n, n, len(heads)))
+        for i in range(n):
+            for j in range(n):
+                pair = np.concatenate([a[..., i, :], a[..., j, :]], axis=-1)
+                for h, (w1, b1, w2, b2) in enumerate(heads):
+                    hid = np.maximum(pair @ w1.data + b1.data, 0.0)
+                    out[..., i, j, h] = (hid @ w2.data + b2.data)[..., 0]
+        return out
+
+    @pytest.fixture(params=["one block", "block per graph"])
+    def blocking(self, request, monkeypatch):
+        if request.param == "block per graph":
+            monkeypatch.setattr(T, "_PAIR_BLOCK", 1)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 4, 3), (2, 3, 4, 3)])
+    def test_forward_matches_pair_loop(self, shape, blocking):
+        alpha = t(np.random.default_rng(1).normal(size=shape))
+        heads = self.heads()
+        out = T.pairwise_mlp(alpha, heads)
+        assert out.shape == shape[:-1] + (shape[-2], 2)
+        assert np.allclose(out.data, self.reference(alpha, heads), rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 4, 3)])
+    def test_gradcheck(self, shape, blocking):
+        rng = np.random.default_rng(2)
+        alpha = t(rng.normal(size=shape))
+        heads = self.heads(seed=3)
+        weights = Tensor(rng.normal(size=shape[:-1] + (shape[-2], 2)))
+        pre = (alpha.data[..., :, None, :] @ heads[1][0].data[:self.C]
+               + alpha.data[..., None, :, :] @ heads[1][0].data[self.C:]
+               + heads[1][1].data)
+        # live and dead hidden units both occur in the live head too
+        assert 0 < np.count_nonzero(pre > 0) < pre.size
+        tensors = {"alpha": alpha}
+        for h, head in enumerate(heads):
+            for name, p in zip(("w1", "b1", "w2", "b2"), head):
+                tensors[f"{h}.{name}"] = p
+        assert len(tensors) == 9
+        assert_gradients_close(
+            lambda: T.reduce_sum(T.mul(T.pairwise_mlp(alpha, heads), weights)),
+            tensors,
+        )
+        # the dead unit gets no first-layer or output gradient
+        assert np.all(heads[0][0].grad[:, 0] == 0.0)
+        assert heads[0][1].grad[0] == 0.0 and heads[0][2].grad[0, 0] == 0.0
+
+    def test_bad_head_shapes(self):
+        heads = self.heads()
+        with pytest.raises(DimensionError, match="pair features"):
+            T.pairwise_mlp(t(np.zeros((4, self.C + 1))), heads)
+        narrow = (t(heads[1][0].data[:, :2]),) + heads[1][1:]
+        with pytest.raises(DimensionError, match="hidden units"):
+            T.pairwise_mlp(t(np.zeros((4, self.C))), [heads[0], narrow])
+        with pytest.raises(DimensionError, match="at least one head"):
+            T.pairwise_mlp(t(np.zeros((4, self.C))), [])
 
 
 class TestDropout:

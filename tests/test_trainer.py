@@ -5,11 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from evograph import tensor as T
 from evograph import trainer
 from evograph.config import ExperimentConfig, ModelConfig, TrainConfig
 from evograph.data import TimeSeriesDataset
 from evograph.errors import ConfigurationError, TrainingAbortedError
 from evograph.model import Model, load_checkpoint
+from evograph.optim import Adam
 from evograph.tensor import Tensor
 from evograph.trainer import (
     ExperimentReport,
@@ -177,6 +179,40 @@ class TestTrain:
                 train(Model(cfg.model), data, cfg.train)
         diag = info.value.diagnostic
         assert {"epoch", "batch", "global_param_norm", "param_norms"} <= set(diag)
+
+    def test_nan_gradient_aborts_on_its_own_batch(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        params = {"w": w}
+        opt = Adam(params, lr=0.1)
+        bad_batch = 2
+        calls, before_bad = [], {}
+
+        def nan_grad(x):
+            # identity forward, NaN backward: the loss stays finite
+            def back(g, x=x):
+                T._accumulate(x, np.full_like(g, np.nan))
+            return T._make(x.data.copy(), (x,), back)
+
+        def forward(batch):
+            calls.append(batch)
+            out = T.mul(w, float(batch.sum()))
+            if len(calls) - 1 == bad_batch:
+                before_bad.update(w=w.data.copy(), t=opt.t)
+                out = nan_grad(out)
+            return T.reshape(out, (1, 3))
+
+        xs = np.arange(5.0).reshape(5, 1)
+        ys = np.zeros((5, 3))
+        cfg = TrainConfig(batch_size=1, loss="mse")
+        with pytest.raises(TrainingAbortedError,
+                           match=f"gradient norm nan at epoch 4, batch {bad_batch}") as info:
+            trainer._run_epoch(forward, params, opt, xs, ys, np.arange(5), cfg, 4)
+        assert info.value.diagnostic["batch"] == bad_batch
+        assert len(calls) == bad_batch + 1
+        # earlier batches stepped; the NaN batch left parameters and Adam alone
+        assert opt.t == before_bad["t"] == bad_batch
+        assert np.array_equal(w.data, before_bad["w"])
+        assert np.all(np.isfinite(opt.m["w"])) and np.all(np.isfinite(opt.v["w"]))
 
     def test_test_split_untouched_by_training(self):
         cfg = experiment(max_epochs=2)
