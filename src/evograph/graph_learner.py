@@ -125,9 +125,10 @@ class StaticFeatureExtractor:
                 f"static extractor needs ≥ {self.min_length()} training steps, "
                 f"got {series.shape[-1]}"
             )
-        h = T.tanh(self.conv1(series))
+        h = T.transpose(series, (0, 2, 1))  # (N, T*, C): time on axis 1
+        h = T.tanh(self.conv1(h))
         h = T.tanh(self.conv2(h))
-        pooled = T.reduce_mean(h, axis=h.ndim - 1)  # (N, C_hidden)
+        pooled = T.reduce_mean(h, axis=1)  # (N, C_hidden)
         return self.proj(pooled)
 
 

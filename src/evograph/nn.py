@@ -56,7 +56,11 @@ class Linear:
 
 
 class Conv1d:
-    """Causal valid 1-D convolution layer over (..., C_in, T) inputs."""
+    """Causal valid 1-D convolution layer over channel-last (B, T, ..., C_in) inputs.
+
+    The kernel is stored as (C_out, C_in, k); the bias is added by the
+    convolution itself, along the last axis.
+    """
 
     def __init__(self, store: ParamStore, name: str, c_in: int, c_out: int,
                  k: int, dilation: int = 1, stride: int = 1, bias: bool = True):
@@ -67,13 +71,7 @@ class Conv1d:
         self.bias = store.new(f"{name}.bias", (c_out,), fan_in=c_in * k) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.conv1d(x, self.kernel, dilation=self.dilation, stride=self.stride)
-        if self.bias is not None:
-            # bias is per output channel: move channels last, add, move back
-            y = T.transpose(y, tuple(range(y.ndim - 2)) + (y.ndim - 1, y.ndim - 2))
-            y = T.bias_add(y, self.bias)
-            y = T.transpose(y, tuple(range(y.ndim - 2)) + (y.ndim - 1, y.ndim - 2))
-        return y
+        return T.conv1d(x, self.kernel, self.bias, dilation=self.dilation, stride=self.stride)
 
 
 class LayerNorm:

@@ -6,6 +6,11 @@ matrix products (with stacked leading batch dimensions), causal dilated
 slicing/reshaping, dropout, layer normalisation and a row-normalisation
 primitive for adjacency matrices.
 
+:func:`conv1d` works on channel-last (B, T, ..., C) input, the layout the
+model's (B, T, N, C) sequences already have, and adds its optional bias
+along the channel axis.  Both passes are one GEMM per kernel tap over a
+(B, T_out·…, C) view of the input, so no im2col copy is made.
+
 Gradients are recorded on an explicit :class:`Tape`. Each operation
 appends one record holding the output tensor, its parents and a backward
 closure; because records are appended in execution order the tape is
@@ -25,6 +30,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -36,8 +42,10 @@ Array = np.ndarray
 # ---------------------------------------------------------------------------
 # Tape machinery
 
-_TAPE_STACK: list["Tape"] = []
-_GRAD_ENABLED: bool = True
+# per thread and per context, so a no_grad or Tape in one thread neither
+# turns off nor captures recording in another
+_TAPE_STACK: ContextVar[tuple["Tape", ...]] = ContextVar("evograph_tape_stack", default=())
+_GRAD_ENABLED: ContextVar[bool] = ContextVar("evograph_grad_enabled", default=True)
 
 
 class Tape:
@@ -57,12 +65,13 @@ class Tape:
         self._records: list[tuple["Tensor", tuple["Tensor", ...], Callable]] = []
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
         return self
 
     def __exit__(self, *exc) -> None:
-        popped = _TAPE_STACK.pop()
-        assert popped is self
+        stack = _TAPE_STACK.get()
+        assert stack[-1] is self
+        _TAPE_STACK.set(stack[:-1])
 
     def __len__(self) -> int:
         return len(self._records)
@@ -106,21 +115,20 @@ class Tape:
 
 
 def _active_tape() -> Tape | None:
-    if _GRAD_ENABLED and _TAPE_STACK:
-        return _TAPE_STACK[-1]
+    stack = _TAPE_STACK.get()
+    if stack and _GRAD_ENABLED.get():
+        return stack[-1]
     return None
 
 
 @contextmanager
 def no_grad():
-    """Disable gradient recording inside the block."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable gradient recording inside the block, in this thread only."""
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD_ENABLED.reset(token)
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +296,10 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    # numerically stable split avoids overflow in exp for large |x|
+    # exp(-|x|) never overflows; 1/(1+e) for x ≥ 0 and e/(1+e) below
     d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(d))
+    out = np.where(d >= 0, 1.0, e) / (1.0 + e)
 
     def back(g, x=x, out=out):
         _accumulate(x, g * out * (1.0 - out))
@@ -378,27 +383,37 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     return _make(x.data + b.data, (x, b), back)
 
 
-def conv1d(x: Tensor, kernel: Tensor, dilation: int = 1, stride: int = 1) -> Tensor:
-    """Causal valid 1-D convolution.
+def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
+           dilation: int = 1, stride: int = 1) -> Tensor:
+    """Causal valid 1-D convolution over channel-last input.
 
-    ``x`` has shape (..., C_in, T); ``kernel`` has shape (C_out, C_in, k).
-    Output time extent is ``(T - (k-1)*dilation - 1) // stride + 1``; with
-    stride 1 that is exactly ``T - (k-1)*dilation``. Tap 0 of the kernel
-    aligns with the most recent sample, so output step j sees inputs at
-    positions ``j*stride + (k-1)*dilation - dilation*tau``.
+    ``x`` has shape (B, T, ..., C_in) with time on axis 1; ``kernel`` has
+    shape (C_out, C_in, k); the optional ``bias`` (C_out,) is added along
+    the last axis.  The output is (B, T_out, ..., C_out) with
+    ``T_out = (T - (k-1)*dilation - 1) // stride + 1``; with stride 1 that
+    is exactly ``T - (k-1)*dilation``.  Tap 0 of the kernel aligns with the
+    most recent sample, so output step j sees inputs at positions
+    ``j*stride + (k-1)*dilation - dilation*tau``.
+
+    Each tap is one GEMM of a (B, T_out·…, C_in) view of the input against
+    the tap's (C_in, C_out) weight, accumulated in tap order.  The backward
+    pass runs the same per-tap GEMMs and adds each tap's input gradient into
+    a strided view of the input gradient.
     """
     if dilation < 1 or stride < 1:
         raise DimensionError("conv1d: dilation and stride must be >= 1")
     if kernel.ndim != 3:
         raise DimensionError(f"conv1d: kernel must be 3-D, got {kernel.shape}")
     c_out, c_in, k = kernel.shape
-    if x.ndim < 2:
-        raise DimensionError(f"conv1d: input must be at least 2-D, got {x.shape}")
-    if x.shape[-2] != c_in:
+    if x.ndim < 3:
+        raise DimensionError(f"conv1d: input must be (B, T, ..., C_in), got {x.shape}")
+    if x.shape[-1] != c_in:
         raise DimensionError(
-            f"conv1d: input channels {x.shape[-2]} != kernel channels {c_in}"
+            f"conv1d: input channels {x.shape[-1]} != kernel channels {c_in}"
         )
-    t = x.shape[-1]
+    if bias is not None and bias.shape != (c_out,):
+        raise DimensionError(f"conv1d: bias {bias.shape} does not match {c_out} output channels")
+    t = x.shape[1]
     span = (k - 1) * dilation
     if t <= span:
         raise SequenceTooShortError(
@@ -406,34 +421,43 @@ def conv1d(x: Tensor, kernel: Tensor, dilation: int = 1, stride: int = 1) -> Ten
             f" (needs > {span})"
         )
     t_out = (t - span - 1) // stride + 1
-    out = np.zeros(x.shape[:-2] + (c_out, t_out), dtype=np.float64)
     win = (t_out - 1) * stride + 1
-    for tau in range(k):
-        off = span - dilation * tau
-        xs = x.data[..., :, off : off + win : stride]
-        # (c_out, c_in) stacked against (..., c_in, t_out)
-        out += np.matmul(kernel.data[:, :, tau], xs)
+    offsets = [span - dilation * tau for tau in range(k)]
+    n_batch = x.shape[0]
+    tap_shape = (n_batch, t_out) + x.shape[2:-1]
+    xd = np.ascontiguousarray(x.data)
+    # one contiguous (C_in, C_out) weight per tap
+    w = np.ascontiguousarray(kernel.data.transpose(2, 1, 0))
 
-    def back(g, x=x, kernel=kernel, span=span, win=win, stride=stride, dilation=dilation, k=k):
-        gx = np.zeros_like(x.data) if x.requires_grad else None
-        gk = np.zeros_like(kernel.data) if kernel.requires_grad else None
-        sum_axes = tuple(range(g.ndim - 2)) + (g.ndim - 1,)
-        for tau in range(k):
-            off = span - dilation * tau
-            xs = x.data[..., :, off : off + win : stride]
-            if gk is not None:
-                # contract batch and time axes: (..., o, t) × (..., c, t) -> (o, c)
-                gk[:, :, tau] = np.tensordot(g, xs, axes=(sum_axes, sum_axes))
-            if gx is not None:
-                gx[..., :, off : off + win : stride] += np.matmul(
-                    kernel.data[:, :, tau].T, g
-                )
-        if gx is not None:
+    def rows(off: int) -> Array:
+        """(B, T_out·…, C_in) input rows read by the tap at ``off``; a view at stride 1."""
+        return xd[:, off:off + win:stride].reshape(n_batch, -1, c_in)
+
+    out = rows(offsets[0]) @ w[0]
+    for tau in range(1, k):
+        out += rows(offsets[tau]) @ w[tau]
+    if bias is not None:
+        out += bias.data
+
+    def back(g, x=x, kernel=kernel, bias=bias):
+        g2 = g.reshape(-1, c_out)
+        if kernel.requires_grad:
+            g3 = g2.reshape(n_batch, -1, c_out)
+            gw = np.empty_like(w)
+            for tau, off in enumerate(offsets):
+                # (B, C_in, R) × (B, R, C_out), summed over the batch
+                gw[tau] = np.matmul(rows(off).transpose(0, 2, 1), g3).sum(axis=0)
+            _accumulate(kernel, gw.transpose(2, 1, 0))
+        if x.requires_grad:
+            gx = np.zeros_like(xd)
+            for tau, off in enumerate(offsets):
+                gx[:, off:off + win:stride] += (g2 @ w[tau].T).reshape(tap_shape + (c_in,))
             _accumulate(x, gx)
-        if gk is not None:
-            _accumulate(kernel, gk)
+        if bias is not None:
+            _accumulate(bias, g2.sum(axis=0))
 
-    return _make(out, (x, kernel), back)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    return _make(out.reshape(tap_shape + (c_out,)), parents, back)
 
 
 # ---------------------------------------------------------------------------

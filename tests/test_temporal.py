@@ -172,3 +172,69 @@ class TestTcnLayer:
 
         errs = gradient_errors(loss, dict(st.params))
         assert max(errs.values()) <= 1e-4
+
+    @pytest.mark.parametrize("sizes,d", [((2, 3, 6, 7), 2), ((2, 6), 1), ((3,), 1)])
+    def test_matches_per_branch_reference(self, sizes, d):
+        # the per-branch algorithm in numpy: each bank runs one causal conv
+        # per filter size, cuts it to the k_max output length and
+        # concatenates; the backward is written out by hand
+        st = store(4)
+        c_in, c_out = 3, 2 * len(sizes)
+        layer = TcnLayer(st, "tcn", c_in, c_out, sizes, dilation=d)
+        rng = np.random.default_rng(12)
+        for p in st.params.values():
+            p.data = rng.normal(size=p.shape)
+        x = rng.normal(size=(2, 17, 3, c_in))
+        w = rng.normal(size=(2, 17 - (max(sizes) - 1) * d, 3, c_out))
+        t_out = w.shape[1]
+
+        def taps(k):
+            t_k = x.shape[1] - (k - 1) * d
+            return t_k, [x[:, (k - 1 - tau) * d:(k - 1 - tau) * d + t_k] for tau in range(k)]
+
+        pre = {}
+        for bank in ("filter", "gate"):
+            outs = []
+            for k in sizes:
+                kern = st.params[f"tcn.{bank}.k{k}.kernel"].data
+                t_k, xs = taps(k)
+                y = st.params[f"tcn.{bank}.k{k}.bias"].data + sum(
+                    np.einsum("btnc,oc->btno", xs[tau], kern[:, :, tau]) for tau in range(k)
+                )
+                outs.append(y[:, t_k - t_out:])
+            pre[bank] = np.concatenate(outs, axis=-1)
+        sig, th = 1.0 / (1.0 + np.exp(-pre["filter"])), np.tanh(pre["gate"])
+        ref_out = sig * th
+        g_pre = {"filter": w * th * sig * (1.0 - sig), "gate": w * sig * (1.0 - th * th)}
+        ref_grads = {}
+        ref_gx = np.zeros_like(x)
+        per = c_out // len(sizes)
+        for bank in ("filter", "gate"):
+            for i, k in enumerate(sizes):
+                g = g_pre[bank][..., i * per:(i + 1) * per]
+                t_k, xs = taps(k)
+                g_full = np.zeros(g.shape[:1] + (t_k,) + g.shape[2:])
+                g_full[:, t_k - t_out:] = g
+                ref_grads[f"tcn.{bank}.k{k}.kernel"] = np.stack(
+                    [np.einsum("btno,btnc->oc", g_full, xs[tau]) for tau in range(k)], axis=-1
+                )
+                ref_grads[f"tcn.{bank}.k{k}.bias"] = g.sum(axis=(0, 1, 2))
+                kern = st.params[f"tcn.{bank}.k{k}.kernel"].data
+                for tau in range(k):
+                    off = (k - 1 - tau) * d
+                    ref_gx[:, off:off + t_k] += np.einsum("btno,oc->btnc", g_full, kern[:, :, tau])
+
+        xt = Tensor(x, requires_grad=True)
+        with T.Tape() as tape:
+            out = layer(xt)
+            loss = T.reduce_sum(T.mul(out, Tensor(w)))
+        tape.backward(loss)
+
+        def rel(a, b):
+            return np.abs(a - b).max() / np.abs(b).max()
+
+        assert rel(out.data, ref_out) <= 1e-12
+        assert rel(xt.grad, ref_gx) <= 1e-12
+        assert set(ref_grads) == set(st.params)
+        for name, ref in ref_grads.items():
+            assert rel(st.params[name].grad, ref) <= 1e-12, name

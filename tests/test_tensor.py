@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -49,37 +51,39 @@ class TestMatmul:
 
 
 class TestConv1d:
+    # channel-last: x is (B, T, ..., C_in), the kernel (C_out, C_in, k)
+
     def test_identity_kernel(self):
-        x = t([[1.0, 2.0, 3.0, 4.0]])
+        x = t([[[1.0], [2.0], [3.0], [4.0]]])
         k = t(np.ones((1, 1, 1)))
-        assert T.conv1d(x, k).data.tolist() == [[1.0, 2.0, 3.0, 4.0]]
+        assert T.conv1d(x, k).data.tolist() == [[[1.0], [2.0], [3.0], [4.0]]]
 
     def test_dilated_pairs(self):
         # kernel [1,1], dilation 2 pairs (3,1) and (4,2)
-        x = t([[1.0, 2.0, 3.0, 4.0]])
+        x = t([[[1.0], [2.0], [3.0], [4.0]]])
         k = t(np.ones((1, 1, 2)))
-        assert T.conv1d(x, k, dilation=2).data.tolist() == [[4.0, 6.0]]
+        assert T.conv1d(x, k, dilation=2).data.tolist() == [[[4.0], [6.0]]]
 
     def test_length_law(self):
-        x = t(np.zeros((1, 168)))
+        x = t(np.zeros((1, 168, 1)))
         k = t(np.zeros((1, 1, 7)))
-        assert T.conv1d(x, k, dilation=2).shape == (1, 156)
+        assert T.conv1d(x, k, dilation=2).shape == (1, 156, 1)
 
     @pytest.mark.parametrize("tt,k,s", [(10, 3, 1), (10, 3, 4), (20, 7, 2), (5, 1, 3)])
     def test_length_law_param(self, tt, k, s):
-        x = t(np.zeros((2, tt)))
+        x = t(np.zeros((1, tt, 2)))
         kr = t(np.zeros((3, 2, k)))
-        assert T.conv1d(x, kr, dilation=s).shape == (3, tt - (k - 1) * s)
+        assert T.conv1d(x, kr, dilation=s).shape == (1, tt - (k - 1) * s, 3)
 
     def test_too_short(self):
-        x = t(np.zeros((1, 4)))
+        x = t(np.zeros((1, 4, 1)))
         k = t(np.zeros((1, 1, 3)))
         with pytest.raises(SequenceTooShortError):
             T.conv1d(x, k, dilation=2)
 
     def test_matches_manual_sum(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(2, 9))
+        x = rng.normal(size=(1, 9, 2))
         k = rng.normal(size=(3, 2, 3))
         s = 2
         out = T.conv1d(t(x), t(k), dilation=s).data
@@ -87,22 +91,22 @@ class TestConv1d:
         for o in range(3):
             for j in range(t_out):
                 ref = sum(
-                    k[o, c, tau] * x[c, j + 2 * s - s * tau]
+                    k[o, c, tau] * x[0, j + 2 * s - s * tau, c]
                     for c in range(2)
                     for tau in range(3)
                 )
-                assert out[o, j] == pytest.approx(ref, rel=1e-12)
+                assert out[0, j, o] == pytest.approx(ref, rel=1e-12)
 
     def test_strided(self):
         # stride subsamples output positions
-        x = np.arange(10.0)[None, :]
+        x = np.arange(10.0)[None, :, None]
         k = np.ones((1, 1, 2))
         out = T.conv1d(t(x), t(k), stride=3).data
-        assert out.tolist() == [[1.0, 7.0, 13.0]]
+        assert out.tolist() == [[[1.0], [7.0], [13.0]]]
 
     def test_gradients(self):
         rng = np.random.default_rng(3)
-        x = t(rng.normal(size=(2, 3, 8)))
+        x = t(rng.normal(size=(2, 8, 3)))
         k = t(rng.normal(size=(4, 3, 3)))
         assert_gradients_close(
             lambda: T.reduce_sum(T.conv1d(x, k, dilation=2)), {"x": x, "k": k}
@@ -110,11 +114,39 @@ class TestConv1d:
 
     def test_strided_gradients(self):
         rng = np.random.default_rng(4)
-        x = t(rng.normal(size=(2, 12)))
+        x = t(rng.normal(size=(1, 12, 2)))
         k = t(rng.normal(size=(3, 2, 4)))
         assert_gradients_close(
             lambda: T.reduce_sum(T.conv1d(x, k, stride=2)), {"x": x, "k": k}
         )
+
+    def test_four_d_bias_dilated_strided(self):
+        # (B, T, N, C) input, bias along the last axis, dilation 2, stride 2
+        rng = np.random.default_rng(5)
+        x = t(rng.normal(size=(2, 11, 3, 2)))
+        k = t(rng.normal(size=(4, 2, 3)))
+        b = t(rng.normal(size=(4,)))
+        out = T.conv1d(x, k, b, dilation=2, stride=2).data
+        assert out.shape == (2, 4, 3, 4)
+        for j in range(4):
+            ref = b.data + sum(
+                x.data[:, 2 * j + 4 - 2 * tau] @ k.data[:, :, tau].T for tau in range(3)
+            )
+            assert np.allclose(out[:, j], ref, rtol=1e-12, atol=0.0)
+        w = Tensor(rng.normal(size=out.shape))
+        assert_gradients_close(
+            lambda: T.reduce_sum(T.mul(T.conv1d(x, k, b, dilation=2, stride=2), w)),
+            {"x": x, "k": k, "b": b},
+        )
+
+    def test_shape_checks(self):
+        k = t(np.zeros((2, 3, 2)))
+        with pytest.raises(DimensionError):
+            T.conv1d(t(np.zeros((5, 3))), k)  # no batch axis
+        with pytest.raises(DimensionError):
+            T.conv1d(t(np.zeros((1, 5, 2))), k)  # channel mismatch
+        with pytest.raises(DimensionError):
+            T.conv1d(t(np.zeros((1, 5, 3))), k, t(np.zeros(3)))  # bias mismatch
 
 
 class TestElementwise:
@@ -126,6 +158,22 @@ class TestElementwise:
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(0.0, abs=1e-12)
         assert out[1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_sigmoid_bits_match_split_formula(self):
+        # the boolean-mask split this op used to compute, as the reference
+        def split(d):
+            out = np.empty_like(d)
+            pos = d >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+            ex = np.exp(d[~pos])
+            out[~pos] = ex / (1.0 + ex)
+            return out
+
+        special = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, np.inf, -np.inf])
+        d = np.concatenate([np.random.default_rng(13).normal(size=10**6), special])
+        new, ref = T.sigmoid(t(d)).data, split(d)
+        assert np.array_equal(new.view(np.int64), ref.view(np.int64))
+        assert np.isnan(T.sigmoid(t([np.nan])).data[0])
 
     def test_tanh_zero(self):
         assert T.tanh(t([0.0])).data[0] == 0.0
@@ -424,6 +472,40 @@ class TestBackward:
                 y = T.mul(x, x)
         assert len(tape) == 0
         assert not y.requires_grad
+
+    def test_no_grad_and_tape_stay_in_their_thread(self):
+        # thread A holds no_grad, then a Tape, while thread B runs ops: B's
+        # own tape must get its records, and A's tape none of B's ops
+        hold, done = threading.Barrier(2, timeout=10), threading.Barrier(2, timeout=10)
+        got = {}
+
+        def thread_a():
+            with no_grad():
+                hold.wait()
+                done.wait()
+            with Tape() as tape_a:
+                hold.wait()
+                done.wait()
+            got["a"] = len(tape_a)
+
+        def thread_b():
+            x = t([1.0, 2.0])
+            hold.wait()
+            with Tape() as tape_b:
+                T.mul(x, x)
+            got["b"] = len(tape_b)
+            done.wait()
+            hold.wait()
+            got["b_untaped"] = T.mul(x, x).requires_grad
+            done.wait()
+
+        threads = [threading.Thread(target=f) for f in (thread_a, thread_b)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=10)
+            assert not th.is_alive()
+        assert got == {"b": 1, "b_untaped": False, "a": 0}
 
     def test_transpose_reshape_broadcast(self):
         rng = np.random.default_rng(12)
