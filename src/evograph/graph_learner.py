@@ -6,6 +6,11 @@ temporal features.  Each GRU state is turned into a directed adjacency
 matrix by a pairwise scorer with a sigmoid mask, so a feature sequence of
 M segments yields M graphs that evolve smoothly in time.
 
+Only the GRU runs segment by segment.  The M segment means are one op, and
+the M states are stacked to (B, M, N, C_e) and scored in one call, so a
+layer's graphs come out as one (B, M, N, N) tensor;
+``EvolvingGraphSequence.matrices`` holds its per-segment slices as views.
+
 The scorer is two two-layer ReLU perceptrons (edge and mask) over the pair
 input α_i ‖ α_j.  Their first layer splits as W = [W_L; W_R], so its
 pre-activation is the outer sum α_i W_L + α_j W_R + b: one (C_e, 2H) GEMM
@@ -64,13 +69,14 @@ class SegmentSpec:
 
 
 def segment_aggregate(xi: Tensor, d: int) -> tuple[list[Tensor], SegmentSpec]:
-    """Mean-pool (B, T, N, C) features over each segment → M × (B, N, C)."""
+    """Mean-pool (B, T, N, C) features over each segment → M × (B, N, C).
+
+    The means are taken in one op (none when d = 1, where each segment is
+    one step); the list holds views of them.
+    """
     spec = SegmentSpec.for_length(xi.shape[1], d)
-    gammas = [
-        T.reduce_mean(T.narrow(xi, 1, start, stop - start), axis=1)
-        for start, stop in spec.boundaries
-    ]
-    return gammas, spec
+    means = xi if spec.m == xi.shape[1] else T.segment_mean(xi, spec.boundaries)
+    return [T.select(means, 1, m) for m in range(spec.m)], spec
 
 
 class GruCell:
@@ -134,17 +140,21 @@ class StaticFeatureExtractor:
 
 @dataclass
 class EvolvingGraphSequence:
-    """M adjacency matrices plus their pre-mask scores and mask logits.
+    """M nonnegative adjacency matrices, one per segment.
 
-    ``matrices[m]`` is (B, N, N), nonnegative, elementwise ≤ ``pre_mask[m]``
-    (the sigmoid mask only attenuates).  ``spec`` records which time range
-    each matrix governs.
+    ``adjacency`` is the (B, M, N, N) stack; ``matrices[m]`` is its (B, N, N)
+    slice for segment m, a view on the tape (an unused one costs nothing in
+    backward).  ``spec`` records which time range each matrix governs.
     """
 
+    adjacency: Tensor
     matrices: list[Tensor]
-    pre_mask: list[Tensor]
-    mask_logits: list[Tensor]
     spec: SegmentSpec
+
+    @classmethod
+    def from_stack(cls, adjacency: Tensor, spec: SegmentSpec) -> "EvolvingGraphSequence":
+        matrices = [T.select(adjacency, 1, m) for m in range(adjacency.shape[1])]
+        return cls(adjacency, matrices, spec)
 
 
 class Egl:
@@ -185,43 +195,43 @@ class Egl:
         return T.tanh(self.init_proj(x))
 
     def derive_adjacency(self, alpha: Tensor) -> tuple[Tensor, Tensor, Tensor]:
-        """Score every ordered node pair from (B, N, C_e) embeddings.
+        """Score every ordered node pair from (..., N, C_e) embeddings.
 
-        Returns (A, Â, mask logits), each (B, N, N): Â from a ReLU-capped
+        Returns (A, Â, mask logits), each (..., N, N): Â from a ReLU-capped
         scorer, A = Â ⊙ σ(mask).
         """
-        scores = T.pairwise_mlp(alpha, self.heads)  # (B, N, N, 2)
-        square = scores.shape[:-1]
-        a_hat = T.relu(T.reshape(T.narrow(scores, -1, 0, 1), square))
-        mask = T.reshape(T.narrow(scores, -1, 1, 1), square)
+        scores = T.pairwise_mlp(alpha, self.heads)  # (..., N, N, 2)
+        a_hat = T.relu(T.select(scores, -1, 0))
+        mask = T.select(scores, -1, 1)
         a = T.mul(a_hat, T.sigmoid(mask))
         return a, a_hat, mask
 
     def evolve(self, xi: Tensor, alpha_s: Tensor, d: int) -> EvolvingGraphSequence:
-        """Full pipeline: segment means → GRU over segments → per-step graphs."""
+        """Full pipeline: segment means → GRU over segments → per-step graphs.
+
+        xi: (B, T, N, C_in) → M graphs as one (B, M, N, N) stack.
+        """
         if self.gru is None:
             raise ContractError("this learner was built without a GRU (static only)")
         gammas, spec = segment_aggregate(xi, d)
         alpha = self.init_hidden(alpha_s)
-        if xi.ndim == 4 and alpha.ndim == 2:
+        if alpha.ndim == 2:
             alpha = T.broadcast_leading(alpha, xi.shape[0])
-        matrices, pre_mask, logits = [], [], []
+        states = []
         for gamma in gammas:
             alpha = self.gru.step(gamma, alpha)
-            a, a_hat, m = self.derive_adjacency(alpha)
-            matrices.append(a)
-            pre_mask.append(a_hat)
-            logits.append(m)
-        return EvolvingGraphSequence(matrices, pre_mask, logits, spec)
+            states.append(alpha)
+        a, _, _ = self.derive_adjacency(T.stack(states, axis=1))
+        return EvolvingGraphSequence.from_stack(a, spec)
 
     def static_sequence(self, alpha_s: Tensor, t: int, batch: int) -> EvolvingGraphSequence:
         """One graph from the initial (static) embeddings covering [0, t)."""
         alpha = self.init_hidden(alpha_s)
         if alpha.ndim == 2:
             alpha = T.broadcast_leading(alpha, batch)
-        a, a_hat, m = self.derive_adjacency(alpha)
+        a, _, _ = self.derive_adjacency(T.stack([alpha], axis=1))
         spec = SegmentSpec(d=t, m=1, boundaries=[(0, t)])
-        return EvolvingGraphSequence([a], [a_hat], [m], spec)
+        return EvolvingGraphSequence.from_stack(a, spec)
 
 
 def export_graphs(seq: EvolvingGraphSequence, out_dir, layer: int,

@@ -294,21 +294,17 @@ class Model:
                 d = c.intervals[0] if c.variant == "no_scale_specific" \
                     else c.intervals[layer]
                 ends = list(range(p, total + 1, d))
-                matrices, pre_mask, logits, boundaries = [], [], [], []
+                last_graphs = []
                 for chunk in range(0, len(ends), batch_size):
                     batch_ends = ends[chunk:chunk + batch_size]
                     windows = np.stack([arr[e - p:e] for e in batch_ends])
                     _, trace = self.forward(windows, inspect=True)
-                    seq = trace.graphs[layer]
-                    for b, e in enumerate(batch_ends):
-                        matrices.append(Tensor(seq.matrices[-1].data[b]))
-                        pre_mask.append(Tensor(seq.pre_mask[-1].data[b]))
-                        logits.append(Tensor(seq.mask_logits[-1].data[b]))
-                        boundaries.append((e - d, e))
-                spec = SegmentSpec(d=d, m=len(boundaries), boundaries=boundaries)
-                pairs.append(
-                    (EvolvingGraphSequence(matrices, pre_mask, logits, spec), 0)
-                )
+                    last_graphs.append(trace.graphs[layer].adjacency.data[:, -1])
+                # one sample whose M segments are the windows' last graphs
+                stack = Tensor(np.concatenate(last_graphs)[None])
+                spec = SegmentSpec(d=d, m=len(ends),
+                                   boundaries=[(e - d, e) for e in ends])
+                pairs.append((EvolvingGraphSequence.from_stack(stack, spec), 0))
         return pairs
 
 

@@ -1,9 +1,16 @@
-"""Mix-hop graph propagation applied per time segment.
+"""Mix-hop graph propagation, each time step through its segment's graph.
 
 Each hop mixes a β-weighted retention of the original node states with
 neighbour aggregation through the segment's adjacency matrix; hop outputs
 are projected and summed.  Row normalization of the adjacency (on by
 default) keeps the aggregation an average rather than a sum.
+
+A layer's graphs arrive as one (B, M, N, N) stack, which is checked and
+normalized once.  Segments of equal length d are propagated together: the
+features are viewed as (B, M, d, N, C) and each hop is one batched product
+with the (B, M, 1, N, N) graphs broadcast over the d steps of their segment
+(for d = 1 simply (B, T, N, N) against (B, T, N, C)).  A longer last
+segment takes one more call.  No per-step copy of the graphs is made.
 """
 
 from __future__ import annotations
@@ -40,47 +47,83 @@ class MixHop:
             proj.data *= 0.0
 
     def propagate(self, xi: Tensor, adj: Tensor, normalize: bool = True) -> Tensor:
-        """xi: (B, T, N, C_in), adj: (B, N, N) nonnegative → (B, T, N, C_out)."""
+        """xi: (B, ..., N, C_in) → (B, ..., N, C_out) through nonnegative ``adj``.
+
+        ``adj`` is (B, N, N), one graph for every step of ``xi``, or has the
+        ndim of ``xi`` with leading axes that broadcast against it, such as
+        (B, T, N, N) for (B, T, N, C) or (B, M, 1, N, N) for (B, M, d, N, C).
+        """
         if np.any(adj.data < 0):
             raise ContractError("adjacency has negative entries")
         if normalize:
             adj = T.row_normalize(adj)
-        # (B, 1, N, N) @ (B, T, N, C) broadcasts over time
-        adj_b = T.reshape(adj, (adj.shape[0], 1) + adj.shape[1:])
+        if adj.ndim < xi.ndim:
+            # (B, 1, N, N) @ (B, T, N, C) broadcasts over time
+            adj = T.reshape(adj, (adj.shape[0], 1) + adj.shape[1:])
         h = xi
         out = T.matmul(h, self.hop_proj[0])
         for k in range(1, self.psi + 1):
-            h = T.add(T.mul(xi, self.beta), T.mul(T.matmul(adj_b, h), 1.0 - self.beta))
+            h = T.add(T.mul(xi, self.beta), T.mul(T.matmul(adj, h), 1.0 - self.beta))
             out = T.add(out, T.matmul(h, self.hop_proj[k]))
         return out
 
     def apply_per_segment(self, xi: Tensor, graphs: EvolvingGraphSequence,
                           normalize: bool = True, time_offset: int = 0) -> Tensor:
-        """Propagate each time segment with its own adjacency matrix.
+        """Propagate each time step through its own segment's adjacency matrix.
 
         ``time_offset`` maps local feature index j to the absolute index
         j + time_offset used by the graphs' segment boundaries (nonzero when
         the graphs were learned on a longer, earlier-starting sequence).
         """
-        t = xi.shape[1]
+        b, t = xi.shape[:2]
         lo, hi = time_offset, time_offset + t
         if graphs.spec.boundaries[0][0] > lo or graphs.spec.length < hi:
             raise ContractError(
                 f"graphs cover [{graphs.spec.boundaries[0][0]}, "
                 f"{graphs.spec.length}) but features span [{lo}, {hi})"
             )
-        parts = []
-        for adj, (start, stop) in zip(graphs.matrices, graphs.spec.boundaries):
-            s = max(start, lo) - time_offset
-            e = min(stop, hi) - time_offset
-            if e <= s:
-                continue
-            parts.append(self.propagate(T.narrow(xi, 1, s, e - s), adj, normalize))
-        if not parts:
+        runs = _equal_runs(graphs.spec.boundaries, lo, hi)
+        if not runs:
             raise ContractError("no segment overlapped the feature range")
+        # only the graphs the features use are normalized, all at once
+        first = runs[0][0]
+        used = runs[-1][0] + runs[-1][1] - first
+        adj = graphs.adjacency
+        if used != adj.shape[1]:
+            adj = T.narrow(adj, 1, first, used)
+        if normalize:
+            adj = T.row_normalize(adj)
+        parts = []
+        for m, n, start, length in runs:
+            x = xi if n * length == t else T.narrow(xi, 1, start, n * length)
+            a = adj if n == used else T.narrow(adj, 1, m - first, n)
+            if n > 1 and length > 1:
+                # (B, n, length, N, C) against (B, n, 1, N, N)
+                x = T.reshape(x, (b, n, length) + xi.shape[2:])
+                a = T.reshape(a, (b, n, 1) + adj.shape[2:])
+            y = self.propagate(x, a, normalize=False)
+            parts.append(T.reshape(y, (b, n * length) + y.shape[3:]) if y.ndim > xi.ndim else y)
         out = parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
         if out.shape[1] != t:
             raise ContractError(
                 f"segments covered {out.shape[1]} of {t} time steps"
             )
         return out
+
+
+def _equal_runs(boundaries: list[tuple[int, int]], lo: int, hi: int) -> list[list[int]]:
+    """Group the segments that overlap [lo, hi), clipped to it, into runs of
+    adjacent segments of equal length.
+
+    Returns [first segment, segment count, local start, length] per run.
+    """
+    runs: list[list[int]] = []
+    for m, (start, stop) in enumerate(boundaries):
+        s, e = max(start, lo) - lo, min(stop, hi) - lo
+        if e <= s:
+            continue
+        if runs and runs[-1][3] == e - s:
+            runs[-1][1] += 1
+        else:
+            runs.append([m, 1, s, e - s])
+    return runs

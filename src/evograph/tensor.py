@@ -2,9 +2,11 @@
 
 The operation set is exactly what the forecasting architecture needs:
 matrix products (with stacked leading batch dimensions), causal dilated
-1-D convolution, pointwise nonlinearities, reductions, concatenation,
-slicing/reshaping, dropout, layer normalisation and a row-normalisation
-primitive for adjacency matrices.
+1-D convolution, pointwise nonlinearities, reductions and segment means,
+concatenation and stacking, slicing/reshaping, dropout, layer
+normalisation and a row-normalisation primitive for adjacency matrices.
+Slices (:func:`narrow`, :func:`select`) are views of their input, and
+their backward adds into the input's gradient buffer in place.
 
 :func:`conv1d` works on channel-last (B, T, ..., C) input, the layout the
 model's (B, T, N, C) sequences already have, and adds its optional bias
@@ -137,13 +139,16 @@ def no_grad():
 class Tensor:
     """Dense n-dimensional float64 array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         self.data: Array = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
+        # whether ``grad`` is a buffer no other tensor holds, so that
+        # accumulation may write into it
+        self._owns_grad = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -206,10 +211,27 @@ def _accumulate(t: Tensor, g: Array) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        # copy views so later in-place accumulation cannot alias another buffer
-        t.grad = g.copy() if g.base is not None else g
+        # a view is copied; a whole array is kept as it is, and may be
+        # shared (``add`` hands one ``g`` to both parents)
+        if g.base is not None:
+            t.grad, t._owns_grad = g.copy(), True
+        else:
+            t.grad, t._owns_grad = g, False
+    elif t._owns_grad:
+        t.grad += g
     else:
-        t.grad = t.grad + g
+        t.grad, t._owns_grad = t.grad + g, True
+
+
+def _accumulate_at(t: Tensor, idx: tuple, g: Array) -> None:
+    """Add ``g`` into ``t.grad[idx]`` in place; the rest of the buffer is untouched."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad, t._owns_grad = np.zeros_like(t.data), True
+    elif not t._owns_grad:
+        t.grad, t._owns_grad = t.grad.copy(), True
+    t.grad[idx] += g
 
 
 def _make(data: Array, parents: tuple[Tensor, ...], fn: Callable | None) -> Tensor:
@@ -225,19 +247,6 @@ def _make(data: Array, parents: tuple[Tensor, ...], fn: Callable | None) -> Tens
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape != b.shape:
         raise DimensionError(f"{op}: shapes {a.shape} and {b.shape} differ")
-
-
-def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
-    """Sum ``g`` down to ``shape`` (inverse of leading-dim broadcasting)."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +365,37 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: incompatible stack shapes {a.shape} x {b.shape}") from exc
 
     def back(g, a=a, b=b):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        _accumulate(a, _unbroadcast(ga, a.shape))
-        if b.ndim == 2 and g.ndim > 2:
-            # plain weight against a batched operand: one flat GEMM beats
-            # a batched product followed by a leading-axis reduction
-            flat_a = a.data.reshape(-1, a.shape[-1])
-            flat_g = g.reshape(-1, g.shape[-1])
-            _accumulate(b, flat_a.T @ flat_g)
-        else:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            _accumulate(b, _unbroadcast(gb, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _summed_matmul(g, np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            _accumulate(b, _summed_matmul(np.swapaxes(a.data, -1, -2), g, b.shape))
 
     return _make(out, (a, b), back)
+
+
+def _summed_matmul(x: Array, y: Array, shape: tuple[int, ...]) -> Array:
+    """``x @ y`` summed down to ``shape`` (leading-axis broadcasting undone).
+
+    The leading axes that ``shape`` broadcasts are folded into the
+    contraction instead of summed after it, so the unreduced product is
+    never formed: a (B, 1, N, N) adjacency applied to (B, T, N, C) features
+    gets its gradient from one (N, T·C) × (T·C, N) product per batch entry
+    rather than from a (B, T, N, N) one, and a plain weight from one flat
+    GEMM.
+    """
+    lead = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+    nl = len(lead)
+    target = (1,) * (nl + 2 - len(shape)) + tuple(shape)
+    summed = [i for i in range(nl) if target[i] == 1 and lead[i] != 1]
+    kept = [i for i in range(nl) if i not in summed]
+    rows = tuple(lead[i] for i in kept)
+    fold = math.prod(lead[i] for i in summed)
+    # x → (kept, P, summed·Q), y → (kept, summed·Q, R)
+    x = np.broadcast_to(x, lead + x.shape[-2:]).transpose(kept + [nl] + summed + [nl + 1])
+    y = np.broadcast_to(y, lead + y.shape[-2:]).transpose(kept + summed + [nl, nl + 1])
+    out = np.matmul(x.reshape(rows + (x.shape[len(kept)], fold * x.shape[-1])),
+                    y.reshape(rows + (fold * y.shape[-2], y.shape[-1])))
+    return out if out.shape == tuple(shape) else out.reshape(shape)
 
 
 def bias_add(x: Tensor, b: Tensor) -> Tensor:
@@ -508,9 +535,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise DimensionError("concat of zero tensors")
     ndim = tensors[0].ndim
-    if not -ndim <= axis < ndim:
-        raise DimensionError(f"axis {axis} out of range for ndim {ndim}")
-    ax = axis % ndim
+    ax = _normalize_axes(axis, ndim)[0]
     ref = tensors[0].shape
     for t in tensors[1:]:
         if t.ndim != ndim or any(
@@ -532,22 +557,73 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start+length) along ``axis``."""
-    ax = axis % x.ndim
+    """Contiguous slice [start, start+length) along ``axis``: a view of ``x``."""
+    ax = _normalize_axes(axis, x.ndim)[0]
     if start < 0 or length < 0 or start + length > x.shape[ax]:
         raise DimensionError(
             f"narrow: [{start}, {start + length}) out of bounds for extent {x.shape[ax]}"
         )
-    idx = [slice(None)] * x.ndim
-    idx[ax] = slice(start, start + length)
-    idx = tuple(idx)
+    idx = (slice(None),) * ax + (slice(start, start + length),)
 
     def back(g, x=x, idx=idx):
-        gx = np.zeros_like(x.data)
-        gx[idx] = g
-        _accumulate(x, gx)
+        _accumulate_at(x, idx, g)
 
-    return _make(x.data[idx].copy(), (x,), back)
+    return _make(x.data[idx], (x,), back)
+
+
+def select(x: Tensor, axis: int, index: int) -> Tensor:
+    """Entry ``index`` of ``axis``, which is dropped: a view of ``x``."""
+    ax = _normalize_axes(axis, x.ndim)[0]
+    if not 0 <= index < x.shape[ax]:
+        raise DimensionError(f"select: index {index} out of bounds for extent {x.shape[ax]}")
+    idx = (slice(None),) * ax + (index,)
+
+    def back(g, x=x, idx=idx):
+        _accumulate_at(x, idx, g)
+
+    return _make(x.data[idx], (x,), back)
+
+
+def stack(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    """Join same-shaped tensors along a new axis ``axis``."""
+    tensors = list(tensors)
+    if not tensors:
+        raise DimensionError("stack of zero tensors")
+    ref = tensors[0].shape
+    for t in tensors[1:]:
+        if t.shape != ref:
+            raise DimensionError(f"stack: shapes {ref} and {t.shape} differ")
+    ax = _normalize_axes(axis, len(ref) + 1)[0]
+    out = np.stack([t.data for t in tensors], axis=ax)
+
+    def back(g, tensors=tensors, ax=ax):
+        for i, t in enumerate(tensors):
+            _accumulate(t, g[(slice(None),) * ax + (i,)])
+
+    return _make(out, tuple(tensors), back)
+
+
+def segment_mean(x: Tensor, boundaries: Sequence[tuple[int, int]]) -> Tensor:
+    """Mean over each range [start, stop) of axis 1: (B, T, ...) → (B, M, ...).
+
+    The M ranges must tile [0, T) in order.
+    """
+    if x.ndim < 2:
+        raise DimensionError(f"segment_mean: input must be (B, T, ...), got {x.shape}")
+    edges = [0] + [stop for _, stop in boundaries]
+    lengths = np.diff(edges)
+    if not boundaries or [start for start, _ in boundaries] != edges[:-1] \
+            or np.any(lengths < 1) or edges[-1] != x.shape[1]:
+        raise DimensionError(
+            f"segment_mean: {list(boundaries)} do not tile [0, {x.shape[1]})"
+        )
+    counts = lengths.reshape((1, -1) + (1,) * (x.ndim - 2))
+    out = np.stack([x.data[:, start:stop].mean(axis=1) for start, stop in boundaries], axis=1)
+
+    def back(g, x=x):
+        _accumulate(x, np.repeat(g / counts, lengths, axis=1))
+
+    return _make(out, (x,), back)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -587,9 +663,12 @@ def pairwise_mlp(alpha: Tensor,
     ``(α W_L)_i + (α W_R)_j + b1``, so the (..., N², 2C) pair tensor is
     never built, and all heads share one GEMM per side.  The backward
     recomputes the (..., N, N, kH) hidden layer instead of keeping it,
-    and reduces over j and i for the left and right halves.  Both passes
-    walk the leading axes in blocks of whole graphs, so the transient
-    hidden layer is one block, not the whole batch.
+    turns its ReLU mask into 0.0 / 1.0, and reduces the mask weighted by
+    the output gradient over j (left half) and over i (right half) with one
+    batched product per head; the output weight scales those sums after
+    the reduction.  Both passes walk the leading axes in blocks of whole
+    graphs through one reused buffer, so the transient hidden layer is one
+    block, not the whole batch.
     """
     if alpha.ndim < 2 or not heads:
         raise DimensionError(
@@ -625,37 +704,52 @@ def pairwise_mlp(alpha: Tensor,
     step = max(1, _PAIR_BLOCK // (n * n * width))
     blocks = [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
 
+    # one hidden-layer buffer, reused by every block of both passes
+    buf = np.empty((min(step, rows), n, n, width))
+
     def hidden_layer(rs: slice) -> Array:
-        """relu(L_i + R_j + b1) for graphs ``rs`` as (·, kH) rows."""
-        pre = left[rs, :, None, :] + right[rs, None, :, :]
+        """relu(L_i + R_j + b1) for graphs ``rs``, written into ``buf``."""
+        pre = buf[:rs.stop - rs.start]
+        np.copyto(pre, left[rs, :, None, :])
+        pre += right[rs, None, :, :]
         np.maximum(pre, 0.0, out=pre)
-        return pre.reshape(-1, width)
+        return pre
 
     out = np.empty((rows, n * n, k))
     for rs in blocks:
-        out[rs] = (hidden_layer(rs) @ w2_blk).reshape(-1, n * n, k)
+        out[rs] = (hidden_layer(rs).reshape(-1, width) @ w2_blk).reshape(-1, n * n, k)
     out += b2_all
     out = out.reshape(lead + (n, n, k))
+    w2_all = w2_blk.sum(axis=1)  # each hidden unit's output weight
 
     def back(g, alpha=alpha, heads=heads):
-        g3 = g.reshape(rows, n * n, k)
+        g4 = g.reshape(rows, n, n, k)
         g_w2 = np.zeros((width, k))
         g_left = np.empty((rows, n, width))
         g_right = np.empty((rows, n, width))
         for rs in blocks:
             h = hidden_layer(rs)
-            g_rs = g3[rs].reshape(-1, k)
-            g_w2 += h.T @ g_rs
-            g_pre = g_rs @ w2_blk.T
-            g_pre *= h > 0
-            g_pre = g_pre.reshape(-1, n, n, width)
-            g_left[rs] = g_pre.sum(axis=2)   # over j
-            g_right[rs] = g_pre.sum(axis=1)  # over i
+            g_rs = g4[rs]
+            g_w2 += h.reshape(-1, width).T @ g_rs.reshape(-1, k)
+            live = np.greater(h, 0.0, out=h)  # the ReLU mask as 0.0 / 1.0
+            for i in range(k):
+                cols = slice(i * hd, (i + 1) * hd)
+                g_ij = np.ascontiguousarray(g_rs[..., i])
+                g_ji = np.ascontiguousarray(g_ij.transpose(0, 2, 1))
+                # Σ_j and Σ_i of g·mask: one (1 × N) @ (N × H) product per
+                # row i, and per column j
+                np.matmul(g_ij[:, :, None, :], live[..., cols],
+                          out=g_left[rs, :, None, cols])
+                np.matmul(g_ji[:, :, None, :], live[..., cols].transpose(0, 2, 1, 3),
+                          out=g_right[rs, :, None, cols])
+        # the output weight is constant over i and j, so it scales the sums
+        g_left *= w2_all
+        g_right *= w2_all
         g_left = g_left.reshape(-1, width)
         g_right = g_right.reshape(-1, width)
         g_b1 = g_left.sum(axis=0)
         # one contiguous row per head, so each sum is pairwise
-        g_b2 = np.ascontiguousarray(g3.reshape(-1, k).T).sum(axis=1)
+        g_b2 = np.ascontiguousarray(g4.reshape(-1, k).T).sum(axis=1)
         if alpha.requires_grad:
             g_alpha = g_left @ w_left.T + g_right @ w_right.T
             _accumulate(alpha, g_alpha.reshape(alpha.shape))

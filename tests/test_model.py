@@ -164,6 +164,23 @@ class TestForward:
             d = model.config.intervals[l]
             assert len(graphs.matrices) == max(1, t // d)
 
+    def test_graph_inspection_keeps_each_windows_last_graph(self):
+        model = tiny_model()
+        series = np.random.default_rng(10).normal(size=(26, 4, 1))
+        pairs = model.graph_inspection(series, batch_size=2)
+        assert len(pairs) == 2
+        for layer, (seq, offset) in enumerate(pairs):
+            d = model.config.intervals[layer]
+            ends = list(range(16, 27, d))
+            assert offset == 0
+            assert seq.adjacency.shape == (1, len(ends), 4, 4)
+            assert seq.spec.boundaries == [(e - d, e) for e in ends]
+            assert len(seq.matrices) == seq.spec.m == len(ends)
+            for mat, e in zip(seq.matrices, ends):
+                _, trace = model.forward(series[None, e - 16:e], inspect=True)
+                want = trace.graphs[layer].matrices[-1].data
+                assert np.allclose(mat.data, want, rtol=1e-13, atol=0)
+
     def test_dropout_changes_training_output(self):
         model = tiny_model(dropout=0.3)
         x = window(seed=8)

@@ -4,7 +4,7 @@ import pytest
 from evograph import tensor as T
 from evograph.errors import ContractError
 from evograph.gradcheck import gradient_errors
-from evograph.graph_learner import EvolvingGraphSequence, SegmentSpec
+from evograph.graph_learner import Egl, EvolvingGraphSequence, SegmentSpec
 from evograph.nn import ParamStore
 from evograph.propagation import MixHop
 from evograph.rng import RngSource
@@ -25,7 +25,7 @@ def random_adj(n, b=1, seed=0):
 
 def seq_for(matrices, t, d):
     spec = SegmentSpec.for_length(t, d)
-    return EvolvingGraphSequence(matrices, matrices, matrices, spec)
+    return EvolvingGraphSequence.from_stack(T.stack(matrices, axis=1), spec)
 
 
 class TestMixHop:
@@ -155,3 +155,84 @@ class TestPerSegment:
         out_tail = mh.apply_per_segment(tail, seq, time_offset=7)
         out_full = mh.apply_per_segment(full, seq)
         assert np.allclose(out_tail.data, out_full.data[:, 7:])
+
+
+def per_segment_reference(egl, mh, xi, alpha_s, d, graph_input=None, time_offset=0):
+    """The per-segment algorithm, one small op chain per segment.
+
+    Each segment's mean is its own narrow and mean, each GRU state is scored
+    on its own, and each segment's features are narrowed and propagated
+    through that segment's (B, N, N) graph; the parts are concatenated.
+    Graphs are learned on ``graph_input`` (``xi`` by default), which spans
+    [0, T_g) while ``xi`` spans [time_offset, time_offset + T).
+    """
+    src = xi if graph_input is None else graph_input
+    spec = SegmentSpec.for_length(src.shape[1], d)
+    alpha = T.broadcast_leading(egl.init_hidden(alpha_s), xi.shape[0])
+    lo, hi = time_offset, time_offset + xi.shape[1]
+    parts = []
+    for start, stop in spec.boundaries:
+        gamma = T.reduce_mean(T.narrow(src, 1, start, stop - start), axis=1)
+        alpha = egl.gru.step(gamma, alpha)
+        scores = T.pairwise_mlp(alpha, egl.heads)  # (B, N, N, 2)
+        square = scores.shape[:-1]
+        a_hat = T.relu(T.reshape(T.narrow(scores, -1, 0, 1), square))
+        mask = T.reshape(T.narrow(scores, -1, 1, 1), square)
+        adj = T.mul(a_hat, T.sigmoid(mask))
+        s, e = max(start, lo) - lo, min(stop, hi) - lo
+        if e > s:
+            parts.append(mh.propagate(T.narrow(xi, 1, s, e - s), adj))
+    return T.concat(parts, axis=1)
+
+
+class TestSegmentBatching:
+    """Batched graph learning and propagation against the per-segment algorithm."""
+
+    @pytest.mark.filterwarnings("ignore:T=.*shorter than segment interval")
+    @pytest.mark.parametrize("t, d, t_graph", [
+        (9, 1, None),   # one graph per step
+        (11, 4, None),  # segments of 4 and a longer last one of 7
+        (11, 16, None),  # d > T: one segment
+        (9, 1, 12),     # graphs learned on a longer input, offset 3
+        (9, 4, 12),     # offset 3: a 1-step piece, then two 4-step segments
+    ])
+    def test_matches_per_segment_reference(self, t, d, t_graph):
+        rng = np.random.default_rng(20 + t + d)
+        st = store(21)
+        c_in, n, b = 3, 5, 2
+        egl = Egl(st, "egl", c_in=c_in, c_e=4, c_s=6)
+        mh = MixHop(st, "mh", c_in, 2, psi=2, beta=0.05)
+        for p in st.params.values():  # off the flat init, so every path carries gradient
+            p.data = p.data + 0.5 * rng.normal(size=p.shape)
+        xi = Tensor(rng.normal(size=(b, t, n, c_in)), requires_grad=True)
+        offset = 0 if t_graph is None else t_graph - t
+        graph_input = None if t_graph is None else \
+            Tensor(rng.normal(size=(b, t_graph, n, c_in)), requires_grad=True)
+        alpha_s = Tensor(rng.normal(size=(n, 6)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(b, t, n, 2)))
+        leaves = dict(st.params, xi=xi, alpha_s=alpha_s)
+        if graph_input is not None:
+            leaves["graph_input"] = graph_input
+
+        def run(forward):
+            with T.Tape() as tape:
+                out = forward()
+                loss = T.reduce_sum(T.mul(out, weight))
+            tape.backward(loss)
+            return out.data, {k: v.grad.copy() for k, v in leaves.items()}
+
+        def batched():
+            seq = egl.evolve(xi if graph_input is None else graph_input, alpha_s, d=d)
+            return mh.apply_per_segment(xi, seq, time_offset=offset)
+
+        out, grads = run(batched)
+        ref_out, ref_grads = run(lambda: per_segment_reference(
+            egl, mh, xi, alpha_s, d, graph_input, offset))
+        assert np.max(np.abs(out - ref_out)) <= 1e-15 * np.max(np.abs(ref_out))
+        # measured against the largest gradient entry: row normalization
+        # nearly cancels some sums (the scorers' output biases), so their
+        # entry-wise relative error says nothing about the op order
+        scale = max(np.max(np.abs(g)) for g in ref_grads.values())
+        for k, g in grads.items():
+            assert np.max(np.abs(g - ref_grads[k])) <= 1e-12 * scale, k
+        assert all(np.any(ref_grads[k] != 0) for k in leaves if ".mask." in k or ".gru." in k)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from evograph import tensor as T
 from evograph.errors import ConfigurationError
 from evograph.graph_learner import EvolvingGraphSequence, SegmentSpec
 from evograph.synth import (
@@ -111,7 +112,7 @@ class TestGroundTruthIo:
 def seq_from_arrays(mats, t, d):
     spec = SegmentSpec.for_length(t, d)
     tensors = [Tensor(m[None]) for m in mats]
-    return EvolvingGraphSequence(tensors, tensors, tensors, spec)
+    return EvolvingGraphSequence.from_stack(T.stack(tensors, axis=1), spec)
 
 
 class TestRecovery:

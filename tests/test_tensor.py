@@ -49,6 +49,35 @@ class TestMatmul:
         b = t(rng.normal(size=(4, 3)))
         assert_gradients_close(lambda: T.reduce_sum(T.matmul(a, b)), {"a": a, "b": b})
 
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 1, 3, 3), (2, 4, 3, 2)),        # one graph per batch entry, over time
+        ((2, 3, 1, 3, 3), (2, 3, 4, 3, 2)),  # one graph per segment, over its steps
+        ((2, 3, 3, 3), (2, 3, 3, 2)),        # one graph per step
+        ((1, 4, 3, 3), (2, 1, 3, 2)),        # both sides broadcast
+        ((3, 3), (2, 4, 3, 2)),              # a plain matrix on the left
+    ])
+    def test_broadcast_gradients(self, a_shape, b_shape):
+        rng = np.random.default_rng(2)
+        a, b = t(rng.normal(size=a_shape)), t(rng.normal(size=b_shape))
+        w = Tensor(rng.normal(size=np.broadcast_shapes(a_shape[:-1] + (1,), b_shape[:-2] + (1, b_shape[-1]))))
+        assert_gradients_close(lambda: T.reduce_sum(T.mul(T.matmul(a, b), w)),
+                               {"a": a, "b": b})
+
+    def test_broadcast_gradient_matches_summed_product(self):
+        # the broadcast side's gradient is folded into one contraction; it
+        # must equal the unreduced per-step product summed afterwards
+        rng = np.random.default_rng(3)
+        a = t(rng.normal(size=(2, 3, 1, 4, 4)))
+        b = t(rng.normal(size=(2, 3, 5, 4, 2)))
+        g = rng.normal(size=(2, 3, 5, 4, 2))
+        with Tape() as tape:
+            loss = T.reduce_sum(T.mul(T.matmul(a, b), Tensor(g)))
+        tape.backward(loss)
+        want = np.matmul(g, np.swapaxes(b.data, -1, -2)).sum(axis=2, keepdims=True)
+        assert np.allclose(a.grad, want, rtol=1e-13, atol=1e-13)
+        assert np.allclose(b.grad, np.matmul(np.swapaxes(a.data, -1, -2), g),
+                           rtol=1e-13, atol=1e-13)
+
 
 class TestConv1d:
     # channel-last: x is (B, T, ..., C_in), the kernel (C_out, C_in, k)
@@ -243,6 +272,69 @@ class TestConcatSlice:
             loss = T.reduce_sum(T.narrow(x, 0, 2, 3))
         tape.backward(loss)
         assert x.grad.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0, 0.0]
+
+    def test_narrow_and_select_are_views(self):
+        x = t(np.arange(24.0).reshape(2, 3, 4))
+        assert np.shares_memory(T.narrow(x, 1, 1, 2).data, x.data)
+        sel = T.select(x, -1, 2)
+        assert np.shares_memory(sel.data, x.data)
+        assert np.array_equal(sel.data, x.data[..., 2])
+        with pytest.raises(DimensionError):
+            T.select(x, 1, 3)
+        with pytest.raises(DimensionError):
+            T.narrow(x, 3, 0, 1)
+
+    def test_narrow_does_not_corrupt_a_shared_gradient(self):
+        # add hands one gradient array to both parents; each parent is then
+        # narrowed, and the slice added into one must not reach the other
+        rng = np.random.default_rng(4)
+        x, y = t(rng.normal(size=5)), t(rng.normal(size=5))
+        w_sum, w_x, w_y = (rng.normal(size=s) for s in (5, 2, 3))
+        with Tape() as tape:
+            p, q = T.mul(x, 1.0), T.mul(y, 1.0)
+            tail_x, head_y = T.narrow(p, 0, 3, 2), T.narrow(q, 0, 0, 3)
+            loss = T.reduce_sum(T.mul(T.add(p, q), Tensor(w_sum)))
+            loss = T.add(loss, T.reduce_sum(T.mul(tail_x, Tensor(w_x))))
+            loss = T.add(loss, T.reduce_sum(T.mul(head_y, Tensor(w_y))))
+        tape.backward(loss)
+        assert np.array_equal(x.grad, w_sum + np.r_[0, 0, 0, w_x])
+        assert np.array_equal(y.grad, w_sum + np.r_[w_y, 0, 0])
+
+    def test_select_stack_roundtrip_gradients(self):
+        rng = np.random.default_rng(5)
+        parts = [t(rng.normal(size=(2, 3))) for _ in range(3)]
+        w = Tensor(rng.normal(size=(2, 3, 3)))
+
+        def loss_fn():
+            s = T.stack(parts, axis=1)  # (2, 3, 3)
+            picked = T.stack([T.select(s, 1, 2), T.select(s, 1, 0)], axis=-1)
+            return T.add(T.reduce_sum(T.mul(s, w)), T.reduce_sum(T.mul(picked, picked)))
+
+        assert T.stack(parts, axis=1).shape == (2, 3, 3)
+        assert_gradients_close(loss_fn, {f"p{i}": p for i, p in enumerate(parts)})
+
+    def test_stack_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            T.stack([t(np.zeros((2, 3))), t(np.zeros((3, 2)))], axis=0)
+        with pytest.raises(DimensionError):
+            T.stack([], axis=0)
+
+    def test_segment_mean_matches_slices(self):
+        rng = np.random.default_rng(6)
+        x = t(rng.normal(size=(2, 11, 3, 2)))
+        bounds = [(0, 4), (4, 11)]
+        out = T.segment_mean(x, bounds)
+        for m, (start, stop) in enumerate(bounds):
+            assert np.array_equal(out.data[:, m], x.data[:, start:stop].mean(axis=1))
+        w = Tensor(rng.normal(size=out.shape))
+        assert_gradients_close(
+            lambda: T.reduce_sum(T.mul(T.segment_mean(x, bounds), w)), {"x": x})
+
+    @pytest.mark.parametrize("bounds", [[(0, 4), (5, 11)], [(0, 4), (4, 10)],
+                                        [(1, 11)], [(0, 0), (0, 11)], []])
+    def test_segment_mean_needs_a_tiling(self, bounds):
+        with pytest.raises(DimensionError):
+            T.segment_mean(t(np.zeros((1, 11, 2))), bounds)
 
 
 class TestPairwiseMlp:
