@@ -6,7 +6,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 
-from .data import SplitSpec
+from .data import SCALER_MODES, SplitSpec
 from .errors import ConfigurationError
 from .temporal import receptive_field
 
@@ -183,7 +183,7 @@ class ExperimentConfig:
     def __post_init__(self):
         self.split = tuple(float(f) for f in self.split)
         SplitSpec(*self.split)  # validates fractions
-        if self.scaler_mode not in ("max-abs", "zscore", "none"):
+        if self.scaler_mode not in SCALER_MODES:
             raise ConfigurationError(f"unknown scaler mode {self.scaler_mode!r}")
 
     def split_spec(self) -> SplitSpec:

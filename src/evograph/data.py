@@ -3,6 +3,8 @@
 The on-disk format is a plain CSV (rows = time steps, columns = node-major
 then channel) with an optional JSON sidecar carrying {name, N, T, C,
 granularity}.  All arrays are float64 with axis order (N, T, C).
+:func:`window_views` cuts a split into read-only window views of the
+series: nothing is copied until a batch is gathered with an index array.
 :func:`write_atomic` is the package's one way to replace a file whole.
 """
 
@@ -18,12 +20,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DimensionError, LoadError
 
 Array = np.ndarray
 
 SIDECAR_SUFFIX = ".meta.json"
+
+SCALER_MODES = ("max-abs", "zscore", "none")
 
 
 @dataclass
@@ -216,7 +221,9 @@ class Scaler:
         return (np.asarray(x, dtype=np.float64) - self.shift) / self.scale
 
     def inverse(self, x: Array) -> Array:
-        return np.asarray(x, dtype=np.float64) * self.scale + self.shift
+        # C order whatever the input's layout: the metrics' sums run in
+        # memory order, so a strided window view must not change their bits
+        return np.ascontiguousarray(x, dtype=np.float64) * self.scale + self.shift
 
     def transform_dataset(self, values: Array) -> Array:
         """Normalize an (N, T, C) array in dataset layout."""
@@ -270,59 +277,37 @@ def fit_scaler(
     return Scaler(mode, shift, scale)
 
 
-@dataclass
-class WindowSample:
-    """One training example anchored at time t (the last input index)."""
+def window_views(values: Array, p: int, q: int, task: str,
+                 segment: range) -> tuple[Array, Array, Array]:
+    """Look-back/target windows that stay inside one split segment, as
+    read-only views of the (N, T, C) ``values``: no window is copied.
 
-    input: Array  # (P, N, C)
-    target: Array  # (N, C) single-step or (Q, N, C) multi-step
-    anchor_t: int
-
-
-def make_windows(
-    dataset: TimeSeriesDataset,
-    p: int,
-    q: int,
-    task: str,
-    segment: range,
-) -> list[WindowSample]:
-    """Slice look-back/target windows that stay inside one split segment.
-
-    Single-step targets are the value at t+q (one model per horizon);
-    multi-step targets are the full sequence t+1 .. t+q.  Yields
-    ``len(segment) − p − q + 1`` samples, or none (with a warning) when the
-    segment is too short.
+    Returns (inputs, targets, anchors).  Window b is anchored at
+    t = segment.start + P − 1 + b, its last input step; its input is
+    steps t−P+1 .. t, (B, P, N, C).  Single-step targets are the value at
+    t+Q, (B, N, C) (one model per horizon); multi-step targets are the
+    sequence t+1 .. t+Q, (B, Q, N, C).  B = ``len(segment) − P − Q + 1``,
+    or 0 (with a warning) when the segment is too short.
     """
     if task not in ("single", "multi"):
         raise ConfigurationError(f"task must be 'single' or 'multi', got {task!r}")
     if p < 1 or q < 1:
         raise ConfigurationError(f"need P≥1 and Q≥1, got P={p}, Q={q}")
-    seg_len = len(segment)
-    if seg_len < p + q:
+    n, _, c = values.shape
+    count = len(segment) - p - q + 1
+    if count < 1:
         warnings.warn(
-            f"segment of length {seg_len} is shorter than P+Q={p + q}; no windows",
+            f"segment of length {len(segment)} is shorter than P+Q={p + q}; no windows",
             stacklevel=2,
         )
-        return []
-    values = dataset.values  # (N, T, C)
-    samples = []
-    first_t = segment.start + p - 1
-    last_t = segment.stop - 1 - q
-    for t in range(first_t, last_t + 1):
-        window = values[:, t - p + 1 : t + 1, :].transpose(1, 0, 2)  # (P, N, C)
-        if task == "single":
-            target = values[:, t + q, :]  # (N, C)
-        else:
-            target = values[:, t + 1 : t + q + 1, :].transpose(1, 0, 2)  # (Q, N, C)
-        samples.append(WindowSample(window, target, t))
-    return samples
-
-
-def stack_windows(samples: list[WindowSample]) -> tuple[Array, Array, Array]:
-    """Stack samples into batched arrays (inputs, targets, anchors)."""
-    if not samples:
-        raise ConfigurationError("cannot stack an empty sample list")
-    inputs = np.stack([s.input for s in samples])
-    targets = np.stack([s.target for s in samples])
-    anchors = np.asarray([s.anchor_t for s in samples], dtype=np.int64)
+        spans = np.empty((0, p + q, n, c))
+    else:
+        # (T − P − Q + 1, P + Q, N, C): entry s holds steps s .. s + P + Q − 1
+        spans = sliding_window_view(values, p + q, axis=1).transpose(1, 3, 0, 2)
+        spans = spans[segment.start:segment.start + count]
+    inputs = spans[:, :p]
+    targets = spans[:, -1] if task == "single" else spans[:, p:]
+    anchors = segment.start + p - 1 + np.arange(max(count, 0), dtype=np.int64)
+    for arr in (inputs, targets, anchors):
+        arr.flags.writeable = False
     return inputs, targets, anchors

@@ -168,9 +168,9 @@ class Egl:
     """
 
     def __init__(self, store: ParamStore, name: str, c_in: int, c_e: int,
-                 c_s: int, attr_dim: int = 0, with_gru: bool = True):
+                 c_s: int, with_gru: bool = True):
         self.c_e = c_e
-        self.init_proj = Linear(store, f"{name}.init", c_s + attr_dim, c_e)
+        self.init_proj = Linear(store, f"{name}.init", c_s, c_e)
         self.gru = GruCell(store, f"{name}.gru", c_in, c_e) if with_gru else None
         self.edge_fc1 = Linear(store, f"{name}.edge.fc1", 2 * c_e, c_e)
         self.edge_fc2 = Linear(store, f"{name}.edge.fc2", c_e, 1)
@@ -189,10 +189,9 @@ class Egl:
         self.heads = [(fc1.w, fc1.b, fc2.w, fc2.b) for fc1, fc2 in
                       ((self.edge_fc1, self.edge_fc2), (self.mask_fc1, self.mask_fc2))]
 
-    def init_hidden(self, alpha_s: Tensor, attrs: Tensor | None = None) -> Tensor:
-        """α⁰ = tanh(affine(α_s [‖ node attrs])) — the GRU's initial state."""
-        x = alpha_s if attrs is None else T.concat([alpha_s, attrs], axis=alpha_s.ndim - 1)
-        return T.tanh(self.init_proj(x))
+    def init_hidden(self, alpha_s: Tensor) -> Tensor:
+        """α⁰ = tanh(affine(α_s)) — the GRU's initial state."""
+        return T.tanh(self.init_proj(alpha_s))
 
     def derive_adjacency(self, alpha: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         """Score every ordered node pair from (..., N, C_e) embeddings.

@@ -6,21 +6,29 @@ sequence of adjacency matrices from ξ⁽ˡ⁾ (variant-dependent), propagates
 per segment, layer-normalizes, and adds the time-aligned residual.  Skip
 projections collapse the raw input, every ξ⁽ˡ⁾, and the final state into a
 shared C_skip space feeding the two-layer output head.
+
+The layer loop exists once, in ``Model._branches``, a generator that yields
+each skip branch's input with its graphs and Z as it goes: ``forward``
+builds the skips and its ``inspect`` trace from it, ``branch_features``
+stops it at the requested scale, and ``graph_inspection`` reads every
+layer's graphs from one traced forward per chunk of windows.  Checkpoints
+hold no training state: nothing resumes from it.
 """
 
 from __future__ import annotations
 
 import base64
-import dataclasses
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .config import ModelConfig
-from .data import write_atomic
+from .data import SCALER_MODES, write_atomic
 from .errors import (ConfigurationError, ContractError, DimensionError,
                      LoadError, SequenceTooShortError)
 from .graph_learner import (Egl, EvolvingGraphSequence, SegmentSpec,
@@ -119,30 +127,7 @@ class Model:
 
     # -- forward ------------------------------------------------------------
 
-    def _collapse(self, x: Tensor, proj: Linear) -> Tensor:
-        """(B, T, N, C) → full-width time collapse → (B, N, C_skip)."""
-        b, t, n, c = x.shape
-        flat = T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, n, t * c))
-        return proj(flat)
-
-    def _graphs_for_layer(self, layer: int, xi: Tensor, alpha_s: Tensor,
-                          raw_graphs: EvolvingGraphSequence | None,
-                          ) -> tuple[EvolvingGraphSequence, int]:
-        c = self.config
-        if c.variant == "no_scale_specific":
-            offset = c.window - xi.shape[1]
-            return raw_graphs, offset
-        if c.variant == "static_only":
-            return self.egls[layer].static_sequence(
-                alpha_s, t=xi.shape[1], batch=xi.shape[0]
-            ), 0
-        return self.egls[layer].evolve(xi, alpha_s, d=c.intervals[layer]), 0
-
-    def forward(self, x, training: bool = False,
-                rng: np.random.Generator | None = None,
-                inspect: bool = False,
-                scale_mask: list[float] | None = None,
-                ) -> tuple[Tensor, ForwardTrace | None]:
+    def _as_input(self, x) -> Tensor:
         c = self.config
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=np.float64))
@@ -151,41 +136,63 @@ class Model:
                 f"input must be (B, {c.window}, {c.n_nodes}, {c.n_channels}), "
                 f"got {x.shape}"
             )
+        return x
+
+    def _branches(self, x: Tensor, training: bool = False,
+                  rng: np.random.Generator | None = None,
+                  ) -> Iterator[tuple[Tensor, EvolvingGraphSequence | None, Tensor]]:
+        """The backbone, one skip branch at a time.
+
+        Yields (branch input, graphs, Z): first (x, None, Z⁽¹⁾), where Z⁽¹⁾
+        is the input projection, then (ξ⁽ˡ⁾, its graphs, Z⁽ˡ⁺¹⁾) for each
+        layer l.  A caller that stops iterating skips the later layers.
+        """
+        c = self.config
         if self.reference_series is None:
             raise ContractError(
                 "reference series not set; call set_reference_series first"
             )
-        if scale_mask is not None and len(scale_mask) != c.n_layers + 2:
-            raise DimensionError(
-                f"scale_mask needs {c.n_layers + 2} entries, got {len(scale_mask)}"
-            )
-
         alpha_s = self.static_extractor(self.reference_series)
         raw_graphs = None
         if c.variant == "no_scale_specific":
             raw_graphs = self.raw_egl.evolve(x, alpha_s, d=c.intervals[0])
-
         z = self.input_proj(x)
-        skips = [self._collapse(x, self.skip_in)]
-        trace_xi, trace_graphs, trace_z = [], [], [z]
+        yield x, None, z
         for layer in range(c.n_layers):
             xi = self.tcn_layers[layer](z, training=training, rng=rng)
-            graphs, offset = self._graphs_for_layer(layer, xi, alpha_s, raw_graphs)
+            offset = 0
+            if c.variant == "no_scale_specific":
+                graphs, offset = raw_graphs, c.window - xi.shape[1]
+            elif c.variant == "static_only":
+                graphs = self.egls[layer].static_sequence(
+                    alpha_s, t=xi.shape[1], batch=xi.shape[0])
+            else:
+                graphs = self.egls[layer].evolve(xi, alpha_s, d=c.intervals[layer])
             zp = self.mixhops[layer].apply_per_segment(
                 xi, graphs, normalize=c.normalize_adjacency, time_offset=offset
             )
             zp = self.norms[layer](zp)
             keep = xi.shape[1]
             z = T.add(zp, T.narrow(z, 1, z.shape[1] - keep, keep))
-            skips.append(self._collapse(xi, self.skip_mid[layer]))
-            if inspect:
-                trace_xi.append(xi)
-                trace_graphs.append(graphs)
-                trace_z.append(z)
-        skips.append(self._collapse(z, self.skip_out))
+            yield xi, graphs, z
 
-        if scale_mask is not None:
-            skips = [T.mul(s, float(m)) for s, m in zip(skips, scale_mask)]
+    def forward(self, x, training: bool = False,
+                rng: np.random.Generator | None = None,
+                inspect: bool = False,
+                ) -> tuple[Tensor, ForwardTrace | None]:
+        c = self.config
+        projs = [self.skip_in, *self.skip_mid]
+        skips, trace_xi, trace_graphs, trace_z = [], [], [], []
+        branches = self._branches(self._as_input(x), training, rng)
+        for scale, (feats, graphs, z) in enumerate(branches):
+            skips.append(projs[scale](_flat(feats)))
+            if inspect:
+                trace_z.append(z)
+                if scale:
+                    trace_xi.append(feats)
+                    trace_graphs.append(graphs)
+        skips.append(self.skip_out(_flat(z)))
+
         agg = skips[0]
         for s in skips[1:]:
             agg = T.add(agg, s)
@@ -195,9 +202,7 @@ class Model:
             b = out.shape[0]
             out = T.reshape(out, (b, c.n_nodes, c.horizon, c.n_channels))
             out = T.transpose(out, (0, 2, 1, 3))  # (B, Q, N, C)
-        trace = None
-        if inspect:
-            trace = ForwardTrace(trace_xi, trace_graphs, trace_z, out)
+        trace = ForwardTrace(trace_xi, trace_graphs, trace_z, out) if inspect else None
         return out, trace
 
     def predict(self, x) -> np.ndarray:
@@ -210,52 +215,19 @@ class Model:
 
         Scale 0 is the raw window, 1..L the temporal features ξ⁽ˡ⁾, and
         L+1 the final state Z⁽ᴸ⁺¹⁾; the result is (B, N, t·c), exactly
-        what the corresponding skip projection consumes.
+        what the corresponding skip projection consumes.  The backbone
+        stops at the requested scale.
         """
         c = self.config
         if not 0 <= scale <= c.n_layers + 1:
             raise ConfigurationError(
                 f"scale index {scale} out of range 0..{c.n_layers + 1}"
             )
-
-        def flat(t: Tensor) -> np.ndarray:
-            b, length, n, ch = t.shape
-            return t.data.transpose(0, 2, 1, 3).reshape(b, n, length * ch)
-
-        if not isinstance(x, Tensor):
-            x = Tensor(np.asarray(x, dtype=np.float64))
-        if x.ndim != 4 or x.shape[1:] != (c.window, c.n_nodes, c.n_channels):
-            raise DimensionError(
-                f"input must be (B, {c.window}, {c.n_nodes}, {c.n_channels}), "
-                f"got {x.shape}"
-            )
         with T.no_grad():
-            if scale == 0:
-                return flat(x)
-            if self.reference_series is None:
-                raise ContractError(
-                    "reference series not set; call set_reference_series first"
-                )
-            alpha_s = self.static_extractor(self.reference_series)
-            raw_graphs = None
-            if c.variant == "no_scale_specific":
-                raw_graphs = self.raw_egl.evolve(x, alpha_s, d=c.intervals[0])
-            z = self.input_proj(x)
-            for layer in range(c.n_layers):
-                xi = self.tcn_layers[layer](z, training=False)
-                if scale == layer + 1:
-                    return flat(xi)
-                graphs, offset = self._graphs_for_layer(
-                    layer, xi, alpha_s, raw_graphs
-                )
-                zp = self.mixhops[layer].apply_per_segment(
-                    xi, graphs, normalize=c.normalize_adjacency,
-                    time_offset=offset,
-                )
-                zp = self.norms[layer](zp)
-                keep = xi.shape[1]
-                z = T.add(zp, T.narrow(z, 1, z.shape[1] - keep, keep))
-            return flat(z)
+            for branch, (feats, _, z) in enumerate(self._branches(self._as_input(x))):
+                if branch == scale:
+                    return _flat(feats).data
+            return _flat(z).data
 
     def graph_inspection(self, series,
                          batch_size: int = 128,
@@ -263,10 +235,12 @@ class Model:
         """Graphs governing each stretch of a series, derived window-by-window.
 
         Slides the training-shaped window across the series with stride equal
-        to the layer's segment interval and keeps each window's most recent
+        to each layer's segment interval and keeps each window's most recent
         adjacency — the graph the model actually applied to those steps.
         The graph learner is therefore never unrolled deeper than it is in
-        training, where a window holds only a few segments.
+        training, where a window holds only a few segments.  One forward
+        pass per chunk of windows serves every layer: the chunks run over
+        the union of the layers' window ends.
 
         Accepts (T, N, C) with T ≥ window.  Returns one (graphs, offset)
         pair per layer; segment boundaries are absolute series positions
@@ -286,26 +260,37 @@ class Model:
             raise SequenceTooShortError(
                 f"series has {total} steps but the window needs {p}"
             )
-        pairs: list[tuple[EvolvingGraphSequence, int]] = []
+        # the raw-input graph source always segments by the first
+        # interval, whatever layer it is serving
+        strides = [c.intervals[0]] * c.n_layers \
+            if c.variant == "no_scale_specific" else list(c.intervals)
+        starts = np.unique(np.concatenate(
+            [np.arange(0, total - p + 1, d) for d in strides]))
+        # (T − P + 1, P, N, C): entry s is arr[s:s + P]
+        windows = sliding_window_view(arr, p, axis=0).transpose(0, 3, 1, 2)
+        chunks = []
         with T.no_grad():
-            for layer in range(c.n_layers):
-                # the raw-input graph source always segments by the first
-                # interval, whatever layer it is serving
-                d = c.intervals[0] if c.variant == "no_scale_specific" \
-                    else c.intervals[layer]
-                ends = list(range(p, total + 1, d))
-                last_graphs = []
-                for chunk in range(0, len(ends), batch_size):
-                    batch_ends = ends[chunk:chunk + batch_size]
-                    windows = np.stack([arr[e - p:e] for e in batch_ends])
-                    _, trace = self.forward(windows, inspect=True)
-                    last_graphs.append(trace.graphs[layer].adjacency.data[:, -1])
-                # one sample whose M segments are the windows' last graphs
-                stack = Tensor(np.concatenate(last_graphs)[None])
-                spec = SegmentSpec(d=d, m=len(ends),
-                                   boundaries=[(e - d, e) for e in ends])
-                pairs.append((EvolvingGraphSequence.from_stack(stack, spec), 0))
+            for i in range(0, starts.size, batch_size):
+                batch = starts[i:i + batch_size]
+                _, trace = self.forward(windows[batch], inspect=True)
+                chunks.append([graphs.adjacency.data[batch % d == 0, -1]
+                               for graphs, d in zip(trace.graphs, strides)])
+        pairs: list[tuple[EvolvingGraphSequence, int]] = []
+        for layer, d in enumerate(strides):
+            ends = range(p, total + 1, d)
+            # one sample whose M segments are the windows' last graphs
+            stack = Tensor(np.concatenate([chunk[layer] for chunk in chunks])[None])
+            spec = SegmentSpec(d=d, m=len(ends),
+                               boundaries=[(e - d, e) for e in ends])
+            pairs.append((EvolvingGraphSequence.from_stack(stack, spec), 0))
         return pairs
+
+
+def _flat(x: Tensor) -> Tensor:
+    """(B, T, N, C) → (B, N, T·C): the full-width time collapse that a skip
+    projection consumes."""
+    b, t, n, c = x.shape
+    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, n, t * c))
 
 
 def make_variant(config: ModelConfig, variant: str) -> Model:
@@ -332,8 +317,7 @@ def _decode(blob: dict) -> np.ndarray:
         raise LoadError(f"malformed tensor in checkpoint: {exc!r}") from None
 
 
-def save_checkpoint(model: Model, path, optimizer_state: dict | None = None,
-                    epoch: int = 0, rng_counter: int = 0,
+def save_checkpoint(model: Model, path, epoch: int = 0,
                     scaler: dict | None = None,
                     extra: dict | None = None) -> None:
     if model.reference_series is None:
@@ -343,41 +327,28 @@ def save_checkpoint(model: Model, path, optimizer_state: dict | None = None,
         "config": model.config.to_dict(),
         "params": {name: _encode(p.data) for name, p in model.store.params.items()},
         "reference_series": _encode(model.reference_series.data),
-        "optimizer": _encode_state(optimizer_state) if optimizer_state else None,
         "epoch": epoch,
-        "rng_counter": rng_counter,
         "scaler": scaler,
         "extra": extra or {},
     }
     write_atomic(path, json.dumps(blob).encode("utf-8"))
 
 
-_STATE_SCALARS = ("lr", "beta1", "beta2", "eps")
-
-
-def _encode_state(state: dict) -> dict:
-    out = {"t": state["t"], "m": {}, "v": {}}
-    for key in _STATE_SCALARS:
-        if key in state:
-            out[key] = state[key]
-    for key in ("m", "v"):
-        out[key] = {name: _encode(arr) for name, arr in state[key].items()}
-    return out
-
-
-def _decode_state(blob: dict) -> dict:
-    try:
-        out = {
-            "t": blob["t"],
-            "m": {name: _decode(b) for name, b in blob["m"].items()},
-            "v": {name: _decode(b) for name, b in blob["v"].items()},
-        }
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise LoadError(f"malformed optimizer state in checkpoint: {exc!r}") from None
-    for key in _STATE_SCALARS:
-        if key in blob:
-            out[key] = blob[key]
-    return out
+def _check_scaler(blob, config: ModelConfig) -> None:
+    """Raise LoadError unless ``blob`` is a scaler dict for this model:
+    a known mode, and finite (N, C) shift and scale with no zero scale."""
+    if not isinstance(blob, dict) or blob.get("mode") not in SCALER_MODES:
+        raise LoadError(f"checkpoint scaler {blob!r:.60} has no mode in {SCALER_MODES}")
+    shape = (config.n_nodes, config.n_channels)
+    for key in ("shift", "scale"):
+        try:
+            arr = np.asarray(blob.get(key), dtype=np.float64)
+        except (TypeError, ValueError):
+            arr = np.empty(0)
+        if arr.shape != shape or not np.all(np.isfinite(arr)):
+            raise LoadError(f"checkpoint scaler {key} is not a finite {shape} array")
+    if np.any(np.asarray(blob["scale"]) == 0):
+        raise LoadError("checkpoint scaler has a zero scale")
 
 
 def load_checkpoint(path) -> tuple[Model, dict]:
@@ -416,11 +387,12 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         p.data = arr
     ref = _decode(blob["reference_series"])
     model.reference_series = Tensor(ref)
+    scaler = blob.get("scaler")
+    if scaler is not None:
+        _check_scaler(scaler, model.config)
     extras = {
-        "optimizer": _decode_state(blob["optimizer"]) if blob.get("optimizer") else None,
         "epoch": blob.get("epoch", 0),
-        "rng_counter": blob.get("rng_counter", 0),
-        "scaler": blob.get("scaler"),
+        "scaler": scaler,
         "extra": blob.get("extra", {}),
     }
     return model, extras

@@ -62,24 +62,3 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * (g * g)
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "m": {k: v.copy() for k, v in self.m.items()},
-            "v": {k: v.copy() for k, v in self.v.items()},
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        self.t = int(state["t"])
-        self.lr = float(state.get("lr", self.lr))
-        self.beta1 = float(state.get("beta1", self.beta1))
-        self.beta2 = float(state.get("beta2", self.beta2))
-        self.eps = float(state.get("eps", self.eps))
-        for k in self.m:
-            self.m[k] = state["m"][k].copy()
-            self.v[k] = state["v"][k].copy()

@@ -35,10 +35,3 @@ class RngSource:
         """Fresh stream per call; sequence determined by seed and call order."""
         self._counter += 1
         return self.stream(f"{label}#{self._counter}")
-
-    @property
-    def counter(self) -> int:
-        return self._counter
-
-    def restore_counter(self, value: int) -> None:
-        self._counter = int(value)

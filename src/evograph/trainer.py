@@ -22,8 +22,8 @@ import numpy as np
 from . import tensor as T
 from .config import VARIANTS, ExperimentConfig, TrainConfig
 from .data import Scaler, TimeSeriesDataset, chronological_split, fit_scaler, \
-    make_windows, stack_windows
-from .errors import ConfigurationError, TrainingAbortedError
+    window_views
+from .errors import ConfigurationError, LoadError, TrainingAbortedError
 from .graph_learner import export_graphs
 from .metrics import MetricReport, horizon_report, rmse, rse
 from .model import Model, make_variant, save_checkpoint
@@ -43,9 +43,10 @@ SPLIT_NAMES = ("train", "val", "test")
 class PreparedData:
     """Normalized, windowed splits with access auditing.
 
-    Every read of a split's arrays goes through :meth:`arrays`, which
-    counts accesses per split; a run that never evaluated on test must
-    show ``counters["test"] == 0``.
+    ``splits`` holds each split's (inputs, targets, anchors); prepare_data
+    makes them read-only views of ``normalized``.  Every read of a split's
+    arrays goes through :meth:`arrays`, which counts accesses per split; a
+    run that never evaluated on test must show ``counters["test"] == 0``.
     """
 
     def __init__(self, dataset: TimeSeriesDataset, scaler: Scaler,
@@ -101,18 +102,17 @@ def prepare_data(dataset: TimeSeriesDataset, config: ExperimentConfig,
     if scaler is None:
         scaler = fit_scaler(dataset, train_r, config.scaler_mode)
     normalized = scaler.transform_dataset(dataset.values)
-    norm_ds = TimeSeriesDataset(normalized, list(dataset.node_ids),
-                                granularity=dataset.granularity,
-                                name=dataset.name)
+    if not np.all(np.isfinite(normalized)):
+        raise LoadError("dataset contains non-finite values")
     splits = {}
     for name, seg in ranges.items():
-        samples = make_windows(norm_ds, mc.window, mc.horizon, mc.task, seg)
-        if not samples:
+        splits[name] = window_views(normalized, mc.window, mc.horizon,
+                                    mc.task, seg)
+        if splits[name][2].size == 0:
             raise ConfigurationError(
                 f"{name} split ({len(seg)} steps) yields no windows for "
                 f"P={mc.window}, Q={mc.horizon}"
             )
-        splits[name] = stack_windows(samples)
     return PreparedData(dataset, scaler, ranges, normalized, splits)
 
 
@@ -153,7 +153,6 @@ class TrainResult:
     history: list[dict]          # {"epoch", "train_loss", "val_metric"}
     best_epoch: int
     best_val: float
-    optimizer_state: dict
     wall_clock: float
 
 
@@ -218,7 +217,6 @@ def _fit(forward, validate, params: dict[str, Tensor], cfg: TrainConfig,
     best_val = math.inf
     best_epoch = 0
     best_params: dict[str, Array] = {}
-    best_opt: dict = opt.state_dict()
     stall = 0
     for epoch in range(1, cfg.max_epochs + 1):
         order = shuffle.next_stream("shuffle").permutation(xs.shape[0])
@@ -230,7 +228,6 @@ def _fit(forward, validate, params: dict[str, Tensor], cfg: TrainConfig,
             best_val = val_metric
             best_epoch = epoch
             best_params = {k: p.data.copy() for k, p in params.items()}
-            best_opt = opt.state_dict()
             stall = 0
         else:
             stall += 1
@@ -239,7 +236,7 @@ def _fit(forward, validate, params: dict[str, Tensor], cfg: TrainConfig,
     if best_params:
         for k, p in params.items():
             p.data = best_params[k]
-    return TrainResult(history, best_epoch, best_val, best_opt,
+    return TrainResult(history, best_epoch, best_val,
                        time.perf_counter() - t0)
 
 
@@ -360,10 +357,7 @@ def write_run_dir(out_dir, config: ExperimentConfig, model: Model,
     }
     paths["config"].write_text(config.to_json())
     write_history(paths["history"], result.history)
-    save_checkpoint(model, paths["checkpoint"],
-                    optimizer_state=result.optimizer_state,
-                    epoch=result.best_epoch,
-                    rng_counter=model.store.rng.counter,
+    save_checkpoint(model, paths["checkpoint"], epoch=result.best_epoch,
                     scaler=data.scaler.to_dict())
     paths["metrics_json"].write_text(report.to_json())
     report.write_csv(paths["metrics_csv"])

@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from evograph import cli
+from evograph.config import ModelConfig
+from evograph.data import TimeSeriesDataset, save_csv
+from evograph.model import Model, save_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -27,6 +31,48 @@ class TestCheckpointErrors:
                             str(tmp_path / "none.bin"), "--data", "x.csv")
         assert code == cli.EXIT_RUNTIME
         assert err["error"] == "LoadError"
+
+
+def tiny_run(tmp_path, scaler):
+    """A 4-node checkpoint saved with ``scaler`` and a 120-step series for it."""
+    config = ModelConfig(
+        task="single", n_nodes=4, n_channels=1, window=16, horizon=3,
+        n_layers=2, intervals=(4, 1), dilation_rate=2, filter_sizes=(2, 3),
+        c_xi=4, c_z=4, c_skip=4, c_out1=4, c_s=4, c_e=4, c_static_hidden=4,
+    )
+    rng = np.random.default_rng(0)
+    model = Model(config)
+    model.set_reference_series(rng.normal(size=(4, 48, 1)))
+    ck = tmp_path / "ck.bin"
+    save_checkpoint(model, ck, scaler=scaler)
+    data = tmp_path / "series.csv"
+    save_csv(TimeSeriesDataset(rng.normal(size=(4, 120, 1)),
+                               [f"n{i}" for i in range(4)]), data)
+    return ck, data
+
+
+class TestCheckpointScaler:
+    @pytest.mark.parametrize("scaler, match", [
+        ({}, "mode"),
+        ({"mode": "zscore", "shift": [[0.0]] * 4, "scale": [[1.0]] * 3 + [[0.0]]},
+         "zero scale"),
+        ({"mode": "zscore", "shift": [[0.0]], "scale": [[1.0]]}, "shift"),
+    ])
+    def test_evaluate_rejects_bad_scaler(self, tmp_path, capsys, scaler, match):
+        ck, data = tiny_run(tmp_path, scaler)
+        code, err = run_cli(capsys, "evaluate", "--checkpoint", str(ck),
+                            "--data", str(data))
+        assert code == cli.EXIT_RUNTIME
+        assert err["error"] == "LoadError"
+        assert match in err["message"]
+
+    def test_evaluate_accepts_matching_scaler(self, tmp_path, capsys):
+        scaler = {"mode": "zscore", "shift": [[0.0]] * 4, "scale": [[2.0]] * 4}
+        ck, data = tiny_run(tmp_path, scaler)
+        code, err = run_cli(capsys, "evaluate", "--checkpoint", str(ck),
+                            "--data", str(data))
+        assert code == cli.EXIT_OK
+        assert err is None
 
 
 class TestManifest:

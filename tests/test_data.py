@@ -9,9 +9,8 @@ from evograph.data import (
     chronological_split,
     fit_scaler,
     load_csv,
-    make_windows,
     save_csv,
-    stack_windows,
+    window_views,
 )
 from evograph.errors import ConfigurationError, DimensionError, LoadError
 
@@ -175,62 +174,80 @@ class TestScaler:
 class TestWindows:
     def test_single_count(self):
         ds = make_dataset(3, 10)
-        samples = make_windows(ds, 4, 3, "single", range(0, 10))
-        assert len(samples) == 4
+        x, y, a = window_views(ds.values, 4, 3, "single", range(0, 10))
+        assert x.shape[0] == y.shape[0] == a.size == 4
 
     def test_multi_count_and_shape(self):
         ds = make_dataset(3, 10, 2)
-        samples = make_windows(ds, 4, 3, "multi", range(0, 10))
-        assert len(samples) == 4
-        assert samples[0].input.shape == (4, 3, 2)
-        assert samples[0].target.shape == (3, 3, 2)
+        x, y, a = window_views(ds.values, 4, 3, "multi", range(0, 10))
+        assert a.size == 4
+        assert x.shape[1:] == (4, 3, 2)
+        assert y.shape[1:] == (3, 3, 2)
 
     def test_boundary_empty(self):
         ds = make_dataset(3, 10)
         with pytest.warns(UserWarning):
-            assert make_windows(ds, 10, 1, "single", range(0, 10)) == []
+            x, y, a = window_views(ds.values, 10, 1, "single", range(0, 10))
+        assert x.shape == (0, 10, 3, 1)
+        assert y.shape == (0, 3, 1)
+        assert a.size == 0
 
     def test_single_target_offset(self):
         ds = make_dataset(2, 12)
-        samples = make_windows(ds, 3, 2, "single", range(0, 12))
-        s = samples[0]
-        assert s.anchor_t == 2
-        assert np.array_equal(s.input[-1], ds.values[:, 2, :])
-        assert np.array_equal(s.target, ds.values[:, 4, :])
+        x, y, a = window_views(ds.values, 3, 2, "single", range(0, 12))
+        assert a[0] == 2
+        assert np.array_equal(x[0, -1], ds.values[:, 2, :])
+        assert np.array_equal(y[0], ds.values[:, 4, :])
 
     def test_multi_target_sequence(self):
         ds = make_dataset(2, 12)
-        s = make_windows(ds, 3, 2, "multi", range(0, 12))[0]
-        assert np.array_equal(s.target[0], ds.values[:, 3, :])
-        assert np.array_equal(s.target[1], ds.values[:, 4, :])
+        _, y, _ = window_views(ds.values, 3, 2, "multi", range(0, 12))
+        assert np.array_equal(y[0, 0], ds.values[:, 3, :])
+        assert np.array_equal(y[0, 1], ds.values[:, 4, :])
 
     def test_windows_respect_segment(self):
         ds = make_dataset(2, 20)
-        samples = make_windows(ds, 3, 2, "single", range(5, 15))
-        for s in samples:
-            assert s.anchor_t - 3 + 1 >= 5
-            assert s.anchor_t + 2 <= 14
+        _, _, anchors = window_views(ds.values, 3, 2, "single", range(5, 15))
+        for t in anchors:
+            assert t - 3 + 1 >= 5
+            assert t + 2 <= 14
 
     def test_count_law_property(self):
         ds = make_dataset(2, 40)
         for p in (2, 5):
             for q in (1, 3):
                 for seg in (range(0, 30), range(10, 25)):
-                    n = len(make_windows(ds, p, q, "single", seg))
-                    assert n == len(seg) - p - q + 1
+                    _, _, a = window_views(ds.values, p, q, "single", seg)
+                    assert a.size == len(seg) - p - q + 1
 
     def test_no_leakage(self):
         ds = make_dataset(2, 50)
         tr, va, te = chronological_split(ds, SplitSpec())
-        train = make_windows(ds, 4, 2, "single", tr)
-        test = make_windows(ds, 4, 2, "single", te)
-        max_train_target = max(s.anchor_t + 2 for s in train)
-        min_test_input = min(s.anchor_t - 4 + 1 for s in test)
+        _, _, train = window_views(ds.values, 4, 2, "single", tr)
+        _, _, test = window_views(ds.values, 4, 2, "single", te)
+        max_train_target = max(train) + 2
+        min_test_input = min(test) - 4 + 1
         assert max_train_target < min_test_input
 
     def test_stack(self):
         ds = make_dataset(3, 15, 2)
-        x, y, a = stack_windows(make_windows(ds, 4, 2, "multi", range(0, 15)))
+        x, y, a = window_views(ds.values, 4, 2, "multi", range(0, 15))
         assert x.shape == (10, 4, 3, 2)
         assert y.shape == (10, 2, 3, 2)
         assert a.tolist() == list(range(3, 13))
+
+    @pytest.mark.parametrize("task", ["single", "multi"])
+    def test_windows_are_read_only_views(self, task):
+        ds = make_dataset(3, 30, 2)
+        x, y, a = window_views(ds.values, 5, 3, task, range(4, 26))
+        for arr in (x, y):
+            assert np.shares_memory(arr, ds.values)
+        for arr in (x, y, a):
+            assert not arr.flags.writeable
+        # every window equals the copy the per-window slicing would make
+        for b, t in enumerate(a):
+            assert np.array_equal(x[b], ds.values[:, t - 4:t + 1].transpose(1, 0, 2))
+            if task == "single":
+                assert np.array_equal(y[b], ds.values[:, t + 3])
+            else:
+                assert np.array_equal(y[b], ds.values[:, t + 1:t + 4].transpose(1, 0, 2))

@@ -67,26 +67,6 @@ def test_adam_none_grad_treated_as_zero():
     assert p.data[0] == 1.0
 
 
-def test_adam_state_roundtrip():
-    rng = np.random.default_rng(1)
-    p1 = Tensor(rng.normal(size=4), requires_grad=True)
-    p2 = Tensor(p1.data.copy(), requires_grad=True)
-    o1 = Adam({"p": p1}, lr=0.05)
-    o2 = Adam({"p": p2}, lr=0.05)
-    for _ in range(3):
-        g = rng.normal(size=4)
-        p1.grad = g.copy()
-        o1.step()
-    o2.load_state_dict(o1.state_dict())
-    p2.data = p1.data.copy()
-    g = rng.normal(size=4)
-    p1.grad = g.copy()
-    p2.grad = g.copy()
-    o1.step()
-    o2.step()
-    assert np.array_equal(p1.data, p2.data)
-
-
 def test_rng_streams_independent():
     src = RngSource(42)
     a = src.stream("weights").normal(size=5)
@@ -108,8 +88,7 @@ def test_rng_next_stream_advances():
     a = src.next_stream("drop").normal(size=3)
     b = src.next_stream("drop").normal(size=3)
     assert not np.allclose(a, b)
-    # counter restore replays the sequence
+    # a fresh source with the same seed replays the sequence
     src2 = RngSource(7)
-    src2.restore_counter(src.counter - 2)
     a2 = src2.next_stream("drop").normal(size=3)
     assert np.array_equal(a, a2)
