@@ -4,8 +4,9 @@ Subcommands: train, evaluate, ablate, scale-probe, export-graphs, gen-synth.
 Every command that produces files takes ``--out`` and refuses to overwrite a
 non-empty directory unless ``--force`` is given.  Commands that train write a
 ``manifest.json`` (command, config path, dataset hash, seed list, tool
-version, timestamp) atomically before any other output.  Exit codes: 0
-success, 1 runtime failure, 2 configuration error; failures print a
+version, timestamp) before any other output, and every output file is
+written atomically.  Exit codes: 0 success, 1 runtime failure, 2
+configuration error, a bad command line included; failures print a
 machine-readable JSON object to stderr.
 """
 
@@ -66,7 +67,7 @@ class RunManifest:
         """Atomic write: temp file in the target directory, then rename."""
         out_dir.mkdir(parents=True, exist_ok=True)
         payload = json.dumps(dataclasses.asdict(self), indent=2)
-        return write_atomic(out_dir / "manifest.json", payload.encode("utf-8"))
+        return write_atomic(out_dir / "manifest.json", payload)
 
 
 def claim_out_dir(out_dir, force: bool) -> Path:
@@ -175,7 +176,7 @@ def cmd_evaluate(args) -> int:
     if args.out:
         out = claim_out_dir(args.out, args.force)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "metrics.json").write_text(report.to_json())
+        write_atomic(out / "metrics.json", report.to_json())
         report.write_csv(out / "metrics.csv")
     return EXIT_OK
 
@@ -192,7 +193,7 @@ def cmd_ablate(args) -> int:
     manifest.write(out)
     report = trainer.run_ablation(dataset, config, repeats=args.repeats,
                                   jobs=args.jobs)
-    (out / "ablation.json").write_text(report.to_json())
+    write_atomic(out / "ablation.json", report.to_json())
     report.write_csv(out / "ablation.csv")
     headers = ["variant"] + [f"{m}_{s}" for m in trainer.HEADLINE_METRICS
                              for s in ("mean", "std")]
@@ -215,11 +216,10 @@ def cmd_scale_probe(args) -> int:
         config = ExperimentConfig(model=model.config)
     dataset = load_dataset(args.data, model.config.n_channels)
     data = trainer.prepare_data(dataset, config, scaler=extras.get("scaler"))
-    n_scales = model.config.n_layers + 2
     if args.scale == "all":
-        scales = list(range(n_scales))
+        scales = list(range(model.config.n_layers + 2))
     else:
-        scales = [int(args.scale)]
+        scales = [args.scale]
     results = [trainer.scale_probe(model, data, s, config.train) for s in scales]
     full_report = trainer.evaluate_split(model, data, "test")
     full_rmse = trainer.headline_row(full_report)["rmse"]
@@ -241,7 +241,7 @@ def cmd_scale_probe(args) -> int:
                    for r in results]
         payload.append({"scale": "full",
                         "metrics": trainer.headline_row(full_report)})
-        (out / "probes.json").write_text(json.dumps(payload, indent=2))
+        write_atomic(out / "probes.json", json.dumps(payload, indent=2))
     return EXIT_OK
 
 
@@ -310,8 +310,22 @@ def cmd_gen_synth(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
+class ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigurationError (exit 2, JSON on
+    stderr) instead of argparse's usage text; subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
+def scale(text: str) -> int | str:
+    """``--scale``: a scale index, or ``all``; argparse reports a ValueError
+    as "invalid scale value"."""
+    return text if text == "all" else int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="evograph",
         description="Forecasting with evolving multi-scale graph structures.",
     )
@@ -360,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--scale", default="all",
+    p.add_argument("--scale", type=scale, default="all",
                    help="scale index 0..L+1, or 'all' (default)")
     add_out(p, required=False)
     p.set_defaults(func=cmd_scale_probe)
@@ -401,14 +415,11 @@ def emit_error(exc: BaseException, code: int) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "needs_out_unless_dry", False) \
-            and not args.dry_run and args.out is None:
-        emit_error(ConfigurationError("--out is required unless --dry-run"),
-                   EXIT_CONFIG)
-        return EXIT_CONFIG
     try:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "needs_out_unless_dry", False) \
+                and not args.dry_run and args.out is None:
+            raise ConfigurationError("--out is required unless --dry-run")
         return args.func(args)
     except ConfigurationError as exc:
         emit_error(exc, EXIT_CONFIG)

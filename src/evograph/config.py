@@ -37,7 +37,6 @@ class ModelConfig:
     beta: float = 0.05
     dropout: float = 0.3
     variant: str = "full"
-    normalize_adjacency: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -108,6 +107,14 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        d = dict(d)
+        # configs and checkpoints of earlier versions carry the retired
+        # switch; only its one implemented value is accepted
+        if d.pop("normalize_adjacency", True) is not True:
+            raise ConfigurationError(
+                "normalize_adjacency=false is not supported: propagation "
+                "always row-normalizes the adjacency"
+            )
         names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - names
         if unknown:
@@ -132,7 +139,6 @@ class TrainConfig:
     patience: int = 15          # 0 disables early stopping
     loss: str = "mae"
     clip_norm: float = 5.0
-    repeats: int = 1
     seeds: tuple[int, ...] | None = None
 
     def __post_init__(self):
@@ -154,8 +160,6 @@ class TrainConfig:
             problems.append(f"loss must be one of {LOSSES}, got {self.loss!r}")
         if self.clip_norm <= 0:
             problems.append(f"clip_norm must be > 0, got {self.clip_norm}")
-        if self.repeats < 1:
-            problems.append(f"repeats must be ≥ 1, got {self.repeats}")
         if problems:
             raise ConfigurationError("; ".join(problems))
 
@@ -164,6 +168,8 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        # "repeats" of earlier versions was never read: --repeats sets it
+        d = {k: v for k, v in d.items() if k != "repeats"}
         names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - names
         if unknown:

@@ -1,16 +1,19 @@
 """Dataset loading, normalization, chronological splitting, and windowing.
 
-The on-disk format is a plain CSV (rows = time steps, columns = node-major
-then channel) with an optional JSON sidecar carrying {name, N, T, C,
-granularity}.  All arrays are float64 with axis order (N, T, C).
+The on-disk format is a comma-separated CSV with no header row (rows =
+time steps, columns = node-major then channel; blank lines are skipped)
+with an optional JSON sidecar carrying {name, N, T, C, granularity,
+node_ids}.  All arrays are float64 with axis order (N, T, C).
 :func:`window_views` cuts a split into read-only window views of the
 series: nothing is copied until a batch is gathered with an index array.
-:func:`write_atomic` is the package's one way to replace a file whole.
+:func:`write_atomic` is the package's one way to write a file, and
+:func:`write_csv_atomic` renders rows through it.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -70,8 +73,6 @@ class CsvLayout:
     """How to interpret a CSV file: C channels per node, node-major columns."""
 
     n_channels: int = 1
-    has_header: bool = False
-    delimiter: str = ","
 
 
 def load_csv(path, layout: CsvLayout | None = None) -> TimeSeriesDataset:
@@ -80,32 +81,17 @@ def load_csv(path, layout: CsvLayout | None = None) -> TimeSeriesDataset:
     path = Path(path)
     if not path.exists():
         raise LoadError(f"no such file: {path}")
-    rows: list[list[float]] = []
-    header: list[str] | None = None
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=layout.delimiter)
-        for i, row in enumerate(reader):
-            if not row:
-                continue
-            if i == 0 and layout.has_header:
-                header = [cell.strip() for cell in row]
-                continue
-            parsed = []
-            for j, cell in enumerate(row):
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise LoadError(
-                        f"{path}: non-numeric value {cell!r} at row {i + 1}, column {j + 1}"
-                    ) from None
-            if rows and len(parsed) != len(rows[0]):
-                raise LoadError(
-                    f"{path}: row {i + 1} has {len(parsed)} cells, expected {len(rows[0])}"
-                )
-            rows.append(parsed)
+        lines = list(csv.reader(fh))
+    rows = [row for row in lines if row]
     if not rows:
         raise LoadError(f"{path}: no data rows")
-    flat = np.asarray(rows, dtype=np.float64)  # T × (N·C)
+    try:
+        # numpy parses each str cell with Python's float()
+        flat = np.array(rows, dtype=np.float64)  # T × (N·C)
+    except ValueError:
+        _raise_bad_row(path, lines)
+        raise
     c = layout.n_channels
     if flat.shape[1] % c:
         raise LoadError(f"{path}: {flat.shape[1]} columns not divisible by C={c}")
@@ -125,11 +111,28 @@ def load_csv(path, layout: CsvLayout | None = None) -> TimeSeriesDataset:
             if key in meta and meta[key] != actual:
                 raise LoadError(f"{path}: sidecar {key}={meta[key]} but file has {actual}")
     if node_ids is None:
-        if header is not None and c == 1:
-            node_ids = header
-        else:
-            node_ids = [f"node{i}" for i in range(n)]
+        node_ids = [f"node{i}" for i in range(n)]
     return TimeSeriesDataset(values, node_ids, granularity=granularity, name=name)
+
+
+def _raise_bad_row(path: Path, lines: list[list[str]]) -> None:
+    """Raise the LoadError for the first non-numeric cell or ragged row;
+    row numbers count every CSV line, blank ones included."""
+    width = None
+    for i, row in enumerate(lines):
+        if not row:
+            continue
+        for j, cell in enumerate(row):
+            try:
+                float(cell)
+            except ValueError:
+                raise LoadError(
+                    f"{path}: non-numeric value {cell!r} at row {i + 1}, column {j + 1}"
+                ) from None
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise LoadError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
 
 
 def save_csv(dataset: TimeSeriesDataset, path) -> None:
@@ -137,10 +140,7 @@ def save_csv(dataset: TimeSeriesDataset, path) -> None:
     path = Path(path)
     n, t, c = dataset.values.shape
     flat = dataset.values.transpose(1, 0, 2).reshape(t, n * c)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in flat:
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv_atomic(path, ([repr(float(v)) for v in row] for row in flat))
     meta = {
         "name": dataset.name,
         "N": n,
@@ -149,14 +149,17 @@ def save_csv(dataset: TimeSeriesDataset, path) -> None:
         "granularity": dataset.granularity,
         "node_ids": list(dataset.node_ids),
     }
-    path.with_name(path.name + SIDECAR_SUFFIX).write_text(json.dumps(meta, indent=2))
+    write_atomic(path.with_name(path.name + SIDECAR_SUFFIX), json.dumps(meta, indent=2))
 
 
-def write_atomic(path, payload: bytes) -> Path:
-    """Replace ``path`` with ``payload``: a temp file in the target
-    directory, then a rename, so readers see the old file or the new one,
-    never a partial write.  On failure the temp file is removed."""
+def write_atomic(path, payload: bytes | str) -> Path:
+    """Replace ``path`` with ``payload`` (text is UTF-8 encoded): a temp
+    file in the target directory, then a rename, so readers see the old
+    file or the new one, never a partial write.  On failure the temp file
+    is removed."""
     path = Path(path)
+    if isinstance(payload, str):
+        payload = payload.encode("utf-8")
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     # os.open, unlike mkstemp, leaves the file mode to the umask
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -169,6 +172,14 @@ def write_atomic(path, payload: bytes) -> Path:
             os.unlink(tmp)
         raise
     return path
+
+
+def write_csv_atomic(path, rows) -> Path:
+    """Render ``rows`` with the default ``csv.writer`` dialect (CRLF line
+    ends) and write them with :func:`write_atomic`."""
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(rows)
+    return write_atomic(path, buf.getvalue())
 
 
 @dataclass
@@ -228,9 +239,6 @@ class Scaler:
     def transform_dataset(self, values: Array) -> Array:
         """Normalize an (N, T, C) array in dataset layout."""
         return (values - self.shift[:, None, :]) / self.scale[:, None, :]
-
-    def inverse_dataset(self, values: Array) -> Array:
-        return values * self.scale[:, None, :] + self.shift[:, None, :]
 
     def to_dict(self) -> dict:
         return {

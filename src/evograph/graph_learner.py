@@ -22,7 +22,6 @@ the tape, so a graph retains only its (B, N, N) outputs.
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from dataclasses import dataclass
@@ -31,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .data import write_atomic, write_csv_atomic
 from .errors import ContractError, SequenceTooShortError
 from .nn import Conv1d, Linear, ParamStore
 from .tensor import Tensor
@@ -234,8 +234,9 @@ class Egl:
 
 
 def export_graphs(seq: EvolvingGraphSequence, out_dir, layer: int,
-                  time_offset: int = 0, sample: int = 0) -> list[Path]:
-    """Write each adjacency as CSV plus an index JSON with time ranges."""
+                  time_offset: int = 0) -> list[Path]:
+    """Write each adjacency (the first sample's, for batched graphs) as CSV
+    plus an index JSON with time ranges."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     index = []
@@ -243,20 +244,16 @@ def export_graphs(seq: EvolvingGraphSequence, out_dir, layer: int,
     for m, (tensor, (start, stop)) in enumerate(
         zip(seq.matrices, seq.spec.boundaries), start=1
     ):
-        mat = tensor.data[sample] if tensor.ndim == 3 else tensor.data
+        mat = tensor.data[0] if tensor.ndim == 3 else tensor.data
         fname = f"layer{layer}_segment{m}.csv"
-        with open(out_dir / fname, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            for row in mat:
-                writer.writerow([repr(float(v)) for v in row])
+        written.append(write_csv_atomic(
+            out_dir / fname, ([repr(float(v)) for v in row] for row in mat)))
         index.append({
             "layer": layer,
             "segment": m,
             "time_range": [start + time_offset, stop + time_offset],
             "file": fname,
         })
-        written.append(out_dir / fname)
-    index_path = out_dir / f"layer{layer}_index.json"
-    index_path.write_text(json.dumps(index, indent=2))
-    written.append(index_path)
+    written.append(write_atomic(out_dir / f"layer{layer}_index.json",
+                                json.dumps(index, indent=2)))
     return written

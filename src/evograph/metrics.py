@@ -1,20 +1,19 @@
-"""Evaluation metrics (RSE, CORR, RMSE, MAE) plus brute-force oracles.
+"""Evaluation metrics (RSE, CORR, RMSE, MAE) and per-horizon reports.
 
 Inputs are ``(ρ, N)`` arrays, or ``(ρ, N, C)`` with channels evaluated
-independently by flattening to ``(ρ, N·C)``.  RMSE/MAE use standard mean
-normalization; the literal unnormalized sums are available via
-``literal=True`` for auditing.
+independently by flattening to ``(ρ, N·C)``.  RMSE and MAE are means over
+every entry.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import write_csv_atomic
 from .errors import DimensionError, UndefinedMetricError
 
 Array = np.ndarray
@@ -65,80 +64,22 @@ def corr_details(y_true, y_pred) -> tuple[float, int]:
     return float(r.mean()), excluded
 
 
-def rmse(y_true, y_pred, literal: bool = False) -> float:
-    """Root mean squared error (root of the plain sum when ``literal``)."""
+def rmse(y_true, y_pred) -> float:
+    """Root mean squared error."""
     yt, yp = _as_batch(y_true, y_pred)
-    total = float(np.sum((yt - yp) ** 2))
-    return math.sqrt(total if literal else total / yt.size)
+    return math.sqrt(float(np.sum((yt - yp) ** 2)) / yt.size)
 
 
-def mae(y_true, y_pred, literal: bool = False) -> float:
-    """Mean absolute error (plain sum when ``literal``)."""
+def mae(y_true, y_pred) -> float:
+    """Mean absolute error."""
     yt, yp = _as_batch(y_true, y_pred)
-    total = float(np.sum(np.abs(yt - yp)))
-    return total if literal else total / yt.size
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracles: naive double loops, kept deliberately independent of
-# the vectorized implementations above.
-
-def oracle_rse(y_true, y_pred) -> float:
-    yt, yp = _as_batch(y_true, y_pred)
-    rho, n = yt.shape
-    mean = sum(yt[i, j] for i in range(rho) for j in range(n)) / (rho * n)
-    num = 0.0
-    den = 0.0
-    for i in range(rho):
-        for j in range(n):
-            num += (yt[i, j] - yp[i, j]) ** 2
-            den += (yt[i, j] - mean) ** 2
-    if den == 0.0:
-        raise UndefinedMetricError("RSE undefined: ground truth is constant")
-    return math.sqrt(num) / math.sqrt(den)
-
-
-def oracle_corr(y_true, y_pred) -> float:
-    yt, yp = _as_batch(y_true, y_pred)
-    rho, n = yt.shape
-    node_rs = []
-    for j in range(n):
-        mt = sum(yt[i, j] for i in range(rho)) / rho
-        mp = sum(yp[i, j] for i in range(rho)) / rho
-        num = sum((yt[i, j] - mt) * (yp[i, j] - mp) for i in range(rho))
-        vt = sum((yt[i, j] - mt) ** 2 for i in range(rho))
-        vp = sum((yp[i, j] - mp) ** 2 for i in range(rho))
-        if vt > 0 and vp > 0:
-            node_rs.append(num / math.sqrt(vt * vp))
-    if not node_rs:
-        raise UndefinedMetricError("CORR undefined: every node is zero-variance")
-    return sum(node_rs) / len(node_rs)
-
-
-def oracle_rmse(y_true, y_pred) -> float:
-    yt, yp = _as_batch(y_true, y_pred)
-    rho, n = yt.shape
-    total = 0.0
-    for i in range(rho):
-        for j in range(n):
-            total += (yt[i, j] - yp[i, j]) ** 2
-    return math.sqrt(total / (rho * n))
-
-
-def oracle_mae(y_true, y_pred) -> float:
-    yt, yp = _as_batch(y_true, y_pred)
-    rho, n = yt.shape
-    total = 0.0
-    for i in range(rho):
-        for j in range(n):
-            total += abs(yt[i, j] - yp[i, j])
-    return total / (rho * n)
+    return float(np.sum(np.abs(yt - yp))) / yt.size
 
 
 # ---------------------------------------------------------------------------
 # Reports
 
-METRIC_NAMES = ("rse", "corr", "rmse", "mae")
+REPORT_HORIZONS = (3, 6, 12)
 
 
 @dataclass
@@ -159,11 +100,11 @@ class MetricReport:
 
     def write_csv(self, path) -> None:
         columns = sorted({k for row in self.rows.values() for k in row})
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["horizon", *columns])
-            for label, row in self.rows.items():
-                writer.writerow([label, *[repr(row.get(c, float("nan"))) for c in columns]])
+        write_csv_atomic(path, [
+            ["horizon", *columns],
+            *([label, *[repr(row.get(c, float("nan"))) for c in columns]]
+              for label, row in self.rows.items()),
+        ])
 
 
 def _all_metrics(yt: Array, yp: Array) -> dict[str, float]:
@@ -186,12 +127,12 @@ def horizon_report(
     y_pred: Array,
     task: str = "single",
     horizon: int | None = None,
-    horizons: tuple[int, ...] = (3, 6, 12),
 ) -> MetricReport:
     """Per-horizon metrics plus an 'All' row pooling every horizon.
 
     Single-step inputs are ``(ρ, N[, C])`` and yield one row labelled with
-    the trained horizon; multi-step inputs are ``(ρ, Q, N[, C])``.
+    the trained horizon; multi-step inputs are ``(ρ, Q, N[, C])`` and yield
+    rows for the :data:`REPORT_HORIZONS` steps that Q reaches, then 'All'.
     """
     yt = np.asarray(y_true, dtype=np.float64)
     yp = np.asarray(y_pred, dtype=np.float64)
@@ -204,7 +145,7 @@ def horizon_report(
     if task != "multi":
         raise DimensionError(f"task must be 'single' or 'multi', got {task!r}")
     q = yt.shape[1]
-    for h in horizons:
+    for h in REPORT_HORIZONS:
         if 1 <= h <= q:
             report.add(str(h), _all_metrics(yt[:, h - 1], yp[:, h - 1]))
     pooled_t = yt.reshape(yt.shape[0] * q, *yt.shape[2:])

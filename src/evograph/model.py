@@ -20,7 +20,7 @@ from __future__ import annotations
 import base64
 import json
 from collections.abc import Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,27 @@ from .temporal import TcnLayer, layer_dilation
 from .tensor import Tensor
 
 CHECKPOINT_VERSION = 1
+
+
+class OutputHead:
+    """The two-layer output module on the aggregated skips: out1 → ReLU →
+    out2, (B, N, C_skip) → (B, N, C) for single-step and → (B, Q, N, C)
+    for multi-step forecasts."""
+
+    def __init__(self, store: ParamStore, prefix: str, config: ModelConfig):
+        self.config = c = config
+        head = c.n_channels if c.task == "single" else c.horizon * c.n_channels
+        self.out1 = Linear(store, f"{prefix}out1", c.c_skip, c.c_out1)
+        self.out2 = Linear(store, f"{prefix}out2", c.c_out1, head)
+
+    def __call__(self, agg: Tensor) -> Tensor:
+        c = self.config
+        out = self.out2(T.relu(self.out1(agg)))  # (B, N, head)
+        if c.task == "multi":
+            b = out.shape[0]
+            out = T.reshape(out, (b, c.n_nodes, c.horizon, c.n_channels))
+            out = T.transpose(out, (0, 2, 1, 3))  # (B, Q, N, C)
+        return out
 
 
 @dataclass
@@ -101,9 +122,7 @@ class Model:
         self.skip_out = Linear(
             st, f"skip{c.n_layers + 1}", self.lengths[-1] * c.c_z, c.c_skip
         )
-        head = c.n_channels if c.task == "single" else c.horizon * c.n_channels
-        self.out1 = Linear(st, "out1", c.c_skip, c.c_out1)
-        self.out2 = Linear(st, "out2", c.c_out1, head)
+        self.head = OutputHead(st, "", c)
 
     # -- setup --------------------------------------------------------------
 
@@ -168,9 +187,7 @@ class Model:
                     alpha_s, t=xi.shape[1], batch=xi.shape[0])
             else:
                 graphs = self.egls[layer].evolve(xi, alpha_s, d=c.intervals[layer])
-            zp = self.mixhops[layer].apply_per_segment(
-                xi, graphs, normalize=c.normalize_adjacency, time_offset=offset
-            )
+            zp = self.mixhops[layer].apply_per_segment(xi, graphs, time_offset=offset)
             zp = self.norms[layer](zp)
             keep = xi.shape[1]
             z = T.add(zp, T.narrow(z, 1, z.shape[1] - keep, keep))
@@ -180,7 +197,6 @@ class Model:
                 rng: np.random.Generator | None = None,
                 inspect: bool = False,
                 ) -> tuple[Tensor, ForwardTrace | None]:
-        c = self.config
         projs = [self.skip_in, *self.skip_mid]
         skips, trace_xi, trace_graphs, trace_z = [], [], [], []
         branches = self._branches(self._as_input(x), training, rng)
@@ -197,11 +213,7 @@ class Model:
         for s in skips[1:]:
             agg = T.add(agg, s)
 
-        out = self.out2(T.relu(self.out1(agg)))  # (B, N, head)
-        if c.task == "multi":
-            b = out.shape[0]
-            out = T.reshape(out, (b, c.n_nodes, c.horizon, c.n_channels))
-            out = T.transpose(out, (0, 2, 1, 3))  # (B, Q, N, C)
+        out = self.head(agg)
         trace = ForwardTrace(trace_xi, trace_graphs, trace_z, out) if inspect else None
         return out, trace
 
@@ -293,11 +305,6 @@ def _flat(x: Tensor) -> Tensor:
     return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, n, t * c))
 
 
-def make_variant(config: ModelConfig, variant: str) -> Model:
-    """Build a model with the same config/seed but a different graph source."""
-    return Model(replace(config, variant=variant))
-
-
 # ---------------------------------------------------------------------------
 # Checkpointing: a versioned JSON blob with base64-encoded float64 tensors.
 
@@ -318,8 +325,7 @@ def _decode(blob: dict) -> np.ndarray:
 
 
 def save_checkpoint(model: Model, path, epoch: int = 0,
-                    scaler: dict | None = None,
-                    extra: dict | None = None) -> None:
+                    scaler: dict | None = None) -> None:
     if model.reference_series is None:
         raise ContractError("cannot checkpoint a model without its reference series")
     blob = {
@@ -329,9 +335,8 @@ def save_checkpoint(model: Model, path, epoch: int = 0,
         "reference_series": _encode(model.reference_series.data),
         "epoch": epoch,
         "scaler": scaler,
-        "extra": extra or {},
     }
-    write_atomic(path, json.dumps(blob).encode("utf-8"))
+    write_atomic(path, json.dumps(blob))
 
 
 def _check_scaler(blob, config: ModelConfig) -> None:
@@ -390,9 +395,4 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     scaler = blob.get("scaler")
     if scaler is not None:
         _check_scaler(scaler, model.config)
-    extras = {
-        "epoch": blob.get("epoch", 0),
-        "scaler": scaler,
-        "extra": blob.get("extra", {}),
-    }
-    return model, extras
+    return model, {"epoch": blob.get("epoch", 0), "scaler": scaler}

@@ -44,15 +44,12 @@ class ParamStore:
 class Linear:
     """Affine map applied along the last axis."""
 
-    def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int, bias: bool = True):
+    def __init__(self, store: ParamStore, name: str, d_in: int, d_out: int):
         self.w = store.new(f"{name}.weight", (d_in, d_out), fan_in=d_in)
-        self.b = store.new(f"{name}.bias", (d_out,), fan_in=d_in) if bias else None
+        self.b = store.new(f"{name}.bias", (d_out,), fan_in=d_in)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = T.matmul(x, self.w)
-        if self.b is not None:
-            y = T.bias_add(y, self.b)
-        return y
+        return T.bias_add(T.matmul(x, self.w), self.b)
 
 
 class Conv1d:
@@ -63,12 +60,12 @@ class Conv1d:
     """
 
     def __init__(self, store: ParamStore, name: str, c_in: int, c_out: int,
-                 k: int, dilation: int = 1, stride: int = 1, bias: bool = True):
+                 k: int, dilation: int = 1, stride: int = 1):
         self.k = k
         self.dilation = dilation
         self.stride = stride
         self.kernel = store.new(f"{name}.kernel", (c_out, c_in, k), fan_in=c_in * k)
-        self.bias = store.new(f"{name}.bias", (c_out,), fan_in=c_in * k) if bias else None
+        self.bias = store.new(f"{name}.bias", (c_out,), fan_in=c_in * k)
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv1d(x, self.kernel, self.bias, dilation=self.dilation, stride=self.stride)

@@ -2,8 +2,8 @@
 
 Each hop mixes a β-weighted retention of the original node states with
 neighbour aggregation through the segment's adjacency matrix; hop outputs
-are projected and summed.  Row normalization of the adjacency (on by
-default) keeps the aggregation an average rather than a sum.
+are projected and summed.  The adjacency is row-normalized, so the
+aggregation is an average rather than a sum.
 
 A layer's graphs arrive as one (B, M, N, N) stack, which is checked and
 normalized once.  Segments of equal length d are propagated together: the
@@ -46,20 +46,16 @@ class MixHop:
         for proj in self.hop_proj[1:]:
             proj.data *= 0.0
 
-    def propagate(self, xi: Tensor, adj: Tensor, normalize: bool = True) -> Tensor:
-        """xi: (B, ..., N, C_in) → (B, ..., N, C_out) through nonnegative ``adj``.
+    def propagate(self, xi: Tensor, adj: Tensor) -> Tensor:
+        """xi: (B, ..., N, C_in) → (B, ..., N, C_out) through nonnegative,
+        already row-normalized ``adj``.
 
-        ``adj`` is (B, N, N), one graph for every step of ``xi``, or has the
-        ndim of ``xi`` with leading axes that broadcast against it, such as
-        (B, T, N, N) for (B, T, N, C) or (B, M, 1, N, N) for (B, M, d, N, C).
+        ``adj`` has the ndim of ``xi``, with leading axes that broadcast
+        against it: (B, T, N, N) or (B, 1, N, N) for (B, T, N, C), and
+        (B, M, 1, N, N) for (B, M, d, N, C).
         """
         if np.any(adj.data < 0):
             raise ContractError("adjacency has negative entries")
-        if normalize:
-            adj = T.row_normalize(adj)
-        if adj.ndim < xi.ndim:
-            # (B, 1, N, N) @ (B, T, N, C) broadcasts over time
-            adj = T.reshape(adj, (adj.shape[0], 1) + adj.shape[1:])
         h = xi
         out = T.matmul(h, self.hop_proj[0])
         for k in range(1, self.psi + 1):
@@ -68,8 +64,9 @@ class MixHop:
         return out
 
     def apply_per_segment(self, xi: Tensor, graphs: EvolvingGraphSequence,
-                          normalize: bool = True, time_offset: int = 0) -> Tensor:
-        """Propagate each time step through its own segment's adjacency matrix.
+                          time_offset: int = 0) -> Tensor:
+        """Propagate each time step through its own segment's row-normalized
+        adjacency matrix.
 
         ``time_offset`` maps local feature index j to the absolute index
         j + time_offset used by the graphs' segment boundaries (nonzero when
@@ -91,8 +88,7 @@ class MixHop:
         adj = graphs.adjacency
         if used != adj.shape[1]:
             adj = T.narrow(adj, 1, first, used)
-        if normalize:
-            adj = T.row_normalize(adj)
+        adj = T.row_normalize(adj)
         parts = []
         for m, n, start, length in runs:
             x = xi if n * length == t else T.narrow(xi, 1, start, n * length)
@@ -101,7 +97,7 @@ class MixHop:
                 # (B, n, length, N, C) against (B, n, 1, N, N)
                 x = T.reshape(x, (b, n, length) + xi.shape[2:])
                 a = T.reshape(a, (b, n, 1) + adj.shape[2:])
-            y = self.propagate(x, a, normalize=False)
+            y = self.propagate(x, a)
             parts.append(T.reshape(y, (b, n * length) + y.shape[3:]) if y.ndim > xi.ndim else y)
         out = parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
         if out.shape[1] != t:

@@ -9,7 +9,6 @@ should recover.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TimeSeriesDataset
+from .data import TimeSeriesDataset, write_atomic, write_csv_atomic
 from .errors import ConfigurationError, DimensionError
 from .graph_learner import EvolvingGraphSequence
 
@@ -95,14 +94,9 @@ class GroundTruth:
         index = []
         for i, ((s, e), m) in enumerate(zip(self.boundaries, self.matrices)):
             fname = f"regime{i}.csv"
-            with open(out_dir / fname, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                for row in m:
-                    writer.writerow([repr(float(v)) for v in row])
+            write_csv_atomic(out_dir / fname, ([repr(float(v)) for v in row] for row in m))
             index.append({"start": s, "end": e, "matrix_file": fname})
-        path = out_dir / "timeline.json"
-        path.write_text(json.dumps(index, indent=2))
-        return path
+        return write_atomic(out_dir / "timeline.json", json.dumps(index, indent=2))
 
     @classmethod
     def load(cls, out_dir) -> "GroundTruth":
@@ -267,13 +261,6 @@ class RecoveryScore:
     def active_alignment(self) -> Array:
         return self.alignments[np.arange(len(self.majority)), self.majority]
 
-    def mean_alignment(self, regime: int, segments: slice | None = None) -> float:
-        sel = self.alignments[segments if segments is not None else slice(None), regime]
-        return float(sel.mean())
-
-    def segments_in_regime(self, regime: int) -> list[int]:
-        return [m for m, r in enumerate(self.majority) if r == regime]
-
 
 def _offdiag(a: Array) -> Array:
     n = a.shape[0]
@@ -281,8 +268,9 @@ def _offdiag(a: Array) -> Array:
 
 
 def score_recovery(graphs: EvolvingGraphSequence, truth: GroundTruth,
-                   time_offset: int = 0, sample: int = 0) -> RecoveryScore:
-    """Correlate each learned segment graph with every regime's matrix."""
+                   time_offset: int = 0) -> RecoveryScore:
+    """Correlate each learned segment graph with every regime's matrix
+    (the first sample's, for batched graphs)."""
     n_regimes = len(truth.matrices)
     true_off = [_offdiag(m) for m in truth.matrices]
     alignments = np.zeros((len(graphs.matrices), n_regimes))
@@ -290,7 +278,7 @@ def score_recovery(graphs: EvolvingGraphSequence, truth: GroundTruth,
     for m, (tensor, (start, stop)) in enumerate(
         zip(graphs.matrices, graphs.spec.boundaries)
     ):
-        mat = tensor.data[sample] if tensor.ndim == 3 else tensor.data
+        mat = tensor.data[0] if tensor.ndim == 3 else tensor.data
         learned = _offdiag(mat)
         spread = float(np.ptp(learned))
         dead = spread <= 1e-12 * max(1.0, float(np.abs(learned).max()))

@@ -22,11 +22,11 @@ import numpy as np
 from . import tensor as T
 from .config import VARIANTS, ExperimentConfig, TrainConfig
 from .data import Scaler, TimeSeriesDataset, chronological_split, fit_scaler, \
-    window_views
+    window_views, write_atomic, write_csv_atomic
 from .errors import ConfigurationError, LoadError, TrainingAbortedError
 from .graph_learner import export_graphs
 from .metrics import MetricReport, horizon_report, rmse, rse
-from .model import Model, make_variant, save_checkpoint
+from .model import Model, OutputHead, save_checkpoint
 from .nn import Linear, ParamStore
 from .optim import Adam, clip_gradients
 from .rng import RngSource
@@ -287,32 +287,15 @@ def evaluate_split(model: Model, data: PreparedData, split: str = "test",
     return evaluate(model, x, y, data.scaler, batch_size)
 
 
-def persistence_forecast(inputs: Array, task: str, horizon: int) -> Array:
-    """Ŷ = last observed value, repeated across the horizon for multi-step."""
-    last = inputs[:, -1]  # (B, N, C)
-    if task == "single":
-        return last.copy()
-    return np.repeat(last[:, None], horizon, axis=1)
-
-
-def persistence_report(data: PreparedData, task: str, horizon: int,
-                       split: str = "test") -> MetricReport:
-    x, y, _ = data.arrays(split)
-    preds = persistence_forecast(x, task, horizon)
-    return horizon_report(data.scaler.inverse(y), data.scaler.inverse(preds),
-                          task=task, horizon=horizon)
-
-
 # ---------------------------------------------------------------------------
 # Run directory
 
 def write_history(path, history: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_loss", "val_metric"])
-        for row in history:
-            writer.writerow([row["epoch"], repr(row["train_loss"]),
-                             repr(row["val_metric"])])
+    write_csv_atomic(path, [
+        ["epoch", "train_loss", "val_metric"],
+        *([row["epoch"], repr(row["train_loss"]), repr(row["val_metric"])]
+          for row in history),
+    ])
 
 
 def load_history(path) -> list[dict]:
@@ -355,11 +338,11 @@ def write_run_dir(out_dir, config: ExperimentConfig, model: Model,
         "metrics_csv": out / "metrics.csv",
         "graphs": out / "graphs",
     }
-    paths["config"].write_text(config.to_json())
+    write_atomic(paths["config"], config.to_json())
     write_history(paths["history"], result.history)
     save_checkpoint(model, paths["checkpoint"], epoch=result.best_epoch,
                     scaler=data.scaler.to_dict())
-    paths["metrics_json"].write_text(report.to_json())
+    write_atomic(paths["metrics_json"], report.to_json())
     report.write_csv(paths["metrics_csv"])
     export_run_graphs(model, data, paths["graphs"])
     return paths
@@ -446,18 +429,17 @@ class ExperimentReport:
 
     def write_csv(self, path) -> None:
         """Variant-per-row table with mean ± std columns per metric."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["variant"]
+        header = ["variant"]
+        for metric in HEADLINE_METRICS:
+            header += [f"{metric}_mean", f"{metric}_std"]
+        rows = [header]
+        for variant, stats in self.aggregates.items():
+            row = [variant]
             for metric in HEADLINE_METRICS:
-                header += [f"{metric}_mean", f"{metric}_std"]
-            writer.writerow(header)
-            for variant, stats in self.aggregates.items():
-                row = [variant]
-                for metric in HEADLINE_METRICS:
-                    row += [repr(stats[metric]["mean"]),
-                            repr(stats[metric]["std"])]
-                writer.writerow(row)
+                row += [repr(stats[metric]["mean"]),
+                        repr(stats[metric]["std"])]
+            rows.append(row)
+        write_csv_atomic(path, rows)
 
 
 def _single_run(dataset: TimeSeriesDataset, config: ExperimentConfig,
@@ -466,7 +448,7 @@ def _single_run(dataset: TimeSeriesDataset, config: ExperimentConfig,
     t0 = time.perf_counter()
     if data is None:
         data = prepare_data(dataset, config)
-    model = make_variant(replace(config.model, seed=seed), variant)
+    model = Model(replace(config.model, seed=seed, variant=variant))
     result = train(model, data, config.train)
     report = evaluate_split(model, data, "test")
     metrics = headline_row(report)
@@ -531,21 +513,12 @@ class ProbeHead:
 
     def __init__(self, model: Model, branch_dim: int, seed: int):
         c = model.config
-        self.config = c
         self.store = ParamStore(RngSource(seed))
         self.skip = Linear(self.store, "probe.skip", branch_dim, c.c_skip)
-        self.out1 = Linear(self.store, "probe.out1", c.c_skip, c.c_out1)
-        head = c.n_channels if c.task == "single" else c.horizon * c.n_channels
-        self.out2 = Linear(self.store, "probe.out2", c.c_out1, head)
+        self.head = OutputHead(self.store, "probe.", c)
 
     def __call__(self, feats: Tensor) -> Tensor:
-        c = self.config
-        out = self.out2(T.relu(self.out1(self.skip(feats))))
-        if c.task == "multi":
-            b = out.shape[0]
-            out = T.reshape(out, (b, c.n_nodes, c.horizon, c.n_channels))
-            out = T.transpose(out, (0, 2, 1, 3))
-        return out
+        return self.head(self.skip(feats))
 
     def predict(self, feats: Array) -> Array:
         with T.no_grad():
@@ -612,9 +585,3 @@ def scale_probe(model: Model, data: PreparedData, scale: int,
     return ProbeResult(scale, report, result.history, result.best_epoch,
                        result.best_val)
 
-
-def scale_probe_all(model: Model, data: PreparedData, cfg: TrainConfig,
-                    ) -> list[ProbeResult]:
-    """One probe per scale: 0 (raw input) through L+1 (final state)."""
-    return [scale_probe(model, data, scale, cfg)
-            for scale in range(model.config.n_layers + 2)]

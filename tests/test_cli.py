@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evograph import cli
-from evograph.config import ModelConfig
+from evograph.config import ExperimentConfig, ModelConfig, TrainConfig
 from evograph.data import TimeSeriesDataset, save_csv
 from evograph.model import Model, save_checkpoint
 
@@ -33,15 +33,42 @@ class TestCheckpointErrors:
         assert err["error"] == "LoadError"
 
 
+class TestArgumentErrors:
+    """A bad command line is a configuration error, reported as JSON."""
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--data", "x.csv"],
+        ["train", "--config", "c.json", "--data", "x.csv", "--seed", "1.5"],
+        ["export-graphs", "--checkpoint", "ck.bin", "--input", "x.csv",
+         "--layer", "one", "--out", "out"],
+        ["scale-probe", "--checkpoint", "ck.bin", "--data", "x.csv",
+         "--scale", "foo"],
+        [],
+    ])
+    def test_exit_2_with_json(self, capsys, argv):
+        code, err = run_cli(capsys, *argv)
+        assert code == cli.EXIT_CONFIG
+        assert err["error"] == "ConfigurationError"
+        assert err["exit_code"] == cli.EXIT_CONFIG
+
+    def test_scale_parsed_at_argument_time(self):
+        parser = cli.build_parser()
+        base = ["scale-probe", "--checkpoint", "ck.bin", "--data", "x.csv"]
+        assert parser.parse_args(base).scale == "all"
+        assert parser.parse_args(base + ["--scale", "2"]).scale == 2
+
+
+TINY = ModelConfig(
+    task="single", n_nodes=4, n_channels=1, window=16, horizon=3,
+    n_layers=2, intervals=(4, 1), dilation_rate=2, filter_sizes=(2, 3),
+    c_xi=4, c_z=4, c_skip=4, c_out1=4, c_s=4, c_e=4, c_static_hidden=4,
+)
+
+
 def tiny_run(tmp_path, scaler):
     """A 4-node checkpoint saved with ``scaler`` and a 120-step series for it."""
-    config = ModelConfig(
-        task="single", n_nodes=4, n_channels=1, window=16, horizon=3,
-        n_layers=2, intervals=(4, 1), dilation_rate=2, filter_sizes=(2, 3),
-        c_xi=4, c_z=4, c_skip=4, c_out1=4, c_s=4, c_e=4, c_static_hidden=4,
-    )
     rng = np.random.default_rng(0)
-    model = Model(config)
+    model = Model(TINY)
     model.set_reference_series(rng.normal(size=(4, 48, 1)))
     ck = tmp_path / "ck.bin"
     save_checkpoint(model, ck, scaler=scaler)
@@ -73,6 +100,25 @@ class TestCheckpointScaler:
                             "--data", str(data))
         assert code == cli.EXIT_OK
         assert err is None
+
+
+class TestScaleProbe:
+    def test_all_scales_written(self, tmp_path, capsys):
+        scaler = {"mode": "none", "shift": [[0.0]] * 4, "scale": [[1.0]] * 4}
+        ck, data = tiny_run(tmp_path, scaler)
+        config = tmp_path / "config.json"
+        config.write_text(ExperimentConfig(
+            model=TINY, train=TrainConfig(max_epochs=2, patience=0)).to_json())
+        code, err = run_cli(capsys, "scale-probe", "--checkpoint", str(ck),
+                            "--data", str(data), "--config", str(config),
+                            "--scale", "all", "--out", str(tmp_path / "probes"))
+        assert (code, err) == (cli.EXIT_OK, None)
+        probes = json.loads((tmp_path / "probes" / "probes.json").read_text())
+        # scale 0 (raw input), 1..L (layer features), L+1 (final state)
+        assert [p["scale"] for p in probes] == [0, 1, 2, 3, "full"]
+        for probe in probes[:-1]:
+            assert len(probe["history"]) == 2
+            assert set(probe["metrics"]) == {"rse", "corr", "rmse", "mae"}
 
 
 class TestManifest:

@@ -1,6 +1,10 @@
+import csv
+import os
+
 import numpy as np
 import pytest
 
+from evograph import data
 from evograph.data import (
     CsvLayout,
     Scaler,
@@ -11,6 +15,8 @@ from evograph.data import (
     load_csv,
     save_csv,
     window_views,
+    write_atomic,
+    write_csv_atomic,
 )
 from evograph.errors import ConfigurationError, DimensionError, LoadError
 
@@ -74,11 +80,28 @@ class TestCsv:
         assert back.node_ids == ds.node_ids
         assert back.name == "toy"
 
-    def test_header_gives_node_ids(self, tmp_path):
+    def test_header_row_is_a_bad_cell(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("a,b\n1,2\n3,4\n")
-        ds = load_csv(f, CsvLayout(has_header=True))
-        assert ds.node_ids == ["a", "b"]
+        with pytest.raises(LoadError, match="'a' at row 1, column 1"):
+            load_csv(f)
+
+    def test_blank_lines_skipped_but_counted(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("1,2\n\n3,4\n")
+        assert load_csv(f).values[:, :, 0].tolist() == [[1.0, 3.0], [2.0, 4.0]]
+        f.write_text("1,2\n\n3,x\n")
+        with pytest.raises(LoadError, match="'x' at row 3, column 2"):
+            load_csv(f)
+        f.write_text("1,2\n\n3,4,5\n")
+        with pytest.raises(LoadError, match="row 3 has 3 cells, expected 2"):
+            load_csv(f)
+
+    def test_cells_parse_as_python_floats(self, tmp_path):
+        cells = [" 1", "1_0", "-2.5e-3", "0.1 ", "+7"]
+        f = tmp_path / "d.csv"
+        f.write_text(",".join(cells) + "\n" + ",".join(cells) + "\n")
+        assert load_csv(f).values[:, 0, 0].tolist() == [float(c) for c in cells]
 
     def test_multichannel_columns(self, tmp_path):
         f = tmp_path / "d.csv"
@@ -87,6 +110,45 @@ class TestCsv:
         ds = load_csv(f, CsvLayout(n_channels=2))
         assert ds.values[0, 0, 1] == 2.0
         assert ds.values[1, 1, 0] == 7.0
+
+
+class TestAtomicWrite:
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        rows = [["epoch", "loss"], [1, repr(0.1)], [2, repr(1e-300)]]
+        with open(tmp_path / "plain.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        write_csv_atomic(tmp_path / "atomic.csv", iter(rows))
+        assert (tmp_path / "atomic.csv").read_bytes() == \
+            (tmp_path / "plain.csv").read_bytes()
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failed_write_leaves_no_partial_or_temp_file(self, tmp_path,
+                                                         monkeypatch, existing):
+        target = tmp_path / "metrics.json"
+        if existing:
+            target.write_text("old")
+        real_fdopen = os.fdopen
+
+        class DiskFull:
+            def __init__(self, fd, mode):
+                self.fh = real_fdopen(fd, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, payload):
+                self.fh.write(payload[:3])  # a partial temp file, then failure
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(data.os, "fdopen", DiskFull)
+        with pytest.raises(OSError, match="no space"):
+            write_atomic(target, "new contents")
+        assert [p.name for p in tmp_path.iterdir()] == (["metrics.json"] if existing else [])
+        if existing:
+            assert target.read_text() == "old"
 
 
 class TestSplit:
@@ -141,8 +203,10 @@ class TestScaler:
             sc = fit_scaler(ds, range(0, 20), mode)
             x = ds.values[:, 5, :]
             assert np.allclose(sc.inverse(sc.transform(x)), x, atol=1e-10)
+            # inverse takes any array whose trailing axes are (N, C)
+            steps_first = sc.transform_dataset(ds.values).transpose(1, 0, 2)
             assert np.allclose(
-                sc.inverse_dataset(sc.transform_dataset(ds.values)), ds.values, atol=1e-10
+                sc.inverse(steps_first), ds.values.transpose(1, 0, 2), atol=1e-10
             )
 
     def test_stats_ignore_val_test(self):

@@ -1,9 +1,11 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evograph
 from evograph.config import (
     ExperimentConfig,
     ModelConfig,
@@ -12,7 +14,7 @@ from evograph.config import (
     single_step_preset,
 )
 from evograph.errors import ConfigurationError, ContractError, DimensionError, LoadError
-from evograph.model import Model, load_checkpoint, make_variant, save_checkpoint
+from evograph.model import Model, load_checkpoint, save_checkpoint
 
 
 def tiny_config(**kw):
@@ -87,6 +89,29 @@ class TestConfig:
         back = ExperimentConfig.from_json(exp.to_json())
         assert back.model == exp.model
         assert back.train == exp.train
+
+    def test_legacy_keys(self):
+        # earlier config.json files carry "normalize_adjacency": true and
+        # "repeats"; only the one implemented normalization is accepted
+        exp = ExperimentConfig(model=tiny_config(), train=TrainConfig(lr=0.005))
+        legacy = exp.to_dict()
+        legacy["model"]["normalize_adjacency"] = True
+        legacy["train"]["repeats"] = 3
+        assert ExperimentConfig.from_json(json.dumps(legacy)) == exp
+        legacy["model"]["normalize_adjacency"] = False
+        with pytest.raises(ConfigurationError, match="normalize_adjacency"):
+            ExperimentConfig.from_json(json.dumps(legacy))
+
+    @pytest.mark.parametrize("name, preset", [
+        ("single_step", single_step_preset),
+        ("multi_step", multi_step_preset),
+    ])
+    def test_shipped_presets_match_python_presets(self, name, preset):
+        path = Path(evograph.__file__).parent / "presets" / f"{name}.json"
+        exp = ExperimentConfig.from_json(path.read_text())
+        m = exp.model
+        assert m == preset(n_nodes=m.n_nodes, n_channels=m.n_channels)
+        assert exp == ExperimentConfig(model=m)
 
 
 class TestForward:
@@ -260,13 +285,6 @@ class TestVariants:
                 if ".tcn." in name or name.startswith(("skip", "out", "input_proj", "static")):
                     assert np.array_equal(p.data, other.store.params[name].data), name
 
-    def test_make_variant(self):
-        cfg = tiny_config()
-        model = make_variant(cfg, "static_only")
-        assert model.config.variant == "static_only"
-        with pytest.raises(ConfigurationError):
-            make_variant(cfg, "bogus")
-
 
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
@@ -284,6 +302,23 @@ class TestCheckpoint:
         assert extras["scaler"] == scaler
         for name, p in model.store.params.items():
             assert np.array_equal(p.data, loaded.store.params[name].data)
+
+    def test_loads_legacy_keys(self, tmp_path):
+        # earlier checkpoints carry "normalize_adjacency": true in their
+        # config and an empty "extra" object
+        model = tiny_model()
+        x = window(seed=16)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(model, path, epoch=3)
+        blob = json.loads(path.read_bytes())
+        assert "extra" not in blob and "normalize_adjacency" not in blob["config"]
+        blob["config"]["normalize_adjacency"] = True
+        blob["extra"] = {}
+        path.write_text(json.dumps(blob))
+        loaded, extras = load_checkpoint(path)
+        assert extras == {"epoch": 3, "scaler": None}
+        assert loaded.config == model.config
+        assert np.array_equal(loaded.predict(x), model.predict(x))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(LoadError):

@@ -23,6 +23,16 @@ def random_adj(n, b=1, seed=0):
     return Tensor(np.random.default_rng(seed).random((b, n, n)))
 
 
+def over_time(adj):
+    """(B, N, N) → (B, 1, N, N), which broadcasts over (B, T, N, C) features."""
+    return T.reshape(adj, (adj.shape[0], 1) + adj.shape[1:])
+
+
+def normalized(adj):
+    """The row-normalized (B, 1, N, N) form that ``propagate`` expects."""
+    return over_time(T.row_normalize(adj))
+
+
 def seq_for(matrices, t, d):
     spec = SegmentSpec.for_length(t, d)
     return EvolvingGraphSequence.from_stack(T.stack(matrices, axis=1), spec)
@@ -33,7 +43,7 @@ class TestMixHop:
         st = store(1)
         mh = MixHop(st, "mh", 3, 2, psi=2, beta=1.0)
         xi = rand(1, 4, 5, 3, seed=1)
-        out = mh.propagate(xi, random_adj(5, seed=2))
+        out = mh.propagate(xi, normalized(random_adj(5, seed=2)))
         total_w = sum(p.data for p in mh.hop_proj)
         assert np.allclose(out.data, xi.data @ total_w)
 
@@ -42,7 +52,7 @@ class TestMixHop:
         beta = 0.3
         mh = MixHop(st, "mh", 3, 2, psi=2, beta=beta)
         xi = rand(1, 4, 5, 3, seed=3)
-        out = mh.propagate(xi, Tensor(np.zeros((1, 5, 5))), normalize=False)
+        out = mh.propagate(xi, over_time(Tensor(np.zeros((1, 5, 5)))))
         w0, w1, w2 = (p.data for p in mh.hop_proj)
         expect = xi.data @ w0 + beta * xi.data @ w1 + beta * xi.data @ w2
         assert np.allclose(out.data, expect)
@@ -54,20 +64,20 @@ class TestMixHop:
             p.data[:] = 1.0
         xi = Tensor(np.array([1.0, 0.0]).reshape(1, 1, 2, 1))
         adj = Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]).reshape(1, 2, 2))
-        out = mh.propagate(xi, adj, normalize=False)
+        out = mh.propagate(xi, over_time(adj))
         assert out.data.reshape(2).tolist() == [2.0, 1.0]
 
     def test_negative_adjacency_rejected(self):
         mh = MixHop(store(), "mh", 2, 2, psi=1, beta=0.5)
         adj = Tensor(np.array([[0.0, -1.0], [1.0, 0.0]]).reshape(1, 2, 2))
         with pytest.raises(ContractError):
-            mh.propagate(rand(1, 3, 2, 2, seed=4), adj)
+            mh.propagate(rand(1, 3, 2, 2, seed=4), over_time(adj))
 
     def test_row_normalized_diffusion_fixes_constants(self):
         mh = MixHop(store(3), "mh", 2, 2, psi=3, beta=0.4)
         c = np.array([1.5, -0.5])
         xi = Tensor(np.broadcast_to(c, (1, 4, 6, 2)).copy())
-        out = mh.propagate(xi, random_adj(6, seed=5), normalize=True)
+        out = mh.propagate(xi, normalized(random_adj(6, seed=5)))
         total_w = sum(p.data for p in mh.hop_proj)
         assert np.allclose(out.data, np.broadcast_to(c @ total_w, (1, 4, 6, 2)))
 
@@ -75,8 +85,9 @@ class TestMixHop:
         mh = MixHop(store(4), "mh", 3, 2, psi=2, beta=0.05)
         adj = random_adj(5, seed=6)
         x1, x2 = rand(1, 4, 5, 3, seed=7), rand(1, 4, 5, 3, seed=8)
-        lhs = mh.propagate(Tensor(2.0 * x1.data + 3.0 * x2.data), adj)
-        rhs = 2.0 * mh.propagate(x1, adj).data + 3.0 * mh.propagate(x2, adj).data
+        lhs = mh.propagate(Tensor(2.0 * x1.data + 3.0 * x2.data), normalized(adj))
+        rhs = 2.0 * mh.propagate(x1, normalized(adj)).data \
+            + 3.0 * mh.propagate(x2, normalized(adj)).data
         assert np.allclose(lhs.data, rhs)
 
     def test_gradients_through_adjacency_and_features(self):
@@ -87,7 +98,7 @@ class TestMixHop:
                      requires_grad=True)
 
         def loss():
-            out = mh.propagate(xi, adj, normalize=True)
+            out = mh.propagate(xi, normalized(adj))
             return T.reduce_mean(T.mul(out, out))
 
         tensors = dict(st.params)
@@ -105,7 +116,7 @@ class TestPerSegment:
         adj = random_adj(4, b=2, seed=12)
         seq = seq_for([adj], t=8, d=8)
         a = mh.apply_per_segment(xi, seq)
-        b = mh.propagate(xi, adj)
+        b = mh.propagate(xi, normalized(adj))
         assert np.array_equal(a.data, b.data)
 
     def test_identical_graphs_match_monolithic(self):
@@ -114,7 +125,7 @@ class TestPerSegment:
         adj = random_adj(4, seed=14)
         seq = seq_for([adj, adj, adj], t=12, d=4)
         a = mh.apply_per_segment(xi, seq)
-        b = mh.propagate(xi, adj)
+        b = mh.propagate(xi, normalized(adj))
         assert np.allclose(a.data, b.data)
 
     def test_output_length_preserved(self):
@@ -181,7 +192,7 @@ def per_segment_reference(egl, mh, xi, alpha_s, d, graph_input=None, time_offset
         adj = T.mul(a_hat, T.sigmoid(mask))
         s, e = max(start, lo) - lo, min(stop, hi) - lo
         if e > s:
-            parts.append(mh.propagate(T.narrow(xi, 1, s, e - s), adj))
+            parts.append(mh.propagate(T.narrow(xi, 1, s, e - s), normalized(adj)))
     return T.concat(parts, axis=1)
 
 

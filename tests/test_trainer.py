@@ -10,6 +10,7 @@ from evograph import trainer
 from evograph.config import ExperimentConfig, ModelConfig, TrainConfig
 from evograph.data import TimeSeriesDataset
 from evograph.errors import ConfigurationError, TrainingAbortedError
+from evograph.metrics import horizon_report
 from evograph.model import Model, load_checkpoint
 from evograph.optim import Adam
 from evograph.tensor import Tensor
@@ -23,14 +24,11 @@ from evograph.trainer import (
     headline_row,
     load_history,
     loss_tensor,
-    persistence_forecast,
-    persistence_report,
     predict_batched,
     prepare_data,
     run_ablation,
     run_experiment,
     scale_probe,
-    scale_probe_all,
     train,
     write_history,
     write_run_dir,
@@ -265,22 +263,19 @@ class TestEvaluate:
         assert math.isclose(report.rows["3"]["mae"], norm_mae, rel_tol=1e-9)
 
 
+def persistence_report(data: PreparedData, horizon: int):
+    """Test-split metrics of the single-step last-value forecast: a
+    baseline with no parameters, so only windowing and metrics are tested."""
+    x, y, _ = data.arrays("test")
+    return horizon_report(data.scaler.inverse(y), data.scaler.inverse(x[:, -1]),
+                          task="single", horizon=horizon)
+
+
 class TestPersistence:
-    def test_single_step_copies_last_value(self):
-        x = np.arange(24.0).reshape(2, 3, 2, 2)
-        assert np.array_equal(persistence_forecast(x, "single", 3), x[:, -1])
-
-    def test_multi_step_repeats_last_value(self):
-        x = np.random.default_rng(0).normal(size=(5, 4, 3, 1))
-        out = persistence_forecast(x, "multi", 6)
-        assert out.shape == (5, 6, 3, 1)
-        for h in range(6):
-            assert np.array_equal(out[:, h], x[:, -1])
-
     def test_finite_metrics_on_any_dataset(self):
         cfg = experiment(max_epochs=1)
         data = prepare_data(noise_dataset(), cfg)
-        report = persistence_report(data, "single", 3)
+        report = persistence_report(data, 3)
         assert all(math.isfinite(v) for v in report.rows["3"].values())
 
     def test_corr_high_on_random_walk_low_on_white_noise(self):
@@ -290,9 +285,9 @@ class TestPersistence:
             [f"n{i}" for i in range(4)],
         )
         cfg = experiment(tiny_config(horizon=1))
-        walk_report = persistence_report(prepare_data(walk, cfg), "single", 1)
+        walk_report = persistence_report(prepare_data(walk, cfg), 1)
         noise_report = persistence_report(
-            prepare_data(noise_dataset(t=600, seed=4), cfg), "single", 1
+            prepare_data(noise_dataset(t=600, seed=4), cfg), 1
         )
         assert walk_report.rows["1"]["corr"] > 0.9
         assert abs(noise_report.rows["1"]["corr"]) < 0.2
@@ -426,14 +421,6 @@ class TestScaleProbe:
             scale_probe(model, data, 5, probe_cfg)
         with pytest.raises(ConfigurationError, match="out of range"):
             scale_probe(model, data, -1, probe_cfg)
-
-    def test_probe_count_is_layers_plus_two(self, trained):
-        model, data = trained
-        probe_cfg = TrainConfig(lr=0.01, max_epochs=1, patience=0)
-        results = scale_probe_all(model, data, probe_cfg)
-        assert [r.scale for r in results] == [0, 1, 2, 3]
-        for r in results:
-            assert "3" in r.report.rows
 
     def test_backbone_untouched(self, trained):
         model, data = trained
