@@ -6,8 +6,10 @@ temporal features.  Each GRU state is turned into a directed adjacency
 matrix by a pairwise scorer with a sigmoid mask, so a feature sequence of
 M segments yields M graphs that evolve smoothly in time.
 
-Only the GRU runs segment by segment.  The M segment means are one op, and
-the M states are stacked to (B, M, N, C_e) and scored in one call, so a
+A layer's pipeline is a fixed number of ops whatever its segment count M:
+the M segment means are one op (none when d = 1), the GRU over them is one
+(:func:`tensor.gru_sequence`, which returns its M states as one
+(B, M, N, C_e) tensor), and the states are scored in one call, so a
 layer's graphs come out as one (B, M, N, N) tensor;
 ``EvolvingGraphSequence.matrices`` holds its per-segment slices as views.
 
@@ -68,19 +70,9 @@ class SegmentSpec:
         return self.boundaries[-1][1]
 
 
-def segment_aggregate(xi: Tensor, d: int) -> tuple[list[Tensor], SegmentSpec]:
-    """Mean-pool (B, T, N, C) features over each segment → M × (B, N, C).
-
-    The means are taken in one op (none when d = 1, where each segment is
-    one step); the list holds views of them.
-    """
-    spec = SegmentSpec.for_length(xi.shape[1], d)
-    means = xi if spec.m == xi.shape[1] else T.segment_mean(xi, spec.boundaries)
-    return [T.select(means, 1, m) for m in range(spec.m)], spec
-
-
 class GruCell:
-    """Single GRU update over (B, N, ·) node-state tensors."""
+    """The GRU's parameters; :func:`tensor.gru_sequence` runs it over the
+    segments of a layer."""
 
     def __init__(self, store: ParamStore, name: str, c_in: int, c_hidden: int):
         d = c_in + c_hidden
@@ -90,14 +82,6 @@ class GruCell:
         self.b_r = store.new(f"{name}.b_r", (c_hidden,), fan_in=d)
         self.b_u = store.new(f"{name}.b_u", (c_hidden,), fan_in=d)
         self.b_o = store.new(f"{name}.b_o", (c_hidden,), fan_in=d)
-
-    def step(self, gamma: Tensor, alpha: Tensor) -> Tensor:
-        cat = T.concat([gamma, alpha], axis=gamma.ndim - 1)
-        r = T.sigmoid(T.bias_add(T.matmul(cat, self.w_r), self.b_r))
-        u = T.sigmoid(T.bias_add(T.matmul(cat, self.w_u), self.b_u))
-        cat_o = T.concat([gamma, T.mul(r, alpha)], axis=gamma.ndim - 1)
-        o = T.tanh(T.bias_add(T.matmul(cat_o, self.w_o), self.b_o))
-        return T.add(T.mul(u, alpha), T.mul(1.0 - u, o))
 
 
 class StaticFeatureExtractor:
@@ -206,21 +190,22 @@ class Egl:
         return a, a_hat, mask
 
     def evolve(self, xi: Tensor, alpha_s: Tensor, d: int) -> EvolvingGraphSequence:
-        """Full pipeline: segment means → GRU over segments → per-step graphs.
+        """Full pipeline: segment means → initial state → GRU over the
+        segments → per-segment graphs.
 
         xi: (B, T, N, C_in) → M graphs as one (B, M, N, N) stack.
         """
         if self.gru is None:
             raise ContractError("this learner was built without a GRU (static only)")
-        gammas, spec = segment_aggregate(xi, d)
+        spec = SegmentSpec.for_length(xi.shape[1], d)
+        # (B, M, N, C_in); when d = 1 each segment is one step
+        gammas = xi if spec.m == xi.shape[1] else T.segment_mean(xi, spec.boundaries)
         alpha = self.init_hidden(alpha_s)
         if alpha.ndim == 2:
             alpha = T.broadcast_leading(alpha, xi.shape[0])
-        states = []
-        for gamma in gammas:
-            alpha = self.gru.step(gamma, alpha)
-            states.append(alpha)
-        a, _, _ = self.derive_adjacency(T.stack(states, axis=1))
+        g = self.gru
+        states = T.gru_sequence(gammas, alpha, g.w_r, g.w_u, g.w_o, g.b_r, g.b_u, g.b_o)
+        a, _, _ = self.derive_adjacency(states)
         return EvolvingGraphSequence.from_stack(a, spec)
 
     def static_sequence(self, alpha_s: Tensor, t: int, batch: int) -> EvolvingGraphSequence:

@@ -23,14 +23,18 @@ compute forward values only.
 Design constraints: float64 everywhere; no implicit broadcasting between
 tensors (scalar * tensor excepted) — shape adaptation happens through
 explicit ops (``bias_add``, ``broadcast_leading``) so every backward rule
-stays auditable.  :func:`pairwise_mlp` is the one fused op: it scores all
-node pairs without materialising the pair tensor and recomputes its hidden
-layer in the backward pass instead of storing it.
+stays auditable.  Two ops are fused, each one tape record with a
+hand-written backward: :func:`pairwise_mlp` scores all node pairs without
+materialising the pair tensor and recomputes its hidden layer in the
+backward pass instead of storing it, and :func:`gru_sequence` runs a whole
+GRU recurrence, back-propagating through time from its stored gates.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
@@ -40,6 +44,42 @@ import numpy as np
 from .errors import ContractError, DimensionError, SequenceTooShortError
 
 Array = np.ndarray
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20  # the largest value glibc's own adaptive threshold reaches
+
+
+def _retain_freed_heap() -> None:
+    """Keep the memory a training step frees for the next step.
+
+    A step allocates and frees a few hundred MB of activations and
+    gradients, all below glibc's mmap threshold once it has adapted.  By
+    default glibc then returns the free top of the heap to the system after
+    each step, down to the highest block still live, and the next backward
+    pass faults that memory back in page by page.  How much that is depends
+    only on where the surviving blocks (such as parameter gradients) happen
+    to land, so a small change in allocation order moved it from 50 to
+    100 MB per step on the single-step preset at N = 8, and from run to run
+    of the same code.  Fixing the mmap threshold at its adaptive maximum and
+    never trimming makes it zero: the heap stays at its high-water mark,
+    which the peak resident size already counts.  glibc only; elsewhere the
+    allocator is left as it is.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, -1)  # -1: never trim
+
+
+_retain_freed_heap()
 
 # ---------------------------------------------------------------------------
 # Tape machinery
@@ -666,7 +706,8 @@ def pairwise_mlp(alpha: Tensor,
     turns its ReLU mask into 0.0 / 1.0, and reduces the mask weighted by
     the output gradient over j (left half) and over i (right half) with one
     batched product per head; the output weight scales those sums after
-    the reduction.  Both passes walk the leading axes in blocks of whole
+    the reduction, and its own gradient is read off them and the two
+    projections.  Both passes walk the leading axes in blocks of whole
     graphs through one reused buffer, so the transient hidden layer is one
     block, not the whole batch.
     """
@@ -724,14 +765,12 @@ def pairwise_mlp(alpha: Tensor,
 
     def back(g, alpha=alpha, heads=heads):
         g4 = g.reshape(rows, n, n, k)
-        g_w2 = np.zeros((width, k))
         g_left = np.empty((rows, n, width))
         g_right = np.empty((rows, n, width))
         for rs in blocks:
-            h = hidden_layer(rs)
+            live = hidden_layer(rs)
+            np.greater(live, 0.0, out=live)  # the ReLU mask as 0.0 / 1.0
             g_rs = g4[rs]
-            g_w2 += h.reshape(-1, width).T @ g_rs.reshape(-1, k)
-            live = np.greater(h, 0.0, out=h)  # the ReLU mask as 0.0 / 1.0
             for i in range(k):
                 cols = slice(i * hd, (i + 1) * hd)
                 g_ij = np.ascontiguousarray(g_rs[..., i])
@@ -742,6 +781,12 @@ def pairwise_mlp(alpha: Tensor,
                           out=g_left[rs, :, None, cols])
                 np.matmul(g_ji[:, :, None, :], live[..., cols].transpose(0, 2, 1, 3),
                           out=g_right[rs, :, None, cols])
+        # a live unit's hidden value is L_i + R_j, so Σ_ij g·hidden, the
+        # output weight's gradient, splits into Σ_i L_i·(Σ_j g·mask) +
+        # Σ_j R_j·(Σ_i g·mask): head i's (H, 1) block from the (rows, N, kH)
+        # sums, without another pass over the hidden layer
+        g_w2 = (np.einsum("rnu,rnu->u", left, g_left)
+                + np.einsum("rnu,rnu->u", right, g_right))
         # the output weight is constant over i and j, so it scales the sums
         g_left *= w2_all
         g_right *= w2_all
@@ -760,10 +805,119 @@ def pairwise_mlp(alpha: Tensor,
             cols = slice(i * hd, (i + 1) * hd)
             _accumulate(w1, np.concatenate([g_w_left[:, cols], g_w_right[:, cols]]))
             _accumulate(b1, g_b1[cols])
-            _accumulate(w2, g_w2[cols, i:i + 1])
+            _accumulate(w2, g_w2[cols, None])
             _accumulate(b2, g_b2[i:i + 1])
 
     parents = (alpha,) + tuple(p for head in heads for p in head)
+    return _make(out, parents, back)
+
+
+def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: Tensor,
+                 b_r: Tensor, b_u: Tensor, b_o: Tensor) -> Tensor:
+    """Run a GRU over M steps of per-node inputs: (B, M, N, C) → (B, M, N, H).
+
+    ``alpha0`` (B, N, H) is the initial state.  Each weight is (C + H, H):
+    its first C rows read the input γ, the rest the state α.  Step m is
+
+        r = σ([γ, α] W_r + b_r),   u = σ([γ, α] W_u + b_u),
+        o = tanh([γ, r ⊙ α] W_o + b_o),   α' = u ⊙ α + (1 − u) ⊙ o,
+
+    and the output stacks the M new states.  The γ half of all three gates
+    is one (B·M·N, C) × (C, 3H) GEMM before the loop, biases folded in; a
+    step then runs one (B·N, H) × (H, 2H) GEMM for r and u and one (H, H)
+    GEMM on r ⊙ α for o.  The backward pass runs back through time from the
+    stored gates and states, with only the two products with the state
+    weights' transposes in its loop; the weight, bias and γ gradients are
+    single GEMMs over all steps after it.  Per-step arrays are time-major,
+    so each step's slice is contiguous.
+    """
+    if gammas.ndim != 4 or alpha0.ndim != 3:
+        raise DimensionError(
+            f"gru_sequence needs (B, M, N, C) inputs and a (B, N, H) state, "
+            f"got {gammas.shape} and {alpha0.shape}"
+        )
+    b, m, n, c = gammas.shape
+    hd = alpha0.shape[-1]
+    if alpha0.shape != (b, n, hd) \
+            or any(w.shape != (c + hd, hd) for w in (w_r, w_u, w_o)) \
+            or any(v.shape != (hd,) for v in (b_r, b_u, b_o)):
+        raise DimensionError(
+            f"gru_sequence: state {alpha0.shape}, weights "
+            f"{[w.shape for w in (w_r, w_u, w_o)]} and biases "
+            f"{[v.shape for v in (b_r, b_u, b_o)]} do not fit {c} input "
+            f"channels over ({b}, {n}) nodes"
+        )
+    parents = (gammas, alpha0, w_r, w_u, w_o, b_r, b_u, b_o)
+    track = _active_tape() is not None and any(p.requires_grad for p in parents)
+    rows = b * n
+    w_in = np.concatenate([w_r.data[:c], w_u.data[:c], w_o.data[:c]], axis=1)
+    w_ru = np.concatenate([w_r.data[c:], w_u.data[c:]], axis=1)
+    w_oa = np.ascontiguousarray(w_o.data[c:])
+    gam = gammas.data.transpose(1, 0, 2, 3).reshape(m * rows, c)  # time-major
+    pre = (gam @ w_in + np.concatenate([b_r.data, b_u.data, b_o.data])).reshape(m, rows, 3 * hd)
+    states = np.empty((m + 1, rows, hd))
+    states[0] = alpha0.data.reshape(rows, hd)
+    # r ‖ u, o and r ⊙ α of every step for the backward pass; one reused
+    # slot when nothing is recorded
+    keep = m if track else 1
+    gates = np.empty((keep, rows, 2 * hd))
+    cand = np.empty((keep, rows, hd))
+    gated = np.empty((keep, rows, hd))
+    for t in range(m):
+        k = t if track else 0
+        a, ru, o, ra = states[t], gates[k], cand[k], gated[k]
+        np.matmul(a, w_ru, out=ru)
+        ru += pre[t, :, :2 * hd]
+        # σ as in ``sigmoid``: exp(-|x|) never overflows
+        e = np.exp(-np.abs(ru))
+        num = np.where(ru >= 0, 1.0, e)
+        e += 1.0
+        np.divide(num, e, out=ru)
+        r, u = ru[:, :hd], ru[:, hd:]
+        np.multiply(r, a, out=ra)
+        np.matmul(ra, w_oa, out=o)
+        o += pre[t, :, 2 * hd:]
+        np.tanh(o, out=o)
+        nxt = states[t + 1]
+        np.multiply(u, a, out=nxt)
+        nxt += (1.0 - u) * o
+    out = np.ascontiguousarray(states[1:].reshape(m, b, n, hd).transpose(1, 0, 2, 3))
+
+    def back(g):
+        g_tm = g.transpose(1, 0, 2, 3).reshape(m, rows, hd)
+        prev, r, u = states[:-1], gates[..., :hd], gates[..., hd:]
+        # each gate's local derivative, for all steps at once; only the
+        # recurrence itself runs step by step
+        k_o = (1.0 - u) * (1.0 - cand * cand)  # ∂α'/∂o_pre
+        k_r = prev * r * (1.0 - r)  # ∂(r ⊙ α)/∂r_pre
+        k_u = (prev - cand) * u * (1.0 - u)  # ∂α'/∂u_pre
+        d_pre = np.empty((m, rows, 3 * hd))
+        carry = np.zeros((rows, hd))
+        for t in reversed(range(m)):
+            dh = g_tm[t] + carry
+            d_ru, d_o = d_pre[t, :, :2 * hd], d_pre[t, :, 2 * hd:]
+            np.multiply(dh, k_o[t], out=d_o)
+            d_ra = d_o @ w_oa.T
+            np.multiply(d_ra, k_r[t], out=d_ru[:, :hd])
+            np.multiply(dh, k_u[t], out=d_ru[:, hd:])
+            carry = dh * u[t]
+            carry += d_ra * r[t]
+            carry += d_ru @ w_ru.T
+        _accumulate(alpha0, carry.reshape(b, n, hd))
+        d_flat = d_pre.reshape(-1, 3 * hd)
+        if gammas.requires_grad:
+            d_gam = (d_flat @ w_in.T).reshape(m, b, n, c).transpose(1, 0, 2, 3)
+            _accumulate(gammas, d_gam)
+        g_in = gam.T @ d_flat
+        g_ru = states[:-1].reshape(-1, hd).T @ d_flat[:, :2 * hd]
+        g_oa = gated.reshape(-1, hd).T @ d_flat[:, 2 * hd:]
+        g_bias = d_flat.sum(axis=0)
+        for i, (w, v, g_a) in enumerate(((w_r, b_r, g_ru[:, :hd]), (w_u, b_u, g_ru[:, hd:]),
+                                         (w_o, b_o, g_oa))):
+            cols = slice(i * hd, (i + 1) * hd)
+            _accumulate(w, np.concatenate([g_in[:, cols], g_a]))
+            _accumulate(v, g_bias[cols])
+
     return _make(out, parents, back)
 
 
@@ -781,14 +935,14 @@ def broadcast_leading(x: Tensor, n: int) -> Tensor:
 # Regularisation / normalisation
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: zero with probability ``rate``, scale survivors."""
+    """Inverted dropout: zero with probability ``rate``, scale survivors.
+
+    In eval mode, or at rate 0, it is the identity and returns ``x`` itself.
+    """
     if not 0.0 <= rate < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        def back_id(g, x=x):
-            _accumulate(x, g)
-
-        return _make(x.data.copy(), (x,), back_id)
+        return x
     if rng is None:
         raise ContractError("dropout in training mode needs an rng")
     keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)

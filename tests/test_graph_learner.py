@@ -12,7 +12,6 @@ from evograph.graph_learner import (
     SegmentSpec,
     StaticFeatureExtractor,
     export_graphs,
-    segment_aggregate,
 )
 from evograph.nn import ParamStore
 from evograph.rng import RngSource
@@ -46,21 +45,26 @@ class TestSegments:
 
     def test_aggregate_shapes(self):
         xi = rand(2, 13, 5, 3)
-        gammas, spec = segment_aggregate(xi, 4)
-        assert len(gammas) == 3
-        assert all(g.shape == (2, 5, 3) for g in gammas)
+        spec = SegmentSpec.for_length(13, 4)
+        gammas = T.segment_mean(xi, spec.boundaries)
+        assert spec.m == 3
+        assert gammas.shape == (2, 3, 5, 3)
 
     def test_aggregate_constant(self):
         xi = Tensor(np.full((1, 12, 4, 2), 7.0))
-        gammas, _ = segment_aggregate(xi, 4)
-        for g in gammas:
-            assert np.allclose(g.data, 7.0)
+        gammas = T.segment_mean(xi, SegmentSpec.for_length(12, 4).boundaries)
+        assert np.allclose(gammas.data, 7.0)
 
     def test_aggregate_means(self):
         vals = np.arange(8.0).reshape(1, 8, 1, 1)
-        gammas, _ = segment_aggregate(Tensor(vals), 4)
-        assert gammas[0].data.item() == 1.5
-        assert gammas[1].data.item() == 5.5
+        gammas = T.segment_mean(Tensor(vals), SegmentSpec.for_length(8, 4).boundaries)
+        assert gammas.data[0, 0].item() == 1.5
+        assert gammas.data[0, 1].item() == 5.5
+
+
+def run_gru(cell, gammas, alpha0):
+    return T.gru_sequence(gammas, alpha0, cell.w_r, cell.w_u, cell.w_o,
+                          cell.b_r, cell.b_u, cell.b_o)
 
 
 class TestGru:
@@ -70,22 +74,20 @@ class TestGru:
         for p in st.params.values():
             p.data[:] = 0.0
         h = rand(2, 5, 4, seed=1)
-        out = cell.step(rand(2, 5, 3, seed=2), h)
-        assert np.allclose(out.data, 0.5 * h.data)
+        out = run_gru(cell, rand(2, 1, 5, 3, seed=2), h)
+        assert np.allclose(out.data[:, 0], 0.5 * h.data)
 
     def test_zero_hidden_zero_params(self):
         st = store()
         cell = GruCell(st, "gru", 3, 4)
         for p in st.params.values():
             p.data[:] = 0.0
-        out = cell.step(rand(1, 5, 3, seed=3), Tensor(np.zeros((1, 5, 4))))
+        out = run_gru(cell, rand(1, 1, 5, 3, seed=3), Tensor(np.zeros((1, 5, 4))))
         assert np.allclose(out.data, 0.0)
 
     def test_state_stays_bounded(self):
         cell = GruCell(store(1), "gru", 2, 3)
-        h = Tensor(np.zeros((1, 4, 3)))
-        for i in range(50):
-            h = cell.step(rand(1, 4, 2, seed=i), h)
+        h = run_gru(cell, rand(1, 50, 4, 2, seed=0), Tensor(np.zeros((1, 4, 3))))
         # convex mix of previous state and tanh keeps |h| < 1 forever
         assert np.all(np.abs(h.data) < 1.0)
 
@@ -243,6 +245,22 @@ class TestEvolve:
         for m in range(2):
             assert np.array_equal(s1.matrices[m].data, s2.matrices[m].data)
         assert not np.array_equal(s1.matrices[2].data, s2.matrices[2].data)
+
+    def test_one_record_per_extra_segment(self):
+        # the whole recurrence is one record; only the per-segment view in
+        # ``matrices`` grows with M
+        egl = self.make(3)
+        alpha_s = Tensor(np.random.default_rng(20).normal(size=(5, 5)), requires_grad=True)
+
+        def records(t):
+            xi = Tensor(np.random.default_rng(21).normal(size=(2, t, 5, 3)), requires_grad=True)
+            with T.Tape() as tape:
+                seq = egl.evolve(xi, alpha_s, d=2)
+            return len(tape), seq.spec.m
+
+        (short, m_short), (long, m_long) = records(8), records(16)
+        assert (m_short, m_long) == (4, 8)
+        assert long - short == 4
 
     def test_static_sequence(self):
         egl = self.make(2)

@@ -171,20 +171,30 @@ class TestPerSegment:
 def per_segment_reference(egl, mh, xi, alpha_s, d, graph_input=None, time_offset=0):
     """The per-segment algorithm, one small op chain per segment.
 
-    Each segment's mean is its own narrow and mean, each GRU state is scored
-    on its own, and each segment's features are narrowed and propagated
-    through that segment's (B, N, N) graph; the parts are concatenated.
-    Graphs are learned on ``graph_input`` (``xi`` by default), which spans
-    [0, T_g) while ``xi`` spans [time_offset, time_offset + T).
+    Each segment's mean is its own narrow and mean, each GRU step is its own
+    op chain over [γ, α], each GRU state is scored on its own, and each
+    segment's features are narrowed and propagated through that segment's
+    (B, N, N) graph; the parts are concatenated.  Graphs are learned on
+    ``graph_input`` (``xi`` by default), which spans [0, T_g) while ``xi``
+    spans [time_offset, time_offset + T).
     """
     src = xi if graph_input is None else graph_input
     spec = SegmentSpec.for_length(src.shape[1], d)
     alpha = T.broadcast_leading(egl.init_hidden(alpha_s), xi.shape[0])
     lo, hi = time_offset, time_offset + xi.shape[1]
+    g = egl.gru
+
+    def gate(cat, w, b, act):
+        return act(T.bias_add(T.matmul(cat, w), b))
+
     parts = []
     for start, stop in spec.boundaries:
         gamma = T.reduce_mean(T.narrow(src, 1, start, stop - start), axis=1)
-        alpha = egl.gru.step(gamma, alpha)
+        cat = T.concat([gamma, alpha], axis=2)
+        r = gate(cat, g.w_r, g.b_r, T.sigmoid)
+        u = gate(cat, g.w_u, g.b_u, T.sigmoid)
+        o = gate(T.concat([gamma, T.mul(r, alpha)], axis=2), g.w_o, g.b_o, T.tanh)
+        alpha = T.add(T.mul(u, alpha), T.mul(1.0 - u, o))
         scores = T.pairwise_mlp(alpha, egl.heads)  # (B, N, N, 2)
         square = scores.shape[:-1]
         a_hat = T.relu(T.reshape(T.narrow(scores, -1, 0, 1), square))

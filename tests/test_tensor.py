@@ -1,3 +1,5 @@
+import platform
+import resource
 import threading
 
 import numpy as np
@@ -413,6 +415,82 @@ class TestPairwiseMlp:
             T.pairwise_mlp(t(np.zeros((4, self.C))), [])
 
 
+class TestGruSequence:
+    C, H, N = 2, 3, 4
+
+    def inputs(self, b, m, seed=0):
+        rng = np.random.default_rng(seed)
+        gammas = t(rng.normal(size=(b, m, self.N, self.C)))
+        alpha0 = t(np.tanh(rng.normal(size=(b, self.N, self.H))))
+        weights = [t(rng.normal(size=(self.C + self.H, self.H))) for _ in range(3)]
+        biases = [t(rng.normal(size=self.H)) for _ in range(3)]
+        return [gammas, alpha0] + weights + biases
+
+    @staticmethod
+    def reference(gammas, alpha, w_r, w_u, w_o, b_r, b_u, b_o):
+        """One step at a time: [γ, α] concatenated, one GEMM → bias →
+        activation chain per gate, the states stacked."""
+        def gate(cat, w, b, act):
+            return act(T.bias_add(T.matmul(cat, w), b))
+
+        states = []
+        for m in range(gammas.shape[1]):
+            gamma = T.select(gammas, 1, m)
+            cat = T.concat([gamma, alpha], axis=2)
+            r = gate(cat, w_r, b_r, T.sigmoid)
+            u = gate(cat, w_u, b_u, T.sigmoid)
+            o = gate(T.concat([gamma, T.mul(r, alpha)], axis=2), w_o, b_o, T.tanh)
+            alpha = T.add(T.mul(u, alpha), T.mul(1.0 - u, o))
+            states.append(alpha)
+        return T.stack(states, axis=1)
+
+    @pytest.mark.parametrize("b, m", [(1, 1), (1, 4), (2, 3)])
+    def test_gradcheck(self, b, m):
+        args = self.inputs(b, m, seed=b + m)
+        weights = Tensor(np.random.default_rng(5).normal(size=(b, m, self.N, self.H)))
+        names = ("gammas", "alpha0", "w_r", "w_u", "w_o", "b_r", "b_u", "b_o")
+        assert_gradients_close(
+            lambda: T.reduce_sum(T.mul(T.gru_sequence(*args), weights)),
+            dict(zip(names, args)),
+        )
+
+    def test_matches_step_reference(self):
+        args = self.inputs(3, 6, seed=7)
+        weights = Tensor(np.random.default_rng(8).normal(size=(3, 6, self.N, self.H)))
+
+        def run(fn):
+            with Tape() as tape:
+                out = fn(*args)
+                loss = T.reduce_sum(T.mul(out, weights))
+            tape.backward(loss)
+            return out.data, [a.grad.copy() for a in args]
+
+        out, grads = run(T.gru_sequence)
+        ref_out, ref_grads = run(self.reference)
+        assert out.shape == (3, 6, self.N, self.H)
+        assert np.max(np.abs(out - ref_out)) <= 1e-12 * np.max(np.abs(ref_out))
+        for g, ref in zip(grads, ref_grads):
+            assert np.any(ref != 0)
+            assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_no_grad_same_values_no_record(self):
+        args = self.inputs(2, 5, seed=9)
+        with Tape() as tape:
+            recorded = T.gru_sequence(*args)
+            with no_grad():
+                plain = T.gru_sequence(*args)
+        assert len(tape) == 1
+        assert not plain.requires_grad
+        assert np.array_equal(plain.data, recorded.data)
+
+    def test_bad_shapes(self):
+        args = self.inputs(1, 2)
+        with pytest.raises(DimensionError, match="input channels"):
+            T.gru_sequence(t(np.zeros((1, 2, self.N, self.C + 1))), *args[1:])
+        with pytest.raises(DimensionError, match="state"):
+            T.gru_sequence(args[0], t(np.zeros((1, self.N))), *args[2:])
+
+
 class TestDropout:
     def test_rate_zero_identity(self):
         x = t(np.ones(10))
@@ -423,6 +501,13 @@ class TestDropout:
         x = t(np.random.default_rng(0).normal(size=100))
         out = T.dropout(x, 0.9, training=False)
         assert np.array_equal(out.data, x.data)
+
+    def test_inference_returns_input_unrecorded(self):
+        x = t(np.random.default_rng(1).normal(size=(2, 3, 4, 5)))
+        with Tape() as tape:
+            out = T.dropout(x, 0.3, training=False)
+        assert out is x
+        assert len(tape) == 0
 
     def test_survivor_fraction(self):
         rng = np.random.default_rng(7)
@@ -436,6 +521,20 @@ class TestDropout:
     def test_needs_rng(self):
         with pytest.raises(ContractError):
             T.dropout(t(np.ones(3)), 0.5, training=True)
+
+
+class TestHeap:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator only")
+    def test_freed_memory_is_reused_without_faults(self):
+        # 96 MB in blocks below the mmap threshold, freed together, as at the
+        # end of a training step: trimmed off the heap, touching it again
+        # would fault in its 24k pages one by one
+        blocks = [np.ones(3 << 20) for _ in range(4)]
+        del blocks
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        blocks = [np.ones(3 << 20) for _ in range(4)]
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 1000
 
 
 class TestLayerNorm:
