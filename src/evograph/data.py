@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -75,23 +76,35 @@ class CsvLayout:
     n_channels: int = 1
 
 
+# cells converted per np.array call in load_csv: as str objects about
+# 9 MB, as float64 1 MB
+_CSV_BLOCK_CELLS = 1 << 17
+
+
 def load_csv(path, layout: CsvLayout | None = None) -> TimeSeriesDataset:
-    """Parse a CSV of shape T×(N·C) into a dataset, with cell-level errors."""
+    """Parse a CSV of shape T×(N·C) into a dataset, with cell-level errors.
+
+    Rows are read as a stream and converted a block of about 131k cells at
+    a time, so the str cells of only one block are alive at once.
+    """
     layout = layout or CsvLayout()
     path = Path(path)
     if not path.exists():
         raise LoadError(f"no such file: {path}")
+    blocks: list[Array] = []
     with open(path, newline="") as fh:
-        lines = list(csv.reader(fh))
-    rows = [row for row in lines if row]
-    if not rows:
+        # (CSV line number, row) of every non-blank row
+        numbered = ((i, row) for i, row in enumerate(csv.reader(fh), start=1) if row)
+        rows = 1  # the first block is the first row, which sets the width
+        while block := list(itertools.islice(numbered, rows)):
+            width = blocks[0].shape[1] if blocks else None
+            blocks.append(_parse_block(path, block, width))
+            del block  # before the next block's cells are read
+            rows = max(1, _CSV_BLOCK_CELLS // blocks[0].shape[1])
+    if not blocks:
         raise LoadError(f"{path}: no data rows")
-    try:
-        # numpy parses each str cell with Python's float()
-        flat = np.array(rows, dtype=np.float64)  # T × (N·C)
-    except ValueError:
-        _raise_bad_row(path, lines)
-        raise
+    flat = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)  # T × (N·C)
+    del blocks
     c = layout.n_channels
     if flat.shape[1] % c:
         raise LoadError(f"{path}: {flat.shape[1]} columns not divisible by C={c}")
@@ -115,24 +128,35 @@ def load_csv(path, layout: CsvLayout | None = None) -> TimeSeriesDataset:
     return TimeSeriesDataset(values, node_ids, granularity=granularity, name=name)
 
 
-def _raise_bad_row(path: Path, lines: list[list[str]]) -> None:
+def _parse_block(path: Path, rows: list[tuple[int, list[str]]], width: int | None) -> Array:
+    """Convert numbered rows to a float array ``width`` cells wide (any
+    width for the first block)."""
+    try:
+        # numpy parses each str cell with Python's float()
+        block = np.array([row for _, row in rows], dtype=np.float64)
+    except ValueError:
+        _raise_bad_row(path, rows, width)
+        raise
+    if width is not None and block.shape[1] != width:
+        _raise_bad_row(path, rows, width)
+    return block
+
+
+def _raise_bad_row(path: Path, rows: list[tuple[int, list[str]]], width: int | None) -> None:
     """Raise the LoadError for the first non-numeric cell or ragged row;
     row numbers count every CSV line, blank ones included."""
-    width = None
-    for i, row in enumerate(lines):
-        if not row:
-            continue
+    for number, row in rows:
         for j, cell in enumerate(row):
             try:
                 float(cell)
             except ValueError:
                 raise LoadError(
-                    f"{path}: non-numeric value {cell!r} at row {i + 1}, column {j + 1}"
+                    f"{path}: non-numeric value {cell!r} at row {number}, column {j + 1}"
                 ) from None
         if width is None:
             width = len(row)
         elif len(row) != width:
-            raise LoadError(f"{path}: row {i + 1} has {len(row)} cells, expected {width}")
+            raise LoadError(f"{path}: row {number} has {len(row)} cells, expected {width}")
 
 
 def save_csv(dataset: TimeSeriesDataset, path) -> None:

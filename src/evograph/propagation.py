@@ -11,6 +11,9 @@ features are viewed as (B, M, d, N, C) and each hop is one batched product
 with the (B, M, 1, N, N) graphs broadcast over the d steps of their segment
 (for d = 1 simply (B, T, N, N) against (B, T, N, C)).  A longer last
 segment takes one more call.  No per-step copy of the graphs is made.
+
+Each call runs all Ψ hops and Ψ + 1 projections as one :func:`tensor.mixhop`
+record, which keeps only the Ψ hop states for the backward pass.
 """
 
 from __future__ import annotations
@@ -52,16 +55,13 @@ class MixHop:
 
         ``adj`` has the ndim of ``xi``, with leading axes that broadcast
         against it: (B, T, N, N) or (B, 1, N, N) for (B, T, N, C), and
-        (B, M, 1, N, N) for (B, M, d, N, C).
+        (B, M, 1, N, N) for (B, M, d, N, C).  One tape record; besides its
+        output and parents it retains the Ψ hop states, each the size of
+        ``xi``, and nothing beyond the hop in flight when unrecorded.
         """
         if np.any(adj.data < 0):
             raise ContractError("adjacency has negative entries")
-        h = xi
-        out = T.matmul(h, self.hop_proj[0])
-        for k in range(1, self.psi + 1):
-            h = T.add(T.mul(xi, self.beta), T.mul(T.matmul(adj, h), 1.0 - self.beta))
-            out = T.add(out, T.matmul(h, self.hop_proj[k]))
-        return out
+        return T.mixhop(xi, adj, self.hop_proj, self.beta)
 
     def apply_per_segment(self, xi: Tensor, graphs: EvolvingGraphSequence,
                           time_offset: int = 0) -> Tensor:

@@ -148,31 +148,6 @@ def generate(spec: RegimeSpec, n: int, t: int, seed: int,
     return dataset, truth
 
 
-def random_coupling(n: int, rng: np.random.Generator, row_sum: float = 0.9,
-                    density: float = 0.4) -> Array:
-    """Random sparse nonnegative matrix with rows scaled to ``row_sum`` (< 1)."""
-    if not 0 < row_sum < 1:
-        raise ConfigurationError(f"row_sum must be in (0,1), got {row_sum}")
-    raw = rng.random((n, n)) * (rng.random((n, n)) < density)
-    np.fill_diagonal(raw, 0.0)
-    for i in range(n):
-        if raw[i].sum() == 0:
-            raw[i, rng.integers(n - 1)] = 1.0
-            if raw[i, i] > 0:  # keep the diagonal empty
-                raw[i, i], raw[i, (i + 1) % n] = 0.0, raw[i, i]
-    return raw / raw.sum(axis=1, keepdims=True) * row_sum
-
-
-def ring_coupling(n: int, strength: float = 0.9, reverse: bool = False,
-                  shift: int = 1) -> Array:
-    """Directed ring: node i driven by node i+shift (negated when reversed)."""
-    a = np.zeros((n, n))
-    for i in range(n):
-        j = (i - shift) % n if reverse else (i + shift) % n
-        a[i, j] = strength
-    return a
-
-
 def cluster_coupling(n: int, hub: int, members, strength: float = 0.9,
                      self_loop: float = 0.9) -> Array:
     """Star over a subset of nodes: ``members`` follow ``hub``, which follows
@@ -256,10 +231,6 @@ class RecoveryScore:
     majority: list[int]               # active regime per learned segment
     degenerate: list[bool]
     flip_segment: int | None = None   # first segment whose best regime differs
-
-    @property
-    def active_alignment(self) -> Array:
-        return self.alignments[np.arange(len(self.majority)), self.majority]
 
 
 def _offdiag(a: Array) -> Array:

@@ -23,11 +23,13 @@ compute forward values only.
 Design constraints: float64 everywhere; no implicit broadcasting between
 tensors (scalar * tensor excepted) — shape adaptation happens through
 explicit ops (``bias_add``, ``broadcast_leading``) so every backward rule
-stays auditable.  Two ops are fused, each one tape record with a
+stays auditable.  Three ops are fused, each one tape record with a
 hand-written backward: :func:`pairwise_mlp` scores all node pairs without
 materialising the pair tensor and recomputes its hidden layer in the
-backward pass instead of storing it, and :func:`gru_sequence` runs a whole
-GRU recurrence, back-propagating through time from its stored gates.
+backward pass instead of storing it, :func:`gru_sequence` runs a whole
+GRU recurrence, back-propagating through time from its stored gates, and
+:func:`mixhop` runs every hop and projection of mix-hop graph propagation,
+keeping only the hop states.
 """
 
 from __future__ import annotations
@@ -917,6 +919,103 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
             cols = slice(i * hd, (i + 1) * hd)
             _accumulate(w, np.concatenate([g_in[:, cols], g_a]))
             _accumulate(v, g_bias[cols])
+
+    return _make(out, parents, back)
+
+
+def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float) -> Tensor:
+    """Mix-hop propagation of depth Ψ = len(weights) − 1: Σₖ Hₖ Wₖ.
+
+    H₀ = ξ and Hₖ = β·ξ + (1 − β)·Â·Hₖ₋₁.  ``xi`` is (..., N, C_in),
+    ``adj`` (..., N, N) with leading axes that broadcast against ξ's (such
+    as (B, 1, N, N) or (B, M, 1, N, N) against (B, M, d, N, C)), and each
+    weight is (C_in, C_out).  The forward pass runs the hops in place with
+    β·ξ computed once, in the operation order of the per-hop op chain, and
+    keeps H₁ … H_Ψ for the backward pass (nothing beyond the hop in flight
+    when unrecorded).  The backward pass runs dHₖ = g·Wₖᵀ + (1 − β)·Âᵀ·dHₖ₊₁
+    down the hops.  Each weight gradient is one flat GEMM over all rows, and
+    the adjacency gradient is folded over the broadcast leading axes by
+    :func:`_summed_matmul`.  Operands that need no gradient get none.
+    """
+    if not weights:
+        raise DimensionError("mixhop needs at least one projection weight")
+    if xi.ndim < 2 or adj.ndim < 2:
+        raise DimensionError(f"mixhop: features {xi.shape} and adjacency {adj.shape} "
+                             f"need at least 2 dimensions")
+    n, c_in = xi.shape[-2:]
+    c_out = weights[0].shape[-1]
+    try:
+        lead = np.broadcast_shapes(adj.shape[:-2], xi.shape[:-2])
+    except ValueError:
+        lead = None
+    if adj.shape[-2:] != (n, n) or lead != xi.shape[:-2]:
+        raise DimensionError(f"mixhop: adjacency {adj.shape} does not fit features {xi.shape}")
+    if any(w.shape != (c_in, c_out) for w in weights):
+        raise DimensionError(
+            f"mixhop: weights {[w.shape for w in weights]} do not all map "
+            f"{c_in} to {c_out} channels"
+        )
+    parents = (xi, adj) + tuple(weights)
+    track = _active_tape() is not None and any(p.requires_grad for p in parents)
+    beta = float(beta)
+    keep = 1.0 - beta
+    x, a = xi.data, adj.data
+    hops = [x]  # H₀ … H_Ψ when recorded
+    out = np.matmul(x, weights[0].data)
+    if len(weights) > 1:
+        retained = x * beta
+        h = x
+        for w in weights[1:]:
+            h = np.matmul(a, h)
+            h *= keep
+            h += retained
+            out += np.matmul(h, w.data)
+            if track:
+                hops.append(h)
+
+    def back(g):
+        # the projections act on the channel axis alone, so their gradients
+        # are flat (rows, C) GEMMs
+        g2 = g.reshape(-1, c_out)
+        for w, hk in zip(weights, hops):
+            if w.requires_grad:
+                _accumulate(w, hk.reshape(-1, c_in).T @ g2)
+        if not (xi.requires_grad or adj.requires_grad):
+            return
+
+        def projected_back(k: int) -> Array:
+            return (g2 @ weights[k].data.T).reshape(xi.shape)
+
+        def graph_back(d: Array) -> Array:
+            """(1 − β)·Âᵀ·d"""
+            out = np.matmul(a_t, d)
+            out *= keep
+            return out
+
+        a_t = np.swapaxes(a, -1, -2)
+        g_x = projected_back(0) if xi.requires_grad else None
+        g_adj = None
+        d = None  # dHₖ₊₁ on the way down
+        for k in range(len(weights) - 1, 0, -1):
+            dk = projected_back(k)
+            if d is not None:
+                dk += graph_back(d)
+            if adj.requires_grad:
+                term = _summed_matmul(dk, np.swapaxes(hops[k - 1], -1, -2), adj.shape)
+                if g_adj is None:
+                    g_adj = term
+                else:
+                    g_adj += term
+            if g_x is not None and beta:
+                g_x += beta * dk
+            d = dk
+        if g_x is not None:
+            if d is not None:
+                g_x += graph_back(d)
+            _accumulate(xi, g_x)
+        if g_adj is not None:
+            g_adj *= keep
+            _accumulate(adj, g_adj)
 
     return _make(out, parents, back)
 

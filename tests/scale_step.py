@@ -1,0 +1,62 @@
+"""One single-step training step at scale, as a memory guard.
+
+Builds the single-step preset at N nodes (default 64) and runs one
+training step (forward, backward, Adam) on a batch of B random windows
+(default 16) with a random 600-step reference series, on one BLAS thread.
+It prints the step's forward and backward times and the peak resident size,
+and exits non-zero if the step fails, a MemoryError included.  Run it
+under an address-space cap to check that the step fits::
+
+    (ulimit -v 3670016; PYTHONPATH=src python tests/scale_step.py --nodes 64)
+
+pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import resource  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from evograph import tensor as T  # noqa: E402
+from evograph.config import single_step_preset  # noqa: E402
+from evograph.model import Model  # noqa: E402
+from evograph.optim import Adam  # noqa: E402
+from evograph.trainer import loss_tensor  # noqa: E402
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--nodes", type=int, default=64)
+    parser.add_argument("--batch", type=int, default=16)
+    args = parser.parse_args()
+
+    config = single_step_preset(args.nodes)
+    model = Model(config)
+    rng = np.random.default_rng(0)
+    model.set_reference_series(rng.normal(size=(args.nodes, 600, config.n_channels)))
+    x = rng.normal(size=(args.batch, config.window, args.nodes, config.n_channels))
+    opt = Adam(model.parameters())
+
+    t0 = time.perf_counter()
+    with T.Tape() as tape:
+        pred, _ = model.forward(x, training=True, rng=rng)
+        loss = loss_tensor(pred, rng.normal(size=pred.shape), "mae")
+    t1 = time.perf_counter()
+    tape.backward(loss)
+    opt.step()
+    t2 = time.perf_counter()
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"N={args.nodes} B={args.batch}: forward {t1 - t0:.2f} s, "
+          f"backward and Adam {t2 - t1:.2f} s, peak RSS {peak_mb:.0f} MB")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,5 +1,6 @@
 import csv
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,36 @@ class TestCsv:
         f = tmp_path / "d.csv"
         f.write_text(",".join(cells) + "\n" + ",".join(cells) + "\n")
         assert load_csv(f).values[:, 0, 0].tolist() == [float(c) for c in cells]
+
+    def test_blocks_keep_row_numbers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data, "_CSV_BLOCK_CELLS", 4)  # two 2-cell rows per block
+        f = tmp_path / "d.csv"
+        lines = ["1,2", "", "3,4", "5,6", "", "7,8", "9,10", "11,12"]
+        f.write_text("\n".join(lines) + "\n")
+        assert load_csv(f).values[0, :, 0].tolist() == [1.0, 3.0, 5.0, 7.0, 9.0, 11.0]
+        lines[6] = "9,x"
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LoadError, match="'x' at row 7, column 2"):
+            load_csv(f)
+        # a whole block one cell wider converts, but does not fit the first
+        lines[5:7] = ["7,8,0", "9,10,0"]
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(LoadError, match="row 6 has 3 cells, expected 2"):
+            load_csv(f)
+
+    def test_transient_peak_bounded(self, tmp_path):
+        f = tmp_path / "d.csv"
+        values = np.random.default_rng(0).normal(size=(20_000, 32))
+        np.savetxt(f, values, delimiter=",", fmt="%.17g")
+        tracemalloc.start()
+        try:
+            ds = load_csv(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(ds.values[:, :, 0], values.T)
+        # every cell held as a str until one conversion peaks near 11x
+        assert peak < 4 * ds.values.nbytes
 
     def test_multichannel_columns(self, tmp_path):
         f = tmp_path / "d.csv"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -257,3 +259,26 @@ class TestSegmentBatching:
         for k, g in grads.items():
             assert np.max(np.abs(g - ref_grads[k])) <= 1e-12 * scale, k
         assert all(np.any(ref_grads[k] != 0) for k in leaves if ".mask." in k or ".gru." in k)
+
+
+class TestRetention:
+    def test_tape_holds_hops_only(self):
+        # what one recorded propagation keeps alive: the output and the Ψ hop
+        # states, each the size of ξ when C_in = C_out, plus the normalized
+        # graphs, a quarter of that at N = 4, C = 16
+        psi, c = 2, 16
+        mh = MixHop(store(12), "mh", c, c, psi=psi, beta=0.05)
+        xi = rand(2, 16, 4, c, seed=19)
+        xi.requires_grad = True
+        mats = Tensor(np.random.default_rng(20).random((2, 16, 4, 4)), requires_grad=True)
+        seq = EvolvingGraphSequence.from_stack(mats, SegmentSpec.for_length(16, 1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with T.Tape() as tape:
+                out = mh.apply_per_segment(xi, seq)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape) > 0 and out.shape == xi.shape
+        assert held <= (psi + 2) * xi.data.nbytes

@@ -491,6 +491,89 @@ class TestGruSequence:
             T.gru_sequence(args[0], t(np.zeros((1, self.N))), *args[2:])
 
 
+class TestMixhop:
+    N, C_IN, C_OUT = 3, 2, 4
+
+    # (features, adjacency): one graph per step, one graph for all steps,
+    # and one graph per segment of d steps
+    SHAPES = [((2, 3, N, C_IN), (2, 3, N, N)),
+              ((2, 3, N, C_IN), (2, 1, N, N)),
+              ((2, 2, 3, N, C_IN), (2, 2, 1, N, N))]
+
+    def inputs(self, xi_shape, adj_shape, psi, seed=0):
+        rng = np.random.default_rng(seed)
+        xi = t(rng.normal(size=xi_shape))
+        adj = t(rng.random(adj_shape))
+        weights = [t(rng.normal(size=(self.C_IN, self.C_OUT))) for _ in range(psi + 1)]
+        return xi, adj, weights
+
+    @staticmethod
+    def reference(xi, adj, weights, beta):
+        """The per-hop op chain: a product, two scalings and a sum per hop,
+        then a projection and a sum."""
+        h = xi
+        out = T.matmul(h, weights[0])
+        for w in weights[1:]:
+            h = T.add(T.mul(xi, beta), T.mul(T.matmul(adj, h), 1.0 - beta))
+            out = T.add(out, T.matmul(h, w))
+        return out
+
+    @pytest.mark.parametrize("beta", [0.0, 0.05, 1.0])
+    @pytest.mark.parametrize("psi", [0, 1, 2])
+    @pytest.mark.parametrize("xi_shape, adj_shape", SHAPES)
+    def test_gradcheck(self, xi_shape, adj_shape, psi, beta):
+        xi, adj, weights = self.inputs(xi_shape, adj_shape, psi, seed=psi)
+        target = Tensor(np.random.default_rng(9).normal(size=xi_shape[:-1] + (self.C_OUT,)))
+        tensors = {"xi": xi, "adj": adj}
+        tensors.update((f"w{k}", w) for k, w in enumerate(weights))
+        assert_gradients_close(
+            lambda: T.reduce_sum(T.mul(T.mixhop(xi, adj, weights, beta), target)),
+            tensors,
+        )
+
+    @pytest.mark.parametrize("xi_shape, adj_shape", SHAPES)
+    def test_matches_hop_reference(self, xi_shape, adj_shape):
+        xi, adj, weights = self.inputs(xi_shape, adj_shape, psi=2, seed=4)
+        target = Tensor(np.random.default_rng(5).normal(size=xi_shape[:-1] + (self.C_OUT,)))
+        leaves = [xi, adj] + weights
+
+        def run(fn):
+            with Tape() as tape:
+                out = fn(xi, adj, weights, 0.05)
+                loss = T.reduce_sum(T.mul(out, target))
+            tape.backward(loss)
+            return out.data, [p.grad.copy() for p in leaves]
+
+        out, grads = run(T.mixhop)
+        ref_out, ref_grads = run(self.reference)
+        assert np.array_equal(out, ref_out)
+        scale = max(np.max(np.abs(g)) for g in ref_grads)
+        for g, ref in zip(grads, ref_grads):
+            assert np.any(ref != 0)
+            assert np.max(np.abs(g - ref)) <= 1e-12 * scale
+
+    def test_no_grad_same_values_no_record(self):
+        xi, adj, weights = self.inputs(*self.SHAPES[2], psi=2, seed=6)
+        with Tape() as tape:
+            recorded = T.mixhop(xi, adj, weights, 0.05)
+            with no_grad():
+                plain = T.mixhop(xi, adj, weights, 0.05)
+        assert len(tape) == 1
+        assert not plain.requires_grad
+        assert np.array_equal(plain.data, recorded.data)
+
+    def test_bad_shapes(self):
+        xi, adj, weights = self.inputs(*self.SHAPES[0], psi=1)
+        with pytest.raises(DimensionError, match="adjacency"):
+            T.mixhop(xi, t(np.ones((2, 3, self.N, self.N + 1))), weights, 0.5)
+        with pytest.raises(DimensionError, match="adjacency"):
+            T.mixhop(t(np.ones((2, 1, self.N, self.C_IN))), adj, weights, 0.5)
+        with pytest.raises(DimensionError, match="channels"):
+            T.mixhop(xi, adj, [weights[0], t(np.ones((self.C_IN, 1)))], 0.5)
+        with pytest.raises(DimensionError, match="at least one"):
+            T.mixhop(xi, adj, [], 0.5)
+
+
 class TestDropout:
     def test_rate_zero_identity(self):
         x = t(np.ones(10))
