@@ -37,6 +37,10 @@ def gradient_errors(
 ) -> dict[str, float]:
     """Worst normalized error between analytic and numeric gradient per tensor.
 
+    The tensors must be leaves of ``loss_fn``'s graph (requires_grad tensors
+    it reads but does not produce): ``Tape.backward`` leaves gradients on
+    leaves only.
+
     A coordinate passes when |a − n| ≤ max(rel_tol·|n|, abs_tol), so the
     returned value is |a − n| / max(|n|, abs_tol / rel_tol): compare it
     against rel_tol.

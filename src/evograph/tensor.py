@@ -16,9 +16,12 @@ along the channel axis.  Both passes are one GEMM per kernel tap over a
 Gradients are recorded on an explicit :class:`Tape`. Each operation
 appends one record holding the output tensor, its parents and a backward
 closure; because records are appended in execution order the tape is
-already topologically sorted, and :meth:`Tape.backward` simply replays it
-in reverse. Outside an active tape (or under :func:`no_grad`) operations
-compute forward values only.
+already topologically sorted, and :meth:`Tape.backward` replays it once,
+in reverse, popping each record as it runs it.  A record's saved arrays and
+its output's gradient are freed as soon as the record has run, so only
+leaves (requires_grad tensors the tape did not produce) keep a gradient.
+Outside an active tape (or under :func:`no_grad`) operations compute
+forward values only.
 
 Design constraints: float64 everywhere; no implicit broadcasting between
 tensors (scalar * tensor excepted) — shape adaptation happens through
@@ -93,20 +96,26 @@ _GRAD_ENABLED: ContextVar[bool] = ContextVar("evograph_grad_enabled", default=Tr
 
 
 class Tape:
-    """Ordered record of differentiable operations.
+    """Ordered record of differentiable operations, replayed once.
 
     Usage::
 
         with Tape() as tape:
             loss = ...   # ops executed here are recorded
         tape.backward(loss)
+
+    :meth:`backward` releases the graph as it replays it: each record, with
+    the arrays its closure saved, is dropped once it has run, and gradients
+    are left on leaves only.  ``len(tape)`` stays the number of records made.
     """
 
-    __slots__ = ("_records",)
+    __slots__ = ("_records", "_count", "_replayed")
 
     def __init__(self) -> None:
         # each record: (output, parents tuple, backward closure)
         self._records: list[tuple["Tensor", tuple["Tensor", ...], Callable]] = []
+        self._count = 0
+        self._replayed = False
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
@@ -118,18 +127,25 @@ class Tape:
         _TAPE_STACK.set(stack[:-1])
 
     def __len__(self) -> int:
-        return len(self._records)
+        return self._count
 
     def _record(self, out: "Tensor", parents: tuple["Tensor", ...], fn: Callable) -> None:
         self._records.append((out, parents, fn))
+        self._count += 1
 
     def backward(self, loss: "Tensor") -> None:
         """Populate ``grad`` for every requires_grad leaf on this tape.
 
-        Leaves reachable from ``loss`` receive d(loss)/d(leaf); recorded
-        requires_grad leaves that do not influence ``loss`` get a zero
-        gradient buffer.
+        Leaves are the requires_grad tensors the tape reads but did not
+        produce.  Those reachable from ``loss`` receive d(loss)/d(leaf);
+        those that do not influence ``loss`` get a zero gradient buffer.
+        Tensors the tape produced end with ``grad`` None: each record, and
+        its output's gradient, is released as soon as it has run, so the
+        tape can be replayed only once.
         """
+        if self._replayed:
+            raise ContractError("backward already ran on this tape, which released its "
+                                "records as it replayed them; record the loss again")
         if loss.data.size != 1:
             raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
         produced = {id(out) for out, _, _ in self._records}
@@ -147,11 +163,17 @@ class Tape:
                     p.grad = None
                     leaves.append(p)
         loss.grad = np.ones_like(loss.data)
+        self._replayed = True
 
-        for out, _, fn in reversed(self._records):
-            if out.grad is None:
-                continue
-            fn(out.grad)
+        # popping a record drops its closure and what it saved; taking the
+        # output's gradient means an intermediate's gradient lives only
+        # from its last consumer's backward to its own
+        records = self._records
+        while records:
+            out, _, fn = records.pop()
+            g, out.grad = out.grad, None
+            if g is not None:
+                fn(g)
 
         for leaf in leaves:
             if leaf.grad is None:
@@ -408,7 +430,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def back(g, a=a, b=b):
         if a.requires_grad:
-            _accumulate(a, _summed_matmul(g, np.swapaxes(b.data, -1, -2), a.shape))
+            if b.ndim == 2:
+                # a plain weight: one flat GEMM over all of a's rows
+                _accumulate(a, (g.reshape(-1, b.shape[1]) @ b.data.T).reshape(a.shape))
+            else:
+                _accumulate(a, _summed_matmul(g, np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
             _accumulate(b, _summed_matmul(np.swapaxes(a.data, -1, -2), g, b.shape))
 
@@ -1044,12 +1070,14 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
         return x
     if rng is None:
         raise ContractError("dropout in training mode needs an rng")
-    keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
+    # a boolean mask, an eighth of x's bytes, is what the tape keeps; both
+    # passes rebuild the float scale from it
+    mask = rng.random(x.shape) >= rate
 
-    def back(g, x=x, keep=keep):
-        _accumulate(x, g * keep)
+    def back(g, x=x, mask=mask):
+        _accumulate(x, g * (mask / (1.0 - rate)))
 
-    return _make(x.data * keep, (x,), back)
+    return _make(x.data * (mask / (1.0 - rate)), (x,), back)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:

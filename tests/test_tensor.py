@@ -1,14 +1,18 @@
 import platform
 import resource
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from evograph import tensor as T
+from evograph.config import multi_step_preset, single_step_preset
 from evograph.errors import ContractError, DimensionError, SequenceTooShortError
 from evograph.gradcheck import assert_gradients_close, gradient_errors
+from evograph.model import Model
 from evograph.tensor import Tape, Tensor, no_grad
+from evograph.trainer import loss_tensor
 
 
 def t(data, rg=True):
@@ -79,6 +83,23 @@ class TestMatmul:
         assert np.allclose(a.grad, want, rtol=1e-13, atol=1e-13)
         assert np.allclose(b.grad, np.matmul(np.swapaxes(a.data, -1, -2), g),
                            rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("a_shape", [(6, 3), (4, 5, 3, 6), (2, 3, 4, 5, 6)])
+    def test_plain_weight_gradient_matches_summed_product(self, a_shape):
+        # a batched operand against a 2-D weight takes its gradient as one
+        # flat GEMM; a transposed cotangent reaches it non-contiguous
+        rng = np.random.default_rng(4)
+        a, b = t(rng.normal(size=a_shape)), t(rng.normal(size=(a_shape[-1], 7)))
+        g = rng.normal(size=a_shape[:-1] + (7,))
+        axes = tuple(reversed(range(len(a_shape))))
+        with Tape() as tape:
+            out = T.transpose(T.matmul(a, b), axes)
+            loss = T.reduce_sum(T.mul(out, Tensor(g.transpose(axes))))
+        tape.backward(loss)
+        want = T._summed_matmul(g, b.data.T, a.shape)
+        assert np.max(np.abs(a.grad - want)) <= 1e-12 * np.max(np.abs(want))
+        assert_gradients_close(lambda: T.reduce_sum(T.mul(T.matmul(a, b), Tensor(g))),
+                               {"a": a, "b": b})
 
 
 class TestConv1d:
@@ -605,6 +626,26 @@ class TestDropout:
         with pytest.raises(ContractError):
             T.dropout(t(np.ones(3)), 0.5, training=True)
 
+    def test_boolean_mask_matches_float_mask(self):
+        rng = np.random.default_rng(8)
+        x = t(rng.normal(size=(4, 50, 3, 16)))
+        w = rng.normal(size=x.shape)
+        keep = (np.random.default_rng(9).random(x.shape) >= 0.3).astype(np.float64) / 0.7
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                before = tracemalloc.get_traced_memory()[0]
+                out = T.dropout(x, 0.3, training=True, rng=np.random.default_rng(9))
+                held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held <= x.data.nbytes // 8 + 4096
+        with tape:
+            loss = T.reduce_sum(T.mul(out, Tensor(w)))
+        tape.backward(loss)
+        assert np.array_equal(out.data, x.data * keep)
+        assert np.array_equal(x.grad, w * keep)
+
 
 class TestHeap:
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's allocator only")
@@ -780,6 +821,90 @@ class TestBackward:
             th.join(timeout=10)
             assert not th.is_alive()
         assert got == {"b": 1, "b_untaped": False, "a": 0}
+
+    def test_len_counts_records_after_backward(self):
+        x = t([1.0, 2.0])
+        with Tape() as tape:
+            loss = T.reduce_sum(T.tanh(T.mul(x, x)))
+        assert len(tape) == 3
+        tape.backward(loss)
+        assert len(tape) == 3
+        assert not tape._records
+
+    def test_second_backward_rejected(self):
+        x = t([1.0, 2.0])
+        with Tape() as tape:
+            loss = T.reduce_sum(T.mul(x, x))
+        tape.backward(loss)
+        with pytest.raises(ContractError, match="already ran"):
+            tape.backward(loss)
+
+    @staticmethod
+    def retaining_backward(tape, loss):
+        """Replay without releasing anything: every gradient stays put."""
+        produced = {id(out) for out, _, _ in tape._records}
+        leaves = [p for _, parents, _ in tape._records for p in parents
+                  if p.requires_grad and id(p) not in produced]
+        for out, _, _ in tape._records:
+            out.grad = None
+        for p in leaves:
+            p.grad = None
+        loss.grad = np.ones_like(loss.data)
+        for out, _, fn in reversed(tape._records):
+            if out.grad is not None:
+                fn(out.grad)
+        for p in leaves:
+            if p.grad is None:
+                p.grad = np.zeros_like(p.data)
+
+    @pytest.mark.parametrize("preset", [single_step_preset, multi_step_preset])
+    def test_leaf_gradients_match_retaining_replay(self, preset):
+        config = preset(4, seed=2)
+        model = Model(config)
+        rng = np.random.default_rng(5)
+        model.set_reference_series(rng.normal(size=(4, 300, config.n_channels)))
+        for p in model.parameters().values():
+            p.data = p.data + 0.3 * rng.normal(size=p.shape)
+        x = rng.normal(size=(2, config.window, 4, config.n_channels))
+        target = rng.normal(size=model.predict(x).shape)
+
+        def step():
+            with Tape() as tape:
+                pred, _ = model.forward(x, training=True, rng=np.random.default_rng(6))
+                loss = loss_tensor(pred, target, "mae")
+            return tape, loss
+
+        tape, loss = step()
+        self.retaining_backward(tape, loss)
+        want = {k: p.grad.copy() for k, p in model.parameters().items()}
+        tape, loss = step()
+        outs = [out for out, _, _ in tape._records]
+        tape.backward(loss)
+        for k, p in model.parameters().items():
+            assert np.array_equal(p.grad, want[k]), k
+        assert all(out.grad is None for out in outs)
+
+    def test_backward_releases_the_chain(self):
+        # k scalings of an X-byte array: the forward tape holds k·X; keeping
+        # every intermediate gradient as well would peak near 2k·X
+        k = 8
+        x = t(np.random.default_rng(13).normal(size=1 << 17))
+        nbytes = x.data.nbytes
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                z = x
+                for i in range(k):
+                    z = T.mul(z, 1.0 + 1.0 / (i + 2))
+                loss = T.reduce_sum(z)
+            del z
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (k + 3) * nbytes
+        assert x.grad.shape == x.shape
 
     def test_transpose_reshape_broadcast(self):
         rng = np.random.default_rng(12)
