@@ -92,7 +92,7 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigurationError(f"config file not found: {p}")
     try:
         return ExperimentConfig.from_json(p.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"config file {p} is not valid JSON: {exc}") from None
 
 

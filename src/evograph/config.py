@@ -4,15 +4,43 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, field
 
 from .data import SCALER_MODES, SplitSpec
 from .errors import ConfigurationError
-from .temporal import receptive_field
 
 VARIANTS = ("full", "static_only", "no_scale_specific", "shared_evolution")
 TASKS = ("single", "multi")
 LOSSES = ("mae", "mse")
+_NUMBERS = {"int": (int, numbers.Integral), "float": (float, numbers.Real)}
+
+
+def _is_number(value, kind: str) -> bool:
+    """``value`` is of type ``kind`` ("int" or "float") as JSON reads it; a bool is not."""
+    return isinstance(value, _NUMBERS[kind][1]) and not isinstance(value, bool)
+
+
+def _section(d, what: str) -> dict:
+    """``d`` itself, if it is the JSON object a config section must be."""
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{what} must be a JSON object, got {d!r}")
+    return d
+
+
+def _as_tuple(name: str, values, kind: str) -> tuple:
+    """A JSON list of ``kind`` numbers as a tuple of Python numbers."""
+    if not isinstance(values, (list, tuple)) or not all(_is_number(v, kind) for v in values):
+        raise ConfigurationError(f"{name} must be a list of {kind}s, got {values!r}")
+    return tuple(_NUMBERS[kind][0](v) for v in values)
+
+
+def _check_numbers(cfg) -> None:
+    """Reject a string, bool, list or null where a field declares a number."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type in _NUMBERS and not _is_number(value, f.type):
+            raise ConfigurationError(f"{f.name} must be of type {f.type}, got {value!r}")
 
 
 @dataclass
@@ -40,11 +68,12 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.intervals = tuple(int(d) for d in self.intervals)
-        self.filter_sizes = tuple(int(k) for k in self.filter_sizes)
+        self.intervals = _as_tuple("intervals", self.intervals, "int")
+        self.filter_sizes = _as_tuple("filter_sizes", self.filter_sizes, "int")
         self.validate()
 
     def validate(self) -> None:
+        _check_numbers(self)
         problems = []
         if self.task not in TASKS:
             problems.append(f"task must be one of {TASKS}, got {self.task!r}")
@@ -83,8 +112,10 @@ class ModelConfig:
             problems.append(f"beta must be in [0,1], got {self.beta}")
         if not 0.0 <= self.dropout < 1.0:
             problems.append(f"dropout must be in [0,1), got {self.dropout}")
-        if self.filter_sizes and self.dilation_rate >= 1 and self.n_layers >= 1:
-            need = receptive_field(self.filter_sizes, self.dilation_rate, self.n_layers)
+        # one interval per layer bounds the layer loop by the config's size
+        layers_ok = len(self.intervals) == self.n_layers >= 1
+        if self.filter_sizes and self.dilation_rate >= 1 and layers_ok:
+            need = self.window - self.layer_lengths()[-1] + 1
             if self.window < need:
                 problems.append(
                     f"window={self.window} shorter than the receptive field "
@@ -107,7 +138,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
+        d = dict(_section(d, "model config"))
         # configs and checkpoints of earlier versions carry the retired
         # switch; only its one implemented value is accepted
         if d.pop("normalize_adjacency", True) is not True:
@@ -143,10 +174,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.seeds is not None:
-            self.seeds = tuple(int(s) for s in self.seeds)
+            self.seeds = _as_tuple("seeds", self.seeds, "int")
         self.validate()
 
     def validate(self) -> None:
+        _check_numbers(self)
         problems = []
         if self.lr <= 0:
             problems.append(f"lr must be > 0, got {self.lr}")
@@ -169,7 +201,7 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         # "repeats" of earlier versions was never read: --repeats sets it
-        d = {k: v for k, v in d.items() if k != "repeats"}
+        d = {k: v for k, v in _section(d, "train config").items() if k != "repeats"}
         names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - names
         if unknown:
@@ -187,7 +219,9 @@ class ExperimentConfig:
     split: tuple[float, float, float] = (0.6, 0.2, 0.2)
 
     def __post_init__(self):
-        self.split = tuple(float(f) for f in self.split)
+        self.split = _as_tuple("split", self.split, "float")
+        if len(self.split) != 3:
+            raise ConfigurationError(f"split needs 3 fractions, got {self.split}")
         SplitSpec(*self.split)  # validates fractions
         if self.scaler_mode not in SCALER_MODES:
             raise ConfigurationError(f"unknown scaler mode {self.scaler_mode!r}")
@@ -209,7 +243,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         known = {"model", "train", "scaler_mode", "split"}
-        unknown = set(d) - known
+        unknown = set(_section(d, "config")) - known
         if unknown:
             raise ConfigurationError(f"unknown experiment keys: {sorted(unknown)}")
         if "model" not in d:
@@ -218,7 +252,7 @@ class ExperimentConfig:
             model=ModelConfig.from_dict(d["model"]),
             train=TrainConfig.from_dict(d.get("train", {})),
             scaler_mode=d.get("scaler_mode", "max-abs"),
-            split=tuple(d.get("split", (0.6, 0.2, 0.2))),
+            split=d.get("split", (0.6, 0.2, 0.2)),
         )
 
     @classmethod

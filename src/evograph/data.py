@@ -116,10 +116,18 @@ def load_csv(path, layout: CsvLayout | None = None) -> TimeSeriesDataset:
     node_ids = None
     sidecar = path.with_name(path.name + SIDECAR_SUFFIX)
     if sidecar.exists():
-        meta = json.loads(sidecar.read_text())
+        try:
+            meta = json.loads(sidecar.read_bytes())
+        except ValueError as exc:
+            raise LoadError(f"sidecar {sidecar} is not valid JSON: {exc}") from None
+        if not isinstance(meta, dict):
+            raise LoadError(f"sidecar {sidecar} is not a JSON object")
         name = meta.get("name", name)
         granularity = meta.get("granularity", granularity)
         node_ids = meta.get("node_ids")
+        if node_ids is not None and not (
+                isinstance(node_ids, list) and all(isinstance(i, str) for i in node_ids)):
+            raise LoadError(f"sidecar {sidecar}: node_ids must be a list of strings")
         for key, actual in (("N", n), ("T", flat.shape[0]), ("C", c)):
             if key in meta and meta[key] != actual:
                 raise LoadError(f"{path}: sidecar {key}={meta[key]} but file has {actual}")

@@ -374,7 +374,11 @@ def load_checkpoint(path) -> tuple[Model, dict]:
     for key in ("config", "params", "reference_series"):
         if not isinstance(blob.get(key), dict):
             raise LoadError(f"checkpoint {path} has no {key!r} object")
-    model = Model(ModelConfig.from_dict(blob["config"]))
+    try:
+        config = ModelConfig.from_dict(blob["config"])
+    except ConfigurationError as exc:
+        raise LoadError(f"checkpoint {path} has a bad config: {exc}") from None
+    model = Model(config)
     saved = blob["params"]
     expected = set(model.store.params)
     if set(saved) != expected:

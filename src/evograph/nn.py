@@ -56,19 +56,19 @@ class Conv1d:
     """Causal valid 1-D convolution layer over channel-last (B, T, ..., C_in) inputs.
 
     The kernel is stored as (C_out, C_in, k); the bias is added by the
-    convolution itself, along the last axis.
+    convolution itself, along the last axis.  It runs as a one-kernel bank.
     """
 
     def __init__(self, store: ParamStore, name: str, c_in: int, c_out: int,
                  k: int, dilation: int = 1, stride: int = 1):
-        self.k = k
         self.dilation = dilation
         self.stride = stride
         self.kernel = store.new(f"{name}.kernel", (c_out, c_in, k), fan_in=c_in * k)
         self.bias = store.new(f"{name}.bias", (c_out,), fan_in=c_in * k)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv1d(x, self.kernel, self.bias, dilation=self.dilation, stride=self.stride)
+        return T.conv1d(x, [self.kernel], [self.bias], dilation=self.dilation,
+                        stride=self.stride)
 
 
 class LayerNorm:

@@ -9,9 +9,12 @@ Slices (:func:`narrow`, :func:`select`) are views of their input, and
 their backward adds into the input's gradient buffer in place.
 
 :func:`conv1d` works on channel-last (B, T, ..., C) input, the layout the
-model's (B, T, N, C) sequences already have, and adds its optional bias
-along the channel axis.  Both passes are one GEMM per kernel tap over a
-(B, T_out·…, C) view of the input, so no im2col copy is made.
+model's (B, T, N, C) sequences already have.  It takes a bank of kernels
+of possibly different widths, all aligned on the most recent sample, with
+optional biases, and concatenates their outputs along the channel axis, so
+a whole inception layer is one record.  Both passes are one GEMM per tap
+of the widest kernel over a (B, T_out·…, C) view of the input, so no
+im2col copy is made.
 
 Gradients are recorded on an explicit :class:`Tape`. Each operation
 appends one record holding the output tensor, its parents and a backward
@@ -38,6 +41,7 @@ keeping only the hop states.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import math
 import sys
 from contextlib import contextmanager
@@ -478,80 +482,90 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     return _make(x.data + b.data, (x, b), back)
 
 
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor | None = None,
+def conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | None = None,
            dilation: int = 1, stride: int = 1) -> Tensor:
-    """Causal valid 1-D convolution over channel-last input.
+    """Causal valid 1-D convolution of channel-last input with a kernel bank.
 
-    ``x`` has shape (B, T, ..., C_in) with time on axis 1; ``kernel`` has
-    shape (C_out, C_in, k); the optional ``bias`` (C_out,) is added along
-    the last axis.  The output is (B, T_out, ..., C_out) with
-    ``T_out = (T - (k-1)*dilation - 1) // stride + 1``; with stride 1 that
-    is exactly ``T - (k-1)*dilation``.  Tap 0 of the kernel aligns with the
-    most recent sample, so output step j sees inputs at positions
-    ``j*stride + (k-1)*dilation - dilation*tau``.
+    ``x`` has shape (B, T, ..., C_in) with time on axis 1.  Kernel j has
+    shape (C_j, C_in, k_j) and the optional bias j (C_j,); the outputs of
+    the kernels are concatenated in order along the last axis, so the
+    output is (B, T_out, ..., ΣC_j) with
+    ``T_out = (T - (k_max-1)*dilation - 1) // stride + 1``; with stride 1
+    that is exactly ``T - (k_max-1)*dilation``.  Tap 0 of every kernel
+    aligns with the most recent sample, so output step j sees inputs at
+    positions ``j*stride + (k_max-1)*dilation - dilation*tau``, and a
+    k-tap kernel acts as a k_max-tap kernel whose taps k..k_max−1 are zero.
 
     Each tap is one GEMM of a (B, T_out·…, C_in) view of the input against
-    the tap's (C_in, C_out) weight, accumulated in tap order.  The backward
-    pass runs the same per-tap GEMMs and adds each tap's input gradient into
-    a strided view of the input gradient.
+    the tap's (C_in, ΣC_j) weight, accumulated in tap order.  The backward
+    pass runs the same per-tap GEMMs, adds each tap's input gradient into a
+    strided view of the input gradient, and splits the weight and bias
+    gradients back per kernel.
     """
+    shapes = [k.shape for k in kernels]
     if dilation < 1 or stride < 1:
         raise DimensionError("conv1d: dilation and stride must be >= 1")
-    if kernel.ndim != 3:
-        raise DimensionError(f"conv1d: kernel must be 3-D, got {kernel.shape}")
-    c_out, c_in, k = kernel.shape
     if x.ndim < 3:
         raise DimensionError(f"conv1d: input must be (B, T, ..., C_in), got {x.shape}")
-    if x.shape[-1] != c_in:
-        raise DimensionError(
-            f"conv1d: input channels {x.shape[-1]} != kernel channels {c_in}"
-        )
-    if bias is not None and bias.shape != (c_out,):
-        raise DimensionError(f"conv1d: bias {bias.shape} does not match {c_out} output channels")
+    c_in = x.shape[-1]
+    if not shapes or any(len(sh) != 3 or sh[1] != c_in for sh in shapes):
+        raise DimensionError(f"conv1d: kernels {shapes} are not (C_j, {c_in}, k_j)")
+    if biases is not None and [b.shape for b in biases] != [sh[:1] for sh in shapes]:
+        raise DimensionError(f"conv1d: biases {[b.shape for b in biases]} do not match {shapes}")
+    k_max = max(sh[2] for sh in shapes)
     t = x.shape[1]
-    span = (k - 1) * dilation
+    span = (k_max - 1) * dilation
     if t <= span:
         raise SequenceTooShortError(
-            f"conv1d: input length {t} too short for kernel {k} with dilation {dilation}"
-            f" (needs > {span})"
+            f"conv1d: input length {t} too short for {k_max} taps with dilation "
+            f"{dilation} (needs ≥ {span + 1})"
         )
     t_out = (t - span - 1) // stride + 1
     win = (t_out - 1) * stride + 1
-    offsets = [span - dilation * tau for tau in range(k)]
+    offsets = [span - dilation * tau for tau in range(k_max)]
     n_batch = x.shape[0]
     tap_shape = (n_batch, t_out) + x.shape[2:-1]
     xd = np.ascontiguousarray(x.data)
-    # one contiguous (C_in, C_out) weight per tap
-    w = np.ascontiguousarray(kernel.data.transpose(2, 1, 0))
+    # one contiguous (C_in, ΣC_j) weight per tap; kernel j fills columns
+    # cols[j] of its first k_j taps
+    ends = list(itertools.accumulate(sh[0] for sh in shapes))
+    cols = [slice(end - sh[0], end) for sh, end in zip(shapes, ends)]
+    c_out = ends[-1]
+    w = np.zeros((k_max, c_in, c_out))
+    for k, col in zip(kernels, cols):
+        w[:k.shape[2], :, col] = k.data.transpose(2, 1, 0)
 
     def rows(off: int) -> Array:
         """(B, T_out·…, C_in) input rows read by the tap at ``off``; a view at stride 1."""
         return xd[:, off:off + win:stride].reshape(n_batch, -1, c_in)
 
     out = rows(offsets[0]) @ w[0]
-    for tau in range(1, k):
+    for tau in range(1, k_max):
         out += rows(offsets[tau]) @ w[tau]
-    if bias is not None:
-        out += bias.data
+    if biases is not None:
+        out += np.concatenate([b.data for b in biases])
 
-    def back(g, x=x, kernel=kernel, bias=bias):
+    def back(g, x=x, kernels=kernels, biases=biases):
         g2 = g.reshape(-1, c_out)
-        if kernel.requires_grad:
+        if any(k.requires_grad for k in kernels):
             g3 = g2.reshape(n_batch, -1, c_out)
             gw = np.empty_like(w)
             for tau, off in enumerate(offsets):
-                # (B, C_in, R) × (B, R, C_out), summed over the batch
+                # (B, C_in, R) × (B, R, ΣC_j), summed over the batch
                 gw[tau] = np.matmul(rows(off).transpose(0, 2, 1), g3).sum(axis=0)
-            _accumulate(kernel, gw.transpose(2, 1, 0))
+            for k, col in zip(kernels, cols):
+                _accumulate(k, gw[:k.shape[2], :, col].transpose(2, 1, 0))
         if x.requires_grad:
             gx = np.zeros_like(xd)
             for tau, off in enumerate(offsets):
                 gx[:, off:off + win:stride] += (g2 @ w[tau].T).reshape(tap_shape + (c_in,))
             _accumulate(x, gx)
-        if bias is not None:
-            _accumulate(bias, g2.sum(axis=0))
+        if biases is not None:
+            gb = g2.sum(axis=0)
+            for b, col in zip(biases, cols):
+                _accumulate(b, gb[col])
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
+    parents = (x, *kernels, *(biases or ()))
     return _make(out.reshape(tap_shape + (c_out,)), parents, back)
 
 

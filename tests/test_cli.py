@@ -16,7 +16,11 @@ def run_cli(capsys, *argv):
 
 
 class TestCheckpointErrors:
-    @pytest.mark.parametrize("text", ['{"version": 1}', "[]", "not json"])
+    @pytest.mark.parametrize("text", [
+        '{"version": 1}', "[]", "not json",
+        # a stored config that is not a valid ModelConfig is a bad checkpoint
+        '{"version": 1, "config": {"n_nodes": "8"}, "params": {}, "reference_series": {}}',
+    ])
     def test_evaluate_reports_bad_checkpoint_as_json(self, tmp_path, capsys, text):
         ck = tmp_path / "ck.bin"
         ck.write_text(text)
@@ -50,6 +54,38 @@ class TestArgumentErrors:
         assert code == cli.EXIT_CONFIG
         assert err["error"] == "ConfigurationError"
         assert err["exit_code"] == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("model", "n_nodes", "8"),
+        ("model", "beta", None),
+        ("model", "filter_sizes", 7),
+        ("model", "intervals", [4, 1.5]),
+        ("train", "lr", "0.01"),
+        ("train", None, [1]),
+        ("model", None, "single"),
+        (None, "split", [0.6, 0.2, 0.1, 0.1]),
+    ])
+    def test_wrong_typed_config_exits_2(self, tmp_path, capsys, section, key, value):
+        config = json.loads(ExperimentConfig(model=TINY).to_json())
+        if key is None:
+            config[section] = value
+        elif section is None:
+            config[key] = value
+        else:
+            config[section][key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, err = run_cli(capsys, "train", "--config", str(path),
+                            "--data", str(tmp_path / "unused.csv"), "--dry-run")
+        assert code == cli.EXIT_CONFIG
+        assert err["error"] == "ConfigurationError"
+        assert err["exit_code"] == cli.EXIT_CONFIG
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, err = run_cli(capsys, "train", "--config", str(path), "--data", "x.csv")
+        assert (code, err["error"]) == (cli.EXIT_CONFIG, "ConfigurationError")
 
     def test_scale_parsed_at_argument_time(self):
         parser = cli.build_parser()

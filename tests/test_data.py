@@ -134,6 +134,31 @@ class TestCsv:
         # every cell held as a str until one conversion peaks near 11x
         assert peak < 4 * ds.values.nbytes
 
+    @pytest.mark.parametrize("text, match", [
+        ("[]", "not a JSON object"),
+        ('"toy"', "not a JSON object"),
+        ("{not json", "not valid JSON"),
+        (b"\xff\xfe{", "not valid JSON"),
+        ('{"node_ids": 5}', "node_ids"),
+        ('{"node_ids": [0, 1, 2]}', "node_ids"),
+    ])
+    def test_malformed_sidecar_names_file(self, tmp_path, text, match):
+        save_csv(make_dataset(), tmp_path / "d.csv")
+        sidecar = tmp_path / "d.csv.meta.json"
+        if isinstance(text, bytes):
+            sidecar.write_bytes(text)
+        else:
+            sidecar.write_text(text)
+        with pytest.raises(LoadError, match=match) as err:
+            load_csv(tmp_path / "d.csv")
+        assert str(sidecar) in str(err.value)
+
+    def test_sidecar_shape_mismatch(self, tmp_path):
+        save_csv(make_dataset(3, 20), tmp_path / "d.csv")
+        (tmp_path / "d.csv.meta.json").write_text('{"N": 4}')
+        with pytest.raises(LoadError, match="sidecar N=4 but file has 3"):
+            load_csv(tmp_path / "d.csv")
+
     def test_multichannel_columns(self, tmp_path):
         f = tmp_path / "d.csv"
         # node-major: n0c0, n0c1, n1c0, n1c1

@@ -60,6 +60,8 @@ class TestConfig:
     def test_interval_count(self):
         with pytest.raises(ConfigurationError):
             tiny_config(intervals=(4,))
+        with pytest.raises(ConfigurationError, match="2 intervals"):
+            tiny_config(n_layers=10**9)  # rejected without walking 10⁹ layers
 
     def test_unknown_variant(self):
         with pytest.raises(ConfigurationError):
@@ -373,6 +375,19 @@ class TestCheckpoint:
         blob[key] = value
         path.write_text(json.dumps(blob))
         with pytest.raises(LoadError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_nodes", "8"), ("intervals", 4), ("dropout", [0.3]),
+        ("window", 3), ("bogus", 1),
+    ])
+    def test_bad_stored_config(self, tmp_path, key, value):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(tiny_model(), path)
+        blob = json.loads(path.read_bytes())
+        blob["config"][key] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(LoadError, match=key):
             load_checkpoint(path)
 
     def test_loads_old_training_state_keys(self, tmp_path):

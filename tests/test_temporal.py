@@ -6,13 +6,7 @@ from evograph.errors import ConfigurationError, SequenceTooShortError
 from evograph.gradcheck import gradient_errors
 from evograph.nn import ParamStore
 from evograph.rng import RngSource
-from evograph.temporal import (
-    DilatedInception,
-    TcnLayer,
-    gated_fusion,
-    layer_dilation,
-    receptive_field,
-)
+from evograph.temporal import TcnLayer, gated_fusion, layer_dilation
 from evograph.tensor import Tensor
 
 
@@ -42,37 +36,27 @@ class TestDilation:
 
 class TestInception:
     def test_paper_single_step_length(self):
-        inc = DilatedInception(store(), "inc", 1, 16, (2, 3, 6, 7), dilation=1)
-        out = inc(rand(1, 168, 3, 1))
+        layer = TcnLayer(store(), "tcn", 1, 16, (2, 3, 6, 7), dilation=1)
+        out = layer(rand(1, 168, 3, 1))
         assert out.shape == (1, 162, 3, 16)
 
     def test_pointwise_filter_keeps_length(self):
-        inc = DilatedInception(store(), "inc", 2, 4, (1,), dilation=1)
-        assert inc(rand(1, 9, 3, 2)).shape == (1, 9, 3, 4)
+        layer = TcnLayer(store(), "tcn", 2, 4, (1,), dilation=1)
+        assert layer(rand(1, 9, 3, 2)).shape == (1, 9, 3, 4)
 
     def test_two_filter_multi_step_length(self):
-        inc = DilatedInception(store(), "inc", 1, 8, (2, 6), dilation=1)
-        assert inc(rand(1, 12, 4, 1)).shape == (1, 7, 4, 8)
+        layer = TcnLayer(store(), "tcn", 1, 8, (2, 6), dilation=1)
+        assert layer(rand(1, 12, 4, 1)).shape == (1, 7, 4, 8)
 
     def test_too_short_names_minimum(self):
-        inc = DilatedInception(store(), "inc", 1, 4, (2, 7), dilation=2)
-        with pytest.raises(SequenceTooShortError, match="13"):
-            inc(rand(1, 12, 3, 1))
+        layer = TcnLayer(store(), "tcn", 1, 4, (2, 7), dilation=2)
+        with pytest.raises(SequenceTooShortError, match="needs ≥ 13"):
+            layer(rand(1, 12, 3, 1))
+        assert layer(rand(1, 13, 3, 1)).shape == (1, 1, 3, 4)
 
     def test_channel_divisibility_enforced(self):
         with pytest.raises(ConfigurationError):
-            DilatedInception(store(), "inc", 1, 10, (2, 3, 6, 7), dilation=1)
-
-    def test_branches_aligned_on_most_recent(self):
-        # a k=1 branch must present the same (most recent) time steps as k=3
-        st = store()
-        inc = DilatedInception(st, "inc", 1, 2, (1, 3), dilation=1)
-        st.params["inc.k1.kernel"].data[:] = 1.0
-        st.params["inc.k1.bias"].data[:] = 0.0
-        x = Tensor(np.arange(5.0).reshape(1, 5, 1, 1))
-        out = inc(x)
-        # channel 0 is the identity branch; truncated to last 3 steps
-        assert out.data[0, :, 0, 0].tolist() == [2.0, 3.0, 4.0]
+            TcnLayer(store(), "tcn", 1, 10, (2, 3, 6, 7), dilation=1)
 
 
 class TestGatedFusion:
@@ -129,7 +113,7 @@ class TestTcnLayer:
         # all-ones kernels / zero biases so a bump anywhere registers
         for p in st.params.values():
             p.data[:] = 1.0 if p.ndim == 3 else 0.0
-        r = receptive_field(filters, q, n_layers)
+        r = 1 + sum((max(filters) - 1) * q**i for i in range(n_layers))
         p_len = r + 4
         base = np.zeros((1, p_len, 2, 1))
 
@@ -172,6 +156,28 @@ class TestTcnLayer:
 
         errs = gradient_errors(loss, dict(st.params))
         assert max(errs.values()) <= 1e-4
+
+    @pytest.mark.parametrize("sizes", [(3,), (2, 6), (2, 3, 6, 7)])
+    def test_training_call_records(self, sizes):
+        # conv1d, two narrows, sigmoid, tanh, mul and dropout, whatever ω
+        layer = TcnLayer(store(), "tcn", 2, 4 * len(sizes), sizes, dilation=2, dropout=0.3)
+        x = rand(2, 16, 3, 2)
+        with T.Tape() as tape:
+            layer(x, training=True, rng=np.random.default_rng(0))
+        assert len(tape) == 7
+
+    def test_parameter_names_in_registration_order(self):
+        # the order checkpoints and the gradient-norm sum follow
+        st = store()
+        TcnLayer(st, "tcn", 2, 4, (2, 6), dilation=1)
+        assert list(st.params) == [
+            "tcn.filter.k2.kernel", "tcn.filter.k2.bias",
+            "tcn.filter.k6.kernel", "tcn.filter.k6.bias",
+            "tcn.gate.k2.kernel", "tcn.gate.k2.bias",
+            "tcn.gate.k6.kernel", "tcn.gate.k6.bias",
+        ]
+        assert st.params["tcn.gate.k6.kernel"].shape == (2, 2, 6)
+        assert st.params["tcn.gate.k6.bias"].shape == (2,)
 
     @pytest.mark.parametrize("sizes,d", [((2, 3, 6, 7), 2), ((2, 6), 1), ((3,), 1)])
     def test_matches_per_branch_reference(self, sizes, d):

@@ -103,42 +103,42 @@ class TestMatmul:
 
 
 class TestConv1d:
-    # channel-last: x is (B, T, ..., C_in), the kernel (C_out, C_in, k)
+    # channel-last: x is (B, T, ..., C_in), kernel j (C_j, C_in, k_j)
 
     def test_identity_kernel(self):
         x = t([[[1.0], [2.0], [3.0], [4.0]]])
         k = t(np.ones((1, 1, 1)))
-        assert T.conv1d(x, k).data.tolist() == [[[1.0], [2.0], [3.0], [4.0]]]
+        assert T.conv1d(x, [k]).data.tolist() == [[[1.0], [2.0], [3.0], [4.0]]]
 
     def test_dilated_pairs(self):
         # kernel [1,1], dilation 2 pairs (3,1) and (4,2)
         x = t([[[1.0], [2.0], [3.0], [4.0]]])
         k = t(np.ones((1, 1, 2)))
-        assert T.conv1d(x, k, dilation=2).data.tolist() == [[[4.0], [6.0]]]
+        assert T.conv1d(x, [k], dilation=2).data.tolist() == [[[4.0], [6.0]]]
 
     def test_length_law(self):
         x = t(np.zeros((1, 168, 1)))
         k = t(np.zeros((1, 1, 7)))
-        assert T.conv1d(x, k, dilation=2).shape == (1, 156, 1)
+        assert T.conv1d(x, [k], dilation=2).shape == (1, 156, 1)
 
     @pytest.mark.parametrize("tt,k,s", [(10, 3, 1), (10, 3, 4), (20, 7, 2), (5, 1, 3)])
     def test_length_law_param(self, tt, k, s):
         x = t(np.zeros((1, tt, 2)))
         kr = t(np.zeros((3, 2, k)))
-        assert T.conv1d(x, kr, dilation=s).shape == (1, tt - (k - 1) * s, 3)
+        assert T.conv1d(x, [kr], dilation=s).shape == (1, tt - (k - 1) * s, 3)
 
     def test_too_short(self):
         x = t(np.zeros((1, 4, 1)))
         k = t(np.zeros((1, 1, 3)))
         with pytest.raises(SequenceTooShortError):
-            T.conv1d(x, k, dilation=2)
+            T.conv1d(x, [k], dilation=2)
 
     def test_matches_manual_sum(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(1, 9, 2))
         k = rng.normal(size=(3, 2, 3))
         s = 2
-        out = T.conv1d(t(x), t(k), dilation=s).data
+        out = T.conv1d(t(x), [t(k)], dilation=s).data
         t_out = 9 - 2 * s
         for o in range(3):
             for j in range(t_out):
@@ -153,7 +153,7 @@ class TestConv1d:
         # stride subsamples output positions
         x = np.arange(10.0)[None, :, None]
         k = np.ones((1, 1, 2))
-        out = T.conv1d(t(x), t(k), stride=3).data
+        out = T.conv1d(t(x), [t(k)], stride=3).data
         assert out.tolist() == [[[1.0], [7.0], [13.0]]]
 
     def test_gradients(self):
@@ -161,7 +161,7 @@ class TestConv1d:
         x = t(rng.normal(size=(2, 8, 3)))
         k = t(rng.normal(size=(4, 3, 3)))
         assert_gradients_close(
-            lambda: T.reduce_sum(T.conv1d(x, k, dilation=2)), {"x": x, "k": k}
+            lambda: T.reduce_sum(T.conv1d(x, [k], dilation=2)), {"x": x, "k": k}
         )
 
     def test_strided_gradients(self):
@@ -169,7 +169,7 @@ class TestConv1d:
         x = t(rng.normal(size=(1, 12, 2)))
         k = t(rng.normal(size=(3, 2, 4)))
         assert_gradients_close(
-            lambda: T.reduce_sum(T.conv1d(x, k, stride=2)), {"x": x, "k": k}
+            lambda: T.reduce_sum(T.conv1d(x, [k], stride=2)), {"x": x, "k": k}
         )
 
     def test_four_d_bias_dilated_strided(self):
@@ -178,7 +178,7 @@ class TestConv1d:
         x = t(rng.normal(size=(2, 11, 3, 2)))
         k = t(rng.normal(size=(4, 2, 3)))
         b = t(rng.normal(size=(4,)))
-        out = T.conv1d(x, k, b, dilation=2, stride=2).data
+        out = T.conv1d(x, [k], [b], dilation=2, stride=2).data
         assert out.shape == (2, 4, 3, 4)
         for j in range(4):
             ref = b.data + sum(
@@ -187,18 +187,58 @@ class TestConv1d:
             assert np.allclose(out[:, j], ref, rtol=1e-12, atol=0.0)
         w = Tensor(rng.normal(size=out.shape))
         assert_gradients_close(
-            lambda: T.reduce_sum(T.mul(T.conv1d(x, k, b, dilation=2, stride=2), w)),
+            lambda: T.reduce_sum(T.mul(T.conv1d(x, [k], [b], dilation=2, stride=2), w)),
             {"x": x, "k": k, "b": b},
         )
 
     def test_shape_checks(self):
         k = t(np.zeros((2, 3, 2)))
         with pytest.raises(DimensionError):
-            T.conv1d(t(np.zeros((5, 3))), k)  # no batch axis
+            T.conv1d(t(np.zeros((5, 3))), [k])  # no batch axis
         with pytest.raises(DimensionError):
-            T.conv1d(t(np.zeros((1, 5, 2))), k)  # channel mismatch
+            T.conv1d(t(np.zeros((1, 5, 2))), [k])  # channel mismatch
         with pytest.raises(DimensionError):
-            T.conv1d(t(np.zeros((1, 5, 3))), k, t(np.zeros(3)))  # bias mismatch
+            T.conv1d(t(np.zeros((1, 5, 3))), [k], [t(np.zeros(3))])  # bias mismatch
+        with pytest.raises(DimensionError):
+            T.conv1d(t(np.zeros((1, 5, 3))), [])  # empty bank
+        with pytest.raises(DimensionError):
+            T.conv1d(t(np.zeros((1, 5, 3))), [k, k], [t(np.zeros(2))])  # one bias for two
+
+    def test_branches_aligned_on_most_recent(self):
+        # a 1-tap kernel must see the same (most recent) time steps as the
+        # 3-tap kernel beside it
+        x = t(np.arange(5.0).reshape(1, 5, 1, 1))
+        bank = [t(np.ones((1, 1, 1))), t(np.zeros((1, 1, 3)))]
+        out = T.conv1d(x, bank).data
+        assert out.shape == (1, 3, 1, 2)
+        # channel 0 is the identity kernel, truncated to the last 3 steps
+        assert out[0, :, 0, 0].tolist() == [2.0, 3.0, 4.0]
+
+    def test_bank_equals_zero_padded_kernels(self):
+        # kernel j acts as a k_max-tap kernel whose older taps are zero
+        rng = np.random.default_rng(8)
+        x = t(rng.normal(size=(2, 11, 3, 2)))
+        bank = [t(rng.normal(size=(c, 2, k))) for c, k in ((1, 1), (3, 3), (2, 2))]
+        biases = [t(rng.normal(size=(c,))) for c in (1, 3, 2)]
+        padded = np.concatenate(
+            [np.pad(k.data, ((0, 0), (0, 0), (0, 3 - k.shape[2]))) for k in bank])
+        want = T.conv1d(x, [t(padded)], [t(np.concatenate([b.data for b in biases]))],
+                        dilation=2, stride=2).data
+        assert np.array_equal(T.conv1d(x, bank, biases, dilation=2, stride=2).data, want)
+
+    def test_mixed_width_bank_gradients(self):
+        # a bank of kernels of widths 1, 3 and 2, each with a bias, dilated
+        rng = np.random.default_rng(9)
+        x = t(rng.normal(size=(2, 9, 3, 2)))
+        k1 = t(rng.normal(size=(2, 2, 1)))
+        k3 = t(rng.normal(size=(1, 2, 3)))
+        k2 = t(rng.normal(size=(2, 2, 2)))
+        b1, b3, b2 = (t(rng.normal(size=(c,))) for c in (2, 1, 2))
+        w = Tensor(rng.normal(size=(2, 5, 3, 5)))
+        assert_gradients_close(
+            lambda: T.reduce_sum(T.mul(T.conv1d(x, [k1, k3, k2], [b1, b3, b2], dilation=2), w)),
+            {"x": x, "k1": k1, "k3": k3, "k2": k2, "b1": b1, "b3": b3, "b2": b2},
+        )
 
 
 class TestElementwise:
