@@ -3,9 +3,11 @@ evolving graphs, with residual, skip, and output modules.
 
 Layer l turns Z⁽ˡ⁾ into temporal features ξ⁽ˡ⁾ (gated inception), learns a
 sequence of adjacency matrices from ξ⁽ˡ⁾ (variant-dependent), propagates
-per segment, layer-normalizes, and adds the time-aligned residual.  Skip
-projections collapse the raw input, every ξ⁽ˡ⁾, and the final state into a
-shared C_skip space feeding the two-layer output head.
+per segment, then layer-normalizes and adds the time-aligned residual in
+one op.  Skip projections collapse the raw input, every ξ⁽ˡ⁾, and the final
+state into a shared C_skip space feeding the two-layer output head; each
+reads its (B, T, N, C) branch directly, flattening each node's history only
+inside the op, so a branch's tape keeps no flattened copy.
 
 The layer loop exists once, in ``Model._branches``, a generator that yields
 each skip branch's input with its graphs and Z as it goes: ``forward``
@@ -188,9 +190,8 @@ class Model:
             else:
                 graphs = self.egls[layer].evolve(xi, alpha_s, d=c.intervals[layer])
             zp = self.mixhops[layer].apply_per_segment(xi, graphs, time_offset=offset)
-            zp = self.norms[layer](zp)
             keep = xi.shape[1]
-            z = T.add(zp, T.narrow(z, 1, z.shape[1] - keep, keep))
+            z = self.norms[layer](zp, T.narrow(z, 1, z.shape[1] - keep, keep))
             yield xi, graphs, z
 
     def forward(self, x, training: bool = False,
@@ -201,13 +202,13 @@ class Model:
         skips, trace_xi, trace_graphs, trace_z = [], [], [], []
         branches = self._branches(self._as_input(x), training, rng)
         for scale, (feats, graphs, z) in enumerate(branches):
-            skips.append(projs[scale](_flat(feats)))
+            skips.append(T.skip_linear(feats, projs[scale].w, projs[scale].b))
             if inspect:
                 trace_z.append(z)
                 if scale:
                     trace_xi.append(feats)
                     trace_graphs.append(graphs)
-        skips.append(self.skip_out(_flat(z)))
+        skips.append(T.skip_linear(z, self.skip_out.w, self.skip_out.b))
 
         agg = skips[0]
         for s in skips[1:]:
@@ -238,8 +239,8 @@ class Model:
         with T.no_grad():
             for branch, (feats, _, z) in enumerate(self._branches(self._as_input(x))):
                 if branch == scale:
-                    return _flat(feats).data
-            return _flat(z).data
+                    return _flat(feats.data)
+            return _flat(z.data)
 
     def graph_inspection(self, series,
                          batch_size: int = 128,
@@ -298,11 +299,11 @@ class Model:
         return pairs
 
 
-def _flat(x: Tensor) -> Tensor:
-    """(B, T, N, C) → (B, N, T·C): the full-width time collapse that a skip
-    projection consumes."""
+def _flat(x: np.ndarray) -> np.ndarray:
+    """(B, T, N, C) → (B, N, T·C): each node's history as the vector that
+    :func:`~evograph.tensor.skip_linear` projects."""
     b, t, n, c = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, n, t * c))
+    return x.transpose(0, 2, 1, 3).reshape(b, n, t * c)
 
 
 # ---------------------------------------------------------------------------

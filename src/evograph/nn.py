@@ -72,12 +72,12 @@ class Conv1d:
 
 
 class LayerNorm:
-    """Learnable layer normalisation along the last axis."""
+    """Learnable layer normalisation along the last axis, plus a residual."""
 
     def __init__(self, store: ParamStore, name: str, d: int, eps: float = 1e-8):
         self.gain = store.new_const(f"{name}.gain", np.ones(d))
         self.bias = store.new_const(f"{name}.bias", np.zeros(d))
         self.eps = eps
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gain, self.bias, eps=self.eps)
+    def __call__(self, x: Tensor, residual: Tensor) -> Tensor:
+        return T.layer_norm_residual(x, self.gain, self.bias, residual, eps=self.eps)

@@ -7,9 +7,10 @@ keeps the most recent steps.
 
 An inception bank is one causal convolution per filter size.  Its branches
 are aligned on the most recent sample and cut to the widest branch's output
-length, which :func:`~evograph.tensor.conv1d` does for a bank of kernels of
-different widths, so a :class:`TcnLayer` runs its filter and gate banks as
-one convolution.
+length, which the tensor module's convolutions do for a bank of kernels of
+different widths, so a :class:`TcnLayer` runs its filter and gate banks,
+their gating and dropout as one :func:`~evograph.tensor.gated_conv1d`
+record.
 """
 
 from __future__ import annotations
@@ -29,11 +30,6 @@ def layer_dilation(layer: int, q: int) -> int:
     return q ** (layer - 1)
 
 
-def gated_fusion(a: Tensor, b: Tensor) -> Tensor:
-    """σ(a) ⊙ tanh(b); output lies in (−1, 1) elementwise."""
-    return T.mul(T.sigmoid(a), T.tanh(b))
-
-
 class TcnLayer:
     """Filter and gate inception banks fused by σ·tanh gating, then dropout.
 
@@ -41,8 +37,8 @@ class TcnLayer:
     convolution of width k.  Parameters are registered as
     ``{name}.filter.k{k}.kernel`` and ``.bias`` per filter size, then the
     same for ``{name}.gate``; checkpoints and the gradient-norm sum follow
-    that order.  Both banks run as one :func:`~evograph.tensor.conv1d` call
-    with 2·c_out output channels, split in two for the gating.
+    that order.  Both banks run as one :func:`~evograph.tensor.gated_conv1d`
+    call with 2·c_out bank channels, split in two for the gating.
     """
 
     def __init__(self, store: ParamStore, name: str, c_in: int, c_out: int,
@@ -68,7 +64,5 @@ class TcnLayer:
     def __call__(self, x: Tensor, training: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
         """x: (B, T, N, C_in) → (B, T − (k_max − 1)·dilation, N, c_out)."""
-        y = T.conv1d(x, self.kernels, self.biases, dilation=self.dilation)
-        c = y.shape[-1] // 2
-        xi = gated_fusion(T.narrow(y, -1, 0, c), T.narrow(y, -1, c, c))
-        return T.dropout(xi, self.dropout, training=training, rng=rng)
+        return T.gated_conv1d(x, self.kernels, self.biases, self.dilation,
+                              self.dropout, training, rng)

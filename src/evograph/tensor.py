@@ -14,7 +14,7 @@ of possibly different widths, all aligned on the most recent sample, with
 optional biases, and concatenates their outputs along the channel axis, so
 a whole inception layer is one record.  Both passes are one GEMM per tap
 of the widest kernel over a (B, T_out·…, C) view of the input, so no
-im2col copy is made.
+im2col copy is made; :func:`gated_conv1d` runs the same bank code.
 
 Gradients are recorded on an explicit :class:`Tape`. Each operation
 appends one record holding the output tensor, its parents and a backward
@@ -29,13 +29,23 @@ forward values only.
 Design constraints: float64 everywhere; no implicit broadcasting between
 tensors (scalar * tensor excepted) — shape adaptation happens through
 explicit ops (``bias_add``, ``broadcast_leading``) so every backward rule
-stays auditable.  Three ops are fused, each one tape record with a
-hand-written backward: :func:`pairwise_mlp` scores all node pairs without
-materialising the pair tensor and recomputes its hidden layer in the
-backward pass instead of storing it, :func:`gru_sequence` runs a whole
-GRU recurrence, back-propagating through time from its stored gates, and
-:func:`mixhop` runs every hop and projection of mix-hop graph propagation,
-keeping only the hop states.
+stays auditable.  Six ops are fused, each one tape record with a
+hand-written backward, so that a record keeps only what its backward
+reads:
+
+- :func:`pairwise_mlp` scores all node pairs without materialising the
+  pair tensor and recomputes its hidden layer in the backward pass
+  instead of storing it;
+- :func:`gru_sequence` runs a whole GRU recurrence, back-propagating
+  through time from its stored gates;
+- :func:`mixhop` runs every hop and projection of mix-hop graph
+  propagation, keeping only the hop states;
+- :func:`gated_conv1d` runs a kernel bank, its σ·tanh gating and dropout
+  in place, keeping the two activations and the dropout mask;
+- :func:`layer_norm_residual` normalises, applies the affine map and adds
+  a residual in one buffer, keeping a mean and a scale per row;
+- :func:`skip_linear` projects each node's flattened history, forming the
+  flatten only transiently in each pass.
 """
 
 from __future__ import annotations
@@ -482,25 +492,14 @@ def bias_add(x: Tensor, b: Tensor) -> Tensor:
     return _make(x.data + b.data, (x, b), back)
 
 
-def conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | None = None,
-           dilation: int = 1, stride: int = 1) -> Tensor:
-    """Causal valid 1-D convolution of channel-last input with a kernel bank.
+def _conv_bank(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | None,
+               dilation: int, stride: int) -> tuple[Array, Callable[[Array], None]]:
+    """The forward value of a kernel bank and the backward that goes with it.
 
-    ``x`` has shape (B, T, ..., C_in) with time on axis 1.  Kernel j has
-    shape (C_j, C_in, k_j) and the optional bias j (C_j,); the outputs of
-    the kernels are concatenated in order along the last axis, so the
-    output is (B, T_out, ..., ΣC_j) with
-    ``T_out = (T - (k_max-1)*dilation - 1) // stride + 1``; with stride 1
-    that is exactly ``T - (k_max-1)*dilation``.  Tap 0 of every kernel
-    aligns with the most recent sample, so output step j sees inputs at
-    positions ``j*stride + (k_max-1)*dilation - dilation*tau``, and a
-    k-tap kernel acts as a k_max-tap kernel whose taps k..k_max−1 are zero.
-
-    Each tap is one GEMM of a (B, T_out·…, C_in) view of the input against
-    the tap's (C_in, ΣC_j) weight, accumulated in tap order.  The backward
-    pass runs the same per-tap GEMMs, adds each tap's input gradient into a
-    strided view of the input gradient, and splits the weight and bias
-    gradients back per kernel.
+    Returns the (B, T_out, ..., ΣC_j) output and ``back(g)``, which takes
+    the output's gradient in any shape with ΣC_j columns and accumulates
+    the gradients of ``x``, the kernels and the biases.  :func:`conv1d`
+    and :func:`gated_conv1d` share it, so the per-tap GEMM loop exists once.
     """
     shapes = [k.shape for k in kernels]
     if dilation < 1 or stride < 1:
@@ -540,12 +539,16 @@ def conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | None
         return xd[:, off:off + win:stride].reshape(n_batch, -1, c_in)
 
     out = rows(offsets[0]) @ w[0]
-    for tau in range(1, k_max):
-        out += rows(offsets[tau]) @ w[tau]
+    if k_max > 1:
+        tap = np.empty_like(out)  # each later tap's product, one buffer for all
+        for off, w_tap in zip(offsets[1:], w[1:]):
+            np.matmul(rows(off), w_tap, out=tap)
+            out += tap
+        del tap
     if biases is not None:
         out += np.concatenate([b.data for b in biases])
 
-    def back(g, x=x, kernels=kernels, biases=biases):
+    def back(g):
         g2 = g.reshape(-1, c_out)
         if any(k.requires_grad for k in kernels):
             g3 = g2.reshape(n_batch, -1, c_out)
@@ -565,8 +568,132 @@ def conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | None
             for b, col in zip(biases, cols):
                 _accumulate(b, gb[col])
 
-    parents = (x, *kernels, *(biases or ()))
-    return _make(out.reshape(tap_shape + (c_out,)), parents, back)
+    return out.reshape(tap_shape + (c_out,)), back
+
+
+def conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | None = None,
+           dilation: int = 1, stride: int = 1) -> Tensor:
+    """Causal valid 1-D convolution of channel-last input with a kernel bank.
+
+    ``x`` has shape (B, T, ..., C_in) with time on axis 1.  Kernel j has
+    shape (C_j, C_in, k_j) and the optional bias j (C_j,); the outputs of
+    the kernels are concatenated in order along the last axis, so the
+    output is (B, T_out, ..., ΣC_j) with
+    ``T_out = (T - (k_max-1)*dilation - 1) // stride + 1``; with stride 1
+    that is exactly ``T - (k_max-1)*dilation``.  Tap 0 of every kernel
+    aligns with the most recent sample, so output step j sees inputs at
+    positions ``j*stride + (k_max-1)*dilation - dilation*tau``, and a
+    k-tap kernel acts as a k_max-tap kernel whose taps k..k_max−1 are zero.
+
+    Each tap is one GEMM of a (B, T_out·…, C_in) view of the input against
+    the tap's (C_in, ΣC_j) weight, accumulated in tap order through one
+    reused product buffer.  The backward pass runs the same per-tap GEMMs,
+    adds each tap's input gradient into a strided view of the input
+    gradient, and splits the weight and bias gradients back per kernel.
+    """
+    out, back = _conv_bank(x, kernels, biases, dilation, stride)
+    return _make(out, (x, *kernels, *(biases or ())), back)
+
+
+def gated_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
+                 dilation: int, rate: float, training: bool,
+                 rng: np.random.Generator | None = None) -> Tensor:
+    """Gated temporal convolution: σ(a) ⊙ tanh(b), then inverted dropout.
+
+    a and b are the first and second half of the channels of the stride-1
+    :func:`conv1d` of ``x`` with the bank, so the output is
+    (B, T_out, ..., ΣC_j / 2) and lies in (−1, 1) before dropout.  Dropout
+    is :func:`dropout`'s: in training mode at a rate above 0 it draws
+    ``rng.random(shape) >= rate`` and scales the survivors by
+    1 / (1 − rate); otherwise it is the identity.
+
+    One record, computed in place: one buffer the size of the bank's
+    (…, ΣC_j) output takes σ(a) in its first half and tanh(b) in its
+    second, with the arithmetic of :func:`sigmoid` and :func:`tanh`, and
+    the convolution output is freed.  The record keeps that buffer and the
+    boolean mask, besides its output; the gated product before dropout is
+    never stored, and the backward pass overwrites the activations with
+    their derivatives.
+    """
+    if sum(k.shape[0] for k in kernels) % 2:
+        raise DimensionError(f"gated_conv1d: bank of {[k.shape for k in kernels]} has an "
+                             f"odd number of output channels to split into two halves")
+    y, bank_back = _conv_bank(x, kernels, biases, dilation, 1)
+    c = y.shape[-1] // 2
+    shape = y.shape[:-1] + (c,)
+    y = y.reshape(-1, 2 * c)
+    # σ(a) and tanh(b), as ``sigmoid`` and ``tanh`` compute them, each in a
+    # contiguous half of one buffer, which replaces the convolution output
+    act = np.empty((2, y.shape[0], c))
+    sig, th = act
+    np.abs(y[:, :c], out=th)
+    np.negative(th, out=th)
+    np.exp(th, out=th)  # e = exp(-|a|) ≤ 1 never overflows
+    np.maximum(th, y[:, :c] >= 0, out=sig)  # 1 for a ≥ 0, e below
+    th += 1.0
+    np.divide(sig, th, out=sig)
+    np.tanh(y[:, c:], out=th)
+    del y
+    xi = sig * th
+    mask = _dropout_mask(shape, rate, training, rng)
+    if mask is not None:
+        scale = 1.0 / (1.0 - rate)
+        xi *= mask.reshape(-1, c)
+        xi *= scale
+
+    def back(g):
+        g = g.reshape(-1, c)
+        if mask is not None:
+            g = g * mask.reshape(-1, c)
+            g *= scale
+        gy = np.empty((g.shape[0], 2 * c))
+        # the product's two sides, then each activation's derivative from
+        # its output, overwriting the saved activations (a record runs once)
+        np.multiply(g, sig, out=gy[:, c:])
+        g_sig = g * th
+        np.multiply(th, th, out=th)
+        np.subtract(1.0, th, out=th)
+        gy[:, c:] *= th
+        g_sig *= sig
+        np.subtract(1.0, sig, out=sig)
+        g_sig *= sig
+        gy[:, :c] = g_sig
+        del g_sig
+        bank_back(gy)
+
+    return _make(xi.reshape(shape), (x, *kernels, *biases), back)
+
+
+def skip_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map of each node's whole history: (B, T, N, C) → (B, N, S).
+
+    Node n of sample i reads ``x[i, :, n, :]`` as one T·C vector, time-major
+    with channels fastest, against ``w`` (T·C, S) and adds ``b`` (S,).  The
+    (B, N, T·C) flatten is formed only transiently, once in each pass, so
+    the record holds no copy of ``x``, whose producer keeps it anyway.
+    """
+    if x.ndim != 4 or w.ndim != 2 or w.shape[0] != x.shape[1] * x.shape[3] \
+            or b.shape != (w.shape[1],):
+        raise DimensionError(
+            f"skip_linear: weight {w.shape} and bias {b.shape} do not fit "
+            f"(B, T, N, C) features {x.shape}"
+        )
+    n_batch, t, n, c = x.shape
+    s = w.shape[1]
+    out = np.matmul(x.data.transpose(0, 2, 1, 3).reshape(n_batch, n, t * c), w.data)
+    out += b.data
+
+    def back(g):
+        g2 = g.reshape(-1, s)
+        if x.requires_grad:
+            gx = (g2 @ w.data.T).reshape(n_batch, n, t, c).transpose(0, 2, 1, 3)
+            _accumulate(x, gx)
+        if w.requires_grad:
+            # the flatten's transpose, (T·C, B·N), copied straight from x
+            _accumulate(w, x.data.transpose(1, 3, 0, 2).reshape(t * c, -1) @ g2)
+        _accumulate(b, g2.sum(axis=0))
+
+    return _make(out, (x, w, b), back)
 
 
 # ---------------------------------------------------------------------------
@@ -1073,20 +1200,28 @@ def broadcast_leading(x: Tensor, n: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # Regularisation / normalisation
 
+def _dropout_mask(shape: tuple[int, ...], rate: float, training: bool,
+                  rng: np.random.Generator | None) -> Array | None:
+    """Inverted dropout's boolean keep mask, or None where dropout is the identity."""
+    if not 0.0 <= rate < 1.0:
+        raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
+    if not training or rate == 0.0:
+        return None
+    if rng is None:
+        raise ContractError("dropout in training mode needs an rng")
+    return rng.random(shape) >= rate
+
+
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout: zero with probability ``rate``, scale survivors.
 
     In eval mode, or at rate 0, it is the identity and returns ``x`` itself.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    mask = _dropout_mask(x.shape, rate, training, rng)
+    if mask is None:
         return x
-    if rng is None:
-        raise ContractError("dropout in training mode needs an rng")
     # a boolean mask, an eighth of x's bytes, is what the tape keeps; both
     # passes rebuild the float scale from it
-    mask = rng.random(x.shape) >= rate
 
     def back(g, x=x, mask=mask):
         _accumulate(x, g * (mask / (1.0 - rate)))
@@ -1094,31 +1229,53 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     return _make(x.data * (mask / (1.0 - rate)), (x,), back)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tensor:
-    """Normalise to zero mean / unit variance along the last axis, then affine."""
+def layer_norm_residual(x: Tensor, gain: Tensor, bias: Tensor, residual: Tensor,
+                        eps: float = 1e-8) -> Tensor:
+    """Layer normalisation along the last axis, then affine, plus a residual.
+
+    ``(x − μ) / √(σ² + eps) · gain + bias + residual`` with μ and σ² the
+    mean and variance of each last-axis row of ``x``; ``residual`` has
+    ``x``'s shape.  One record: the forward pass computes x − μ, the
+    scale, the bias and the residual in one buffer, the output, and the
+    record keeps only the per-row mean and 1/√(σ² + eps).  The backward
+    pass recomputes x̂ from ``x``, which its producer's record keeps anyway.
+    """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise DimensionError(
-            f"layer_norm: gain/bias must have shape ({d},), got {gain.shape}/{bias.shape}"
+            f"layer_norm_residual: gain/bias must have shape ({d},), got "
+            f"{gain.shape}/{bias.shape}"
         )
+    _check_same_shape(x, residual, "layer_norm_residual")
     mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    out = x.data - mu
+    var = (out * out).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv_std
-    out = xhat * gain.data + bias.data
+    out *= inv_std
+    out *= gain.data
+    out += bias.data
+    out += residual.data
 
-    def back(g, x=x, gain=gain, bias=bias, xhat=xhat, inv_std=inv_std, d=d):
+    def back(g):
+        xhat = x.data - mu
+        xhat *= inv_std
         if gain.requires_grad:
             _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
             _accumulate(bias, g.reshape(-1, d).sum(axis=0))
-        gd = g * gain.data
-        m1 = gd.mean(axis=-1, keepdims=True)
-        m2 = (gd * xhat).mean(axis=-1, keepdims=True)
-        _accumulate(x, inv_std * (gd - m1 - xhat * m2))
+        if x.requires_grad:
+            # inv_std · (g·gain − mean(g·gain) − x̂ · mean(g·gain·x̂))
+            gd = g * gain.data
+            m1 = gd.mean(axis=-1, keepdims=True)
+            m2 = (gd * xhat).mean(axis=-1, keepdims=True)
+            gd -= m1
+            xhat *= m2
+            gd -= xhat
+            gd *= inv_std
+            _accumulate(x, gd)
+        _accumulate(residual, g)
 
-    return _make(out, (x, gain, bias), back)
+    return _make(out, (x, gain, bias, residual), back)
 
 
 def row_normalize(x: Tensor) -> Tensor:

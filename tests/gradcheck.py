@@ -10,7 +10,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .tensor import Tape, Tensor
+from evograph.tensor import Tape, Tensor
 
 
 def numeric_gradient(loss_fn: Callable[[], Tensor], t: Tensor, h: float = 1e-5) -> np.ndarray:

@@ -7,7 +7,7 @@ It prints the step's forward and backward times and the peak resident size,
 and exits non-zero if the step fails, a MemoryError included.  Run it
 under an address-space cap to check that the step fits::
 
-    (ulimit -v 3670016; PYTHONPATH=src python tests/scale_step.py --nodes 64)
+    (ulimit -v 1228800; PYTHONPATH=src python tests/scale_step.py --nodes 64)
 
 pytest does not collect this file.
 """

@@ -5,7 +5,6 @@ import pytest
 
 from evograph import tensor as T
 from evograph.errors import SequenceTooShortError
-from evograph.gradcheck import gradient_errors
 from evograph.graph_learner import (
     Egl,
     GruCell,
@@ -16,6 +15,8 @@ from evograph.graph_learner import (
 from evograph.nn import ParamStore
 from evograph.rng import RngSource
 from evograph.tensor import Tensor
+
+from gradcheck import gradient_errors
 
 
 def store(seed=0):

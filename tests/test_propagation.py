@@ -5,12 +5,13 @@ import pytest
 
 from evograph import tensor as T
 from evograph.errors import ContractError
-from evograph.gradcheck import gradient_errors
 from evograph.graph_learner import Egl, EvolvingGraphSequence, SegmentSpec
 from evograph.nn import ParamStore
 from evograph.propagation import MixHop
 from evograph.rng import RngSource
 from evograph.tensor import Tensor
+
+from gradcheck import gradient_errors
 
 
 def store(seed=0):

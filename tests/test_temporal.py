@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from evograph import tensor as T
 from evograph.errors import ConfigurationError, SequenceTooShortError
-from evograph.gradcheck import gradient_errors
 from evograph.nn import ParamStore
 from evograph.rng import RngSource
-from evograph.temporal import TcnLayer, gated_fusion, layer_dilation
+from evograph.temporal import TcnLayer, layer_dilation
 from evograph.tensor import Tensor
+
+from gradcheck import gradient_errors
 
 
 def store(seed=0):
@@ -57,6 +60,17 @@ class TestInception:
     def test_channel_divisibility_enforced(self):
         with pytest.raises(ConfigurationError):
             TcnLayer(store(), "tcn", 1, 10, (2, 3, 6, 7), dilation=1)
+
+
+def gated_fusion(a, b):
+    """σ(a) ⊙ tanh(b) through ``gated_conv1d``: a pointwise identity bank
+    whose filter half reads a's channels and whose gate half reads b's."""
+    c = a.shape[-1]
+    eye = np.eye(2 * c)
+    x = Tensor(np.concatenate([a.data, b.data], axis=-1)[None, None])
+    kernels = [Tensor(eye[:c, :, None]), Tensor(eye[c:, :, None])]
+    biases = [Tensor(np.zeros(c)), Tensor(np.zeros(c))]
+    return Tensor(T.gated_conv1d(x, kernels, biases, 1, 0.0, False).data[0, 0])
 
 
 class TestGatedFusion:
@@ -159,12 +173,40 @@ class TestTcnLayer:
 
     @pytest.mark.parametrize("sizes", [(3,), (2, 6), (2, 3, 6, 7)])
     def test_training_call_records(self, sizes):
-        # conv1d, two narrows, sigmoid, tanh, mul and dropout, whatever ω
+        # the bank, its gating and dropout are one record, whatever ω
         layer = TcnLayer(store(), "tcn", 2, 4 * len(sizes), sizes, dilation=2, dropout=0.3)
         x = rand(2, 16, 3, 2)
         with T.Tape() as tape:
             layer(x, training=True, rng=np.random.default_rng(0))
-        assert len(tape) == 7
+        assert len(tape) == 1
+
+    def test_training_output_is_eval_output_under_the_dropout_mask(self):
+        # the mask is rng.random(shape) >= rate, drawn once per call
+        layer = TcnLayer(store(2), "tcn", 2, 8, (2, 3), dilation=2, dropout=0.3)
+        x = rand(2, 16, 3, 2, seed=5)
+        xi = layer(x).data
+        keep = np.random.default_rng(4).random(xi.shape) >= 0.3
+        out = layer(x, training=True, rng=np.random.default_rng(4)).data
+        assert np.array_equal(out, xi * (keep / 0.7))
+
+    def test_no_grad_call_peak(self):
+        # computed in place: the bank's 2C-channel output and one reused
+        # per-tap product, then that output and the σ‖tanh buffer, about 4
+        # C-channel arrays at peak; separate sigmoid, tanh and product
+        # arrays take it to about 5
+        layer = TcnLayer(store(), "tcn", 16, 16, (2, 3), dilation=1)
+        x = rand(2, 64, 32, 16, seed=11)
+        tracemalloc.start()
+        try:
+            with T.no_grad():
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = layer(x)
+                peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (2, 62, 32, 16)
+        assert peak <= 4.5 * x.data.nbytes
 
     def test_parameter_names_in_registration_order(self):
         # the order checkpoints and the gradient-norm sum follow

@@ -9,10 +9,11 @@ import pytest
 from evograph import tensor as T
 from evograph.config import multi_step_preset, single_step_preset
 from evograph.errors import ContractError, DimensionError, SequenceTooShortError
-from evograph.gradcheck import assert_gradients_close, gradient_errors
 from evograph.model import Model
 from evograph.tensor import Tape, Tensor, no_grad
 from evograph.trainer import loss_tensor
+
+from gradcheck import assert_gradients_close, gradient_errors
 
 
 def t(data, rg=True):
@@ -239,6 +240,145 @@ class TestConv1d:
             lambda: T.reduce_sum(T.mul(T.conv1d(x, [k1, k3, k2], [b1, b3, b2], dilation=2), w)),
             {"x": x, "k1": k1, "k3": k3, "k2": k2, "b1": b1, "b3": b3, "b2": b2},
         )
+
+
+class TestGatedConv1d:
+    @staticmethod
+    def bank(seed):
+        # filter kernels of widths 2 and 3, then the gate's: 4 channels each
+        rng = np.random.default_rng(seed)
+        kernels = [t(rng.normal(size=(2, 3, k))) for k in (2, 3, 2, 3)]
+        biases = [t(rng.normal(size=2)) for _ in range(4)]
+        return kernels, biases
+
+    @pytest.mark.parametrize("rate", [0.0, 0.4])
+    def test_gradcheck(self, rate):
+        rng = np.random.default_rng(21)
+        x = t(rng.normal(size=(2, 9, 2, 3)))
+        kernels, biases = self.bank(22)
+        w = Tensor(rng.normal(size=(2, 5, 2, 4)))
+
+        def loss():
+            out = T.gated_conv1d(x, kernels, biases, 2, rate, True, np.random.default_rng(3))
+            return T.reduce_sum(T.mul(out, w))
+
+        tensors = {"x": x}
+        tensors.update({f"kernel{i}": k for i, k in enumerate(kernels)})
+        tensors.update({f"bias{i}": b for i, b in enumerate(biases)})
+        assert_gradients_close(loss, tensors)
+
+    def test_matches_conv1d_then_gating(self):
+        # σ and tanh of the bank's two channel halves, with sigmoid's and
+        # tanh's own arithmetic, so the values are equal bit for bit
+        x = t(np.random.default_rng(23).normal(size=(2, 9, 2, 3)))
+        kernels, biases = self.bank(24)
+        y = T.conv1d(x, kernels, biases, dilation=2)
+        want = T.mul(T.sigmoid(T.narrow(y, -1, 0, 4)), T.tanh(T.narrow(y, -1, 4, 4))).data
+        out = T.gated_conv1d(x, kernels, biases, 2, 0.3, False)
+        assert np.array_equal(out.data, want)
+
+    def test_dropout_contract(self):
+        x = t(np.ones((1, 4, 2, 3)))
+        kernels, biases = self.bank(25)
+        with pytest.raises(ContractError, match="needs an rng"):
+            T.gated_conv1d(x, kernels, biases, 1, 0.5, True)
+        with pytest.raises(ContractError, match="rate"):
+            T.gated_conv1d(x, kernels, biases, 1, 1.0, False)
+
+    def test_odd_bank_rejected(self):
+        x = t(np.ones((1, 4, 2, 3)))
+        with pytest.raises(DimensionError, match="odd"):
+            T.gated_conv1d(x, [t(np.ones((3, 3, 2)))], [t(np.ones(3))], 1, 0.0, False)
+
+
+class TestSkipLinear:
+    @staticmethod
+    def operands(seed, b=3):
+        rng = np.random.default_rng(seed)
+        return (t(rng.normal(size=(b, 5, 4, 3))), t(rng.normal(size=(15, 6))),
+                t(rng.normal(size=6)))
+
+    def test_gradcheck(self):
+        x, w, b = self.operands(26)
+        g = Tensor(np.random.default_rng(27).normal(size=(3, 4, 6)))
+        assert_gradients_close(lambda: T.reduce_sum(T.mul(T.skip_linear(x, w, b), g)),
+                               {"x": x, "w": w, "b": b})
+
+    def test_matches_flatten_then_linear(self):
+        # the same GEMMs as transpose → reshape → matmul → bias_add, so the
+        # output and every gradient are equal bit for bit
+        x, w, b = self.operands(28)
+        g = Tensor(np.random.default_rng(29).normal(size=(3, 4, 6)))
+
+        def grads(fn):
+            for p in (x, w, b):
+                p.grad = None
+            with Tape() as tape:
+                out = fn()
+                loss = T.reduce_sum(T.mul(out, g))
+            tape.backward(loss)
+            return out.data, [p.grad for p in (x, w, b)]
+
+        flat = lambda: T.reshape(T.transpose(x, (0, 2, 1, 3)), (3, 4, 15))  # noqa: E731
+        want, want_grads = grads(lambda: T.bias_add(T.matmul(flat(), w), b))
+        out, out_grads = grads(lambda: T.skip_linear(x, w, b))
+        assert np.array_equal(out, want)
+        for got, ref in zip(out_grads, want_grads):
+            assert np.array_equal(got, ref)
+
+    def test_shape_checks(self):
+        x, w, b = self.operands(30)
+        with pytest.raises(DimensionError, match="skip_linear"):
+            T.skip_linear(x, t(np.ones((14, 6))), b)
+        with pytest.raises(DimensionError, match="skip_linear"):
+            T.skip_linear(x, w, t(np.ones(5)))
+
+
+class TestRetention:
+    """What one recorded fused op keeps alive, in multiples of its input's bytes."""
+
+    @staticmethod
+    def held(fn) -> int:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                out = fn()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1 and out.data.size
+        return held
+
+    def test_gated_conv1d_keeps_activations_and_mask(self):
+        # σ‖tanh (two C-channel arrays), ξ and a boolean mask: about 3.1 C-
+        # channel arrays, ~3 x here; storing the convolution output, both
+        # activations, the product and the dropout output takes ~6 x
+        rng = np.random.default_rng(31)
+        x = t(rng.normal(size=(2, 40, 16, 16)))
+        kernels = [t(rng.normal(size=(8, 16, k))) for k in (2, 3, 2, 3)]
+        biases = [t(rng.normal(size=8)) for _ in range(4)]
+        held = self.held(lambda: T.gated_conv1d(x, kernels, biases, 1, 0.3, True,
+                                                np.random.default_rng(0)))
+        assert held <= 3.5 * x.data.nbytes
+
+    def test_layer_norm_residual_keeps_row_statistics(self):
+        # the output and a mean and 1/std per row, 1 + 2/16 x; keeping x̂
+        # and the normalised value before the residual add takes ~3 x
+        rng = np.random.default_rng(32)
+        x = t(rng.normal(size=(2, 30, 4, 16)))
+        res = t(rng.normal(size=x.shape))
+        gain, bias = t(np.ones(16)), t(np.zeros(16))
+        held = self.held(lambda: T.layer_norm_residual(x, gain, bias, res))
+        assert held <= 1.5 * x.data.nbytes
+
+    def test_skip_linear_keeps_no_flatten(self):
+        # the (B, N, 8) output only; a kept (B, N, T·C) flatten is 1 x
+        rng = np.random.default_rng(33)
+        x = t(rng.normal(size=(2, 30, 4, 16)))
+        w, b = t(rng.normal(size=(480, 8))), t(np.zeros(8))
+        held = self.held(lambda: T.skip_linear(x, w, b))
+        assert held <= 0.25 * x.data.nbytes
 
 
 class TestElementwise:
@@ -701,22 +841,26 @@ class TestHeap:
         assert faults < 1000
 
 
+def layer_norm(x, gain, bias, **kw):
+    return T.layer_norm_residual(x, gain, bias, Tensor(np.zeros(x.shape)), **kw)
+
+
 class TestLayerNorm:
     def test_constant_slice(self):
         x = t(np.full((2, 4), 3.0))
-        out = T.layer_norm(x, t(np.ones(4)), t(np.zeros(4)))
+        out = layer_norm(x, t(np.ones(4)), t(np.zeros(4)))
         assert np.allclose(out.data, 0.0)
 
     def test_hand_normalization(self):
         x = t([[1.0, 3.0]])
-        out = T.layer_norm(x, t(np.ones(2)), t(np.zeros(2)), eps=1e-16)
+        out = layer_norm(x, t(np.ones(2)), t(np.zeros(2)), eps=1e-16)
         assert np.allclose(out.data, [[-1.0, 1.0]])
 
     def test_mean_equals_bias(self):
         rng = np.random.default_rng(5)
         x = t(rng.normal(size=(3, 6)))
         bias = t(rng.normal(size=6))
-        out = T.layer_norm(x, t(np.ones(6)), bias)
+        out = layer_norm(x, t(np.ones(6)), bias)
         assert np.allclose(out.data.mean(axis=-1), bias.data.mean())
 
     def test_gradients(self):
@@ -725,9 +869,39 @@ class TestLayerNorm:
         g = t(rng.normal(size=5))
         b = t(rng.normal(size=5))
         assert_gradients_close(
-            lambda: T.reduce_sum(T.mul(T.layer_norm(x, g, b), T.layer_norm(x, g, b))),
+            lambda: T.reduce_sum(T.mul(layer_norm(x, g, b), layer_norm(x, g, b))),
             {"x": x, "g": g, "b": b},
         )
+
+    def test_residual_gradcheck(self):
+        rng = np.random.default_rng(34)
+        x = t(rng.normal(size=(2, 3, 5)))
+        g, b = t(rng.normal(size=5)), t(rng.normal(size=5))
+        res = t(rng.normal(size=(2, 3, 5)))
+
+        def loss():
+            out = T.layer_norm_residual(x, g, b, res)
+            return T.reduce_sum(T.mul(out, out))
+
+        assert_gradients_close(loss, {"x": x, "g": g, "b": b, "res": res})
+
+    def test_matches_normalise_then_add(self):
+        # the arithmetic of normalising, the affine map and the residual
+        # add, in that order, so the value is equal bit for bit
+        rng = np.random.default_rng(35)
+        x, res = rng.normal(size=(3, 4, 6)), rng.normal(size=(3, 4, 6))
+        g, b = rng.normal(size=6), rng.normal(size=6)
+        xc = x - x.mean(axis=-1, keepdims=True)
+        xhat = xc * (1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-8))
+        out = T.layer_norm_residual(t(x), t(g), t(b), t(res))
+        assert np.array_equal(out.data, xhat * g + b + res)
+
+    def test_shape_checks(self):
+        x = t(np.ones((2, 4)))
+        with pytest.raises(DimensionError, match="gain/bias"):
+            T.layer_norm_residual(x, t(np.ones(3)), t(np.zeros(4)), x)
+        with pytest.raises(DimensionError, match="differ"):
+            T.layer_norm_residual(x, t(np.ones(4)), t(np.zeros(4)), t(np.ones((2, 3))))
 
 
 class TestRowNormalize:

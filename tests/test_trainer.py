@@ -149,6 +149,28 @@ class TestTrain:
             runs.append(result.history)
         assert runs[0] == runs[1]
 
+    def test_each_step_enters_one_tape(self, monkeypatch):
+        # a step runs from entering its Tape to Adam.step: that is how
+        # bench/cli_child.py and bench/tracer.py find steps, so an op that
+        # entered a Tape of its own would start steps that never end
+        events = []
+        enter, step = T.Tape.__enter__, Adam.step
+
+        def tape_enter(tape):
+            events.append("tape")
+            return enter(tape)
+
+        def adam_step(opt):
+            events.append("step")
+            return step(opt)
+
+        monkeypatch.setattr(T.Tape, "__enter__", tape_enter)
+        monkeypatch.setattr(Adam, "step", adam_step)
+        cfg = experiment(tiny_config(dropout=0.3), max_epochs=2, batch_size=16)
+        train(Model(cfg.model), prepare_data(sine_dataset(), cfg), cfg.train)
+        assert len(events) >= 4
+        assert events == ["tape", "step"] * (len(events) // 2)
+
     def test_best_val_not_worse_than_final_epoch(self):
         cfg = experiment(max_epochs=6)
         data = prepare_data(noise_dataset(), cfg)
