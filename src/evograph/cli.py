@@ -247,10 +247,6 @@ def cmd_scale_probe(args) -> int:
 
 def cmd_export_graphs(args) -> int:
     model, extras = load_checkpoint(args.checkpoint)
-    if not 1 <= args.layer <= model.config.n_layers:
-        raise ConfigurationError(
-            f"--layer must be in 1..{model.config.n_layers}, got {args.layer}"
-        )
     dataset = load_dataset(args.input, model.config.n_channels)
     values = dataset.values
     scaler_dict = extras.get("scaler")
@@ -258,10 +254,9 @@ def cmd_export_graphs(args) -> int:
         from .data import Scaler
         values = Scaler.from_dict(scaler_dict).transform_dataset(values)
     series = values.transpose(1, 0, 2)  # (T, N, C)
+    seq = model.graph_inspection(series, args.layer)
     out = claim_out_dir(args.out, args.force)
-    inspections = model.graph_inspection(series)
-    seq, offset = inspections[args.layer - 1]
-    written = export_graphs(seq, out, layer=args.layer, time_offset=offset)
+    written = export_graphs(seq, out, layer=args.layer)
     print_table(["layer", "graphs", "directory"],
                 [[args.layer, len(seq.matrices), out]])
     return EXIT_OK if written else EXIT_RUNTIME

@@ -11,10 +11,10 @@ inside the op, so a branch's tape keeps no flattened copy.
 
 The layer loop exists once, in ``Model._branches``, a generator that yields
 each skip branch's input with its graphs and Z as it goes: ``forward``
-builds the skips and its ``inspect`` trace from it, ``branch_features``
-stops it at the requested scale, and ``graph_inspection`` reads every
-layer's graphs from one traced forward per chunk of windows.  Checkpoints
-hold no training state: nothing resumes from it.
+builds the skips and its ``inspect`` trace from it, while
+``branch_features`` and ``graph_inspection`` stop it at the requested
+scale, so neither runs a later layer, a skip projection or the output head.
+Checkpoints hold no training state: nothing resumes from it.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ from .temporal import TcnLayer, layer_dilation
 from .tensor import Tensor
 
 CHECKPOINT_VERSION = 1
+# windows per backbone walk in Model.graph_inspection
+_INSPECTION_CHUNK = 128
 
 
 class OutputHead:
@@ -223,6 +225,15 @@ class Model:
             out, _ = self.forward(x, training=False)
         return out.data
 
+    def _walk(self, x, scale: int) -> tuple[Tensor, EvolvingGraphSequence | None]:
+        """Skip branch ``scale``'s input and its graphs, without gradient
+        tracking, running the backbone only as far as that branch."""
+        with T.no_grad():
+            for branch, (feats, graphs, z) in enumerate(self._branches(self._as_input(x))):
+                if branch == scale:
+                    return feats, graphs
+            return z, None
+
     def branch_features(self, x, scale: int) -> np.ndarray:
         """Flattened input to skip branch ``scale`` without gradient tracking.
 
@@ -236,31 +247,26 @@ class Model:
             raise ConfigurationError(
                 f"scale index {scale} out of range 0..{c.n_layers + 1}"
             )
-        with T.no_grad():
-            for branch, (feats, _, z) in enumerate(self._branches(self._as_input(x))):
-                if branch == scale:
-                    return _flat(feats.data)
-            return _flat(z.data)
+        return _flat(self._walk(x, scale)[0].data)
 
-    def graph_inspection(self, series,
-                         batch_size: int = 128,
-                         ) -> list[tuple[EvolvingGraphSequence, int]]:
-        """Graphs governing each stretch of a series, derived window-by-window.
+    def graph_inspection(self, series, layer: int) -> EvolvingGraphSequence:
+        """The graphs layer ``layer`` (1..L) applies across a series.
 
-        Slides the training-shaped window across the series with stride equal
-        to each layer's segment interval and keeps each window's most recent
-        adjacency — the graph the model actually applied to those steps.
-        The graph learner is therefore never unrolled deeper than it is in
-        training, where a window holds only a few segments.  One forward
-        pass per chunk of windows serves every layer: the chunks run over
-        the union of the layers' window ends.
+        Slides the training-shaped window across the series with stride
+        equal to the layer's segment interval and keeps each window's most
+        recent adjacency — the graph the model actually applied to those
+        steps.  The graph learner is therefore never unrolled deeper than
+        it is in training, where a window holds only a few segments.  Each
+        chunk of windows runs the backbone only up to the layer.
 
-        Accepts (T, N, C) with T ≥ window.  Returns one (graphs, offset)
-        pair per layer; segment boundaries are absolute series positions
-        (offset is always 0) and start at ``window − stride``, the first
-        point an entire window precedes.
+        Accepts (T, N, C) with T ≥ window.  Returns one sample whose
+        segments are the windows' last graphs; segment boundaries are
+        absolute series positions ``(e − stride, e)`` for each window end
+        e, the first starting at ``window − stride``.
         """
         c = self.config
+        if not 1 <= layer <= c.n_layers:
+            raise ConfigurationError(f"layer must be in 1..{c.n_layers}, got {layer}")
         if isinstance(series, Tensor):
             series = series.data
         arr = np.asarray(series, dtype=np.float64)
@@ -273,30 +279,22 @@ class Model:
             raise SequenceTooShortError(
                 f"series has {total} steps but the window needs {p}"
             )
-        # the raw-input graph source always segments by the first
-        # interval, whatever layer it is serving
-        strides = [c.intervals[0]] * c.n_layers \
-            if c.variant == "no_scale_specific" else list(c.intervals)
-        starts = np.unique(np.concatenate(
-            [np.arange(0, total - p + 1, d) for d in strides]))
+        if c.variant == "no_scale_specific":
+            # every layer applies the raw-input graphs, segmented by the
+            # first interval, which layer 1 already yields
+            layer = 1
+        d = c.intervals[layer - 1]
+        starts = np.arange(0, total - p + 1, d)
         # (T − P + 1, P, N, C): entry s is arr[s:s + P]
         windows = sliding_window_view(arr, p, axis=0).transpose(0, 3, 1, 2)
-        chunks = []
-        with T.no_grad():
-            for i in range(0, starts.size, batch_size):
-                batch = starts[i:i + batch_size]
-                _, trace = self.forward(windows[batch], inspect=True)
-                chunks.append([graphs.adjacency.data[batch % d == 0, -1]
-                               for graphs, d in zip(trace.graphs, strides)])
-        pairs: list[tuple[EvolvingGraphSequence, int]] = []
-        for layer, d in enumerate(strides):
-            ends = range(p, total + 1, d)
-            # one sample whose M segments are the windows' last graphs
-            stack = Tensor(np.concatenate([chunk[layer] for chunk in chunks])[None])
-            spec = SegmentSpec(d=d, m=len(ends),
-                               boundaries=[(e - d, e) for e in ends])
-            pairs.append((EvolvingGraphSequence.from_stack(stack, spec), 0))
-        return pairs
+        last = []
+        for i in range(0, starts.size, _INSPECTION_CHUNK):
+            _, graphs = self._walk(windows[starts[i:i + _INSPECTION_CHUNK]], layer)
+            last.append(graphs.adjacency.data[:, -1].copy())
+        ends = range(p, total + 1, d)
+        spec = SegmentSpec(d=d, m=len(ends), boundaries=[(e - d, e) for e in ends])
+        # one sample whose M segments are the windows' last graphs
+        return EvolvingGraphSequence.from_stack(Tensor(np.concatenate(last)[None]), spec)
 
 
 def _flat(x: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 The operation set is exactly what the forecasting architecture needs:
 matrix products (with stacked leading batch dimensions), causal dilated
 1-D convolution, pointwise nonlinearities, reductions and segment means,
-concatenation and stacking, slicing/reshaping, dropout, layer
-normalisation and a row-normalisation primitive for adjacency matrices.
+concatenation and stacking, slicing/reshaping, layer normalisation and a
+row-normalisation primitive for adjacency matrices.
 Slices (:func:`narrow`, :func:`select`) are views of their input, and
 their backward adds into the input's gradient buffer in place.
 
@@ -382,11 +382,22 @@ def mul(a: Tensor, b) -> Tensor:
     return _make(a.data * b.data, (a, b), back)
 
 
+def _sigmoid_into(x: Array, out: Array, e: Array | None = None) -> Array:
+    """σ(x) written into ``out``, which may be ``x`` itself, and returned.
+
+    e = exp(−|x|) ≤ 1 never overflows; σ is 1/(1+e) for x ≥ 0 and e/(1+e)
+    below.  ``e`` is an optional scratch buffer of x's shape.
+    """
+    e = np.abs(x, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.maximum(e, x >= 0, out=out)  # 1 for x ≥ 0, e below
+    e += 1.0
+    return np.divide(out, e, out=out)
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    # exp(-|x|) never overflows; 1/(1+e) for x ≥ 0 and e/(1+e) below
-    d = x.data
-    e = np.exp(-np.abs(d))
-    out = np.where(d >= 0, 1.0, e) / (1.0 + e)
+    out = _sigmoid_into(x.data, np.empty_like(x.data))
 
     def back(g, x=x, out=out):
         _accumulate(x, g * out * (1.0 - out))
@@ -603,9 +614,9 @@ def gated_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
     a and b are the first and second half of the channels of the stride-1
     :func:`conv1d` of ``x`` with the bank, so the output is
     (B, T_out, ..., ΣC_j / 2) and lies in (−1, 1) before dropout.  Dropout
-    is :func:`dropout`'s: in training mode at a rate above 0 it draws
+    is inverted: in training mode at a rate above 0 it draws
     ``rng.random(shape) >= rate`` and scales the survivors by
-    1 / (1 − rate); otherwise it is the identity.
+    1 / (1 − rate); otherwise it is the identity, and draws nothing.
 
     One record, computed in place: one buffer the size of the bank's
     (…, ΣC_j) output takes σ(a) in its first half and tanh(b) in its
@@ -626,12 +637,7 @@ def gated_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
     # contiguous half of one buffer, which replaces the convolution output
     act = np.empty((2, y.shape[0], c))
     sig, th = act
-    np.abs(y[:, :c], out=th)
-    np.negative(th, out=th)
-    np.exp(th, out=th)  # e = exp(-|a|) ≤ 1 never overflows
-    np.maximum(th, y[:, :c] >= 0, out=sig)  # 1 for a ≥ 0, e below
-    th += 1.0
-    np.divide(sig, th, out=sig)
+    _sigmoid_into(y[:, :c], sig, th)
     np.tanh(y[:, c:], out=th)
     del y
     xi = sig * th
@@ -1037,11 +1043,7 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
         a, ru, o, ra = states[t], gates[k], cand[k], gated[k]
         np.matmul(a, w_ru, out=ru)
         ru += pre[t, :, :2 * hd]
-        # σ as in ``sigmoid``: exp(-|x|) never overflows
-        e = np.exp(-np.abs(ru))
-        num = np.where(ru >= 0, 1.0, e)
-        e += 1.0
-        np.divide(num, e, out=ru)
+        _sigmoid_into(ru, ru)
         r, u = ru[:, :hd], ru[:, hd:]
         np.multiply(r, a, out=ra)
         np.matmul(ra, w_oa, out=o)
@@ -1210,23 +1212,6 @@ def _dropout_mask(shape: tuple[int, ...], rate: float, training: bool,
     if rng is None:
         raise ContractError("dropout in training mode needs an rng")
     return rng.random(shape) >= rate
-
-
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: zero with probability ``rate``, scale survivors.
-
-    In eval mode, or at rate 0, it is the identity and returns ``x`` itself.
-    """
-    mask = _dropout_mask(x.shape, rate, training, rng)
-    if mask is None:
-        return x
-    # a boolean mask, an eighth of x's bytes, is what the tape keeps; both
-    # passes rebuild the float scale from it
-
-    def back(g, x=x, mask=mask):
-        _accumulate(x, g * (mask / (1.0 - rate)))
-
-    return _make(x.data * (mask / (1.0 - rate)), (x,), back)
 
 
 def layer_norm_residual(x: Tensor, gain: Tensor, bias: Tensor, residual: Tensor,

@@ -6,7 +6,7 @@ import pytest
 from evograph import cli
 from evograph.config import ExperimentConfig, ModelConfig, TrainConfig
 from evograph.data import TimeSeriesDataset, save_csv
-from evograph.model import Model, save_checkpoint
+from evograph.model import Model, load_checkpoint, save_checkpoint
 
 
 def run_cli(capsys, *argv):
@@ -163,3 +163,38 @@ class TestManifest:
         path = manifest.write(tmp_path / "run")
         assert json.loads(path.read_text())["seed_list"] == [3]
         assert [p.name for p in path.parent.iterdir()] == ["manifest.json"]
+
+
+class TestExportGraphs:
+    NONE = {"mode": "none", "shift": [[0.0]] * 4, "scale": [[1.0]] * 4}
+
+    def test_writes_one_graph_per_window_end(self, tmp_path, capsys):
+        ck, data = tiny_run(tmp_path, self.NONE)
+        out = tmp_path / "graphs"
+        code, err = run_cli(capsys, "export-graphs", "--checkpoint", str(ck),
+                            "--input", str(data), "--layer", "1", "--out", str(out))
+        assert (code, err) == (cli.EXIT_OK, None)
+        # layer 1 segments by 4 steps: a window of 16 ends at 16, 20, ..., 120
+        ends = range(16, 121, 4)
+        index = json.loads((out / "layer1_index.json").read_text())
+        assert [row["time_range"] for row in index] == [[e - 4, e] for e in ends]
+        assert sorted(p.name for p in out.glob("*.csv")) == \
+            sorted(f"layer1_segment{m}.csv" for m in range(1, len(ends) + 1))
+        # the last CSV is the last graph layer 1 applies to the final window
+        model, _ = load_checkpoint(ck)
+        series = cli.load_dataset(data).values.transpose(1, 0, 2)
+        _, trace = model.forward(series[None, -16:], inspect=True)
+        got = np.loadtxt(out / index[-1]["file"], delimiter=",")
+        assert np.allclose(got, trace.graphs[0].matrices[-1].data[0], rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("layer", ["0", "3"])
+    def test_layer_out_of_range_exits_2(self, tmp_path, capsys, layer):
+        ck, data = tiny_run(tmp_path, self.NONE)
+        code, err = run_cli(capsys, "export-graphs", "--checkpoint", str(ck),
+                            "--input", str(data), "--layer", layer,
+                            "--out", str(tmp_path / "graphs"))
+        assert code == cli.EXIT_CONFIG
+        assert err["error"] == "ConfigurationError"
+        assert err["exit_code"] == cli.EXIT_CONFIG
+        assert "1..2" in err["message"]
+        assert not (tmp_path / "graphs").exists()

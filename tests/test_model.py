@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import evograph
+from evograph import tensor as T
 from evograph.config import (
     ExperimentConfig,
     ModelConfig,
@@ -15,6 +16,9 @@ from evograph.config import (
 )
 from evograph.errors import ConfigurationError, ContractError, DimensionError, LoadError
 from evograph.model import Model, load_checkpoint, save_checkpoint
+
+
+VARIANTS = ("full", "static_only", "no_scale_specific", "shared_evolution")
 
 
 def tiny_config(**kw):
@@ -192,21 +196,32 @@ class TestForward:
             assert len(graphs.matrices) == max(1, t // d)
 
     def test_graph_inspection_keeps_each_windows_last_graph(self):
-        model = tiny_model()
         series = np.random.default_rng(10).normal(size=(26, 4, 1))
-        pairs = model.graph_inspection(series, batch_size=2)
-        assert len(pairs) == 2
-        for layer, (seq, offset) in enumerate(pairs):
-            d = model.config.intervals[layer]
-            ends = list(range(16, 27, d))
-            assert offset == 0
-            assert seq.adjacency.shape == (1, len(ends), 4, 4)
-            assert seq.spec.boundaries == [(e - d, e) for e in ends]
-            assert len(seq.matrices) == seq.spec.m == len(ends)
-            for mat, e in zip(seq.matrices, ends):
-                _, trace = model.forward(series[None, e - 16:e], inspect=True)
-                want = trace.graphs[layer].matrices[-1].data
-                assert np.allclose(mat.data, want, rtol=1e-13, atol=0)
+        for variant in VARIANTS:
+            model = tiny_model(variant=variant)
+            rng = np.random.default_rng(11)
+            for p in model.store.params.values():
+                p.data = p.data + 0.3 * rng.normal(size=p.shape)
+            for layer in (1, 2):
+                seq = model.graph_inspection(series, layer)
+                # the raw-input graph source segments by the first interval
+                d = model.config.intervals[
+                    0 if variant == "no_scale_specific" else layer - 1]
+                ends = list(range(16, 27, d))
+                assert seq.adjacency.shape == (1, len(ends), 4, 4)
+                assert seq.spec.boundaries == [(e - d, e) for e in ends]
+                assert len(seq.matrices) == seq.spec.m == len(ends)
+                for mat, e in zip(seq.matrices, ends):
+                    _, trace = model.forward(series[None, e - 16:e], inspect=True)
+                    want = trace.graphs[layer - 1].matrices[-1].data
+                    assert np.allclose(mat.data, want, rtol=1e-13, atol=0), (variant, layer, e)
+
+    def test_graph_inspection_rejects_layer_out_of_range(self):
+        model = tiny_model()
+        series = np.zeros((20, 4, 1))
+        for layer in (0, 3):
+            with pytest.raises(ConfigurationError, match="1..2"):
+                model.graph_inspection(series, layer)
 
     def test_dropout_changes_training_output(self):
         model = tiny_model(dropout=0.3)
@@ -215,8 +230,7 @@ class TestForward:
         b, _ = model.forward(x, training=True, rng=np.random.default_rng(0))
         assert not np.array_equal(a.data, b.data)
 
-    @pytest.mark.parametrize("variant", ["full", "static_only",
-                                         "no_scale_specific", "shared_evolution"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_branch_features_match_forward_trace(self, variant):
         model = tiny_model(variant=variant)
         x = window(b=3, seed=16)
@@ -228,21 +242,28 @@ class TestForward:
             want = feats.transpose(0, 2, 1, 3).reshape(b, n, t * c)
             assert np.array_equal(model.branch_features(x, scale), want), scale
 
-    def test_graph_inspection_one_forward_per_chunk(self, monkeypatch):
+    def test_graph_inspection_walks_only_to_its_layer(self, monkeypatch):
         model = tiny_model()
-        calls = []
-        forward = model.forward
+        fed = []
+        proj = model.input_proj
 
-        def counting(x, **kw):
-            calls.append(x.shape[0])
-            return forward(x, **kw)
+        def recording(x):
+            fed.append(x.data.copy())
+            return proj(x)
 
-        monkeypatch.setattr(model, "forward", counting)
+        def forbidden(*args, **kw):
+            raise AssertionError("layer 1's graphs need no later layer, skip or head")
+
+        monkeypatch.setattr(model, "input_proj", recording)
+        monkeypatch.setattr(model, "tcn_layers", [model.tcn_layers[0], forbidden])
+        monkeypatch.setattr(T, "skip_linear", forbidden)
+        monkeypatch.setattr(model, "head", forbidden)
         series = np.random.default_rng(10).normal(size=(26, 4, 1))
-        model.graph_inspection(series, batch_size=4)
-        # window ends 16..26 every 4 (layer 1) and every 1 (layer 2): the
-        # union is 11 ends, so 3 chunks of at most 4 windows
-        assert calls == [4, 4, 3]
+        model.graph_inspection(series, 1)
+        # layer 1's stride is 4: windows ending at 16, 20 and 24 only, not
+        # the 11 that layer 2's stride of 1 needs
+        assert np.array_equal(np.concatenate(fed),
+                              np.stack([series[e - 16:e] for e in (16, 20, 24)]))
 
 
 class TestVariants:

@@ -776,55 +776,73 @@ class TestMixhop:
 
 
 class TestDropout:
+    """Inverted dropout, which :func:`T.gated_conv1d` applies to its gated
+    output: compared with the same call in eval mode, the identity."""
+
+    RATE = 0.3
+
+    @staticmethod
+    def gated(x, rate, training, rng=None):
+        kernels, biases = TestGatedConv1d.bank(40)
+        return T.gated_conv1d(x, kernels, biases, 1, rate, training, rng)
+
     def test_rate_zero_identity(self):
-        x = t(np.ones(10))
-        out = T.dropout(x, 0.0, training=True, rng=np.random.default_rng(0))
-        assert np.array_equal(out.data, x.data)
+        x = t(np.random.default_rng(41).normal(size=(2, 9, 2, 3)))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        out = self.gated(x, 0.0, True, rng)
+        assert np.array_equal(out.data, self.gated(x, self.RATE, False).data)
+        assert rng.bit_generator.state == state  # nothing drawn
 
     def test_inference_identity(self):
-        x = t(np.random.default_rng(0).normal(size=100))
-        out = T.dropout(x, 0.9, training=False)
-        assert np.array_equal(out.data, x.data)
+        x = t(np.random.default_rng(42).normal(size=(2, 9, 2, 3)))
+        out = self.gated(x, 0.9, False)
+        assert np.array_equal(out.data, self.gated(x, 0.0, False).data)
 
     def test_inference_returns_input_unrecorded(self):
-        x = t(np.random.default_rng(1).normal(size=(2, 3, 4, 5)))
+        # eval mode draws no mask, even when handed an rng, and the gated
+        # op is still one record
+        x = t(np.random.default_rng(43).normal(size=(2, 9, 2, 3)))
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
         with Tape() as tape:
-            out = T.dropout(x, 0.3, training=False)
-        assert out is x
-        assert len(tape) == 0
+            self.gated(x, self.RATE, False, rng)
+        assert rng.bit_generator.state == state
+        assert len(tape) == 1
 
     def test_survivor_fraction(self):
-        rng = np.random.default_rng(7)
-        x = t(np.ones(100_000))
-        out = T.dropout(x, 0.3, training=True, rng=rng)
-        frac = np.count_nonzero(out.data) / x.size
-        assert frac == pytest.approx(0.7, abs=0.01)
-        survivors = out.data[out.data != 0]
-        assert np.allclose(survivors, 1.0 / 0.7)
+        x = t(np.random.default_rng(44).normal(size=(4, 400, 8, 3)))
+        full = self.gated(x, 0.0, False).data
+        out = self.gated(x, self.RATE, True, np.random.default_rng(7)).data
+        kept = out != 0
+        assert np.count_nonzero(kept) / out.size == pytest.approx(0.7, abs=0.01)
+        assert np.allclose(out[kept], full[kept] / 0.7, rtol=1e-15, atol=0)
 
     def test_needs_rng(self):
-        with pytest.raises(ContractError):
-            T.dropout(t(np.ones(3)), 0.5, training=True)
+        with pytest.raises(ContractError, match="needs an rng"):
+            self.gated(t(np.ones((1, 4, 2, 3))), 0.5, True)
 
     def test_boolean_mask_matches_float_mask(self):
+        # output and x's gradient equal the undropped op's under the float
+        # mask (rng.random(shape) >= rate) / 0.7; TestRetention bounds what
+        # the record keeps
         rng = np.random.default_rng(8)
-        x = t(rng.normal(size=(4, 50, 3, 16)))
-        w = rng.normal(size=x.shape)
-        keep = (np.random.default_rng(9).random(x.shape) >= 0.3).astype(np.float64) / 0.7
-        tracemalloc.start()
-        try:
+        x = t(rng.normal(size=(2, 9, 2, 3)))
+        w = rng.normal(size=(2, 7, 2, 4))
+        keep = (np.random.default_rng(9).random(w.shape) >= self.RATE) / 0.7
+
+        def run(rate, training, weight):
+            x.grad = None
             with Tape() as tape:
-                before = tracemalloc.get_traced_memory()[0]
-                out = T.dropout(x, 0.3, training=True, rng=np.random.default_rng(9))
-                held = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
-        finally:
-            tracemalloc.stop()
-        assert held <= x.data.nbytes // 8 + 4096
-        with tape:
-            loss = T.reduce_sum(T.mul(out, Tensor(w)))
-        tape.backward(loss)
-        assert np.array_equal(out.data, x.data * keep)
-        assert np.array_equal(x.grad, w * keep)
+                out = self.gated(x, rate, training, np.random.default_rng(9))
+                loss = T.reduce_sum(T.mul(out, Tensor(weight)))
+            tape.backward(loss)
+            return out.data, x.grad
+
+        out, grad = run(self.RATE, True, w)
+        full, full_grad = run(0.0, False, w * keep)
+        assert np.allclose(out, full * keep, rtol=1e-15, atol=0)
+        assert np.allclose(grad, full_grad, rtol=1e-13, atol=1e-15)
 
 
 class TestHeap:
