@@ -14,6 +14,13 @@ each skip branch's input with its graphs and Z as it goes: ``forward``
 builds the skips and its ``inspect`` trace from it, while
 ``branch_features`` and ``graph_inspection`` stop it at the requested
 scale, so neither runs a later layer, a skip projection or the output head.
+
+``predict``, ``branch_features`` and ``graph_inspection`` never run the
+backbone on more than a training batch of windows at once: each walks its
+windows in slices of ``TrainConfig.batch_size``'s default, so its arrays
+are the size of a training step's and reuse the heap a step freed, and it
+computes the static representation α_s once for all its slices.
+
 Checkpoints hold no training state: nothing resumes from it.
 """
 
@@ -29,7 +36,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
-from .config import ModelConfig
+from .config import ModelConfig, TrainConfig
 from .data import SCALER_MODES, write_atomic
 from .errors import (ConfigurationError, ContractError, DimensionError,
                      LoadError, SequenceTooShortError)
@@ -42,8 +49,9 @@ from .temporal import TcnLayer, layer_dilation
 from .tensor import Tensor
 
 CHECKPOINT_VERSION = 1
-# windows per backbone walk in Model.graph_inspection
-_INSPECTION_CHUNK = 128
+# windows per backbone walk without gradient tracking: a default training
+# batch, so a walk's arrays fit the heap a training step leaves free
+_SLICE = TrainConfig.batch_size
 
 
 class OutputHead:
@@ -159,9 +167,19 @@ class Model:
                 f"input must be (B, {c.window}, {c.n_nodes}, {c.n_channels}), "
                 f"got {x.shape}"
             )
+        if x.shape[0] == 0:
+            raise DimensionError("input holds no windows")
         return x
 
-    def _branches(self, x: Tensor, training: bool = False,
+    def _alpha_s(self) -> Tensor:
+        """α_s, the static representation of the reference series."""
+        if self.reference_series is None:
+            raise ContractError(
+                "reference series not set; call set_reference_series first"
+            )
+        return self.static_extractor(self.reference_series)
+
+    def _branches(self, x: Tensor, alpha_s: Tensor, training: bool = False,
                   rng: np.random.Generator | None = None,
                   ) -> Iterator[tuple[Tensor, EvolvingGraphSequence | None, Tensor]]:
         """The backbone, one skip branch at a time.
@@ -171,11 +189,6 @@ class Model:
         layer l.  A caller that stops iterating skips the later layers.
         """
         c = self.config
-        if self.reference_series is None:
-            raise ContractError(
-                "reference series not set; call set_reference_series first"
-            )
-        alpha_s = self.static_extractor(self.reference_series)
         raw_graphs = None
         if c.variant == "no_scale_specific":
             raw_graphs = self.raw_egl.evolve(x, alpha_s, d=c.intervals[0])
@@ -200,9 +213,16 @@ class Model:
                 rng: np.random.Generator | None = None,
                 inspect: bool = False,
                 ) -> tuple[Tensor, ForwardTrace | None]:
+        x = self._as_input(x)
+        return self._forward(x, self._alpha_s(), training, rng, inspect)
+
+    def _forward(self, x: Tensor, alpha_s: Tensor, training: bool = False,
+                 rng: np.random.Generator | None = None,
+                 inspect: bool = False,
+                 ) -> tuple[Tensor, ForwardTrace | None]:
         projs = [self.skip_in, *self.skip_mid]
         skips, trace_xi, trace_graphs, trace_z = [], [], [], []
-        branches = self._branches(self._as_input(x), training, rng)
+        branches = self._branches(x, alpha_s, training, rng)
         for scale, (feats, graphs, z) in enumerate(branches):
             skips.append(T.skip_linear(feats, projs[scale].w, projs[scale].b))
             if inspect:
@@ -220,19 +240,31 @@ class Model:
         trace = ForwardTrace(trace_xi, trace_graphs, trace_z, out) if inspect else None
         return out, trace
 
-    def predict(self, x) -> np.ndarray:
+    def _sliced(self, n: int, run) -> np.ndarray:
+        """``run(s, alpha_s)`` for each ``slice`` s of ``_SLICE`` windows out
+        of ``n``, without gradient tracking and with α_s computed once for
+        all of them; the results concatenated along the window axis."""
         with T.no_grad():
-            out, _ = self.forward(x, training=False)
-        return out.data
+            alpha_s = self._alpha_s()
+            return np.concatenate([run(slice(i, i + _SLICE), alpha_s)
+                                   for i in range(0, n, _SLICE)])
 
-    def _walk(self, x, scale: int) -> tuple[Tensor, EvolvingGraphSequence | None]:
-        """Skip branch ``scale``'s input and its graphs, without gradient
-        tracking, running the backbone only as far as that branch."""
-        with T.no_grad():
-            for branch, (feats, graphs, z) in enumerate(self._branches(self._as_input(x))):
-                if branch == scale:
-                    return feats, graphs
-            return z, None
+    def predict(self, x) -> np.ndarray:
+        """``forward(x)``'s output without gradient tracking, run over the
+        windows 16 (a default training batch) at a time.  Equal to the
+        unsliced forward up to the summation order of the batched products."""
+        x = self._as_input(x).data
+        return self._sliced(
+            len(x), lambda s, alpha_s: self._forward(Tensor(x[s]), alpha_s)[0].data)
+
+    def _walk(self, x: Tensor, alpha_s: Tensor, scale: int,
+              ) -> tuple[Tensor, EvolvingGraphSequence | None]:
+        """Skip branch ``scale``'s input and its graphs, running the backbone
+        only as far as that branch."""
+        for branch, (feats, graphs, z) in enumerate(self._branches(x, alpha_s)):
+            if branch == scale:
+                return feats, graphs
+        return z, None
 
     def branch_features(self, x, scale: int) -> np.ndarray:
         """Flattened input to skip branch ``scale`` without gradient tracking.
@@ -240,14 +272,17 @@ class Model:
         Scale 0 is the raw window, 1..L the temporal features ξ⁽ˡ⁾, and
         L+1 the final state Z⁽ᴸ⁺¹⁾; the result is (B, N, t·c), exactly
         what the corresponding skip projection consumes.  The backbone
-        stops at the requested scale.
+        stops at the requested scale and runs over the windows 16 at a
+        time.
         """
         c = self.config
         if not 0 <= scale <= c.n_layers + 1:
             raise ConfigurationError(
                 f"scale index {scale} out of range 0..{c.n_layers + 1}"
             )
-        return _flat(self._walk(x, scale)[0].data)
+        x = self._as_input(x).data
+        return self._sliced(
+            len(x), lambda s, alpha_s: _flat(self._walk(Tensor(x[s]), alpha_s, scale)[0].data))
 
     def graph_inspection(self, series, layer: int) -> EvolvingGraphSequence:
         """The graphs layer ``layer`` (1..L) applies across a series.
@@ -256,8 +291,8 @@ class Model:
         equal to the layer's segment interval and keeps each window's most
         recent adjacency — the graph the model actually applied to those
         steps.  The graph learner is therefore never unrolled deeper than
-        it is in training, where a window holds only a few segments.  Each
-        chunk of windows runs the backbone only up to the layer.
+        it is in training, where a window holds only a few segments.  The
+        backbone runs only up to the layer, 16 windows at a time.
 
         Accepts (T, N, C) with T ≥ window.  Returns one sample whose
         segments are the windows' last graphs; segment boundaries are
@@ -287,14 +322,16 @@ class Model:
         starts = np.arange(0, total - p + 1, d)
         # (T − P + 1, P, N, C): entry s is arr[s:s + P]
         windows = sliding_window_view(arr, p, axis=0).transpose(0, 3, 1, 2)
-        last = []
-        for i in range(0, starts.size, _INSPECTION_CHUNK):
-            _, graphs = self._walk(windows[starts[i:i + _INSPECTION_CHUNK]], layer)
-            last.append(graphs.adjacency.data[:, -1].copy())
+
+        def last_graphs(s: slice, alpha_s: Tensor) -> np.ndarray:
+            _, graphs = self._walk(Tensor(windows[starts[s]]), alpha_s, layer)
+            return graphs.adjacency.data[:, -1].copy()
+
+        last = self._sliced(starts.size, last_graphs)
         ends = range(p, total + 1, d)
         spec = SegmentSpec(d=d, m=len(ends), boundaries=[(e - d, e) for e in ends])
         # one sample whose M segments are the windows' last graphs
-        return EvolvingGraphSequence.from_stack(Tensor(np.concatenate(last)[None]), spec)
+        return EvolvingGraphSequence.from_stack(Tensor(last[None]), spec)
 
 
 def _flat(x: np.ndarray) -> np.ndarray:

@@ -130,6 +130,9 @@ def loss_tensor(pred: Tensor, target: Array, kind: str) -> Tensor:
 
 
 def predict_batched(model: Model, inputs: Array, batch_size: int = 64) -> Array:
+    """Predictions for ``inputs``, one ``Model.predict`` call per
+    ``batch_size`` windows.  Each call bounds its own memory, running the
+    backbone a training batch of windows at a time, and computes α_s once."""
     outs = []
     for start in range(0, inputs.shape[0], batch_size):
         outs.append(model.predict(inputs[start:start + batch_size]))
@@ -240,8 +243,7 @@ def _fit(forward, validate, params: dict[str, Tensor], cfg: TrainConfig,
                        time.perf_counter() - t0)
 
 
-def train(model: Model, data: PreparedData, cfg: TrainConfig,
-          batch_size_eval: int = 64) -> TrainResult:
+def train(model: Model, data: PreparedData, cfg: TrainConfig) -> TrainResult:
     """Fit the model on the train split, selecting by validation metric.
 
     The model is left holding the best-validation parameters; the history
@@ -258,7 +260,7 @@ def train(model: Model, data: PreparedData, cfg: TrainConfig,
 
     def validate() -> float:
         vx, vy, _ = data.arrays("val")
-        pred = predict_batched(model, vx, batch_size_eval)
+        pred = predict_batched(model, vx)
         return headline_value(model.config.task, data.scaler.inverse(vy),
                               data.scaler.inverse(pred))
 
@@ -269,22 +271,22 @@ def train(model: Model, data: PreparedData, cfg: TrainConfig,
 # Evaluation
 
 def evaluate(model: Model, inputs: Array, targets: Array,
-             scaler: Scaler | None, batch_size: int = 64) -> MetricReport:
+             scaler: Scaler | None) -> MetricReport:
     """De-normalize predictions and targets, then report per-horizon metrics."""
     if scaler is None:
         raise ConfigurationError(
             "evaluation requires the training scaler; refusing to report "
             "raw-scale metrics"
         )
-    preds = predict_batched(model, inputs, batch_size)
+    preds = predict_batched(model, inputs)
     return horizon_report(scaler.inverse(targets), scaler.inverse(preds),
                           task=model.config.task, horizon=model.config.horizon)
 
 
-def evaluate_split(model: Model, data: PreparedData, split: str = "test",
-                   batch_size: int = 64) -> MetricReport:
+def evaluate_split(model: Model, data: PreparedData,
+                   split: str = "test") -> MetricReport:
     x, y, _ = data.arrays(split)
-    return evaluate(model, x, y, data.scaler, batch_size)
+    return evaluate(model, x, y, data.scaler)
 
 
 # ---------------------------------------------------------------------------
@@ -535,17 +537,8 @@ class ProbeResult:
     best_val: float
 
 
-def _cache_features(model: Model, inputs: Array, scale: int,
-                    batch_size: int) -> Array:
-    outs = []
-    for start in range(0, inputs.shape[0], batch_size):
-        outs.append(model.branch_features(inputs[start:start + batch_size],
-                                          scale))
-    return np.concatenate(outs, axis=0)
-
-
 def scale_probe(model: Model, data: PreparedData, scale: int,
-                cfg: TrainConfig, batch_size_eval: int = 256) -> ProbeResult:
+                cfg: TrainConfig) -> ProbeResult:
     """Re-train the output head on one skip branch of the frozen backbone.
 
     Scale 0 feeds the raw window, 1..L the layer features, L+1 the final
@@ -561,8 +554,8 @@ def scale_probe(model: Model, data: PreparedData, scale: int,
         model.set_reference_series(data.reference)
     xs, ys, _ = data.arrays("train")
     vx, vy, _ = data.arrays("val")
-    feats_train = _cache_features(model, xs, scale, batch_size_eval)
-    feats_val = _cache_features(model, vx, scale, batch_size_eval)
+    feats_train = model.branch_features(xs, scale)
+    feats_val = model.branch_features(vx, scale)
 
     head = ProbeHead(model, feats_train.shape[-1], seed=c.seed)
 
@@ -578,7 +571,7 @@ def scale_probe(model: Model, data: PreparedData, scale: int,
                   RngSource(c.seed))
 
     tx, ty, _ = data.arrays("test")
-    feats_test = _cache_features(model, tx, scale, batch_size_eval)
+    feats_test = model.branch_features(tx, scale)
     preds = head.predict(feats_test)
     report = horizon_report(data.scaler.inverse(ty),
                             data.scaler.inverse(preds),

@@ -1,13 +1,17 @@
-"""One single-step training step at scale, as a memory guard.
+"""One single-step training step, or one prediction, at scale, as a memory
+guard.
 
 Builds the single-step preset at N nodes (default 64) and runs one
 training step (forward, backward, Adam) on a batch of B random windows
 (default 16) with a random 600-step reference series, on one BLAS thread.
 It prints the step's forward and backward times and the peak resident size,
-and exits non-zero if the step fails, a MemoryError included.  Run it
-under an address-space cap to check that the step fits::
+and exits non-zero if the step fails, a MemoryError included.  With
+``--predict K`` it runs one ``Model.predict`` of K random windows instead
+and prints its time and the peak resident size.  Run it under an
+address-space cap to check that the work fits::
 
     (ulimit -v 1228800; PYTHONPATH=src python tests/scale_step.py --nodes 64)
+    (ulimit -v 1228800; PYTHONPATH=src python tests/scale_step.py --nodes 128 --predict 64)
 
 pytest does not collect this file.
 """
@@ -32,16 +36,30 @@ from evograph.optim import Adam  # noqa: E402
 from evograph.trainer import loss_tensor  # noqa: E402
 
 
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--nodes", type=int, default=64)
     parser.add_argument("--batch", type=int, default=16)
+    parser.add_argument("--predict", type=int, metavar="K",
+                        help="run one no-grad predict of K windows instead of a step")
     args = parser.parse_args()
 
     config = single_step_preset(args.nodes)
     model = Model(config)
     rng = np.random.default_rng(0)
     model.set_reference_series(rng.normal(size=(args.nodes, 600, config.n_channels)))
+    if args.predict is not None:
+        x = rng.normal(size=(args.predict, config.window, args.nodes, config.n_channels))
+        t0 = time.perf_counter()
+        model.predict(x)
+        seconds = time.perf_counter() - t0
+        print(f"N={args.nodes} predict of {args.predict} windows: {seconds:.2f} s, "
+              f"peak RSS {peak_rss_mb():.0f} MB")
+        return
     x = rng.normal(size=(args.batch, config.window, args.nodes, config.n_channels))
     opt = Adam(model.parameters())
 
@@ -53,9 +71,8 @@ def main() -> None:
     tape.backward(loss)
     opt.step()
     t2 = time.perf_counter()
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"N={args.nodes} B={args.batch}: forward {t1 - t0:.2f} s, "
-          f"backward and Adam {t2 - t1:.2f} s, peak RSS {peak_mb:.0f} MB")
+          f"backward and Adam {t2 - t1:.2f} s, peak RSS {peak_rss_mb():.0f} MB")
 
 
 if __name__ == "__main__":

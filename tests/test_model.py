@@ -1,5 +1,6 @@
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,10 @@ from evograph.config import (
     single_step_preset,
 )
 from evograph.errors import ConfigurationError, ContractError, DimensionError, LoadError
+from evograph.graph_learner import StaticFeatureExtractor
 from evograph.model import Model, load_checkpoint, save_checkpoint
+from evograph.optim import Adam
+from evograph.trainer import loss_tensor
 
 
 VARIANTS = ("full", "static_only", "no_scale_specific", "shared_evolution")
@@ -264,6 +268,99 @@ class TestForward:
         # the 11 that layer 2's stride of 1 needs
         assert np.array_equal(np.concatenate(fed),
                               np.stack([series[e - 16:e] for e in (16, 20, 24)]))
+
+
+TASKS = ({"task": "single"}, {"task": "multi", "horizon": 6})
+
+
+def moved_model(**kw):
+    """A tiny model whose parameters are moved off their initial values."""
+    model = tiny_model(**kw)
+    rng = np.random.default_rng(12)
+    for p in model.store.params.values():
+        p.data = p.data + 0.3 * rng.normal(size=p.shape)
+    return model
+
+
+class TestInference:
+    """``predict``, ``branch_features`` and ``graph_inspection`` walk the
+    backbone over 16-window slices with α_s computed once per call."""
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_predict_is_its_slices_concatenated(self, task):
+        model = moved_model(**task)
+        x = window(b=40, seed=20)
+        got = model.predict(x)
+        slices = np.concatenate([model.predict(x[i:i + 16]) for i in (0, 16, 32)])
+        assert np.array_equal(got, slices)
+        with T.no_grad():
+            whole = model.forward(x)[0].data
+        assert np.max(np.abs(got - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_no_windows_is_a_dimension_error(self, task):
+        model = tiny_model(**task)
+        empty = window(b=0)
+        with pytest.raises(DimensionError, match="no windows"):
+            model.predict(empty)
+        with pytest.raises(DimensionError, match="no windows"):
+            model.branch_features(empty, 1)
+
+    def test_static_extractor_runs_once_per_call(self, monkeypatch):
+        calls = []
+        extract = StaticFeatureExtractor.__call__
+
+        def counting(self, series):
+            calls.append(1)
+            return extract(self, series)
+
+        monkeypatch.setattr(StaticFeatureExtractor, "__call__", counting)
+        model = tiny_model()
+        x = window(b=40, seed=21)
+        # layer 2's stride is 1: a 55-step series holds 40 windows of 16
+        series = np.random.default_rng(22).normal(size=(55, 4, 1))
+        for run in (lambda: model.predict(x),
+                    lambda: model.branch_features(x, 2),
+                    lambda: model.graph_inspection(series, 2)):
+            calls.clear()
+            run()
+            assert len(calls) == 1
+
+    def test_predict_after_adam_step_sees_new_parameters(self):
+        model = moved_model()
+        x = window(b=20, seed=23)
+        before = model.predict(x)
+        static = {k: p.data.copy() for k, p in model.store.params.items()
+                  if k.startswith("static.")}
+        with T.Tape() as tape:
+            pred, _ = model.forward(x[:4], training=True, rng=np.random.default_rng(0))
+            loss = loss_tensor(pred, np.zeros(pred.shape), "mae")
+        tape.backward(loss)
+        Adam(model.parameters(), lr=0.01).step()
+        assert all(not np.array_equal(model.store.params[k].data, v)
+                   for k, v in static.items())
+        after = model.predict(x)
+        with T.no_grad():
+            want = model.forward(x)[0].data
+        assert not np.allclose(after, before)
+        assert np.max(np.abs(after - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @staticmethod
+    def predict_peak(model, x) -> int:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model.predict(x)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("task", TASKS)
+    def test_predict_peak_does_not_grow_with_windows(self, task):
+        # one forward over all 64 windows peaks near 4 x a 16-window one
+        model = tiny_model(**task)
+        x = window(b=64, seed=24)
+        assert self.predict_peak(model, x) <= 1.5 * self.predict_peak(model, x[:16])
 
 
 class TestVariants:
