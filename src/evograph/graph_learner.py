@@ -9,24 +9,29 @@ M segments yields M graphs that evolve smoothly in time.
 A layer's pipeline is a fixed number of ops whatever its segment count M:
 the M segment means are one op (none when d = 1), the GRU over them is one
 (:func:`tensor.gru_sequence`, which returns its M states as one
-(B, M, N, C_e) tensor), and the states are scored in one call, so a
-layer's graphs come out as one (B, M, N, N) tensor;
-``EvolvingGraphSequence.matrices`` holds its per-segment slices as views.
+(B, M, N, C_e) tensor), and the states are scored, gated and
+row-normalized in one more, so a layer's graphs come out as one
+(B, M, N, N) tensor; ``EvolvingGraphSequence.matrices`` holds its
+per-segment slices as views.
 
 The scorer is two two-layer ReLU perceptrons (edge and mask) over the pair
 input α_i ‖ α_j.  Their first layer splits as W = [W_L; W_R], so its
 pre-activation is the outer sum α_i W_L + α_j W_R + b: one (C_e, 2H) GEMM
 per side serves both heads, and the (B, N², 2·C_e) pair tensor is never
-built.  The fused op (:func:`tensor.pairwise_mlp`) recomputes the
-(B, N, N, 2H) hidden layer in its backward pass instead of keeping it on
-the tape, so a graph retains only its (B, N, N) outputs.
+built.  The graph is A = relu(s_e) ⊙ σ(s_m), and propagation reads its
+row-normalized form Ā = A / r, so the normalization happens here, once per
+graph: :func:`tensor.pairwise_graph` returns Ā and the row sums r.  Its
+record keeps only Ā and r (beside the GRU states it reads); the
+(B, N, N, 2H) hidden layer, both scores and A are rebuilt one block of
+graphs at a time in its backward pass.  A itself, Ā ⊙ r, is formed only
+for inspection and export.
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -124,31 +129,46 @@ class StaticFeatureExtractor:
 
 @dataclass
 class EvolvingGraphSequence:
-    """M nonnegative adjacency matrices, one per segment.
+    """M row-normalized nonnegative adjacency matrices, one per segment.
 
-    ``adjacency`` is the (B, M, N, N) stack; ``matrices[m]`` is its (B, N, N)
-    slice for segment m, a view on the tape (an unused one costs nothing in
-    backward).  ``spec`` records which time range each matrix governs.
+    ``adjacency`` is the (B, M, N, N) stack Ā that propagation reads, each
+    row of a graph A divided by its sum (an all-zero row stays zero);
+    ``matrices[m]`` is its (B, N, N) slice for segment m, a view on the
+    tape (an unused one costs nothing in backward).  ``row_sums`` holds r,
+    (B, M, N, 1), a plain array off the tape, so the graphs as learned are
+    A = Ā ⊙ r (:meth:`unnormalized`), which inspection and export write.
+    ``spec`` records which time range each matrix governs.
     """
 
     adjacency: Tensor
-    matrices: list[Tensor]
+    row_sums: np.ndarray
     spec: SegmentSpec
+    matrices: list[Tensor] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.matrices = [T.select(self.adjacency, 1, m) for m in range(self.adjacency.shape[1])]
 
     @classmethod
     def from_stack(cls, adjacency: Tensor, spec: SegmentSpec) -> "EvolvingGraphSequence":
-        matrices = [T.select(adjacency, 1, m) for m in range(adjacency.shape[1])]
-        return cls(adjacency, matrices, spec)
+        """The sequence of nonnegative graphs A, (B, M, N, N), normalized
+        here by one :func:`tensor.row_normalize` record."""
+        return cls(T.row_normalize(adjacency), adjacency.data.sum(axis=-1, keepdims=True), spec)
+
+    def unnormalized(self) -> np.ndarray:
+        """A = Ā ⊙ r, the (B, M, N, N) graphs before row normalization."""
+        return self.adjacency.data * self.row_sums
 
 
 class Egl:
     """Evolving graph learner: params for one (layer's) graph source.
 
     The segment interval d is supplied per call, so one parameter set can
-    serve several scales.  Pair scoring is one fused op: the edge and mask
+    serve several scales.  Pair scoring, gating and row normalization are
+    one fused op (:func:`tensor.pairwise_graph`): the edge and mask
     perceptrons (``{name}.edge.fc1``/``fc2`` and ``{name}.mask.fc1``/``fc2``,
     plain affine maps over 2·C_e pair features) run as an outer sum of
-    per-node projections, and their hidden layer is recomputed in backward.
+    per-node projections, and their hidden layer and scores are recomputed
+    in backward.
     """
 
     def __init__(self, store: ParamStore, name: str, c_in: int, c_e: int,
@@ -177,17 +197,13 @@ class Egl:
         """α⁰ = tanh(affine(α_s)) — the GRU's initial state."""
         return T.tanh(self.init_proj(alpha_s))
 
-    def derive_adjacency(self, alpha: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    def derive_adjacency(self, alpha: Tensor) -> tuple[Tensor, np.ndarray]:
         """Score every ordered node pair from (..., N, C_e) embeddings.
 
-        Returns (A, Â, mask logits), each (..., N, N): Â from a ReLU-capped
-        scorer, A = Â ⊙ σ(mask).
+        Returns Ā, the row-normalized A = relu(s_e) ⊙ σ(s_m), (..., N, N),
+        and A's row sums r, (..., N, 1): one record that keeps Ā and r.
         """
-        scores = T.pairwise_mlp(alpha, self.heads)  # (..., N, N, 2)
-        a_hat = T.relu(T.select(scores, -1, 0))
-        mask = T.select(scores, -1, 1)
-        a = T.mul(a_hat, T.sigmoid(mask))
-        return a, a_hat, mask
+        return T.pairwise_graph(alpha, self.heads)
 
     def evolve(self, xi: Tensor, alpha_s: Tensor, d: int) -> EvolvingGraphSequence:
         """Full pipeline: segment means → initial state → GRU over the
@@ -205,31 +221,28 @@ class Egl:
             alpha = T.broadcast_leading(alpha, xi.shape[0])
         g = self.gru
         states = T.gru_sequence(gammas, alpha, g.w_r, g.w_u, g.w_o, g.b_r, g.b_u, g.b_o)
-        a, _, _ = self.derive_adjacency(states)
-        return EvolvingGraphSequence.from_stack(a, spec)
+        return EvolvingGraphSequence(*self.derive_adjacency(states), spec)
 
     def static_sequence(self, alpha_s: Tensor, t: int, batch: int) -> EvolvingGraphSequence:
         """One graph from the initial (static) embeddings covering [0, t)."""
         alpha = self.init_hidden(alpha_s)
         if alpha.ndim == 2:
             alpha = T.broadcast_leading(alpha, batch)
-        a, _, _ = self.derive_adjacency(T.stack([alpha], axis=1))
         spec = SegmentSpec(d=t, m=1, boundaries=[(0, t)])
-        return EvolvingGraphSequence.from_stack(a, spec)
+        return EvolvingGraphSequence(*self.derive_adjacency(T.stack([alpha], axis=1)), spec)
 
 
 def export_graphs(seq: EvolvingGraphSequence, out_dir, layer: int,
                   time_offset: int = 0) -> list[Path]:
-    """Write each adjacency (the first sample's, for batched graphs) as CSV
+    """Write the first sample's graphs A, unnormalized, one CSV per segment,
     plus an index JSON with time ranges."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     index = []
     written = []
-    for m, (tensor, (start, stop)) in enumerate(
-        zip(seq.matrices, seq.spec.boundaries), start=1
+    for m, (mat, (start, stop)) in enumerate(
+        zip(seq.unnormalized()[0], seq.spec.boundaries), start=1
     ):
-        mat = tensor.data[0] if tensor.ndim == 3 else tensor.data
         fname = f"layer{layer}_segment{m}.csv"
         written.append(write_csv_atomic(
             out_dir / fname, ([repr(float(v)) for v in row] for row in mat)))

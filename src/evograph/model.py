@@ -29,6 +29,7 @@ from __future__ import annotations
 import base64
 import json
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,6 +93,7 @@ class Model:
         self.store = ParamStore(RngSource(config.seed))
         self.lengths = config.layer_lengths()
         self.reference_series: Tensor | None = None
+        self._alpha_s_pin: Tensor | None = None
         c = config
         st = self.store
 
@@ -240,12 +242,26 @@ class Model:
         trace = ForwardTrace(trace_xi, trace_graphs, trace_z, out) if inspect else None
         return out, trace
 
+    @contextmanager
+    def _alpha_s_pinned(self) -> Iterator[None]:
+        """Within the block, every no-grad walk reuses one α_s, computed on
+        entry: for a caller that makes several ``predict``,
+        ``branch_features`` or ``graph_inspection`` calls on unchanged
+        parameters."""
+        with T.no_grad():
+            self._alpha_s_pin = self._alpha_s()
+        try:
+            yield
+        finally:
+            self._alpha_s_pin = None
+
     def _sliced(self, n: int, run) -> np.ndarray:
         """``run(s, alpha_s)`` for each ``slice`` s of ``_SLICE`` windows out
         of ``n``, without gradient tracking and with α_s computed once for
-        all of them; the results concatenated along the window axis."""
+        all of them (or pinned by :meth:`_alpha_s_pinned`); the results
+        concatenated along the window axis."""
         with T.no_grad():
-            alpha_s = self._alpha_s()
+            alpha_s = self._alpha_s() if self._alpha_s_pin is None else self._alpha_s_pin
             return np.concatenate([run(slice(i, i + _SLICE), alpha_s)
                                    for i in range(0, n, _SLICE)])
 
@@ -325,7 +341,7 @@ class Model:
 
         def last_graphs(s: slice, alpha_s: Tensor) -> np.ndarray:
             _, graphs = self._walk(Tensor(windows[starts[s]]), alpha_s, layer)
-            return graphs.adjacency.data[:, -1].copy()
+            return graphs.adjacency.data[:, -1] * graphs.row_sums[:, -1]  # A = Ā ⊙ r
 
         last = self._sliced(starts.size, last_graphs)
         ends = range(p, total + 1, d)

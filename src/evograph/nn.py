@@ -49,7 +49,7 @@ class Linear:
         self.b = store.new(f"{name}.bias", (d_out,), fan_in=d_in)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.bias_add(T.matmul(x, self.w), self.b)
+        return T.linear(x, self.w, self.b)
 
 
 class Conv1d:

@@ -3,17 +3,21 @@
 Each hop mixes a β-weighted retention of the original node states with
 neighbour aggregation through the segment's adjacency matrix; hop outputs
 are projected and summed.  The adjacency is row-normalized, so the
-aggregation is an average rather than a sum.
+aggregation is an average rather than a sum.  The graphs arrive already
+normalized: the graph learner's :func:`tensor.pairwise_graph` record (or,
+for graphs given as they are, ``EvolvingGraphSequence.from_stack``) does
+it once per graph, so nothing here normalizes or copies them.
 
-A layer's graphs arrive as one (B, M, N, N) stack, which is checked and
-normalized once.  Segments of equal length d are propagated together: the
-features are viewed as (B, M, d, N, C) and each hop is one batched product
-with the (B, M, 1, N, N) graphs broadcast over the d steps of their segment
-(for d = 1 simply (B, T, N, N) against (B, T, N, C)).  A longer last
-segment takes one more call.  No per-step copy of the graphs is made.
+A layer's graphs arrive as one (B, M, N, N) stack, which is checked once.
+Segments of equal length d are propagated together: the features are
+viewed as (B, M, d, N, C) and each hop is one batched product with the
+(B, M, 1, N, N) graphs broadcast over the d steps of their segment (for
+d = 1 simply (B, T, N, N) against (B, T, N, C)).  A longer last segment
+takes one more call.  No per-step copy of the graphs is made.
 
 Each call runs all Ψ hops and Ψ + 1 projections as one :func:`tensor.mixhop`
-record, which keeps only the Ψ hop states for the backward pass.
+record, which keeps only the Ψ hop states for the backward pass; the views
+that narrow the graphs to the segments in use keep nothing.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ class MixHop:
     def apply_per_segment(self, xi: Tensor, graphs: EvolvingGraphSequence,
                           time_offset: int = 0) -> Tensor:
         """Propagate each time step through its own segment's row-normalized
-        adjacency matrix.
+        adjacency matrix, ``graphs.adjacency``, as it is.
 
         ``time_offset`` maps local feature index j to the absolute index
         j + time_offset used by the graphs' segment boundaries (nonzero when
@@ -82,13 +86,12 @@ class MixHop:
         runs = _equal_runs(graphs.spec.boundaries, lo, hi)
         if not runs:
             raise ContractError("no segment overlapped the feature range")
-        # only the graphs the features use are normalized, all at once
+        # a view of the graphs the features use
         first = runs[0][0]
         used = runs[-1][0] + runs[-1][1] - first
         adj = graphs.adjacency
         if used != adj.shape[1]:
             adj = T.narrow(adj, 1, first, used)
-        adj = T.row_normalize(adj)
         parts = []
         for m, n, start, length in runs:
             x = xi if n * length == t else T.narrow(xi, 1, start, n * length)

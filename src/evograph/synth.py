@@ -240,16 +240,15 @@ def _offdiag(a: Array) -> Array:
 
 def score_recovery(graphs: EvolvingGraphSequence, truth: GroundTruth,
                    time_offset: int = 0) -> RecoveryScore:
-    """Correlate each learned segment graph with every regime's matrix
-    (the first sample's, for batched graphs)."""
+    """Correlate each learned segment graph A, as learned (before row
+    normalization) and the first sample's, with every regime's matrix."""
     n_regimes = len(truth.matrices)
     true_off = [_offdiag(m) for m in truth.matrices]
     alignments = np.zeros((len(graphs.matrices), n_regimes))
     majority, degenerate, ranges = [], [], []
-    for m, (tensor, (start, stop)) in enumerate(
-        zip(graphs.matrices, graphs.spec.boundaries)
+    for m, (mat, (start, stop)) in enumerate(
+        zip(graphs.unnormalized()[0], graphs.spec.boundaries)
     ):
-        mat = tensor.data[0] if tensor.ndim == 3 else tensor.data
         learned = _offdiag(mat)
         spread = float(np.ptp(learned))
         dead = spread <= 1e-12 * max(1.0, float(np.abs(learned).max()))

@@ -312,14 +312,16 @@ def load_history(path) -> list[dict]:
 
 def export_run_graphs(model: Model, data: PreparedData, out_dir) -> list[Path]:
     """Export every layer's learned adjacency for the final look-back
-    window: one ``graph_inspection`` walk per layer over that one window."""
+    window: one ``graph_inspection`` walk per layer over that one window,
+    all with one α_s."""
     t_total = data.normalized.shape[1]
     p = model.config.window
     window = data.normalized[:, t_total - p:, :].transpose(1, 0, 2)
     written = []
-    for layer in range(1, model.config.n_layers + 1):
-        written.extend(export_graphs(model.graph_inspection(window, layer), out_dir,
-                                     layer=layer, time_offset=t_total - p))
+    with model._alpha_s_pinned():
+        for layer in range(1, model.config.n_layers + 1):
+            written.extend(export_graphs(model.graph_inspection(window, layer), out_dir,
+                                         layer=layer, time_offset=t_total - p))
     return written
 
 

@@ -185,7 +185,7 @@ class TestExportGraphs:
         series = cli.load_dataset(data).values.transpose(1, 0, 2)
         _, trace = model.forward(series[None, -16:], inspect=True)
         got = np.loadtxt(out / index[-1]["file"], delimiter=",")
-        assert np.allclose(got, trace.graphs[0].matrices[-1].data[0], rtol=1e-13, atol=0)
+        assert np.allclose(got, trace.graphs[0].unnormalized()[0, -1], rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("layer", ["0", "3"])
     def test_layer_out_of_range_exits_2(self, tmp_path, capsys, layer):

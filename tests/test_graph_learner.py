@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,39 +133,69 @@ class TestAdjacency:
     def test_identical_embeddings_constant_matrix(self):
         egl = Egl(store(3), "egl", c_in=3, c_e=4, c_s=5)
         alpha = Tensor(np.tile(np.random.default_rng(8).normal(size=4), (5, 1)))
-        a, _, _ = egl.derive_adjacency(alpha)
+        a, _ = egl.derive_adjacency(alpha)
         assert np.allclose(a.data, a.data.flat[0])
 
     def test_mask_attenuates(self):
+        # A = Ā ⊙ r is the edge score's ReLU attenuated by the mask, and Ā
+        # its row-normalized form
         for seed in range(5):
             egl = Egl(store(seed), "egl", c_in=3, c_e=4, c_s=5)
-            a, a_hat, _ = egl.derive_adjacency(rand(6, 4, seed=seed))
-            assert np.all(a.data >= 0)
-            assert np.all(a.data <= a_hat.data + 1e-15)
+            alpha = rand(6, 4, seed=seed)
+            a_bar, r = egl.derive_adjacency(alpha)
+            a_hat = np.maximum(T.pairwise_mlp(alpha, egl.heads).data[..., 0], 0.0)
+            a = a_bar.data * r
+            assert np.all(a >= 0)
+            assert np.all(a <= a_hat + 1e-15)
+            assert np.allclose(r[:, 0], a.sum(axis=-1))
+            assert np.allclose(a_bar.data.sum(axis=-1), 1.0)
 
     def test_saturated_negative_mask_kills_graph(self):
         st = store(4)
         egl = Egl(st, "egl", c_in=3, c_e=4, c_s=5)
         st.params["egl.mask.fc2.bias"].data[:] = -1e4
-        a, a_hat, _ = egl.derive_adjacency(rand(6, 4, seed=9))
-        assert np.allclose(a.data, 0.0)
-        assert np.any(a_hat.data > 0)
+        alpha = rand(6, 4, seed=9)
+        a_bar, r = egl.derive_adjacency(alpha)
+        # every row is all zero, and row normalization passes it through
+        assert np.all(a_bar.data == 0.0) and np.all(r == 0.0)
+        assert np.any(T.pairwise_mlp(alpha, egl.heads).data[..., 0] > 0)
 
     def test_batched_matches_per_sample(self):
         egl = Egl(store(5), "egl", c_in=3, c_e=4, c_s=5)
         alpha = rand(3, 6, 4, seed=10)
-        a_all, _, _ = egl.derive_adjacency(alpha)
+        a_all, r_all = egl.derive_adjacency(alpha)
         for b in range(3):
-            a_one, _, _ = egl.derive_adjacency(Tensor(alpha.data[b]))
+            a_one, r_one = egl.derive_adjacency(Tensor(alpha.data[b]))
             assert np.allclose(a_all.data[b], a_one.data)
+            assert np.allclose(r_all[b], r_one)
+
+    def test_record_keeps_only_normalized_graph_and_row_sums(self):
+        # Ā and r, 1 + 1/N of one (B, M, N, N) array; the unfused chain of
+        # scores, ReLU, σ and product holds about 4 x, and its row
+        # normalization one more
+        egl = Egl(store(6), "egl", c_in=3, c_e=4, c_s=5)
+        alpha = Tensor(np.random.default_rng(13).normal(size=(2, 4, 48, 4)), requires_grad=True)
+        graph_bytes = 2 * 4 * 48 * 48 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with T.Tape():
+                out = egl.derive_adjacency(alpha)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out[0].shape == (2, 4, 48, 48)
+        assert held <= 1.1 * graph_bytes
 
 
 class TestPairScorerReference:
-    """The fused scorer against the pair tensor built explicitly."""
+    """The fused scorer and its epilogue against the pair tensor built
+    explicitly and a chain of plain ops."""
 
     @staticmethod
     def reference(egl, alpha):
-        """(B, N², 2C) pairs in numpy, both MLPs through plain ops."""
+        """(B, N², 2C) pairs in numpy, both MLPs, the gate and the row
+        normalization through plain ops."""
         b, n, c = alpha.shape
         a = alpha.data
         pairs = Tensor(np.concatenate([
@@ -177,8 +208,8 @@ class TestPairScorerReference:
             return T.reshape(T.bias_add(T.matmul(hidden, fc2.w), fc2.b), (b, n, n))
 
         a_hat = T.relu(mlp(egl.edge_fc1, egl.edge_fc2))
-        mask = mlp(egl.mask_fc1, egl.mask_fc2)
-        return T.mul(a_hat, T.sigmoid(mask)), a_hat, mask, pairs
+        graph = T.mul(a_hat, T.sigmoid(mlp(egl.mask_fc1, egl.mask_fc2)))
+        return T.row_normalize(graph), graph, pairs
 
     def test_outputs_and_gradients_match(self):
         st = store(11)
@@ -186,33 +217,38 @@ class TestPairScorerReference:
         rng = np.random.default_rng(12)
         for p in st.params.values():  # leave the flat init so all paths carry gradient
             p.data = p.data + 0.5 * rng.normal(size=p.shape)
-        alpha = Tensor(rng.normal(size=(3, 7, 5)), requires_grad=True)
-        weights = [Tensor(rng.normal(size=(3, 7, 7))) for _ in range(3)]
+        alpha_data = rng.normal(size=(3, 7, 5))
+        # node 0 of sample 1 kills every edge unit on its rows: all its
+        # edge scores are the (negative) output bias, so its row is all zero
+        st.params["egl.edge.fc2.bias"].data[:] = -0.5
+        alpha_data[1, 0] = np.linalg.solve(egl.edge_fc1.w.data[:5].T, np.full(5, -100.0))
+        alpha = Tensor(alpha_data, requires_grad=True)
+        weight = Tensor(rng.normal(size=(3, 7, 7)))
         scorer = [k for k in st.params if ".edge." in k or ".mask." in k]
         assert len(scorer) == 8
 
-        def run(outputs):
+        def run(graphs):
             with T.Tape() as tape:
-                outs = outputs()
-                loss = T.reduce_sum(T.mul(outs[0], weights[0]))
-                for o, w in zip(outs[1:3], weights[1:]):
-                    loss = T.add(loss, T.reduce_sum(T.mul(o, w)))
+                outs = graphs()
+                loss = T.reduce_sum(T.mul(outs[0], weight))
             tape.backward(loss)
             return outs, {k: st.params[k].grad.copy() for k in scorer}
 
-        fused, g_fused = run(lambda: egl.derive_adjacency(alpha))
+        (a_bar, r), g_fused = run(lambda: egl.derive_adjacency(alpha))
         g_alpha = alpha.grad.copy()
-        ref, g_ref = run(lambda: self.reference(egl, alpha))
+        (ref_bar, ref_graph, pairs), g_ref = run(lambda: self.reference(egl, alpha))
         # the pair tensor's gradient folds back onto α_i (left) and α_j (right)
-        g_pairs = ref[3].grad.reshape(3, 7, 7, 10)
+        g_pairs = pairs.grad.reshape(3, 7, 7, 10)
         g_alpha_ref = g_pairs[..., :5].sum(axis=2) + g_pairs[..., 5:].sum(axis=1)
 
         def close(x, y):
             return np.max(np.abs(x - y)) <= 1e-12 * np.max(np.abs(y))
 
-        assert np.any(fused[1].data == 0) and np.any(fused[1].data > 0)
-        for got, want in zip(fused, ref[:3]):
-            assert close(got.data, want.data)
+        assert np.all(ref_graph.data[1, 0] == 0.0) and np.all(r[1, 0] == 0.0)
+        assert np.count_nonzero(ref_graph.data == 0) > 7
+        assert close(a_bar.data, ref_bar.data)
+        assert close(r, ref_graph.data.sum(axis=-1, keepdims=True))
+        assert close(a_bar.data * r, ref_graph.data)
         for k in scorer:
             assert np.any(g_ref[k] != 0), k
             assert close(g_fused[k], g_ref[k]), k
@@ -296,6 +332,8 @@ class TestExport:
         assert len(index) == 3
         assert index[0]["time_range"] == [10, 14]
         assert index[-1]["time_range"] == [18, 23]
+        # the graph as learned, A = Ā ⊙ r, not the normalized Ā
         mat = np.loadtxt(tmp_path / index[0]["file"], delimiter=",")
-        assert np.array_equal(mat, seq.matrices[0].data[0])
+        assert np.array_equal(mat, seq.adjacency.data[0, 0] * seq.row_sums[0, 0])
+        assert np.allclose(mat.sum(axis=-1), seq.row_sums[0, 0, :, 0])
         assert len(written) == 4

@@ -334,6 +334,52 @@ class TestSkipLinear:
             T.skip_linear(x, w, t(np.ones(5)))
 
 
+class TestLinear:
+    @staticmethod
+    def operands(seed, shape=(3, 5, 4, 3)):
+        rng = np.random.default_rng(seed)
+        return (t(rng.normal(size=shape)), t(rng.normal(size=(shape[-1], 6))),
+                t(rng.normal(size=6)))
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 5, 4, 3)])
+    def test_gradcheck(self, shape):
+        x, w, b = self.operands(40, shape)
+        g = Tensor(np.random.default_rng(41).normal(size=shape[:-1] + (6,)))
+        assert_gradients_close(lambda: T.reduce_sum(T.mul(T.linear(x, w, b), g)),
+                               {"x": x, "w": w, "b": b})
+
+    @pytest.mark.parametrize("shape", [(4, 3), (3, 5, 4, 3)])
+    def test_matches_matmul_then_bias_add(self, shape):
+        # the same GEMMs and the same sums as the two-record chain, so the
+        # output and every gradient are equal bit for bit
+        x, w, b = self.operands(42, shape)
+        g = Tensor(np.random.default_rng(43).normal(size=shape[:-1] + (6,)))
+
+        def grads(fn):
+            for p in (x, w, b):
+                p.grad = None
+            with Tape() as tape:
+                out = fn()
+                loss = T.reduce_sum(T.mul(out, g))
+            tape.backward(loss)
+            return out.data, [p.grad for p in (x, w, b)]
+
+        want, want_grads = grads(lambda: T.bias_add(T.matmul(x, w), b))
+        out, out_grads = grads(lambda: T.linear(x, w, b))
+        assert np.array_equal(out, want)
+        for got, ref in zip(out_grads, want_grads):
+            assert np.array_equal(got, ref)
+
+    def test_shape_checks(self):
+        x, w, b = self.operands(44)
+        with pytest.raises(DimensionError, match="linear"):
+            T.linear(x, t(np.ones((4, 6))), b)
+        with pytest.raises(DimensionError, match="linear"):
+            T.linear(x, w, t(np.ones(5)))
+        with pytest.raises(DimensionError, match="linear"):
+            T.linear(t(np.ones(3)), w, b)
+
+
 class TestRetention:
     """What one recorded fused op keeps alive, in multiples of its input's bytes."""
 
@@ -379,6 +425,15 @@ class TestRetention:
         w, b = t(rng.normal(size=(480, 8))), t(np.zeros(8))
         held = self.held(lambda: T.skip_linear(x, w, b))
         assert held <= 0.25 * x.data.nbytes
+
+    def test_linear_keeps_its_output_only(self):
+        # the (B, T, N, 16) output; keeping the product before the bias
+        # add as well takes 2 x
+        rng = np.random.default_rng(34)
+        x = t(rng.normal(size=(2, 30, 4, 16)))
+        w, b = t(rng.normal(size=(16, 16))), t(np.zeros(16))
+        held = self.held(lambda: T.linear(x, w, b))
+        assert held <= 1.1 * x.data.nbytes
 
 
 class TestElementwise:
@@ -614,6 +669,97 @@ class TestPairwiseMlp:
             T.pairwise_mlp(t(np.zeros((4, self.C))), [heads[0], narrow])
         with pytest.raises(DimensionError, match="at least one head"):
             T.pairwise_mlp(t(np.zeros((4, self.C))), [])
+
+
+class TestPairwiseGraph:
+    """The scorer with its gate and row normalization as one record."""
+
+    C = TestPairwiseMlp.C
+
+    @pytest.fixture(params=["one block", "block per graph"])
+    def blocking(self, request, monkeypatch):
+        if request.param == "block per graph":
+            monkeypatch.setattr(T, "_PAIR_BLOCK", 1)
+
+    def operands(self, shape, seed):
+        """α and (edge, mask) heads.  Hidden unit 0 of the edge head is dead
+        for every pair, and node 0 kills every edge unit on its rows, so its
+        edge scores are all the negative output bias and its rows all zero."""
+        rng = np.random.default_rng(seed)
+        heads = TestPairwiseMlp().heads(seed=seed)
+        # node 0's first feature feeds every edge unit on the left only
+        heads[0][0].data[0, :] = 1.0
+        heads[0][0].data[self.C, :] = 0.0
+        heads[0][3].data[:] = -0.05
+        alpha = rng.normal(size=shape)
+        alpha[..., 0, :] = (-20.0, 0.0, 0.0)
+        return t(alpha), heads
+
+    def chain(self, alpha, heads):
+        """The ops the fused record replaces, on pairwise_mlp's scores."""
+        scores = T.pairwise_mlp(alpha, heads)
+        gated = T.mul(T.relu(T.select(scores, -1, 0)), T.sigmoid(T.select(scores, -1, 1)))
+        return T.row_normalize(gated), gated
+
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 4, 3)])
+    def test_gradcheck(self, shape, blocking):
+        alpha, heads = self.operands(shape, seed=6)
+        weights = Tensor(np.random.default_rng(5).normal(size=shape[:-1] + (shape[-2],)))
+        graph = self.chain(alpha, heads)[1].data
+        assert np.all(graph[..., 0, :] == 0.0)
+        assert np.count_nonzero(graph[..., 1:, :]) > graph[..., 1:, :].size // 4
+        tensors = {"alpha": alpha}
+        for h, head in enumerate(heads):
+            for name, p in zip(("w1", "b1", "w2", "b2"), head):
+                tensors[f"{h}.{name}"] = p
+        assert len(tensors) == 9
+        assert_gradients_close(
+            lambda: T.reduce_sum(T.mul(T.pairwise_graph(alpha, heads)[0], weights)),
+            tensors,
+        )
+        # the dead unit gets no first-layer or output gradient, and the zero
+        # rows pass finite gradients
+        assert np.all(heads[0][0].grad[:, 0] == 0.0)
+        assert heads[0][1].grad[0] == 0.0 and heads[0][2].grad[0, 0] == 0.0
+        assert all(np.all(np.isfinite(p.grad)) for p in tensors.values())
+
+    @pytest.mark.parametrize("shape", [(5, 3), (2, 3, 4, 3)])
+    def test_matches_the_chain(self, shape, blocking):
+        # the forward runs the chain's elementwise ops in its order, so Ā is
+        # equal bit for bit; the gradients agree to rounding
+        alpha, heads = self.operands(shape, seed=6)
+        weights = Tensor(np.random.default_rng(7).normal(size=shape[:-1] + (shape[-2],)))
+        params = [alpha] + [p for head in heads for p in head]
+
+        def run(graph):
+            for p in params:
+                p.grad = None
+            with Tape() as tape:
+                out = graph()
+                loss = T.reduce_sum(T.mul(out[0], weights))
+            tape.backward(loss)
+            return out, [p.grad for p in params]
+
+        (a_bar, r), grads = run(lambda: T.pairwise_graph(alpha, heads))
+        (want, gated), want_grads = run(lambda: self.chain(alpha, heads))
+        assert a_bar.shape == r.shape[:-1] + (shape[-2],) == shape[:-1] + (shape[-2],)
+        assert np.array_equal(a_bar.data, want.data)
+        assert np.array_equal(r, gated.data.sum(axis=-1, keepdims=True))
+        for got, ref in zip(grads, want_grads):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_one_record(self):
+        alpha, heads = self.operands((2, 4, 3), seed=8)
+        with Tape() as tape:
+            T.pairwise_graph(alpha, heads)
+        assert len(tape) == 1
+
+    def test_needs_two_heads(self):
+        alpha, heads = self.operands((4, 3), seed=9)
+        with pytest.raises(DimensionError, match="edge and a mask"):
+            T.pairwise_graph(alpha, heads[:1])
+        with pytest.raises(DimensionError, match="pair features"):
+            T.pairwise_graph(t(np.zeros((4, self.C + 1))), heads)
 
 
 class TestGruSequence:

@@ -10,6 +10,7 @@ from evograph import trainer
 from evograph.config import ExperimentConfig, ModelConfig, TrainConfig
 from evograph.data import TimeSeriesDataset
 from evograph.errors import ConfigurationError, TrainingAbortedError
+from evograph.graph_learner import StaticFeatureExtractor
 from evograph.metrics import horizon_report
 from evograph.model import Model, load_checkpoint
 from evograph.optim import Adam
@@ -358,6 +359,26 @@ class TestRunDir:
             assert (outs[0] / "graphs" / name).read_bytes() == \
                 (outs[1] / "graphs" / name).read_bytes()
 
+
+    def test_graph_export_extracts_static_features_once(self, tmp_path, monkeypatch):
+        # every layer's graph_inspection walk shares one α_s, and later
+        # walks compute their own again
+        calls = []
+        extract = StaticFeatureExtractor.__call__
+
+        def counting(self, series):
+            calls.append(1)
+            return extract(self, series)
+
+        data = prepare_data(sine_dataset(), experiment())
+        model = Model(tiny_config())
+        model.set_reference_series(data.reference)
+        monkeypatch.setattr(StaticFeatureExtractor, "__call__", counting)
+        written = trainer.export_run_graphs(model, data, tmp_path)
+        assert len(calls) == 1
+        assert {p.name for p in written} >= {"layer1_index.json", "layer2_index.json"}
+        model.graph_inspection(data.normalized.transpose(1, 0, 2), 1)
+        assert len(calls) == 2
 
 class TestAblation:
     def test_report_shape_and_seed_pairing(self):
