@@ -422,7 +422,7 @@ def main(argv=None) -> int:
     except EvographError as exc:
         emit_error(exc, EXIT_RUNTIME)
         return EXIT_RUNTIME
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         emit_error(exc, EXIT_RUNTIME)
         return EXIT_RUNTIME
 

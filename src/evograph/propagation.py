@@ -16,8 +16,9 @@ d = 1 simply (B, T, N, N) against (B, T, N, C)).  A longer last segment
 takes one more call.  No per-step copy of the graphs is made.
 
 Each call runs all Ψ hops and Ψ + 1 projections as one :func:`tensor.mixhop`
-record, which keeps only the Ψ hop states for the backward pass; the views
-that narrow the graphs to the segments in use keep nothing.
+record, which keeps only its output: the backward pass rebuilds the Ψ hop
+states from the features and graphs.  The views that narrow the graphs to
+the segments in use keep nothing.
 """
 
 from __future__ import annotations
@@ -59,9 +60,10 @@ class MixHop:
 
         ``adj`` has the ndim of ``xi``, with leading axes that broadcast
         against it: (B, T, N, N) or (B, 1, N, N) for (B, T, N, C), and
-        (B, M, 1, N, N) for (B, M, d, N, C).  One tape record; besides its
-        output and parents it retains the Ψ hop states, each the size of
-        ``xi``, and nothing beyond the hop in flight when unrecorded.
+        (B, M, 1, N, N) for (B, M, d, N, C).  One tape record, which keeps
+        only its output and parents: the forward holds no hop beyond the one
+        in flight, and the backward rebuilds all Ψ hop states, each the size
+        of ``xi``.
         """
         if np.any(adj.data < 0):
             raise ContractError("adjacency has negative entries")

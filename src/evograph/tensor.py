@@ -40,10 +40,12 @@ reads:
   head, gates and row-normalizes the result, and keeps only the
   normalized graphs and their row sums: the backward rebuilds the scores
   one block of graphs at a time;
-- :func:`gru_sequence` runs a whole GRU recurrence, back-propagating
-  through time from its stored gates;
+- :func:`gru_sequence` runs a whole GRU recurrence, keeping its gates,
+  candidates and output: the backward rebuilds each step's previous state
+  from the output as it back-propagates through time;
 - :func:`mixhop` runs every hop and projection of mix-hop graph
-  propagation, keeping only the hop states;
+  propagation, keeping only its output: the backward rebuilds the hop
+  states from ξ and Â;
 - :func:`gated_conv1d` runs a kernel bank, its σ·tanh gating and dropout
   in place, keeping the two activations and the dropout mask;
 - :func:`layer_norm_residual` normalises, applies the affine map and adds
@@ -908,8 +910,11 @@ class _PairScorer:
     never built, and all heads share one GEMM per side.  Both passes walk
     the leading axes in blocks of whole graphs, about 1 MB of hidden
     layer each so that a block's passes run in cache, through one buffer
-    per pass.  Nothing here outlives a pass but the (kH, ·) weight
-    layouts: the projections and the hidden layer are rebuilt by each.
+    per pass.  A block is never less than one graph, so from N ≥ 58 (at
+    kH = 40) one graph's (N, N, kH) hidden layer outgrows the 1 MB aim and
+    each pass runs out of cache: a block is 34 MB at N = 325.  Nothing here
+    outlives a pass but the (kH, ·) weight layouts: the projections and the
+    hidden layer are rebuilt by each.
     """
 
     def __init__(self, alpha: Tensor, heads: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]],
@@ -1123,11 +1128,16 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
     and the output stacks the M new states.  The γ half of all three gates
     is one (B·M·N, C) × (C, 3H) GEMM before the loop, biases folded in; a
     step then runs one (B·N, H) × (H, 2H) GEMM for r and u and one (H, H)
-    GEMM on r ⊙ α for o.  The backward pass runs back through time from the
-    stored gates and states, with only the two products with the state
-    weights' transposes in its loop; the weight, bias and γ gradients are
-    single GEMMs over all steps after it.  Per-step arrays are time-major,
-    so each step's slice is contiguous.
+    GEMM on r ⊙ α for o.  The record keeps the r ‖ u gates, the candidates
+    o and the output, and nothing else: the backward pass rebuilds the
+    time-major γ from ``gammas``, each step's previous state from
+    ``alpha0`` and the output, and r ⊙ α from those.  That is safe because
+    γ and α₀ are parents whose producers keep them, this backward runs
+    before theirs, and no op writes a parent's data in place.  It runs back
+    through time with only the two products with the state weights'
+    transposes in its loop; the weight, bias and γ gradients are single
+    GEMMs over all steps after it.  Per-step arrays are time-major, so each
+    step's slice is contiguous.
     """
     if gammas.ndim != 4 or alpha0.ndim != 3:
         raise DimensionError(
@@ -1151,19 +1161,23 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
     w_in = np.concatenate([w_r.data[:c], w_u.data[:c], w_o.data[:c]], axis=1)
     w_ru = np.concatenate([w_r.data[c:], w_u.data[c:]], axis=1)
     w_oa = np.ascontiguousarray(w_o.data[c:])
-    gam = gammas.data.transpose(1, 0, 2, 3).reshape(m * rows, c)  # time-major
-    pre = (gam @ w_in + np.concatenate([b_r.data, b_u.data, b_o.data])).reshape(m, rows, 3 * hd)
+
+    def gam() -> Array:
+        """γ time-major, (M·B·N, C)."""
+        return gammas.data.transpose(1, 0, 2, 3).reshape(m * rows, c)
+
+    pre = (gam() @ w_in + np.concatenate([b_r.data, b_u.data, b_o.data])).reshape(m, rows, 3 * hd)
     states = np.empty((m + 1, rows, hd))
     states[0] = alpha0.data.reshape(rows, hd)
-    # r ‖ u, o and r ⊙ α of every step for the backward pass; one reused
-    # slot when nothing is recorded
+    # r ‖ u and o of every step for the backward pass, one reused slot
+    # when nothing is recorded; r ⊙ α always has one slot
     keep = m if track else 1
     gates = np.empty((keep, rows, 2 * hd))
     cand = np.empty((keep, rows, hd))
-    gated = np.empty((keep, rows, hd))
+    ra = np.empty((rows, hd))
     for t in range(m):
         k = t if track else 0
-        a, ru, o, ra = states[t], gates[k], cand[k], gated[k]
+        a, ru, o = states[t], gates[k], cand[k]
         np.matmul(a, w_ru, out=ru)
         ru += pre[t, :, :2 * hd]
         _sigmoid_into(ru, ru)
@@ -1179,7 +1193,9 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
 
     def back(g):
         g_tm = g.transpose(1, 0, 2, 3).reshape(m, rows, hd)
-        prev, r, u = states[:-1], gates[..., :hd], gates[..., hd:]
+        r, u = gates[..., :hd], gates[..., hd:]
+        # the state each step read
+        prev = np.concatenate([alpha0.data[None], out.swapaxes(0, 1)[:-1]]).reshape(m, rows, hd)
         # each gate's local derivative, for all steps at once; only the
         # recurrence itself runs step by step
         k_o = (1.0 - u) * (1.0 - cand * cand)  # ∂α'/∂o_pre
@@ -1202,9 +1218,9 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
         if gammas.requires_grad:
             d_gam = (d_flat @ w_in.T).reshape(m, b, n, c).transpose(1, 0, 2, 3)
             _accumulate(gammas, d_gam)
-        g_in = gam.T @ d_flat
-        g_ru = states[:-1].reshape(-1, hd).T @ d_flat[:, :2 * hd]
-        g_oa = gated.reshape(-1, hd).T @ d_flat[:, 2 * hd:]
+        g_in = gam().T @ d_flat
+        g_ru = prev.reshape(-1, hd).T @ d_flat[:, :2 * hd]
+        g_oa = (r * prev).reshape(-1, hd).T @ d_flat[:, 2 * hd:]
         g_bias = d_flat.sum(axis=0)
         for i, (w, v, g_a) in enumerate(((w_r, b_r, g_ru[:, :hd]), (w_u, b_u, g_ru[:, hd:]),
                                          (w_o, b_o, g_oa))):
@@ -1223,11 +1239,16 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float) -> T
     as (B, 1, N, N) or (B, M, 1, N, N) against (B, M, d, N, C)), and each
     weight is (C_in, C_out).  The forward pass runs the hops in place with
     β·ξ computed once, in the operation order of the per-hop op chain, and
-    keeps H₁ … H_Ψ for the backward pass (nothing beyond the hop in flight
-    when unrecorded).  The backward pass runs dHₖ = g·Wₖᵀ + (1 − β)·Âᵀ·dHₖ₊₁
-    down the hops.  Each weight gradient is one flat GEMM over all rows, and
-    the adjacency gradient is folded over the broadcast leading axes by
-    :func:`_summed_matmul`.  Operands that need no gradient get none.
+    holds nothing beyond the hop in flight.  The record keeps only its
+    output: the backward pass rebuilds H₁ … H_Ψ from ξ and Â in the
+    forward's own op order, so they, and every gradient, are bitwise those
+    of the forward.  That is safe because ξ and Â are parents whose
+    producers keep them, this backward runs before theirs, and no op
+    writes a parent's data in place.  It then runs
+    dHₖ = g·Wₖᵀ + (1 − β)·Âᵀ·dHₖ₊₁ down the hops.  Each weight gradient is
+    one flat GEMM over all rows, and the adjacency gradient is folded over
+    the broadcast leading axes by :func:`_summed_matmul`.  Operands that
+    need no gradient get none.
     """
     if not weights:
         raise DimensionError("mixhop needs at least one projection weight")
@@ -1247,25 +1268,28 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float) -> T
             f"mixhop: weights {[w.shape for w in weights]} do not all map "
             f"{c_in} to {c_out} channels"
         )
-    parents = (xi, adj) + tuple(weights)
-    track = _active_tape() is not None and any(p.requires_grad for p in parents)
     beta = float(beta)
     keep = 1.0 - beta
-    x, a = xi.data, adj.data
-    hops = [x]  # H₀ … H_Ψ when recorded
-    out = np.matmul(x, weights[0].data)
-    if len(weights) > 1:
+
+    def walk() -> Iterator[Array]:
+        """H₁ … H_Ψ, each a new array, in the one op order both passes use."""
+        if len(weights) == 1:
+            return
+        x, a = xi.data, adj.data
         retained = x * beta
         h = x
-        for w in weights[1:]:
+        for _ in weights[1:]:
             h = np.matmul(a, h)
             h *= keep
             h += retained
-            out += np.matmul(h, w.data)
-            if track:
-                hops.append(h)
+            yield h
+
+    out = np.matmul(xi.data, weights[0].data)
+    for h, w in zip(walk(), weights[1:]):
+        out += np.matmul(h, w.data)
 
     def back(g):
+        hops = [xi.data, *walk()]
         # the projections act on the channel axis alone, so their gradients
         # are flat (rows, C) GEMMs
         g2 = g.reshape(-1, c_out)
@@ -1284,7 +1308,7 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float) -> T
             out *= keep
             return out
 
-        a_t = np.swapaxes(a, -1, -2)
+        a_t = np.swapaxes(adj.data, -1, -2)
         g_x = projected_back(0) if xi.requires_grad else None
         g_adj = None
         d = None  # dHₖ₊₁ on the way down
@@ -1309,7 +1333,7 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float) -> T
             g_adj *= keep
             _accumulate(adj, g_adj)
 
-    return _make(out, parents, back)
+    return _make(out, (xi, adj) + tuple(weights), back)
 
 
 def broadcast_leading(x: Tensor, n: int) -> Tensor:

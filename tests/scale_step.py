@@ -10,9 +10,9 @@ one ``Model.predict`` of K random windows instead and prints its time and
 the peak resident size.  Run it under an address-space cap to check that
 the work fits::
 
-    (ulimit -v 1097728; PYTHONPATH=src python tests/scale_step.py --nodes 64)
+    (ulimit -v 942080; PYTHONPATH=src python tests/scale_step.py --nodes 64)
     (ulimit -v 641024; PYTHONPATH=src python tests/scale_step.py --nodes 128 --predict 64)
-    (ulimit -v 692224; PYTHONPATH=src python tests/scale_step.py --preset multi --nodes 128)
+    (ulimit -v 603136; PYTHONPATH=src python tests/scale_step.py --preset multi --nodes 128)
 
 pytest does not collect this file.
 """

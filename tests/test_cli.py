@@ -157,6 +157,18 @@ class TestScaleProbe:
             assert set(probe["metrics"]) == {"rse", "corr", "rmse", "mae"}
 
 
+class TestRuntimeErrors:
+    def test_memory_error_exits_1_with_json(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(args):
+            raise MemoryError("Unable to allocate 34.0 GiB for an array")
+
+        monkeypatch.setattr(cli, "cmd_gen_synth", out_of_memory)
+        code, err = run_cli(capsys, "gen-synth", "--out", str(tmp_path / "synth"))
+        assert code == cli.EXIT_RUNTIME
+        assert err == {"error": "MemoryError", "exit_code": cli.EXIT_RUNTIME,
+                       "message": "Unable to allocate 34.0 GiB for an array"}
+
+
 class TestManifest:
     def test_written_atomically(self, tmp_path):
         manifest = cli.RunManifest.create("train", None, "sha256:0", [3])

@@ -435,6 +435,28 @@ class TestRetention:
         held = self.held(lambda: T.linear(x, w, b))
         assert held <= 1.1 * x.data.nbytes
 
+    def test_mixhop_keeps_its_output_only(self):
+        # the output, which C_in = C_out makes the size of a hop; keeping
+        # H₁ and H₂ as well takes ~3 x
+        rng = np.random.default_rng(35)
+        xi = t(rng.normal(size=(2, 30, 8, 16)))
+        adj = t(rng.random((2, 1, 8, 8)))
+        weights = [t(rng.normal(size=(16, 16))) for _ in range(3)]
+        held = self.held(lambda: T.mixhop(xi, adj, weights, 0.05))
+        assert held <= 1.1 * xi.data.nbytes
+
+    def test_gru_sequence_keeps_gates_candidates_and_output(self):
+        # r ‖ u, o and the output, 4 x with C = H; keeping the time-major
+        # γ, r ⊙ α and the states as well takes ~7 x
+        rng = np.random.default_rng(36)
+        c = hd = 8
+        gammas = t(rng.normal(size=(2, 10, 40, c)))
+        alpha0 = t(np.tanh(rng.normal(size=(2, 40, hd))))
+        weights = [t(rng.normal(size=(c + hd, hd))) for _ in range(3)]
+        biases = [t(rng.normal(size=hd)) for _ in range(3)]
+        held = self.held(lambda: T.gru_sequence(gammas, alpha0, *weights, *biases))
+        assert held <= 4.3 * gammas.data.nbytes
+
 
 class TestElementwise:
     def test_sigmoid_zero(self):
