@@ -1,6 +1,6 @@
 """Dataset loading, normalization, chronological splitting, and windowing.
 
-The on-disk format is a comma-separated CSV with no header row (rows =
+The on-disk format is a UTF-8, comma-separated CSV with no header row (rows =
 time steps, columns = node-major then channel; blank lines are skipped)
 with an optional JSON sidecar carrying {name, N, T, C, granularity,
 node_ids}.  All arrays are float64 with axis order (N, T, C).
@@ -12,9 +12,9 @@ series: nothing is copied until a batch is gathered with an index array.
 
 from __future__ import annotations
 
+import array
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -76,35 +76,38 @@ class CsvLayout:
     n_channels: int = 1
 
 
-# cells converted per np.array call in load_csv: as str objects about
-# 9 MB, as float64 1 MB
-_CSV_BLOCK_CELLS = 1 << 17
-
-
 def load_csv(path, layout: CsvLayout | None = None) -> TimeSeriesDataset:
-    """Parse a CSV of shape T×(N·C) into a dataset, with cell-level errors.
+    """Parse a UTF-8 CSV of shape T×(N·C) into a dataset, with cell-level errors.
 
-    Rows are read as a stream and converted a block of about 131k cells at
-    a time, so the str cells of only one block are alive at once.
+    Rows are read as a stream, and each cell goes through Python's float()
+    straight into one growing float64 buffer, so only one row's str cells
+    are alive at a time.  Row numbers in errors count every CSV line,
+    blank ones included, and a row's first bad cell is reported before its
+    width.
     """
     layout = layout or CsvLayout()
     path = Path(path)
     if not path.exists():
         raise LoadError(f"no such file: {path}")
-    blocks: list[Array] = []
-    with open(path, newline="") as fh:
-        # (CSV line number, row) of every non-blank row
-        numbered = ((i, row) for i, row in enumerate(csv.reader(fh), start=1) if row)
-        rows = 1  # the first block is the first row, which sets the width
-        while block := list(itertools.islice(numbered, rows)):
-            width = blocks[0].shape[1] if blocks else None
-            blocks.append(_parse_block(path, block, width))
-            del block  # before the next block's cells are read
-            rows = max(1, _CSV_BLOCK_CELLS // blocks[0].shape[1])
-    if not blocks:
+    cells = array.array("d")
+    width = None
+    # a byte that is not UTF-8 decodes to a lone surrogate, which no
+    # float() accepts, so it is reported as a bad cell of its row
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        for number, row in enumerate(csv.reader(fh), start=1):
+            if not row:
+                continue
+            try:
+                cells.extend(map(float, row))
+            except ValueError:
+                _raise_bad_cell(path, number, row)
+            if width is None:
+                width = len(row)
+            elif len(row) != width:
+                raise LoadError(f"{path}: row {number} has {len(row)} cells, expected {width}")
+    if width is None:
         raise LoadError(f"{path}: no data rows")
-    flat = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)  # T × (N·C)
-    del blocks
+    flat = np.frombuffer(cells, dtype=np.float64).reshape(-1, width)  # T × (N·C)
     c = layout.n_channels
     if flat.shape[1] % c:
         raise LoadError(f"{path}: {flat.shape[1]} columns not divisible by C={c}")
@@ -136,35 +139,19 @@ def load_csv(path, layout: CsvLayout | None = None) -> TimeSeriesDataset:
     return TimeSeriesDataset(values, node_ids, granularity=granularity, name=name)
 
 
-def _parse_block(path: Path, rows: list[tuple[int, list[str]]], width: int | None) -> Array:
-    """Convert numbered rows to a float array ``width`` cells wide (any
-    width for the first block)."""
-    try:
-        # numpy parses each str cell with Python's float()
-        block = np.array([row for _, row in rows], dtype=np.float64)
-    except ValueError:
-        _raise_bad_row(path, rows, width)
-        raise
-    if width is not None and block.shape[1] != width:
-        _raise_bad_row(path, rows, width)
-    return block
-
-
-def _raise_bad_row(path: Path, rows: list[tuple[int, list[str]]], width: int | None) -> None:
-    """Raise the LoadError for the first non-numeric cell or ragged row;
-    row numbers count every CSV line, blank ones included."""
-    for number, row in rows:
-        for j, cell in enumerate(row):
-            try:
-                float(cell)
-            except ValueError:
-                raise LoadError(
-                    f"{path}: non-numeric value {cell!r} at row {number}, column {j + 1}"
-                ) from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise LoadError(f"{path}: row {number} has {len(row)} cells, expected {width}")
+def _raise_bad_cell(path: Path, number: int, row: list[str]) -> None:
+    """Raise the LoadError for the first cell of CSV row ``number`` that
+    float() rejects."""
+    for j, cell in enumerate(row):
+        try:
+            float(cell)
+        except ValueError:
+            if any("\udc80" <= ch <= "\udcff" for ch in cell):  # surrogate-escaped bytes
+                raise LoadError(f"{path}: row {number}, column {j + 1} is not "
+                                f"UTF-8 text") from None
+            raise LoadError(
+                f"{path}: non-numeric value {cell!r} at row {number}, column {j + 1}"
+            ) from None
 
 
 def save_csv(dataset: TimeSeriesDataset, path) -> None:

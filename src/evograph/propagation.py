@@ -17,8 +17,8 @@ takes one more call.  No per-step copy of the graphs is made.
 
 Each call runs all Ψ hops and Ψ + 1 projections as one :func:`tensor.mixhop`
 record, which keeps only its output: the backward pass rebuilds the Ψ hop
-states from the features and graphs.  The views that narrow the graphs to
-the segments in use keep nothing.
+states from the features and graphs, and frees each at its last use.  The
+views that narrow the graphs to the segments in use keep nothing.
 """
 
 from __future__ import annotations
@@ -63,7 +63,8 @@ class MixHop:
         (B, M, 1, N, N) for (B, M, d, N, C).  One tape record, which keeps
         only its output and parents: the forward holds no hop beyond the one
         in flight, and the backward rebuilds all Ψ hop states, each the size
-        of ``xi``.
+        of ``xi``, taking each projection's gradient as its hop is rebuilt
+        and freeing each hop and hop gradient at its last use.
         """
         if np.any(adj.data < 0):
             raise ContractError("adjacency has negative entries")

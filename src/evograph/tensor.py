@@ -40,14 +40,15 @@ reads:
   head, gates and row-normalizes the result, and keeps only the
   normalized graphs and their row sums: the backward rebuilds the scores
   one block of graphs at a time;
-- :func:`gru_sequence` runs a whole GRU recurrence, keeping its gates,
-  candidates and output: the backward rebuilds each step's previous state
-  from the output as it back-propagates through time;
+- :func:`gru_sequence` runs a whole GRU recurrence, keeping only its
+  output: the backward rebuilds every step's previous state from the
+  output, and from those every step's gates and candidates at once;
 - :func:`mixhop` runs every hop and projection of mix-hop graph
   propagation, keeping only its output: the backward rebuilds the hop
-  states from ξ and Â;
+  states from ξ and Â and frees each at its last use;
 - :func:`gated_conv1d` runs a kernel bank, its σ·tanh gating and dropout
-  in place, keeping the two activations and the dropout mask;
+  in place, keeping σ, the dropout mask and its output: the backward
+  reads tanh back from the output;
 - :func:`layer_norm_residual` normalises, applies the affine map and adds
   a residual in one buffer, keeping a mean and a scale per row;
 - :func:`skip_linear` projects each node's flattened history, forming the
@@ -650,13 +651,16 @@ def gated_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
     ``rng.random(shape) >= rate`` and scales the survivors by
     1 / (1 − rate); otherwise it is the identity, and draws nothing.
 
-    One record, computed in place: one buffer the size of the bank's
-    (…, ΣC_j) output takes σ(a) in its first half and tanh(b) in its
-    second, with the arithmetic of :func:`sigmoid` and :func:`tanh`, and
-    the convolution output is freed.  The record keeps that buffer and the
-    boolean mask, besides its output; the gated product before dropout is
-    never stored, and the backward pass overwrites the activations with
-    their derivatives.
+    One record: σ(a) and tanh(b) are computed into two arrays of their
+    own, with the arithmetic of :func:`sigmoid` and :func:`tanh`, the
+    convolution output is freed, and tanh(b) is freed once ξ is formed.
+    The record keeps σ(a), the boolean mask and its output ξ; the gated
+    product before dropout is never stored.  The backward pass reads
+    tanh(b) back as ξ / (σ·scale), to within a few roundings; where σ
+    underflowed to 0 or the unit was dropped, both gradients are zero
+    whatever tanh(b) is.  So the output is bitwise that of the op
+    chain, and the gradients agree with it to rounding.  Reading the
+    output is safe because no op writes its parents' data in place.
     """
     if sum(k.shape[0] for k in kernels) % 2:
         raise DimensionError(f"gated_conv1d: bank of {[k.shape for k in kernels]} has an "
@@ -665,14 +669,15 @@ def gated_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
     c = y.shape[-1] // 2
     shape = y.shape[:-1] + (c,)
     y = y.reshape(-1, 2 * c)
-    # σ(a) and tanh(b), as ``sigmoid`` and ``tanh`` compute them, each in a
-    # contiguous half of one buffer, which replaces the convolution output
-    act = np.empty((2, y.shape[0], c))
-    sig, th = act
+    # σ(a) and tanh(b), as ``sigmoid`` and ``tanh`` compute them, each in
+    # an array of its own, so that tanh(b) is freed once ξ is formed
+    sig = np.empty((y.shape[0], c))
+    th = np.empty_like(sig)
     _sigmoid_into(y[:, :c], sig, th)
     np.tanh(y[:, c:], out=th)
     del y
     xi = sig * th
+    del th
     mask = _dropout_mask(shape, rate, training, rng)
     if mask is not None:
         scale = 1.0 / (1.0 - rate)
@@ -681,17 +686,25 @@ def gated_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
 
     def back(g):
         g = g.reshape(-1, c)
+        # tanh(b) read back from the output as ξ / (σ·scale).  Where σ
+        # underflowed to 0, ξ is 0 too and is divided by the smallest
+        # subnormal instead, so it reads as 0; there, and where the unit
+        # was dropped, both gradients are zero whatever tanh(b) is
+        th = np.maximum(sig, np.finfo(np.float64).smallest_subnormal)
+        np.divide(xi, th, out=th)
         if mask is not None:
+            th /= scale
             g = g * mask.reshape(-1, c)
             g *= scale
         gy = np.empty((g.shape[0], 2 * c))
         # the product's two sides, then each activation's derivative from
-        # its output, overwriting the saved activations (a record runs once)
+        # its output, overwriting σ and tanh(b) (a record runs once)
         np.multiply(g, sig, out=gy[:, c:])
         g_sig = g * th
         np.multiply(th, th, out=th)
         np.subtract(1.0, th, out=th)
         gy[:, c:] *= th
+        del th
         g_sig *= sig
         np.subtract(1.0, sig, out=sig)
         g_sig *= sig
@@ -1128,11 +1141,14 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
     and the output stacks the M new states.  The γ half of all three gates
     is one (B·M·N, C) × (C, 3H) GEMM before the loop, biases folded in; a
     step then runs one (B·N, H) × (H, 2H) GEMM for r and u and one (H, H)
-    GEMM on r ⊙ α for o.  The record keeps the r ‖ u gates, the candidates
-    o and the output, and nothing else: the backward pass rebuilds the
-    time-major γ from ``gammas``, each step's previous state from
-    ``alpha0`` and the output, and r ⊙ α from those.  That is safe because
-    γ and α₀ are parents whose producers keep them, this backward runs
+    GEMM on r ⊙ α for o, through one reused slot each for r ‖ u, r ⊙ α
+    and o.  The record keeps its output and nothing else.  The backward
+    pass rebuilds every step's previous state from ``alpha0`` and the
+    output, so no recurrence is re-run: the time-major γ comes from
+    ``gammas``, and then every step's r ‖ u, r ⊙ α and o are rebuilt at
+    once with the forward's own GEMMs and arithmetic, so they, and every
+    gradient, are bitwise those of the forward.  That is safe because γ
+    and α₀ are parents whose producers keep them, this backward runs
     before theirs, and no op writes a parent's data in place.  It runs back
     through time with only the two products with the state weights'
     transposes in its loop; the weight, bias and γ gradients are single
@@ -1156,28 +1172,25 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
             f"channels over ({b}, {n}) nodes"
         )
     parents = (gammas, alpha0, w_r, w_u, w_o, b_r, b_u, b_o)
-    track = _active_tape() is not None and any(p.requires_grad for p in parents)
     rows = b * n
     w_in = np.concatenate([w_r.data[:c], w_u.data[:c], w_o.data[:c]], axis=1)
     w_ru = np.concatenate([w_r.data[c:], w_u.data[c:]], axis=1)
     w_oa = np.ascontiguousarray(w_o.data[c:])
+    bias = np.concatenate([b_r.data, b_u.data, b_o.data])
 
     def gam() -> Array:
         """γ time-major, (M·B·N, C)."""
         return gammas.data.transpose(1, 0, 2, 3).reshape(m * rows, c)
 
-    pre = (gam() @ w_in + np.concatenate([b_r.data, b_u.data, b_o.data])).reshape(m, rows, 3 * hd)
+    pre = (gam() @ w_in + bias).reshape(m, rows, 3 * hd)
     states = np.empty((m + 1, rows, hd))
     states[0] = alpha0.data.reshape(rows, hd)
-    # r ‖ u and o of every step for the backward pass, one reused slot
-    # when nothing is recorded; r ⊙ α always has one slot
-    keep = m if track else 1
-    gates = np.empty((keep, rows, 2 * hd))
-    cand = np.empty((keep, rows, hd))
+    # one slot each for r ‖ u, r ⊙ α and o, reused by every step
+    ru = np.empty((rows, 2 * hd))
     ra = np.empty((rows, hd))
+    o = np.empty((rows, hd))
     for t in range(m):
-        k = t if track else 0
-        a, ru, o = states[t], gates[k], cand[k]
+        a = states[t]
         np.matmul(a, w_ru, out=ru)
         ru += pre[t, :, :2 * hd]
         _sigmoid_into(ru, ru)
@@ -1189,18 +1202,30 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
         nxt = states[t + 1]
         np.multiply(u, a, out=nxt)
         nxt += (1.0 - u) * o
+    del pre
     out = np.ascontiguousarray(states[1:].reshape(m, b, n, hd).transpose(1, 0, 2, 3))
 
     def back(g):
         g_tm = g.transpose(1, 0, 2, 3).reshape(m, rows, hd)
-        r, u = gates[..., :hd], gates[..., hd:]
-        # the state each step read
+        # the state each step read, then every step's gates and candidates
+        # at once, with the forward's arithmetic
         prev = np.concatenate([alpha0.data[None], out.swapaxes(0, 1)[:-1]]).reshape(m, rows, hd)
+        pre = (gam() @ w_in + bias).reshape(m, rows, 3 * hd)
+        gates = np.matmul(prev, w_ru)
+        gates += pre[..., :2 * hd]
+        _sigmoid_into(gates, gates)
+        r, u = gates[..., :hd], gates[..., hd:]
+        ra = r * prev
+        cand = np.matmul(ra, w_oa)
+        cand += pre[..., 2 * hd:]
+        np.tanh(cand, out=cand)
+        del pre
         # each gate's local derivative, for all steps at once; only the
         # recurrence itself runs step by step
         k_o = (1.0 - u) * (1.0 - cand * cand)  # ∂α'/∂o_pre
         k_r = prev * r * (1.0 - r)  # ∂(r ⊙ α)/∂r_pre
         k_u = (prev - cand) * u * (1.0 - u)  # ∂α'/∂u_pre
+        del cand
         d_pre = np.empty((m, rows, 3 * hd))
         carry = np.zeros((rows, hd))
         for t in reversed(range(m)):
@@ -1213,6 +1238,7 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
             carry = dh * u[t]
             carry += d_ra * r[t]
             carry += d_ru @ w_ru.T
+        del k_o, k_r, k_u
         _accumulate(alpha0, carry.reshape(b, n, hd))
         d_flat = d_pre.reshape(-1, 3 * hd)
         if gammas.requires_grad:
@@ -1220,7 +1246,7 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
             _accumulate(gammas, d_gam)
         g_in = gam().T @ d_flat
         g_ru = prev.reshape(-1, hd).T @ d_flat[:, :2 * hd]
-        g_oa = (r * prev).reshape(-1, hd).T @ d_flat[:, 2 * hd:]
+        g_oa = ra.reshape(-1, hd).T @ d_flat[:, 2 * hd:]
         g_bias = d_flat.sum(axis=0)
         for i, (w, v, g_a) in enumerate(((w_r, b_r, g_ru[:, :hd]), (w_u, b_u, g_ru[:, hd:]),
                                          (w_o, b_o, g_oa))):
@@ -1244,9 +1270,11 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float) -> T
     forward's own op order, so they, and every gradient, are bitwise those
     of the forward.  That is safe because ξ and Â are parents whose
     producers keep them, this backward runs before theirs, and no op
-    writes a parent's data in place.  It then runs
-    dHₖ = g·Wₖᵀ + (1 − β)·Âᵀ·dHₖ₊₁ down the hops.  Each weight gradient is
-    one flat GEMM over all rows, and the adjacency gradient is folded over
+    writes a parent's data in place.  Each weight gradient is one flat
+    GEMM over all rows, taken as soon as its hop is rebuilt, so H_Ψ is
+    dropped at once.  The backward then runs
+    dHₖ = g·Wₖᵀ + (1 − β)·Âᵀ·dHₖ₊₁ down the hops, freeing dHₖ₊₁, Hₖ₋₁
+    and each term at their last use; the adjacency gradient is folded over
     the broadcast leading axes by :func:`_summed_matmul`.  Operands that
     need no gradient get none.
     """
@@ -1289,13 +1317,17 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float) -> T
         out += np.matmul(h, w.data)
 
     def back(g):
-        hops = [xi.data, *walk()]
         # the projections act on the channel axis alone, so their gradients
-        # are flat (rows, C) GEMMs
+        # are flat (rows, C) GEMMs, each taken as soon as its hop is
+        # rebuilt; the adjacency gradient reads H₀ … H_Ψ₋₁ on the way down,
+        # so H_Ψ is dropped at once
         g2 = g.reshape(-1, c_out)
-        for w, hk in zip(weights, hops):
+        hops = []
+        for w, hk in zip(weights, itertools.chain([xi.data], walk())):
             if w.requires_grad:
                 _accumulate(w, hk.reshape(-1, c_in).T @ g2)
+            hops.append(hk)
+        del hk, hops[-1]
         if not (xi.requires_grad or adj.requires_grad):
             return
 
@@ -1316,12 +1348,16 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float) -> T
             dk = projected_back(k)
             if d is not None:
                 dk += graph_back(d)
+                del d
+            hk = hops.pop()  # Hₖ₋₁, read here for the last time
             if adj.requires_grad:
-                term = _summed_matmul(dk, np.swapaxes(hops[k - 1], -1, -2), adj.shape)
+                term = _summed_matmul(dk, np.swapaxes(hk, -1, -2), adj.shape)
                 if g_adj is None:
                     g_adj = term
                 else:
                     g_adj += term
+                del term
+            del hk
             if g_x is not None and beta:
                 g_x += beta * dk
             d = dk
