@@ -94,17 +94,22 @@ def load_csv(path, layout: CsvLayout | None = None) -> TimeSeriesDataset:
     # a byte that is not UTF-8 decodes to a lone surrogate, which no
     # float() accepts, so it is reported as a bad cell of its row
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        for number, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            try:
-                cells.extend(map(float, row))
-            except ValueError:
-                _raise_bad_cell(path, number, row)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise LoadError(f"{path}: row {number} has {len(row)} cells, expected {width}")
+        reader = csv.reader(fh)
+        try:
+            for number, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                try:
+                    cells.extend(map(float, row))
+                except ValueError:
+                    _raise_bad_cell(path, number, row)
+                if width is None:
+                    width = len(row)
+                elif len(row) != width:
+                    raise LoadError(f"{path}: row {number} has {len(row)} cells, "
+                                    f"expected {width}")
+        except csv.Error as exc:  # a cell over the csv module's field size limit, say
+            raise LoadError(f"{path}: row {reader.line_num} is not valid CSV: {exc}") from None
     if width is None:
         raise LoadError(f"{path}: no data rows")
     flat = np.frombuffer(cells, dtype=np.float64).reshape(-1, width)  # T × (N·C)

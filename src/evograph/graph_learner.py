@@ -39,7 +39,7 @@ import numpy as np
 from . import tensor as T
 from .data import write_atomic, write_csv_atomic
 from .errors import ContractError, SequenceTooShortError
-from .nn import Conv1d, Linear, ParamStore
+from .nn import Linear, ParamStore, TanhConv1d
 from .tensor import Tensor
 
 
@@ -92,9 +92,15 @@ class GruCell:
 class StaticFeatureExtractor:
     """Per-node summary of the whole training series → N×C_s representation.
 
-    Two strided causal convolutions, global average pooling over time, and
-    one affine projection; parameters are shared across nodes and trained
-    end-to-end with the rest of the model.
+    Two strided causal convolutions, each followed by tanh, global average
+    pooling over time, and one affine projection; parameters are shared
+    across nodes and trained end-to-end with the rest of the model.
+
+    Each convolution and its tanh is one :func:`tensor.tanh_conv1d` record,
+    which keeps its tanh output (read by its own backward and the next
+    convolution's) and, for the first, the time-major copy of the series
+    its kernel gradient reads; the pre-tanh outputs are never stored.  The
+    pooling keeps nothing and the projection only its (N, C_s) output.
     """
 
     KERNEL = 8
@@ -102,10 +108,10 @@ class StaticFeatureExtractor:
 
     def __init__(self, store: ParamStore, name: str, c_in: int, c_s: int,
                  c_hidden: int = 16):
-        self.conv1 = Conv1d(store, f"{name}.conv1", c_in, c_hidden,
-                            self.KERNEL, stride=self.STRIDE)
-        self.conv2 = Conv1d(store, f"{name}.conv2", c_hidden, c_hidden,
-                            self.KERNEL, stride=self.STRIDE)
+        self.conv1 = TanhConv1d(store, f"{name}.conv1", c_in, c_hidden,
+                                self.KERNEL, stride=self.STRIDE)
+        self.conv2 = TanhConv1d(store, f"{name}.conv2", c_hidden, c_hidden,
+                                self.KERNEL, stride=self.STRIDE)
         self.proj = Linear(store, f"{name}.proj", c_hidden, c_s)
 
     @classmethod
@@ -121,8 +127,7 @@ class StaticFeatureExtractor:
                 f"got {series.shape[-1]}"
             )
         h = T.transpose(series, (0, 2, 1))  # (N, T*, C): time on axis 1
-        h = T.tanh(self.conv1(h))
-        h = T.tanh(self.conv2(h))
+        h = self.conv2(self.conv1(h))
         pooled = T.reduce_mean(h, axis=1)  # (N, C_hidden)
         return self.proj(pooled)
 

@@ -52,11 +52,14 @@ class Linear:
         return T.linear(x, self.w, self.b)
 
 
-class Conv1d:
-    """Causal valid 1-D convolution layer over channel-last (B, T, ..., C_in) inputs.
+class TanhConv1d:
+    """Causal valid 1-D convolution over channel-last (B, T, ..., C_in)
+    inputs, followed by tanh.
 
     The kernel is stored as (C_out, C_in, k); the bias is added by the
-    convolution itself, along the last axis.  It runs as a one-kernel bank.
+    convolution itself, along the last axis.  It runs as a one-kernel bank
+    through :func:`tensor.tanh_conv1d`, one record that keeps only its
+    output.
     """
 
     def __init__(self, store: ParamStore, name: str, c_in: int, c_out: int,
@@ -67,8 +70,8 @@ class Conv1d:
         self.bias = store.new(f"{name}.bias", (c_out,), fan_in=c_in * k)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv1d(x, [self.kernel], [self.bias], dilation=self.dilation,
-                        stride=self.stride)
+        return T.tanh_conv1d(x, [self.kernel], [self.bias], dilation=self.dilation,
+                             stride=self.stride)
 
 
 class LayerNorm:

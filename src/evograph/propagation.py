@@ -9,16 +9,19 @@ for graphs given as they are, ``EvolvingGraphSequence.from_stack``) does
 it once per graph, so nothing here normalizes or copies them.
 
 A layer's graphs arrive as one (B, M, N, N) stack, which is checked once.
-Segments of equal length d are propagated together: the features are
-viewed as (B, M, d, N, C) and each hop is one batched product with the
-(B, M, 1, N, N) graphs broadcast over the d steps of their segment (for
-d = 1 simply (B, T, N, N) against (B, T, N, C)).  A longer last segment
-takes one more call.  No per-step copy of the graphs is made.
+The segments the features overlap are grouped into runs of equal length,
+and the whole layer is one :func:`tensor.mixhop` record: each run's steps
+are viewed as (B, n, d, N, C), and each hop is one batched product with
+the run's (B, n, 1, N, N) graphs broadcast over the d steps of their
+segment (for d = 1, one graph per step).  A longer last segment, or a
+first one clipped by a time offset, is one more run of the same record,
+written into its own slice of the one output buffer.  No per-step copy of
+the graphs is made, and no part of the output is copied to join the runs.
 
-Each call runs all Ψ hops and Ψ + 1 projections as one :func:`tensor.mixhop`
-record, which keeps only its output: the backward pass rebuilds the Ψ hop
-states from the features and graphs, and frees each at its last use.  The
-views that narrow the graphs to the segments in use keep nothing.
+The record runs all Ψ hops and Ψ + 1 projections and keeps only its
+output: the backward pass rebuilds one run's Ψ hop states at a time from
+the features and graphs, and frees each at its last use.  The view that
+narrows the graphs to the segments in use keeps nothing.
 """
 
 from __future__ import annotations
@@ -54,21 +57,27 @@ class MixHop:
         for proj in self.hop_proj[1:]:
             proj.data *= 0.0
 
-    def propagate(self, xi: Tensor, adj: Tensor) -> Tensor:
+    def propagate(self, xi: Tensor, adj: Tensor,
+                  runs: list[tuple[int, int]] | None = None) -> Tensor:
         """xi: (B, ..., N, C_in) → (B, ..., N, C_out) through nonnegative,
         already row-normalized ``adj``.
 
-        ``adj`` has the ndim of ``xi``, with leading axes that broadcast
-        against it: (B, T, N, N) or (B, 1, N, N) for (B, T, N, C), and
-        (B, M, 1, N, N) for (B, M, d, N, C).  One tape record, which keeps
-        only its output and parents: the forward holds no hop beyond the one
-        in flight, and the backward rebuilds all Ψ hop states, each the size
-        of ``xi``, taking each projection's gradient as its hop is rebuilt
-        and freeing each hop and hop gradient at its last use.
+        Without ``runs``, ``adj`` has the ndim of ``xi``, with leading axes
+        that broadcast against it: (B, T, N, N) or (B, 1, N, N) for
+        (B, T, N, C), and (B, M, 1, N, N) for (B, M, d, N, C).  With
+        ``runs``, (segment count, segment length) pairs that tile ξ's T
+        steps and ``adj``'s M graphs in order, ξ is (B, T, N, C) and
+        ``adj`` (B, M, N, N): each run's steps go through their own
+        segments' graphs.  One :func:`tensor.mixhop` record, which keeps
+        only its output and parents: the forward holds no hop beyond the
+        one in flight, and the backward rebuilds one run's Ψ hop states at
+        a time, each the size of the run's ξ, taking each projection's
+        gradient as its hop is rebuilt and freeing each hop and hop
+        gradient at its last use.
         """
         if np.any(adj.data < 0):
             raise ContractError("adjacency has negative entries")
-        return T.mixhop(xi, adj, self.hop_proj, self.beta)
+        return T.mixhop(xi, adj, self.hop_proj, self.beta, runs)
 
     def apply_per_segment(self, xi: Tensor, graphs: EvolvingGraphSequence,
                           time_offset: int = 0) -> Tensor:
@@ -78,8 +87,11 @@ class MixHop:
         ``time_offset`` maps local feature index j to the absolute index
         j + time_offset used by the graphs' segment boundaries (nonzero when
         the graphs were learned on a longer, earlier-starting sequence).
+        The segments the features overlap, clipped to them, are grouped
+        into runs of equal length and propagated by one :meth:`propagate`
+        call; the graphs are narrowed, as a view, to those segments.
         """
-        b, t = xi.shape[:2]
+        t = xi.shape[1]
         lo, hi = time_offset, time_offset + t
         if graphs.spec.boundaries[0][0] > lo or graphs.spec.length < hi:
             raise ContractError(
@@ -89,43 +101,32 @@ class MixHop:
         runs = _equal_runs(graphs.spec.boundaries, lo, hi)
         if not runs:
             raise ContractError("no segment overlapped the feature range")
+        covered = sum(n * length for _, n, length in runs)
+        if covered != t:
+            raise ContractError(f"segments covered {covered} of {t} time steps")
         # a view of the graphs the features use
         first = runs[0][0]
         used = runs[-1][0] + runs[-1][1] - first
         adj = graphs.adjacency
         if used != adj.shape[1]:
             adj = T.narrow(adj, 1, first, used)
-        parts = []
-        for m, n, start, length in runs:
-            x = xi if n * length == t else T.narrow(xi, 1, start, n * length)
-            a = adj if n == used else T.narrow(adj, 1, m - first, n)
-            if n > 1 and length > 1:
-                # (B, n, length, N, C) against (B, n, 1, N, N)
-                x = T.reshape(x, (b, n, length) + xi.shape[2:])
-                a = T.reshape(a, (b, n, 1) + adj.shape[2:])
-            y = self.propagate(x, a)
-            parts.append(T.reshape(y, (b, n * length) + y.shape[3:]) if y.ndim > xi.ndim else y)
-        out = parts[0] if len(parts) == 1 else T.concat(parts, axis=1)
-        if out.shape[1] != t:
-            raise ContractError(
-                f"segments covered {out.shape[1]} of {t} time steps"
-            )
-        return out
+        return self.propagate(xi, adj, [(n, length) for _, n, length in runs])
 
 
 def _equal_runs(boundaries: list[tuple[int, int]], lo: int, hi: int) -> list[list[int]]:
     """Group the segments that overlap [lo, hi), clipped to it, into runs of
     adjacent segments of equal length.
 
-    Returns [first segment, segment count, local start, length] per run.
+    Returns [first segment, segment count, length] per run; the runs follow
+    one another in time.
     """
     runs: list[list[int]] = []
     for m, (start, stop) in enumerate(boundaries):
-        s, e = max(start, lo) - lo, min(stop, hi) - lo
-        if e <= s:
+        length = min(stop, hi) - max(start, lo)
+        if length <= 0:
             continue
-        if runs and runs[-1][3] == e - s:
+        if runs and runs[-1][2] == length:
             runs[-1][1] += 1
         else:
-            runs.append([m, 1, s, e - s])
+            runs.append([m, 1, length])
     return runs

@@ -14,7 +14,8 @@ of possibly different widths, all aligned on the most recent sample, with
 optional biases, and concatenates their outputs along the channel axis, so
 a whole inception layer is one record.  Both passes are one GEMM per tap
 of the widest kernel over a (B, T_out·…, C) view of the input, so no
-im2col copy is made; :func:`gated_conv1d` runs the same bank code.
+im2col copy is made; :func:`gated_conv1d` and :func:`tanh_conv1d` run the
+same bank code.
 
 Gradients are recorded on an explicit :class:`Tape`. Each operation
 appends one record holding the output tensor, its parents and a backward
@@ -29,7 +30,7 @@ forward values only.
 Design constraints: float64 everywhere; no implicit broadcasting between
 tensors (scalar * tensor excepted) — shape adaptation happens through
 explicit ops (``bias_add``, ``broadcast_leading``) so every backward rule
-stays auditable.  Eight ops are fused, each one tape record with a
+stays auditable.  Nine ops are fused, each one tape record with a
 hand-written backward, so that a record keeps only what its backward
 reads:
 
@@ -44,11 +45,14 @@ reads:
   output: the backward rebuilds every step's previous state from the
   output, and from those every step's gates and candidates at once;
 - :func:`mixhop` runs every hop and projection of mix-hop graph
-  propagation, keeping only its output: the backward rebuilds the hop
-  states from ξ and Â and frees each at its last use;
+  propagation, for every run of equal-length segments of a layer into one
+  output buffer, keeping only its output: the backward rebuilds one run's
+  hop states at a time from ξ and Â and frees each at its last use;
 - :func:`gated_conv1d` runs a kernel bank, its σ·tanh gating and dropout
   in place, keeping σ, the dropout mask and its output: the backward
   reads tanh back from the output;
+- :func:`tanh_conv1d` runs a kernel bank and tanh in place in its output,
+  keeping only that output: the backward reads tanh' = 1 − y² from it;
 - :func:`layer_norm_residual` normalises, applies the affine map and adds
   a residual in one buffer, keeping a mean and a scale per row;
 - :func:`skip_linear` projects each node's flattened history, forming the
@@ -542,8 +546,9 @@ def _conv_bank(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | 
 
     Returns the (B, T_out, ..., ΣC_j) output and ``back(g)``, which takes
     the output's gradient in any shape with ΣC_j columns and accumulates
-    the gradients of ``x``, the kernels and the biases.  :func:`conv1d`
-    and :func:`gated_conv1d` share it, so the per-tap GEMM loop exists once.
+    the gradients of ``x``, the kernels and the biases.  :func:`conv1d`,
+    :func:`gated_conv1d` and :func:`tanh_conv1d` share it, so the per-tap
+    GEMM loop exists once.
     """
     shapes = [k.shape for k in kernels]
     if dilation < 1 or stride < 1:
@@ -637,6 +642,28 @@ def conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | None
     """
     out, back = _conv_bank(x, kernels, biases, dilation, stride)
     return _make(out, (x, *kernels, *(biases or ())), back)
+
+
+def tanh_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | None = None,
+                dilation: int = 1, stride: int = 1) -> Tensor:
+    """tanh of :func:`conv1d`, with the same arguments and output shape.
+
+    One record, which keeps only its output: tanh is applied in place in
+    the convolution's output, so the pre-activation is never stored, and
+    the backward pass reads tanh' = 1 − y² from the output y.  The value
+    and every gradient are those of ``tanh(conv1d(...))``, bit for bit.
+    """
+    y, bank_back = _conv_bank(x, kernels, biases, dilation, stride)
+    np.tanh(y, out=y)
+
+    def back(g):
+        # g · (1 − y²), in the order ``tanh``'s backward computes it
+        gy = y * y
+        np.subtract(1.0, gy, out=gy)
+        gy *= g
+        bank_back(gy)
+
+    return _make(y, (x, *kernels, *(biases or ())), back)
 
 
 def gated_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
@@ -1257,26 +1284,38 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
     return _make(out, parents, back)
 
 
-def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float) -> Tensor:
+def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
+           runs: Sequence[tuple[int, int]] | None = None) -> Tensor:
     """Mix-hop propagation of depth Ψ = len(weights) − 1: Σₖ Hₖ Wₖ.
 
     H₀ = ξ and Hₖ = β·ξ + (1 − β)·Â·Hₖ₋₁.  ``xi`` is (..., N, C_in),
-    ``adj`` (..., N, N) with leading axes that broadcast against ξ's (such
-    as (B, 1, N, N) or (B, M, 1, N, N) against (B, M, d, N, C)), and each
-    weight is (C_in, C_out).  The forward pass runs the hops in place with
-    β·ξ computed once, in the operation order of the per-hop op chain, and
-    holds nothing beyond the hop in flight.  The record keeps only its
-    output: the backward pass rebuilds H₁ … H_Ψ from ξ and Â in the
-    forward's own op order, so they, and every gradient, are bitwise those
-    of the forward.  That is safe because ξ and Â are parents whose
-    producers keep them, this backward runs before theirs, and no op
-    writes a parent's data in place.  Each weight gradient is one flat
-    GEMM over all rows, taken as soon as its hop is rebuilt, so H_Ψ is
-    dropped at once.  The backward then runs
-    dHₖ = g·Wₖᵀ + (1 − β)·Âᵀ·dHₖ₊₁ down the hops, freeing dHₖ₊₁, Hₖ₋₁
-    and each term at their last use; the adjacency gradient is folded over
-    the broadcast leading axes by :func:`_summed_matmul`.  Operands that
-    need no gradient get none.
+    ``adj`` (..., N, N) and each weight is (C_in, C_out).  Without
+    ``runs``, Â's leading axes broadcast against ξ's (such as (B, 1, N, N)
+    or (B, M, 1, N, N) against (B, M, d, N, C)).  With ``runs``, (segment
+    count n, segment length d) pairs, ξ is (B, T, N, C) and Â (B, M, N, N)
+    holds one graph per segment: the runs split ξ's steps and Â's graphs in
+    order and must tile both, and each run's steps, viewed as
+    (B, n, d, N, C), go through its graphs viewed as (B, n, 1, N, N).
+    Without runs the whole of ξ and Â is one run, through the same code.
+
+    Each run writes into its slice of one output buffer.  The forward pass
+    runs the hops in place with β·ξ computed once per run, in the operation
+    order of the per-hop op chain, and holds nothing beyond the hop in
+    flight.  The record keeps only its output: the backward pass rebuilds
+    one run's H₁ … H_Ψ at a time from ξ and Â in the forward's own op
+    order, so they, and every gradient, are bitwise those of the forward.
+    That is safe because ξ and Â are parents whose producers keep them,
+    this backward runs before theirs, and no op writes a parent's data in
+    place.  Each weight gradient is one flat GEMM over a run's rows, taken
+    as soon as its hop is rebuilt, so H_Ψ is dropped at once; the runs'
+    terms are summed last run first, as one record per run would sum them.
+    The backward then runs dHₖ = g·Wₖᵀ + (1 − β)·Âᵀ·dHₖ₊₁ down the hops,
+    freeing dHₖ₊₁, Hₖ₋₁ and each term at their last use, and writes the
+    run's ξ and Â gradients straight into their slices of one buffer each:
+    the runs cover disjoint steps and graphs, so nothing is zero-filled or
+    added.  The adjacency gradient is folded over the broadcast leading
+    axes by :func:`_summed_matmul`.  Operands that need no gradient get
+    none, and at Ψ = 0 the adjacency gets none either.
     """
     if not weights:
         raise DimensionError("mixhop needs at least one projection weight")
@@ -1285,12 +1324,32 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float) -> T
                              f"need at least 2 dimensions")
     n, c_in = xi.shape[-2:]
     c_out = weights[0].shape[-1]
-    try:
-        lead = np.broadcast_shapes(adj.shape[:-2], xi.shape[:-2])
-    except ValueError:
-        lead = None
-    if adj.shape[-2:] != (n, n) or lead != xi.shape[:-2]:
-        raise DimensionError(f"mixhop: adjacency {adj.shape} does not fit features {xi.shape}")
+    # per run: its steps of ξ and its graphs of Â (indices on axis 1), and
+    # the shapes they are viewed in
+    if runs is None:
+        pieces = [(slice(None), slice(None), xi.shape, adj.shape)]
+    else:
+        if xi.ndim < 3 or adj.ndim != xi.ndim or any(c < 1 or d < 1 for c, d in runs):
+            raise DimensionError(f"mixhop: runs {list(runs)} do not fit features "
+                                 f"{xi.shape} and adjacency {adj.shape}")
+        pieces = []
+        t0 = m0 = 0
+        for count, length in runs:
+            t1, m1 = t0 + count * length, m0 + count
+            pieces.append((slice(t0, t1), slice(m0, m1),
+                           xi.shape[:1] + (count, length) + xi.shape[2:],
+                           adj.shape[:1] + (count, 1) + adj.shape[2:]))
+            t0, m0 = t1, m1
+        if (t0, m0) != (xi.shape[1], adj.shape[1]):
+            raise DimensionError(f"mixhop: runs {list(runs)} do not tile {xi.shape[1]} "
+                                 f"steps and {adj.shape[1]} graphs")
+    for _, _, x_shape, a_shape in pieces:
+        try:
+            lead = np.broadcast_shapes(a_shape[:-2], x_shape[:-2])
+        except ValueError:
+            lead = None
+        if a_shape[-2:] != (n, n) or lead != x_shape[:-2]:
+            raise DimensionError(f"mixhop: adjacency {adj.shape} does not fit features {xi.shape}")
     if any(w.shape != (c_in, c_out) for w in weights):
         raise DimensionError(
             f"mixhop: weights {[w.shape for w in weights]} do not all map "
@@ -1299,11 +1358,15 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float) -> T
     beta = float(beta)
     keep = 1.0 - beta
 
-    def walk() -> Iterator[Array]:
-        """H₁ … H_Ψ, each a new array, in the one op order both passes use."""
+    def view(arr: Array, idx: slice, shape: tuple[int, ...]) -> Array:
+        """A run's part of ``arr``; a view of a C-contiguous ``arr``."""
+        return arr[:, idx].reshape(shape)
+
+    def walk(x: Array, a: Array) -> Iterator[Array]:
+        """H₁ … H_Ψ of one run, each a new array, in the one op order both
+        passes use."""
         if len(weights) == 1:
             return
-        x, a = xi.data, adj.data
         retained = x * beta
         h = x
         for _ in weights[1:]:
@@ -1312,27 +1375,42 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float) -> T
             h += retained
             yield h
 
-    out = np.matmul(xi.data, weights[0].data)
-    for h, w in zip(walk(), weights[1:]):
-        out += np.matmul(h, w.data)
+    def forward_run(x: Array, a: Array, o: Array) -> None:
+        """One run's output, written into ``o``; its last hop is freed on return."""
+        np.matmul(x, weights[0].data, out=o)
+        for h, w in zip(walk(x, a), weights[1:]):
+            o += np.matmul(h, w.data)
 
-    def back(g):
+    out = np.empty(xi.shape[:-1] + (c_out,))
+    for t_idx, a_idx, x_shape, a_shape in pieces:
+        forward_run(view(xi.data, t_idx, x_shape), view(adj.data, a_idx, a_shape),
+                    view(out, t_idx, x_shape[:-1] + (c_out,)))
+
+    def back_run(g2: Array, x: Array, a: Array, gx: Array | None, ga: Array | None,
+                 g_w: list[Array | None]) -> None:
+        """One run's backward: ``g2`` is its output gradient as (rows, C_out);
+        its ξ and Â gradients are written into ``gx`` and ``ga``, and its
+        weight gradients added into ``g_w``."""
         # the projections act on the channel axis alone, so their gradients
         # are flat (rows, C) GEMMs, each taken as soon as its hop is
         # rebuilt; the adjacency gradient reads H₀ … H_Ψ₋₁ on the way down,
         # so H_Ψ is dropped at once
-        g2 = g.reshape(-1, c_out)
         hops = []
-        for w, hk in zip(weights, itertools.chain([xi.data], walk())):
+        for k, (w, hk) in enumerate(zip(weights, itertools.chain([x], walk(x, a)))):
             if w.requires_grad:
-                _accumulate(w, hk.reshape(-1, c_in).T @ g2)
+                term = hk.reshape(-1, c_in).T @ g2
+                if g_w[k] is None:
+                    g_w[k] = term
+                else:
+                    g_w[k] += term
+                del term
             hops.append(hk)
         del hk, hops[-1]
-        if not (xi.requires_grad or adj.requires_grad):
+        if gx is None and ga is None:
             return
 
         def projected_back(k: int) -> Array:
-            return (g2 @ weights[k].data.T).reshape(xi.shape)
+            return (g2 @ weights[k].data.T).reshape(x.shape)
 
         def graph_back(d: Array) -> Array:
             """(1 − β)·Âᵀ·d"""
@@ -1340,9 +1418,9 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float) -> T
             out *= keep
             return out
 
-        a_t = np.swapaxes(adj.data, -1, -2)
-        g_x = projected_back(0) if xi.requires_grad else None
-        g_adj = None
+        a_t = np.swapaxes(a, -1, -2)
+        if gx is not None:
+            gx[...] = projected_back(0)
         d = None  # dHₖ₊₁ on the way down
         for k in range(len(weights) - 1, 0, -1):
             dk = projected_back(k)
@@ -1350,23 +1428,37 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float) -> T
                 dk += graph_back(d)
                 del d
             hk = hops.pop()  # Hₖ₋₁, read here for the last time
-            if adj.requires_grad:
-                term = _summed_matmul(dk, np.swapaxes(hk, -1, -2), adj.shape)
-                if g_adj is None:
-                    g_adj = term
+            if ga is not None:
+                term = _summed_matmul(dk, np.swapaxes(hk, -1, -2), a.shape)
+                if k == len(weights) - 1:
+                    ga[...] = term
                 else:
-                    g_adj += term
+                    ga += term
                 del term
             del hk
-            if g_x is not None and beta:
-                g_x += beta * dk
+            if gx is not None and beta:
+                gx += beta * dk
             d = dk
+        if gx is not None and d is not None:
+            gx += graph_back(d)
+        if ga is not None:
+            ga *= keep
+
+    def back(g):
+        g_w: list[Array | None] = [None] * len(weights)
+        g_x = np.empty(xi.shape) if xi.requires_grad else None
+        g_adj = np.empty(adj.shape) if adj.requires_grad and len(weights) > 1 else None
+        for t_idx, a_idx, x_shape, a_shape in reversed(pieces):
+            back_run(g[:, t_idx].reshape(-1, c_out),
+                     view(xi.data, t_idx, x_shape), view(adj.data, a_idx, a_shape),
+                     None if g_x is None else view(g_x, t_idx, x_shape),
+                     None if g_adj is None else view(g_adj, a_idx, a_shape), g_w)
+        for w, gk in zip(weights, g_w):
+            if gk is not None:
+                _accumulate(w, gk)
         if g_x is not None:
-            if d is not None:
-                g_x += graph_back(d)
             _accumulate(xi, g_x)
         if g_adj is not None:
-            g_adj *= keep
             _accumulate(adj, g_adj)
 
     return _make(out, (xi, adj) + tuple(weights), back)

@@ -3,14 +3,15 @@
 Builds the single-step preset (or, with ``--preset multi``, the multi-step
 one) at N nodes (default 64) and runs one training step (forward,
 backward, Adam) on a batch of B random windows (default 16) with a random
-600-step reference series, on one BLAS thread.  It prints the step's
-forward and backward times and the peak resident size, and exits non-zero
-if the step fails, a MemoryError included.  With ``--predict K`` it runs
+reference series of ``--reference-steps`` steps (default 600), on one BLAS
+thread.  It prints the step's forward and backward times and the peak
+resident size, and exits non-zero if the step fails, a MemoryError
+included.  With ``--predict K`` it runs
 one ``Model.predict`` of K random windows instead and prints its time and
 the peak resident size.  Run it under an address-space cap to check that
 the work fits::
 
-    (ulimit -v 791552; PYTHONPATH=src python tests/scale_step.py --nodes 64)
+    (ulimit -v 753664; PYTHONPATH=src python tests/scale_step.py --nodes 64)
     (ulimit -v 641024; PYTHONPATH=src python tests/scale_step.py --nodes 128 --predict 64)
     (ulimit -v 508928; PYTHONPATH=src python tests/scale_step.py --preset multi --nodes 128)
 
@@ -49,6 +50,9 @@ def main() -> None:
     parser.add_argument("--preset", choices=PRESETS, default="single")
     parser.add_argument("--nodes", type=int, default=64)
     parser.add_argument("--batch", type=int, default=16)
+    parser.add_argument("--reference-steps", type=int, default=600, metavar="T",
+                        help="length of the reference series the static "
+                             "representation is extracted from")
     parser.add_argument("--predict", type=int, metavar="K",
                         help="run one no-grad predict of K windows instead of a step")
     args = parser.parse_args()
@@ -56,7 +60,8 @@ def main() -> None:
     config = PRESETS[args.preset](args.nodes)
     model = Model(config)
     rng = np.random.default_rng(0)
-    model.set_reference_series(rng.normal(size=(args.nodes, 600, config.n_channels)))
+    model.set_reference_series(
+        rng.normal(size=(args.nodes, args.reference_steps, config.n_channels)))
     if args.predict is not None:
         x = rng.normal(size=(args.predict, config.window, args.nodes, config.n_channels))
         t0 = time.perf_counter()

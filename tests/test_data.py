@@ -141,6 +141,15 @@ class TestCsv:
             load_csv(f)
         assert str(f) in str(err.value)
 
+    def test_oversized_cell_names_file_and_row(self, tmp_path):
+        # a cell longer than the csv module's field size limit (131,072
+        # characters by default) is a load error, not a csv.Error
+        f = tmp_path / "d.csv"
+        f.write_text("1,2\n3,4\n5," + "6" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(LoadError, match="row 3 is not valid CSV") as err:
+            load_csv(f)
+        assert str(f) in str(err.value)
+
     @pytest.mark.parametrize("text, match", [
         ("[]", "not a JSON object"),
         ('"toy"', "not a JSON object"),

@@ -283,3 +283,25 @@ class TestRetention:
             tracemalloc.stop()
         assert len(tape) > 0 and out.shape == xi.shape
         assert held <= (psi + 2) * xi.data.nbytes
+
+    def test_two_run_layer_is_one_record_keeping_its_output(self):
+        # a single-step layer at d = 31 over 174 steps: four 31-step
+        # segments and a longer last one of 50, two runs of equal-length
+        # segments.  Propagating each run apart and concatenating the parts
+        # keeps every part and the concatenation, ~2 x the output
+        c = 8
+        mh = MixHop(store(13), "mh", c, c, psi=2, beta=0.05)
+        xi = rand(2, 174, 4, c, seed=21)
+        xi.requires_grad = True
+        mats = Tensor(np.random.default_rng(22).random((2, 5, 4, 4)), requires_grad=True)
+        seq = EvolvingGraphSequence.from_stack(mats, SegmentSpec.for_length(174, 31))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with T.Tape() as tape:
+                out = mh.apply_per_segment(xi, seq)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1 and out.shape == xi.shape
+        assert held <= 1.1 * out.data.nbytes

@@ -9,7 +9,10 @@ import pytest
 from evograph import tensor as T
 from evograph.config import multi_step_preset, single_step_preset
 from evograph.errors import ContractError, DimensionError, SequenceTooShortError
+from evograph.graph_learner import StaticFeatureExtractor
 from evograph.model import Model
+from evograph.nn import ParamStore
+from evograph.rng import RngSource
 from evograph.tensor import Tape, Tensor, no_grad
 from evograph.trainer import loss_tensor
 
@@ -204,6 +207,33 @@ class TestConv1d:
             T.conv1d(t(np.zeros((1, 5, 3))), [])  # empty bank
         with pytest.raises(DimensionError):
             T.conv1d(t(np.zeros((1, 5, 3))), [k, k], [t(np.zeros(2))])  # one bias for two
+
+    def test_tanh_conv1d_matches_op_chain(self):
+        # one record, bitwise the value and gradients of tanh(conv1d(...))
+        rng = np.random.default_rng(6)
+        x = t(rng.normal(size=(2, 29, 3, 2)))
+        k = t(0.5 * rng.normal(size=(4, 2, 3)))
+        b = t(rng.normal(size=(4,)))
+        w = Tensor(rng.normal(size=(2, 9, 3, 4)))
+
+        def run(fn):
+            with Tape() as tape:
+                out = fn()
+                loss = T.reduce_sum(T.mul(out, w))
+            tape.backward(loss)
+            return len(tape), out.data, [p.grad.copy() for p in (x, k, b)]
+
+        records, out, grads = run(lambda: T.tanh_conv1d(x, [k], [b], dilation=2, stride=3))
+        _, ref_out, ref_grads = run(
+            lambda: T.tanh(T.conv1d(x, [k], [b], dilation=2, stride=3)))
+        assert records == 3
+        assert np.array_equal(out, ref_out)
+        for g, ref in zip(grads, ref_grads):
+            assert np.array_equal(g, ref)
+        assert_gradients_close(
+            lambda: T.reduce_sum(T.mul(T.tanh_conv1d(x, [k], [b], dilation=2, stride=3), w)),
+            {"x": x, "k": k, "b": b},
+        )
 
     def test_branches_aligned_on_most_recent(self):
         # a 1-tap kernel must see the same (most recent) time steps as the
@@ -468,6 +498,20 @@ class TestRetention:
         w, b = t(rng.normal(size=(16, 16))), t(np.zeros(16))
         held = self.held(lambda: T.linear(x, w, b))
         assert held <= 1.1 * x.data.nbytes
+
+    @pytest.mark.parametrize("conv", ["conv1", "conv2"])
+    def test_static_convolutions_keep_their_tanh_output_only(self, conv):
+        # each of the static extractor's convolutions is one record with its
+        # tanh, keeping only the tanh output; a conv1d record and a tanh
+        # record keep the pre-activation as well, 2 x
+        layer = getattr(StaticFeatureExtractor(ParamStore(RngSource(0)), "static", 1, 40), conv)
+        x = t(np.random.default_rng(38).normal(size=(8, 2000, layer.kernel.shape[1])), rg=False)
+        outs = []
+        held = self.held(lambda: outs.append(layer(x)) or outs[0])
+        with no_grad():
+            ref = T.conv1d(x, [layer.kernel], [layer.bias], stride=layer.stride).data
+        assert np.array_equal(outs[0].data, np.tanh(ref))
+        assert held <= 1.1 * outs[0].data.nbytes
 
     def test_mixhop_keeps_its_output_only(self):
         # the output, which C_in = C_out makes the size of a hop; keeping
@@ -976,6 +1020,67 @@ class TestMixhop:
         for g, ref in zip(grads, ref_grads):
             assert np.any(ref != 0)
             assert np.max(np.abs(g - ref)) <= 1e-12 * scale
+
+    # (segment count, length) per run: four 3-step segments and a longer
+    # last one of 5; a clipped 2-step first segment, three of 4 and a last of 6
+    RUNS = [[(4, 3), (1, 5)], [(1, 2), (3, 4), (1, 6)]]
+
+    def run_inputs(self, runs, psi, seed):
+        steps = sum(n * length for n, length in runs)
+        graphs = sum(n for n, _ in runs)
+        return self.inputs((2, steps, self.N, self.C_IN), (2, graphs, self.N, self.N), psi, seed)
+
+    @staticmethod
+    def per_run_reference(xi, adj, weights, beta, runs):
+        """Each run's steps and graphs narrowed and reshaped on the tape,
+        propagated by a record of its own, and the parts concatenated."""
+        b, parts, t0, m0 = xi.shape[0], [], 0, 0
+        for n, length in runs:
+            x = T.reshape(T.narrow(xi, 1, t0, n * length), (b, n, length) + xi.shape[2:])
+            a = T.reshape(T.narrow(adj, 1, m0, n), (b, n, 1) + adj.shape[2:])
+            y = T.mixhop(x, a, weights, beta)
+            parts.append(T.reshape(y, (b, n * length) + y.shape[3:]))
+            t0, m0 = t0 + n * length, m0 + n
+        return T.concat(parts, axis=1)
+
+    @pytest.mark.parametrize("runs", RUNS)
+    def test_runs_match_per_run_chain(self, runs):
+        xi, adj, weights = self.run_inputs(runs, psi=2, seed=7)
+        target = Tensor(np.random.default_rng(8).normal(size=xi.shape[:-1] + (self.C_OUT,)))
+        leaves = [xi, adj] + weights
+
+        def run(fn):
+            with Tape() as tape:
+                out = fn()
+                loss = T.reduce_sum(T.mul(out, target))
+            tape.backward(loss)
+            return len(tape), out.data, [p.grad.copy() for p in leaves]
+
+        records, out, grads = run(lambda: T.mixhop(xi, adj, weights, 0.05, runs))
+        _, ref_out, ref_grads = run(lambda: self.per_run_reference(xi, adj, weights, 0.05, runs))
+        assert records == 3
+        assert np.array_equal(out, ref_out)
+        for g, ref in zip(grads, ref_grads):
+            assert np.any(ref != 0)
+            assert np.array_equal(g, ref)
+
+    @pytest.mark.parametrize("psi", [0, 2])
+    def test_runs_gradcheck(self, psi):
+        runs = [(2, 2), (1, 3)]
+        xi, adj, weights = self.run_inputs(runs, psi=psi, seed=9)
+        target = Tensor(np.random.default_rng(10).normal(size=xi.shape[:-1] + (self.C_OUT,)))
+        tensors = {"xi": xi, "adj": adj}
+        tensors.update((f"w{k}", w) for k, w in enumerate(weights))
+        assert_gradients_close(
+            lambda: T.reduce_sum(T.mul(T.mixhop(xi, adj, weights, 0.05, runs), target)),
+            tensors,
+        )
+
+    def test_runs_must_tile_steps_and_graphs(self):
+        xi, adj, weights = self.run_inputs(self.RUNS[0], psi=1, seed=11)
+        for runs in ([(4, 3)], [(4, 3), (2, 5)], [(3, 4), (1, 5)], [(4, 3), (1, 5), (0, 1)]):
+            with pytest.raises(DimensionError, match="runs"):
+                T.mixhop(xi, adj, weights, 0.5, runs)
 
     def test_no_grad_same_values_no_record(self):
         xi, adj, weights = self.inputs(*self.SHAPES[2], psi=2, seed=6)
