@@ -57,21 +57,16 @@ class MixHop:
         for proj in self.hop_proj[1:]:
             proj.data *= 0.0
 
-    def propagate(self, xi: Tensor, adj: Tensor,
-                  runs: list[tuple[int, int]] | None = None) -> Tensor:
-        """xi: (B, ..., N, C_in) → (B, ..., N, C_out) through nonnegative,
-        already row-normalized ``adj``.
+    def propagate(self, xi: Tensor, adj: Tensor, runs: list[tuple[int, int]]) -> Tensor:
+        """xi: (B, T, N, C_in) → (B, T, N, C_out) through nonnegative,
+        already row-normalized ``adj``, (B, M, N, N).
 
-        Without ``runs``, ``adj`` has the ndim of ``xi``, with leading axes
-        that broadcast against it: (B, T, N, N) or (B, 1, N, N) for
-        (B, T, N, C), and (B, M, 1, N, N) for (B, M, d, N, C).  With
-        ``runs``, (segment count, segment length) pairs that tile ξ's T
-        steps and ``adj``'s M graphs in order, ξ is (B, T, N, C) and
-        ``adj`` (B, M, N, N): each run's steps go through their own
-        segments' graphs.  One :func:`tensor.mixhop` record, which keeps
-        only its output and parents: the forward holds no hop beyond the
-        one in flight, and the backward rebuilds one run's Ψ hop states at
-        a time, each the size of the run's ξ, taking each projection's
+        ``runs``, (segment count, segment length) pairs, tile ξ's T steps
+        and ``adj``'s M graphs in order: each run's steps go through their
+        own segments' graphs.  One :func:`tensor.mixhop` record, which
+        keeps only its output and parents: the forward holds no hop beyond
+        the one in flight, and the backward rebuilds one run's Ψ hop states
+        at a time, each the size of the run's ξ, taking each projection's
         gradient as its hop is rebuilt and freeing each hop and hop
         gradient at its last use.
         """

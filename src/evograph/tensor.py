@@ -1285,18 +1285,16 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
 
 
 def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
-           runs: Sequence[tuple[int, int]] | None = None) -> Tensor:
+           runs: Sequence[tuple[int, int]]) -> Tensor:
     """Mix-hop propagation of depth Ψ = len(weights) − 1: Σₖ Hₖ Wₖ.
 
-    H₀ = ξ and Hₖ = β·ξ + (1 − β)·Â·Hₖ₋₁.  ``xi`` is (..., N, C_in),
-    ``adj`` (..., N, N) and each weight is (C_in, C_out).  Without
-    ``runs``, Â's leading axes broadcast against ξ's (such as (B, 1, N, N)
-    or (B, M, 1, N, N) against (B, M, d, N, C)).  With ``runs``, (segment
-    count n, segment length d) pairs, ξ is (B, T, N, C) and Â (B, M, N, N)
-    holds one graph per segment: the runs split ξ's steps and Â's graphs in
-    order and must tile both, and each run's steps, viewed as
-    (B, n, d, N, C), go through its graphs viewed as (B, n, 1, N, N).
-    Without runs the whole of ξ and Â is one run, through the same code.
+    H₀ = ξ and Hₖ = β·ξ + (1 − β)·Â·Hₖ₋₁.  ``xi`` is (B, T, N, C_in),
+    ``adj`` (B, M, N, N), one graph per segment, and each weight is
+    (C_in, C_out).  ``runs``, (segment count n, segment length d) pairs,
+    split ξ's T steps and Â's M graphs in order and must tile both: each
+    run's steps, viewed as (B, n, d, N, C), go through its graphs viewed as
+    (B, n, 1, N, N).  One graph per step is one run of (T, 1), and one
+    graph for all steps one run of (1, T).
 
     Each run writes into its slice of one output buffer.  The forward pass
     runs the hops in place with β·ξ computed once per run, in the operation
@@ -1313,48 +1311,36 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
     freeing dHₖ₊₁, Hₖ₋₁ and each term at their last use, and writes the
     run's ξ and Â gradients straight into their slices of one buffer each:
     the runs cover disjoint steps and graphs, so nothing is zero-filled or
-    added.  The adjacency gradient is folded over the broadcast leading
-    axes by :func:`_summed_matmul`.  Operands that need no gradient get
-    none, and at Ψ = 0 the adjacency gets none either.
+    added.  Each graph's gradient is summed over its d steps by
+    :func:`_summed_matmul`.  Operands that need no gradient get none, and
+    at Ψ = 0 the adjacency gets none either.
     """
     if not weights:
         raise DimensionError("mixhop needs at least one projection weight")
-    if xi.ndim < 2 or adj.ndim < 2:
-        raise DimensionError(f"mixhop: features {xi.shape} and adjacency {adj.shape} "
-                             f"need at least 2 dimensions")
-    n, c_in = xi.shape[-2:]
+    if xi.ndim != 4 or adj.ndim != 4 or adj.shape[0] != xi.shape[0] \
+            or adj.shape[2:] != (xi.shape[2],) * 2:
+        raise DimensionError(f"mixhop: adjacency {adj.shape} does not fit features {xi.shape}")
+    b, steps, n, c_in = xi.shape
     c_out = weights[0].shape[-1]
-    # per run: its steps of ξ and its graphs of Â (indices on axis 1), and
-    # the shapes they are viewed in
-    if runs is None:
-        pieces = [(slice(None), slice(None), xi.shape, adj.shape)]
-    else:
-        if xi.ndim < 3 or adj.ndim != xi.ndim or any(c < 1 or d < 1 for c, d in runs):
-            raise DimensionError(f"mixhop: runs {list(runs)} do not fit features "
-                                 f"{xi.shape} and adjacency {adj.shape}")
-        pieces = []
-        t0 = m0 = 0
-        for count, length in runs:
-            t1, m1 = t0 + count * length, m0 + count
-            pieces.append((slice(t0, t1), slice(m0, m1),
-                           xi.shape[:1] + (count, length) + xi.shape[2:],
-                           adj.shape[:1] + (count, 1) + adj.shape[2:]))
-            t0, m0 = t1, m1
-        if (t0, m0) != (xi.shape[1], adj.shape[1]):
-            raise DimensionError(f"mixhop: runs {list(runs)} do not tile {xi.shape[1]} "
-                                 f"steps and {adj.shape[1]} graphs")
-    for _, _, x_shape, a_shape in pieces:
-        try:
-            lead = np.broadcast_shapes(a_shape[:-2], x_shape[:-2])
-        except ValueError:
-            lead = None
-        if a_shape[-2:] != (n, n) or lead != x_shape[:-2]:
-            raise DimensionError(f"mixhop: adjacency {adj.shape} does not fit features {xi.shape}")
     if any(w.shape != (c_in, c_out) for w in weights):
         raise DimensionError(
             f"mixhop: weights {[w.shape for w in weights]} do not all map "
             f"{c_in} to {c_out} channels"
         )
+    if any(count < 1 or length < 1 for count, length in runs) \
+            or sum(count * length for count, length in runs) != steps \
+            or sum(count for count, _ in runs) != adj.shape[1]:
+        raise DimensionError(f"mixhop: runs {list(runs)} do not tile {steps} "
+                             f"steps and {adj.shape[1]} graphs")
+    # per run: its steps of ξ and its graphs of Â (indices on axis 1), and
+    # the shapes they are viewed in
+    pieces = []
+    t0 = m0 = 0
+    for count, length in runs:
+        t1, m1 = t0 + count * length, m0 + count
+        pieces.append((slice(t0, t1), slice(m0, m1),
+                       (b, count, length, n, c_in), (b, count, 1, n, n)))
+        t0, m0 = t1, m1
     beta = float(beta)
     keep = 1.0 - beta
 

@@ -520,7 +520,7 @@ class TestRetention:
         xi = t(rng.normal(size=(2, 30, 8, 16)))
         adj = t(rng.random((2, 1, 8, 8)))
         weights = [t(rng.normal(size=(16, 16))) for _ in range(3)]
-        held = self.held(lambda: T.mixhop(xi, adj, weights, 0.05))
+        held = self.held(lambda: T.mixhop(xi, adj, weights, 0.05, [(1, 30)]))
         assert held <= 1.1 * xi.data.nbytes
 
     def test_gru_sequence_keeps_its_output_only(self):
@@ -536,7 +536,7 @@ class TestRetention:
         assert held <= 1.2 * gammas.data.nbytes
 
     @pytest.mark.parametrize("xi_shape, adj_shape", [((2, 30, 8, 16), (2, 1, 8, 8)),
-                                                     ((2, 6, 5, 8, 16), (2, 6, 1, 8, 8))])
+                                                     ((2, 30, 8, 16), (2, 6, 8, 8))])
     def test_mixhop_backward_frees_hops_at_last_use(self, xi_shape, adj_shape):
         # at Ψ = 2 with C_in = C_out, in ξ-sized arrays: the output's
         # gradient, ξ's, dHₖ₊₁, dHₖ and one product in flight, ~6.2 x with
@@ -546,8 +546,9 @@ class TestRetention:
         xi = t(rng.normal(size=xi_shape))
         adj = t(rng.random(adj_shape))
         weights = [t(rng.normal(size=(16, 16))) for _ in range(3)]
+        runs = [(adj_shape[1], xi_shape[1] // adj_shape[1])]
         with Tape() as tape:
-            loss = T.reduce_sum(T.mixhop(xi, adj, weights, 0.05))
+            loss = T.reduce_sum(T.mixhop(xi, adj, weights, 0.05, runs))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -963,11 +964,16 @@ class TestGruSequence:
 class TestMixhop:
     N, C_IN, C_OUT = 3, 2, 4
 
-    # (features, adjacency): one graph per step, one graph for all steps,
-    # and one graph per segment of d steps
+    # (features, adjacency), propagated as one run of M equal segments:
+    # one graph per step, one graph for all steps, and one graph per
+    # segment of 3 steps
     SHAPES = [((2, 3, N, C_IN), (2, 3, N, N)),
               ((2, 3, N, C_IN), (2, 1, N, N)),
-              ((2, 2, 3, N, C_IN), (2, 2, 1, N, N))]
+              ((2, 6, N, C_IN), (2, 2, N, N))]
+
+    @staticmethod
+    def one_run(xi_shape, adj_shape):
+        return [(adj_shape[1], xi_shape[1] // adj_shape[1])]
 
     def inputs(self, xi_shape, adj_shape, psi, seed=0):
         rng = np.random.default_rng(seed)
@@ -977,38 +983,44 @@ class TestMixhop:
         return xi, adj, weights
 
     @staticmethod
-    def reference(xi, adj, weights, beta):
-        """The per-hop op chain: a product, two scalings and a sum per hop,
+    def reference(xi, adj, weights, beta, runs):
+        """The per-hop op chain on one run's (B, n, d, N, C) steps and
+        (B, n, 1, N, N) graphs: a product, two scalings and a sum per hop,
         then a projection and a sum."""
-        h = xi
+        (count, length), = runs
+        x = T.reshape(xi, xi.shape[:1] + (count, length) + xi.shape[2:])
+        a = T.reshape(adj, adj.shape[:1] + (count, 1) + adj.shape[2:])
+        h = x
         out = T.matmul(h, weights[0])
         for w in weights[1:]:
-            h = T.add(T.mul(xi, beta), T.mul(T.matmul(adj, h), 1.0 - beta))
+            h = T.add(T.mul(x, beta), T.mul(T.matmul(a, h), 1.0 - beta))
             out = T.add(out, T.matmul(h, w))
-        return out
+        return T.reshape(out, xi.shape[:-1] + out.shape[-1:])
 
     @pytest.mark.parametrize("beta", [0.0, 0.05, 1.0])
     @pytest.mark.parametrize("psi", [0, 1, 2])
     @pytest.mark.parametrize("xi_shape, adj_shape", SHAPES)
     def test_gradcheck(self, xi_shape, adj_shape, psi, beta):
         xi, adj, weights = self.inputs(xi_shape, adj_shape, psi, seed=psi)
-        target = Tensor(np.random.default_rng(9).normal(size=xi_shape[:-1] + (self.C_OUT,)))
+        runs = self.one_run(xi_shape, adj_shape)
+        target = Tensor(np.random.default_rng(9).normal(size=xi.shape[:-1] + (self.C_OUT,)))
         tensors = {"xi": xi, "adj": adj}
         tensors.update((f"w{k}", w) for k, w in enumerate(weights))
         assert_gradients_close(
-            lambda: T.reduce_sum(T.mul(T.mixhop(xi, adj, weights, beta), target)),
+            lambda: T.reduce_sum(T.mul(T.mixhop(xi, adj, weights, beta, runs), target)),
             tensors,
         )
 
     @pytest.mark.parametrize("xi_shape, adj_shape", SHAPES)
     def test_matches_hop_reference(self, xi_shape, adj_shape):
         xi, adj, weights = self.inputs(xi_shape, adj_shape, psi=2, seed=4)
-        target = Tensor(np.random.default_rng(5).normal(size=xi_shape[:-1] + (self.C_OUT,)))
+        runs = self.one_run(xi_shape, adj_shape)
+        target = Tensor(np.random.default_rng(5).normal(size=xi.shape[:-1] + (self.C_OUT,)))
         leaves = [xi, adj] + weights
 
         def run(fn):
             with Tape() as tape:
-                out = fn(xi, adj, weights, 0.05)
+                out = fn(xi, adj, weights, 0.05, runs)
                 loss = T.reduce_sum(T.mul(out, target))
             tape.backward(loss)
             return out.data, [p.grad.copy() for p in leaves]
@@ -1032,14 +1044,12 @@ class TestMixhop:
 
     @staticmethod
     def per_run_reference(xi, adj, weights, beta, runs):
-        """Each run's steps and graphs narrowed and reshaped on the tape,
-        propagated by a record of its own, and the parts concatenated."""
-        b, parts, t0, m0 = xi.shape[0], [], 0, 0
+        """Each run's steps and graphs narrowed on the tape, propagated by
+        a record of its own, and the parts concatenated."""
+        parts, t0, m0 = [], 0, 0
         for n, length in runs:
-            x = T.reshape(T.narrow(xi, 1, t0, n * length), (b, n, length) + xi.shape[2:])
-            a = T.reshape(T.narrow(adj, 1, m0, n), (b, n, 1) + adj.shape[2:])
-            y = T.mixhop(x, a, weights, beta)
-            parts.append(T.reshape(y, (b, n * length) + y.shape[3:]))
+            parts.append(T.mixhop(T.narrow(xi, 1, t0, n * length), T.narrow(adj, 1, m0, n),
+                                  weights, beta, [(n, length)]))
             t0, m0 = t0 + n * length, m0 + n
         return T.concat(parts, axis=1)
 
@@ -1083,25 +1093,29 @@ class TestMixhop:
                 T.mixhop(xi, adj, weights, 0.5, runs)
 
     def test_no_grad_same_values_no_record(self):
+        runs = self.one_run(*self.SHAPES[2])
         xi, adj, weights = self.inputs(*self.SHAPES[2], psi=2, seed=6)
         with Tape() as tape:
-            recorded = T.mixhop(xi, adj, weights, 0.05)
+            recorded = T.mixhop(xi, adj, weights, 0.05, runs)
             with no_grad():
-                plain = T.mixhop(xi, adj, weights, 0.05)
+                plain = T.mixhop(xi, adj, weights, 0.05, runs)
         assert len(tape) == 1
         assert not plain.requires_grad
         assert np.array_equal(plain.data, recorded.data)
 
     def test_bad_shapes(self):
+        runs = self.one_run(*self.SHAPES[0])
         xi, adj, weights = self.inputs(*self.SHAPES[0], psi=1)
+        for a in (np.ones((2, 3, self.N, self.N + 1)), np.ones((1, 3, self.N, self.N)),
+                  np.ones((2, 3, 1, self.N, self.N))):
+            with pytest.raises(DimensionError, match="adjacency"):
+                T.mixhop(xi, t(a), weights, 0.5, runs)
         with pytest.raises(DimensionError, match="adjacency"):
-            T.mixhop(xi, t(np.ones((2, 3, self.N, self.N + 1))), weights, 0.5)
-        with pytest.raises(DimensionError, match="adjacency"):
-            T.mixhop(t(np.ones((2, 1, self.N, self.C_IN))), adj, weights, 0.5)
+            T.mixhop(t(np.ones((2, 3, self.N + 1, self.C_IN))), adj, weights, 0.5, runs)
         with pytest.raises(DimensionError, match="channels"):
-            T.mixhop(xi, adj, [weights[0], t(np.ones((self.C_IN, 1)))], 0.5)
+            T.mixhop(xi, adj, [weights[0], t(np.ones((self.C_IN, 1)))], 0.5, runs)
         with pytest.raises(DimensionError, match="at least one"):
-            T.mixhop(xi, adj, [], 0.5)
+            T.mixhop(xi, adj, [], 0.5, runs)
 
 
 class TestDropout:
