@@ -162,6 +162,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    out = claim_out_dir(args.out, args.force) if args.out else None
     model, extras = load_checkpoint(args.checkpoint)
     if args.config:
         config = load_config(args.config)
@@ -173,8 +174,7 @@ def cmd_evaluate(args) -> int:
     report = trainer.evaluate_split(model, data, args.split)
     headers, rows = metric_table(report)
     print_table(headers, rows)
-    if args.out:
-        out = claim_out_dir(args.out, args.force)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         write_atomic(out / "metrics.json", report.to_json())
         report.write_csv(out / "metrics.csv")
@@ -208,6 +208,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_scale_probe(args) -> int:
+    out = claim_out_dir(args.out, args.force) if args.out else None
     model, extras = load_checkpoint(args.checkpoint)
     if args.config:
         config = load_config(args.config)
@@ -231,8 +232,7 @@ def cmd_scale_probe(args) -> int:
                      f"{row['corr']:.4f}", res.best_epoch])
     rows.append(["full", f"{full_rmse:.4f}", "-", "-", "-"])
     print_table(headers, rows)
-    if args.out:
-        out = claim_out_dir(args.out, args.force)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         payload = [{"scale": r.scale,
                     "metrics": trainer.headline_row(r.report),
@@ -246,6 +246,7 @@ def cmd_scale_probe(args) -> int:
 
 
 def cmd_export_graphs(args) -> int:
+    out = claim_out_dir(args.out, args.force)
     model, extras = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.input, model.config.n_channels)
     values = dataset.values
@@ -255,11 +256,9 @@ def cmd_export_graphs(args) -> int:
         values = Scaler.from_dict(scaler_dict).transform_dataset(values)
     series = values.transpose(1, 0, 2)  # (T, N, C)
     seq = model.graph_inspection(series, args.layer)
-    out = claim_out_dir(args.out, args.force)
-    written = export_graphs(seq, out, layer=args.layer)
-    print_table(["layer", "graphs", "directory"],
-                [[args.layer, len(seq.matrices), out]])
-    return EXIT_OK if written else EXIT_RUNTIME
+    export_graphs(seq, out, layer=args.layer)
+    print_table(["layer", "graphs", "directory"], [[args.layer, seq.spec.m, out]])
+    return EXIT_OK
 
 
 def cmd_gen_synth(args) -> int:

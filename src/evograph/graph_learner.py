@@ -15,16 +15,16 @@ row-normalized in one more, so a layer's graphs come out as one
 per-segment slices as views.
 
 The scorer is two two-layer ReLU perceptrons (edge and mask) over the pair
-input α_i ‖ α_j.  Their first layer splits as W = [W_L; W_R], so its
+input α_i ‖ α_j, and one op, :func:`tensor.pairwise_graph`, runs exactly
+these two.  Their first layer splits as W = [W_L; W_R], so its
 pre-activation is the outer sum α_i W_L + α_j W_R + b: one (C_e, 2H) GEMM
 per side serves both heads, and the (B, N², 2·C_e) pair tensor is never
 built.  The graph is A = relu(s_e) ⊙ σ(s_m), and propagation reads its
-row-normalized form Ā = A / r, so the normalization happens here, once per
-graph: :func:`tensor.pairwise_graph` returns Ā and the row sums r.  Its
-record keeps only Ā and r (beside the GRU states it reads); the
-(B, N, N, 2H) hidden layer, both scores and A are rebuilt one block of
-graphs at a time in its backward pass.  A itself, Ā ⊙ r, is formed only
-for inspection and export.
+row-normalized form Ā = A / r, so the normalization happens in the same
+op, once per graph, which returns Ā and the row sums r.  Its record keeps
+only Ā and r (beside the GRU states it reads); the (B, N, N, 2H) hidden
+layer, both scores and A are rebuilt one block of graphs at a time in its
+backward pass.  A itself, Ā ⊙ r, is formed only for inspection and export.
 """
 
 from __future__ import annotations

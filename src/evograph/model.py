@@ -11,9 +11,9 @@ inside the op, so a branch's tape keeps no flattened copy.
 
 The layer loop exists once, in ``Model._branches``, a generator that yields
 each skip branch's input with its graphs and Z as it goes: ``forward``
-builds the skips and its ``inspect`` trace from it, while
-``branch_features`` and ``graph_inspection`` stop it at the requested
-scale, so neither runs a later layer, a skip projection or the output head.
+builds the skips from it, while ``branch_features`` and
+``graph_inspection`` stop it at the requested scale, so neither runs a
+later layer, a skip projection or the output head.
 
 ``predict``, ``branch_features`` and ``graph_inspection`` never run the
 backbone on more than a training batch of windows at once: each walks its
@@ -30,7 +30,6 @@ import base64
 import json
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -74,16 +73,6 @@ class OutputHead:
             out = T.reshape(out, (b, c.n_nodes, c.horizon, c.n_channels))
             out = T.transpose(out, (0, 2, 1, 3))  # (B, Q, N, C)
         return out
-
-
-@dataclass
-class ForwardTrace:
-    """Per-layer intermediates captured when forward(inspect=True)."""
-
-    xi: list[Tensor]
-    graphs: list[EvolvingGraphSequence]
-    z: list[Tensor]
-    prediction: Tensor
 
 
 class Model:
@@ -213,34 +202,25 @@ class Model:
 
     def forward(self, x, training: bool = False,
                 rng: np.random.Generator | None = None,
-                inspect: bool = False,
-                ) -> tuple[Tensor, ForwardTrace | None]:
+                ) -> tuple[Tensor, None]:
+        """The forecast for windows ``x``, paired with None."""
         x = self._as_input(x)
-        return self._forward(x, self._alpha_s(), training, rng, inspect)
+        return self._forward(x, self._alpha_s(), training, rng), None
 
     def _forward(self, x: Tensor, alpha_s: Tensor, training: bool = False,
-                 rng: np.random.Generator | None = None,
-                 inspect: bool = False,
-                 ) -> tuple[Tensor, ForwardTrace | None]:
+                 rng: np.random.Generator | None = None) -> Tensor:
         projs = [self.skip_in, *self.skip_mid]
-        skips, trace_xi, trace_graphs, trace_z = [], [], [], []
+        skips = []
         branches = self._branches(x, alpha_s, training, rng)
-        for scale, (feats, graphs, z) in enumerate(branches):
+        for scale, (feats, _, z) in enumerate(branches):
             skips.append(T.skip_linear(feats, projs[scale].w, projs[scale].b))
-            if inspect:
-                trace_z.append(z)
-                if scale:
-                    trace_xi.append(feats)
-                    trace_graphs.append(graphs)
         skips.append(T.skip_linear(z, self.skip_out.w, self.skip_out.b))
 
         agg = skips[0]
         for s in skips[1:]:
             agg = T.add(agg, s)
 
-        out = self.head(agg)
-        trace = ForwardTrace(trace_xi, trace_graphs, trace_z, out) if inspect else None
-        return out, trace
+        return self.head(agg)
 
     @contextmanager
     def _alpha_s_pinned(self) -> Iterator[None]:
@@ -271,7 +251,7 @@ class Model:
         unsliced forward up to the summation order of the batched products."""
         x = self._as_input(x).data
         return self._sliced(
-            len(x), lambda s, alpha_s: self._forward(Tensor(x[s]), alpha_s)[0].data)
+            len(x), lambda s, alpha_s: self._forward(Tensor(x[s]), alpha_s).data)
 
     def _walk(self, x: Tensor, alpha_s: Tensor, scale: int,
               ) -> tuple[Tensor, EvolvingGraphSequence | None]:
@@ -445,8 +425,14 @@ def load_checkpoint(path) -> tuple[Model, dict]:
             raise LoadError(
                 f"parameter {name} has shape {arr.shape}, expected {p.shape}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise LoadError(f"parameter {name} holds non-finite values")
         p.data = arr
     ref = _decode(blob["reference_series"])
+    n, c = config.n_nodes, config.n_channels
+    if ref.ndim != 3 or ref.shape[:2] != (n, c) or not np.all(np.isfinite(ref)):
+        raise LoadError(f"checkpoint reference series is not a finite (N={n}, C={c}, T*) "
+                        f"array: shape {ref.shape}")
     model.reference_series = Tensor(ref)
     scaler = blob.get("scaler")
     if scaler is not None:

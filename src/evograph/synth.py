@@ -244,7 +244,7 @@ def score_recovery(graphs: EvolvingGraphSequence, truth: GroundTruth,
     normalization) and the first sample's, with every regime's matrix."""
     n_regimes = len(truth.matrices)
     true_off = [_offdiag(m) for m in truth.matrices]
-    alignments = np.zeros((len(graphs.matrices), n_regimes))
+    alignments = np.zeros((graphs.spec.m, n_regimes))
     majority, degenerate, ranges = [], [], []
     for m, (mat, (start, stop)) in enumerate(
         zip(graphs.unnormalized()[0], graphs.spec.boundaries)

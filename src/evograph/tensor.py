@@ -30,16 +30,14 @@ forward values only.
 Design constraints: float64 everywhere; no implicit broadcasting between
 tensors (scalar * tensor excepted) — shape adaptation happens through
 explicit ops (``bias_add``, ``broadcast_leading``) so every backward rule
-stays auditable.  Nine ops are fused, each one tape record with a
+stays auditable.  Eight ops are fused, each one tape record with a
 hand-written backward, so that a record keeps only what its backward
 reads:
 
-- :func:`pairwise_mlp` scores all node pairs without materialising the
-  pair tensor and recomputes its hidden layer in the backward pass
-  instead of storing it;
-- :func:`pairwise_graph` runs the same scorer with an edge and a mask
-  head, gates and row-normalizes the result, and keeps only the
-  normalized graphs and their row sums: the backward rebuilds the scores
+- :func:`pairwise_graph` scores all node pairs with an edge and a mask
+  perceptron without materialising the pair tensor, gates and
+  row-normalizes the result, and keeps only the normalized graphs and
+  their row sums: the backward rebuilds the hidden layer and the scores
   one block of graphs at a time;
 - :func:`gru_sequence` runs a whole GRU recurrence, keeping only its
   output: the backward rebuilds every step's previous state from the
@@ -937,193 +935,86 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
 _PAIR_BLOCK = 1 << 17  # hidden-layer elements per block of the pair scorer
 
 
-class _PairScorer:
-    """k two-layer ReLU perceptrons over every ordered node pair, in blocks.
-
-    ``alpha`` is (..., N, C); each head is ``(w1, b1, w2, b2)`` with shapes
-    (2C, H), (H,), (H, 1), (1,), H shared by all heads.  Head h's raw score
-    of the pair input ``α_i ‖ α_j`` is
-    ``relu([α_i, α_j] @ w1 + b1) @ w2 + b2``.
-
-    Splitting ``w1 = [W_L; W_R]`` makes the pre-activation the outer sum
-    ``(α W_L)_i + (α W_R)_j + b1``, so the (..., N², 2C) pair tensor is
-    never built, and all heads share one GEMM per side.  Both passes walk
-    the leading axes in blocks of whole graphs, about 1 MB of hidden
-    layer each so that a block's passes run in cache, through one buffer
-    per pass.  A block is never less than one graph, so from N ≥ 58 (at
-    kH = 40) one graph's (N, N, kH) hidden layer outgrows the 1 MB aim and
-    each pass runs out of cache: a block is 34 MB at N = 325.  Nothing here
-    outlives a pass but the (kH, ·) weight layouts: the projections and the
-    hidden layer are rebuilt by each.
-    """
-
-    def __init__(self, alpha: Tensor, heads: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]],
-                 op: str):
-        if alpha.ndim < 2 or not heads:
-            raise DimensionError(
-                f"{op} needs (..., N, C) embeddings and at least one head, "
-                f"got {alpha.shape} and {len(heads)} heads"
-            )
-        c, k, hd = alpha.shape[-1], len(heads), heads[0][0].shape[-1]
-        for head in heads:
-            shapes = tuple(p.shape for p in head)
-            if shapes != ((2 * c, hd), (hd,), (hd, 1), (1,)):
-                raise DimensionError(
-                    f"{op}: head shapes {shapes} do not fit {2 * c} pair "
-                    f"features and {hd} hidden units"
-                )
-        self.alpha, self.heads = alpha, heads
-        self.k, self.hd = k, hd
-        self.width = width = k * hd
-        self.w_left = np.concatenate([w1.data[:c] for w1, _, _, _ in heads], axis=1)
-        self.w_right = np.concatenate([w1.data[c:] for w1, _, _, _ in heads], axis=1)
-        self.b1 = np.concatenate([b1.data for _, b1, _, _ in heads])
-        # block-diagonal output layer: head i reads only its own hidden units
-        self.w2 = np.zeros((width, k))
-        for i, (_, _, w2, _) in enumerate(heads):
-            self.w2[i * hd:(i + 1) * hd, i] = w2.data[:, 0]
-        self.b2 = np.concatenate([b2.data for _, _, _, b2 in heads])
-        self.n = n = alpha.shape[-2]
-        self.flat_alpha = alpha.data.reshape(-1, n, c)
-        rows = self.rows = self.flat_alpha.shape[0]
-        step = max(1, _PAIR_BLOCK // (n * n * width))
-        self.blocks = [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
-
-    def projections(self) -> tuple[Array, Array]:
-        """(rows, N, kH) left and right projections; b1 rides on the left."""
-        return self.flat_alpha @ self.w_left + self.b1, self.flat_alpha @ self.w_right
-
-    def walk(self, left: Array, right: Array) -> Iterator[tuple[slice, Array]]:
-        """Each block of graphs with its hidden layer relu(L_i + R_j + b1),
-        (graphs, N, N, kH), written into one buffer that the next block
-        reuses."""
-        n = self.n
-        buf = np.empty((self.blocks[0].stop, n, n, self.width))
-        for rs in self.blocks:
-            pre = buf[:rs.stop - rs.start]
-            np.copyto(pre, left[rs, :, None, :])
-            pre += right[rs, None, :, :]
-            np.maximum(pre, 0.0, out=pre)
-            yield rs, pre
-
-    def scores(self, hidden: Array) -> Array:
-        """(graphs, N, N, k) raw scores from a block's hidden layer."""
-        s = (hidden.reshape(-1, self.width) @ self.w2).reshape(hidden.shape[:3] + (self.k,))
-        s += self.b2
-        return s
-
-    def backward(self, score_grads: Callable[[slice, Array], Sequence[Array]]) -> None:
-        """Accumulate the gradients of α and of every head parameter.
-
-        ``score_grads(rs, hidden)`` returns each head's (graphs, N, N)
-        gradient of its scores for the block ``rs``, given the block's
-        recomputed hidden layer, which it must leave as it is.  The hidden
-        layer then becomes its ReLU mask, 0.0 / 1.0, and the mask weighted
-        by each head's gradient is reduced over j (left half) and over i
-        (right half) with one batched product per head; the output weight
-        scales those sums after the reduction, and its own gradient is read
-        off them and the two projections.
-        """
-        k, hd, n, width, alpha = self.k, self.hd, self.n, self.width, self.alpha
-        left, right = self.projections()
-        g_left = np.empty((self.rows, n, width))
-        g_right = np.empty((self.rows, n, width))
-        g_b2 = np.zeros(k)
-        for rs, live in self.walk(left, right):
-            grads = score_grads(rs, live)
-            np.greater(live, 0.0, out=live)  # the ReLU mask as 0.0 / 1.0
-            for i, g_ij in enumerate(grads):
-                cols = slice(i * hd, (i + 1) * hd)
-                g_ij = np.ascontiguousarray(g_ij)
-                g_ji = np.ascontiguousarray(g_ij.transpose(0, 2, 1))
-                # Σ_j and Σ_i of g·mask: one (1 × N) @ (N × H) product per
-                # row i, and per column j
-                np.matmul(g_ij[:, :, None, :], live[..., cols],
-                          out=g_left[rs, :, None, cols])
-                np.matmul(g_ji[:, :, None, :], live[..., cols].transpose(0, 2, 1, 3),
-                          out=g_right[rs, :, None, cols])
-                g_b2[i] += g_ij.sum()
-        # a live unit's hidden value is L_i + R_j, so Σ_ij g·hidden, the
-        # output weight's gradient, splits into Σ_i L_i·(Σ_j g·mask) +
-        # Σ_j R_j·(Σ_i g·mask): head i's (H, 1) block from the (rows, N, kH)
-        # sums, without another pass over the hidden layer
-        g_w2 = (np.einsum("rnu,rnu->u", left, g_left)
-                + np.einsum("rnu,rnu->u", right, g_right))
-        del left, right
-        # the output weight is constant over i and j, so it scales the sums
-        w2_all = self.w2.sum(axis=1)  # each hidden unit's output weight
-        g_left *= w2_all
-        g_right *= w2_all
-        g_left = g_left.reshape(-1, width)
-        g_right = g_right.reshape(-1, width)
-        g_b1 = g_left.sum(axis=0)
-        if alpha.requires_grad:
-            g_alpha = g_left @ self.w_left.T + g_right @ self.w_right.T
-            _accumulate(alpha, g_alpha.reshape(alpha.shape))
-        a2 = self.flat_alpha.reshape(-1, self.flat_alpha.shape[-1])
-        g_w_left = a2.T @ g_left
-        g_w_right = a2.T @ g_right
-        for i, (w1, b1, w2, b2) in enumerate(self.heads):
-            cols = slice(i * hd, (i + 1) * hd)
-            _accumulate(w1, np.concatenate([g_w_left[:, cols], g_w_right[:, cols]]))
-            _accumulate(b1, g_b1[cols])
-            _accumulate(w2, g_w2[cols, None])
-            _accumulate(b2, g_b2[i:i + 1])
-
-    def parents(self) -> tuple[Tensor, ...]:
-        return (self.alpha,) + tuple(p for head in self.heads for p in head)
-
-
-def pairwise_mlp(alpha: Tensor,
-                 heads: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]]) -> Tensor:
-    """Score every ordered node pair with k two-layer ReLU perceptrons.
-
-    Output ``[..., i, j, h]`` is head h's raw (pre-output-activation) score
-    of the pair input ``α_i ‖ α_j``; see :class:`_PairScorer` for the
-    heads' shapes and the blocked outer-sum evaluation.  The record keeps
-    the (..., N, N, k) scores, and its backward recomputes the hidden
-    layer instead of keeping it.
-    """
-    sc = _PairScorer(alpha, heads, "pairwise_mlp")
-    n, k = sc.n, sc.k
-    out = np.empty((sc.rows, n, n, k))
-    for rs, hidden in sc.walk(*sc.projections()):
-        out[rs] = sc.scores(hidden)
-
-    def back(g):
-        g4 = g.reshape(sc.rows, n, n, k)
-        sc.backward(lambda rs, _: [g4[rs, ..., i] for i in range(k)])
-
-    return _make(out.reshape(alpha.shape[:-1] + (n, k)), sc.parents(), back)
-
-
 def pairwise_graph(alpha: Tensor, heads: Sequence[tuple[Tensor, Tensor, Tensor, Tensor]],
                    ) -> tuple[Tensor, Array]:
     """Row-normalized gated graphs from an edge and a mask perceptron.
 
-    ``heads`` is (edge, mask), as for :func:`pairwise_mlp`.  With s_e and
-    s_m their scores, the graph is A = relu(s_e) ⊙ σ(s_m) and the output is
-    Ā = A / r, r = Σ_j A the row sums; a row of A that is all zero passes
-    through as zeros.  Returns Ā (..., N, N) and r (..., N, 1), so that
-    A = Ā ⊙ r.
+    ``alpha`` is (..., N, C) and ``heads`` is (edge, mask), each
+    ``(w1, b1, w2, b2)`` shaped (2C, H), (H,), (H, 1), (1,); a head's raw
+    score of the pair input ``α_i ‖ α_j`` is ``relu([α_i, α_j] @ w1 + b1)
+    @ w2 + b2``.  With s_e and s_m the two scores, the graph is
+    A = relu(s_e) ⊙ σ(s_m) and the output is Ā = A / r, r = Σ_j A the row
+    sums; a row of A that is all zero passes through as zeros.  Returns
+    Ā (..., N, N) and r (..., N, 1), so that A = Ā ⊙ r.
+
+    Splitting ``w1 = [W_L; W_R]`` makes the pre-activation the outer sum
+    ``(α W_L)_i + (α W_R)_j + b1``, so the (..., N², 2C) pair tensor is
+    never built, and both heads share one GEMM per side.  Both passes walk
+    the leading axes in blocks of whole graphs, about 1 MB of hidden
+    layer each so that a block's passes run in cache, through one buffer
+    per pass.  A block is never less than one graph, so from N ≥ 58 (at
+    2H = 40) one graph's (N, N, 2H) hidden layer outgrows the 1 MB aim and
+    each pass runs out of cache: a block is 34 MB at N = 325.  Nothing here
+    outlives a pass but the (2H, ·) weight layouts: the projections and the
+    hidden layer are rebuilt by each.
 
     One record, which keeps only Ā and the divisors (r, with 1 for an
     all-zero row): the backward recomputes each block's hidden layer, reads
-    both scores off it with the forward's (kH, k) product, and takes the
+    both scores off it with the forward's (2H, 2) product, and takes the
     gradient through the row normalization, σ and the ReLU there, so every
     (..., N, N) intermediate lives for one block only.  The forward runs the
     elementwise ops of the chain it replaces (ReLU, σ, product, row sum and
     division) in the same order, so its values are those of the chain.
     """
-    if len(heads) != 2:
-        raise DimensionError(f"pairwise_graph needs an edge and a mask head, "
-                             f"got {len(heads)} heads")
-    sc = _PairScorer(alpha, heads, "pairwise_graph")
-    n = sc.n
-    out = np.empty((sc.rows, n, n))  # A, then Ā in place
-    r = np.empty((sc.rows, n, 1))
-    for rs, hidden in sc.walk(*sc.projections()):
-        s = sc.scores(hidden)
+    if alpha.ndim < 2 or len(heads) != 2:
+        raise DimensionError(
+            f"pairwise_graph needs (..., N, C) embeddings and an edge and a mask "
+            f"head, got {alpha.shape} and {len(heads)} heads"
+        )
+    c, hd = alpha.shape[-1], heads[0][0].shape[-1]
+    for head in heads:
+        shapes = tuple(p.shape for p in head)
+        if shapes != ((2 * c, hd), (hd,), (hd, 1), (1,)):
+            raise DimensionError(
+                f"pairwise_graph: head shapes {shapes} do not fit {2 * c} pair "
+                f"features and {hd} hidden units"
+            )
+    width = 2 * hd
+    w_left = np.concatenate([w1.data[:c] for w1, _, _, _ in heads], axis=1)
+    w_right = np.concatenate([w1.data[c:] for w1, _, _, _ in heads], axis=1)
+    b_hidden = np.concatenate([b1.data for _, b1, _, _ in heads])
+    # block-diagonal output layer: head i reads only its own hidden units
+    w_out = np.zeros((width, 2))
+    for i, (_, _, w2, _) in enumerate(heads):
+        w_out[i * hd:(i + 1) * hd, i] = w2.data[:, 0]
+    b_out = np.concatenate([b2.data for _, _, _, b2 in heads])
+    n = alpha.shape[-2]
+    flat_alpha = alpha.data.reshape(-1, n, c)
+    rows = flat_alpha.shape[0]
+    step = max(1, _PAIR_BLOCK // (n * n * width))
+    blocks = [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+
+    def projections() -> tuple[Array, Array]:
+        """(rows, N, 2H) left and right projections; b1 rides on the left."""
+        return flat_alpha @ w_left + b_hidden, flat_alpha @ w_right
+
+    def walk(left: Array, right: Array) -> Iterator[tuple[slice, Array, Array]]:
+        """Each block of graphs with its hidden layer relu(L_i + R_j + b1),
+        (graphs, N, N, 2H), written into one buffer that the next block
+        reuses, and its (graphs, N, N, 2) raw scores."""
+        buf = np.empty((blocks[0].stop, n, n, width))
+        for rs in blocks:
+            pre = buf[:rs.stop - rs.start]
+            np.copyto(pre, left[rs, :, None, :])
+            pre += right[rs, None, :, :]
+            np.maximum(pre, 0.0, out=pre)
+            s = (pre.reshape(-1, width) @ w_out).reshape(pre.shape[:3] + (2,))
+            s += b_out
+            yield rs, pre, s
+
+    out = np.empty((rows, n, n))  # A, then Ā in place
+    r = np.empty((rows, n, 1))
+    for rs, _, s in walk(*projections()):
         a = np.maximum(s[..., 0], 0.0, out=out[rs])
         a *= _sigmoid_into(s[..., 1], np.empty(a.shape))
         a.sum(axis=-1, keepdims=True, out=r[rs])
@@ -1132,10 +1023,14 @@ def pairwise_graph(alpha: Tensor, heads: Sequence[tuple[Tensor, Tensor, Tensor, 
     out /= safe_r
 
     def back(g):
-        g3 = g.reshape(sc.rows, n, n)
-
-        def score_grads(rs: slice, hidden: Array) -> tuple[Array, Array]:
-            s = sc.scores(hidden)
+        """Each block's edge and mask score gradients, reduced onto the
+        projections through the ReLU mask; then those of α and the heads."""
+        g3 = g.reshape(rows, n, n)
+        left, right = projections()
+        g_left = np.empty((rows, n, width))
+        g_right = np.empty((rows, n, width))
+        g_b2 = np.zeros(2)
+        for rs, live, s in walk(left, right):
             s_e, s_m = s[..., 0], s[..., 1]
             sig = _sigmoid_into(s_m, np.empty(s_e.shape))
             g_rs = g3[rs]
@@ -1147,12 +1042,47 @@ def pairwise_graph(alpha: Tensor, heads: Sequence[tuple[Tensor, Tensor, Tensor, 
             g_mask = g_a * np.maximum(s_e, 0.0)
             g_mask *= sig
             g_mask *= np.subtract(1.0, sig, out=sig)
-            return g_edge, g_mask
-
-        sc.backward(score_grads)
+            np.greater(live, 0.0, out=live)  # the ReLU mask as 0.0 / 1.0
+            for i, g_ij in enumerate((g_edge, g_mask)):
+                cols = slice(i * hd, (i + 1) * hd)
+                g_ji = np.ascontiguousarray(g_ij.transpose(0, 2, 1))
+                # Σ_j and Σ_i of g·mask: one (1 × N) @ (N × H) product per
+                # row i, and per column j
+                np.matmul(g_ij[:, :, None, :], live[..., cols],
+                          out=g_left[rs, :, None, cols])
+                np.matmul(g_ji[:, :, None, :], live[..., cols].transpose(0, 2, 1, 3),
+                          out=g_right[rs, :, None, cols])
+                g_b2[i] += g_ij.sum()
+        # a live unit's hidden value is L_i + R_j, so Σ_ij g·hidden, the
+        # output weight's gradient, splits into Σ_i L_i·(Σ_j g·mask) +
+        # Σ_j R_j·(Σ_i g·mask): head i's (H, 1) block from the (rows, N, 2H)
+        # sums, without another pass over the hidden layer
+        g_w2 = (np.einsum("rnu,rnu->u", left, g_left)
+                + np.einsum("rnu,rnu->u", right, g_right))
+        del left, right
+        # the output weight is constant over i and j, so it scales the sums
+        w2_all = w_out.sum(axis=1)  # each hidden unit's output weight
+        g_left *= w2_all
+        g_right *= w2_all
+        g_left = g_left.reshape(-1, width)
+        g_right = g_right.reshape(-1, width)
+        g_b1 = g_left.sum(axis=0)
+        if alpha.requires_grad:
+            g_alpha = g_left @ w_left.T + g_right @ w_right.T
+            _accumulate(alpha, g_alpha.reshape(alpha.shape))
+        a2 = flat_alpha.reshape(-1, c)
+        g_w_left = a2.T @ g_left
+        g_w_right = a2.T @ g_right
+        for i, (w1, b1, w2, b2) in enumerate(heads):
+            cols = slice(i * hd, (i + 1) * hd)
+            _accumulate(w1, np.concatenate([g_w_left[:, cols], g_w_right[:, cols]]))
+            _accumulate(b1, g_b1[cols])
+            _accumulate(w2, g_w2[cols, None])
+            _accumulate(b2, g_b2[i:i + 1])
 
     lead = alpha.shape[:-2]
-    return _make(out.reshape(lead + (n, n)), sc.parents(), back), r.reshape(lead + (n, 1))
+    parents = (alpha,) + tuple(p for head in heads for p in head)
+    return _make(out.reshape(lead + (n, n)), parents, back), r.reshape(lead + (n, 1))
 
 
 def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: Tensor,

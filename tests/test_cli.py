@@ -8,6 +8,8 @@ from evograph.config import ExperimentConfig, ModelConfig, TrainConfig
 from evograph.data import TimeSeriesDataset, save_csv
 from evograph.model import Model, load_checkpoint, save_checkpoint
 
+from backbone import backbone
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -29,6 +31,16 @@ class TestCheckpointErrors:
         assert code == cli.EXIT_RUNTIME
         assert err["error"] == "LoadError"
         assert err["exit_code"] == cli.EXIT_RUNTIME
+
+    def test_evaluate_rejects_non_finite_parameter(self, tmp_path, capsys):
+        ck, data = tiny_run(tmp_path, None)
+        model, _ = load_checkpoint(ck)
+        model.store.params["layer1.gcn.w0"].data[0, 0] = np.nan
+        save_checkpoint(model, ck)
+        code, err = run_cli(capsys, "evaluate", "--checkpoint", str(ck), "--data", str(data))
+        assert code == cli.EXIT_RUNTIME
+        assert err["error"] == "LoadError"
+        assert "layer1.gcn.w0" in err["message"]
 
     def test_missing_checkpoint(self, tmp_path, capsys):
         code, err = run_cli(capsys, "evaluate", "--checkpoint",
@@ -157,6 +169,36 @@ class TestScaleProbe:
             assert set(probe["metrics"]) == {"rse", "corr", "rmse", "mae"}
 
 
+class TestOutClaimedFirst:
+    """A non-empty ``--out`` without ``--force`` fails before any work."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("evaluate", ["--data"]),
+        ("scale-probe", ["--data"]),
+        ("export-graphs", ["--layer", "1", "--input"]),
+    ], ids=["evaluate", "scale-probe", "export-graphs"])
+    def test_non_empty_out_exits_2_before_work(self, tmp_path, capsys, monkeypatch,
+                                               command, flags):
+        ck, data = tiny_run(tmp_path, None)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept")
+
+        def forbidden(*args, **kw):
+            raise AssertionError(f"{command} worked before claiming --out")
+
+        monkeypatch.setattr(cli.trainer, "scale_probe", forbidden)
+        monkeypatch.setattr(cli.trainer, "evaluate_split", forbidden)
+        monkeypatch.setattr(Model, "graph_inspection", forbidden)
+        code, err = run_cli(capsys, command, "--checkpoint", str(ck), *flags, str(data),
+                            "--out", str(out))
+        assert code == cli.EXIT_CONFIG
+        assert err["error"] == "ConfigurationError"
+        assert err["exit_code"] == cli.EXIT_CONFIG
+        assert "not empty" in err["message"]
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+
 class TestRuntimeErrors:
     def test_memory_error_exits_1_with_json(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(args):
@@ -195,7 +237,7 @@ class TestExportGraphs:
         # the last CSV is the last graph layer 1 applies to the final window
         model, _ = load_checkpoint(ck)
         series = cli.load_dataset(data).values.transpose(1, 0, 2)
-        _, trace = model.forward(series[None, -16:], inspect=True)
+        trace = backbone(model, series[None, -16:])
         got = np.loadtxt(out / index[-1]["file"], delimiter=",")
         assert np.allclose(got, trace.graphs[0].unnormalized()[0, -1], rtol=1e-13, atol=0)
 

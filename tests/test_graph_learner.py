@@ -143,7 +143,8 @@ class TestAdjacency:
             egl = Egl(store(seed), "egl", c_in=3, c_e=4, c_s=5)
             alpha = rand(6, 4, seed=seed)
             a_bar, r = egl.derive_adjacency(alpha)
-            a_hat = np.maximum(T.pairwise_mlp(alpha, egl.heads).data[..., 0], 0.0)
+            ref = TestPairScorerReference.reference(egl.heads, Tensor(alpha.data[None]))
+            a_hat = ref[2].data[0]
             a = a_bar.data * r
             assert np.all(a >= 0)
             assert np.all(a <= a_hat + 1e-15)
@@ -158,7 +159,9 @@ class TestAdjacency:
         a_bar, r = egl.derive_adjacency(alpha)
         # every row is all zero, and row normalization passes it through
         assert np.all(a_bar.data == 0.0) and np.all(r == 0.0)
-        assert np.any(T.pairwise_mlp(alpha, egl.heads).data[..., 0] > 0)
+        # the edge scores alone would leave live edges
+        a_hat = TestPairScorerReference.reference(egl.heads, Tensor(alpha.data[None]))[2]
+        assert np.any(a_hat.data > 0)
 
     def test_batched_matches_per_sample(self):
         egl = Egl(store(5), "egl", c_in=3, c_e=4, c_s=5)
@@ -193,9 +196,10 @@ class TestPairScorerReference:
     explicitly and a chain of plain ops."""
 
     @staticmethod
-    def reference(egl, alpha):
-        """(B, N², 2C) pairs in numpy, both MLPs, the gate and the row
-        normalization through plain ops."""
+    def reference(heads, alpha):
+        """(B, N², 2C) pairs in numpy, the (edge, mask) ``heads``' MLPs, the
+        gate and the row normalization through plain ops: Ā, A, relu(s_e)
+        and the pair tensor, a leaf."""
         b, n, c = alpha.shape
         a = alpha.data
         pairs = Tensor(np.concatenate([
@@ -203,13 +207,14 @@ class TestPairScorerReference:
             np.repeat(a[:, None, :, :], n, axis=1),
         ], axis=-1).reshape(b, n * n, 2 * c), requires_grad=True)
 
-        def mlp(fc1, fc2):
-            hidden = T.relu(T.bias_add(T.matmul(pairs, fc1.w), fc1.b))
-            return T.reshape(T.bias_add(T.matmul(hidden, fc2.w), fc2.b), (b, n, n))
+        def mlp(w1, b1, w2, b2):
+            hidden = T.relu(T.bias_add(T.matmul(pairs, w1), b1))
+            return T.reshape(T.bias_add(T.matmul(hidden, w2), b2), (b, n, n))
 
-        a_hat = T.relu(mlp(egl.edge_fc1, egl.edge_fc2))
-        graph = T.mul(a_hat, T.sigmoid(mlp(egl.mask_fc1, egl.mask_fc2)))
-        return T.row_normalize(graph), graph, pairs
+        edge, mask = heads
+        a_hat = T.relu(mlp(*edge))
+        graph = T.mul(a_hat, T.sigmoid(mlp(*mask)))
+        return T.row_normalize(graph), graph, a_hat, pairs
 
     def test_outputs_and_gradients_match(self):
         st = store(11)
@@ -236,7 +241,7 @@ class TestPairScorerReference:
 
         (a_bar, r), g_fused = run(lambda: egl.derive_adjacency(alpha))
         g_alpha = alpha.grad.copy()
-        (ref_bar, ref_graph, pairs), g_ref = run(lambda: self.reference(egl, alpha))
+        (ref_bar, ref_graph, _, pairs), g_ref = run(lambda: self.reference(egl.heads, alpha))
         # the pair tensor's gradient folds back onto α_i (left) and α_j (right)
         g_pairs = pairs.grad.reshape(3, 7, 7, 10)
         g_alpha_ref = g_pairs[..., :5].sum(axis=2) + g_pairs[..., 5:].sum(axis=1)

@@ -21,6 +21,8 @@ from evograph.model import Model, load_checkpoint, save_checkpoint
 from evograph.optim import Adam
 from evograph.trainer import loss_tensor
 
+from backbone import backbone
+
 
 VARIANTS = ("full", "static_only", "no_scale_specific", "shared_evolution")
 
@@ -161,18 +163,18 @@ class TestForward:
 
     def test_trace_contents(self):
         model = tiny_model()
-        out, trace = model.forward(window(), inspect=True)
+        trace = backbone(model, window())
         assert len(trace.xi) == 2
         assert len(trace.graphs) == 2
+        assert len(trace.z) == 3
         assert trace.xi[0].shape[1] == 14
         assert trace.xi[1].shape[1] == 10
         assert trace.graphs[0].spec.m == 3   # 14 // 4
         assert trace.graphs[1].spec.m == 10  # 10 // 1
-        assert trace.prediction is out
 
     def test_time_bookkeeping(self):
         model = tiny_model()
-        _, trace = model.forward(window(), inspect=True)
+        trace = backbone(model, window())
         lengths = model.config.layer_lengths()
         for l, xi in enumerate(trace.xi):
             assert xi.shape[1] == lengths[l + 1]
@@ -183,7 +185,7 @@ class TestForward:
             if ".gcn.w" in name:
                 p.data[:] = 0.0
         x = window(seed=7)
-        _, trace = model.forward(x, inspect=True)
+        trace = backbone(model, x)
         # with all selection matrices zero, Z^(l+1) is a truncation chain of Z^(1)
         z1 = trace.z[0].data
         z2 = trace.z[1].data
@@ -193,7 +195,7 @@ class TestForward:
 
     def test_segment_graph_alignment(self):
         model = tiny_model()
-        _, trace = model.forward(window(), inspect=True)
+        trace = backbone(model, window())
         for l, graphs in enumerate(trace.graphs):
             t = trace.xi[l].shape[1]
             d = model.config.intervals[l]
@@ -216,7 +218,7 @@ class TestForward:
                 assert seq.spec.boundaries == [(e - d, e) for e in ends]
                 assert len(seq.matrices) == seq.spec.m == len(ends)
                 for mat, e in zip(seq.matrices, ends):
-                    _, trace = model.forward(series[None, e - 16:e], inspect=True)
+                    trace = backbone(model, series[None, e - 16:e])
                     want = trace.graphs[layer - 1].matrices[-1].data
                     assert np.allclose(mat.data, want, rtol=1e-13, atol=0), (variant, layer, e)
 
@@ -238,7 +240,7 @@ class TestForward:
     def test_branch_features_match_forward_trace(self, variant):
         model = tiny_model(variant=variant)
         x = window(b=3, seed=16)
-        _, trace = model.forward(x, inspect=True)
+        trace = backbone(model, x)
         branches = [x, *(xi.data for xi in trace.xi), trace.z[-1].data]
         assert len(branches) == model.config.n_layers + 2
         for scale, feats in enumerate(branches):
@@ -374,20 +376,20 @@ class TestVariants:
 
     def test_static_only_single_graph_per_layer(self):
         model = tiny_model(variant="static_only")
-        _, trace = model.forward(window(seed=11), inspect=True)
+        trace = backbone(model, window(seed=11))
         for graphs in trace.graphs:
             assert len(graphs.matrices) == 1
 
     def test_static_only_graphs_input_independent(self):
         model = tiny_model(variant="static_only")
-        _, t1 = model.forward(window(seed=12), inspect=True)
-        _, t2 = model.forward(window(seed=13), inspect=True)
+        t1 = backbone(model, window(seed=12))
+        t2 = backbone(model, window(seed=13))
         for g1, g2 in zip(t1.graphs, t2.graphs):
             assert np.array_equal(g1.matrices[0].data, g2.matrices[0].data)
 
     def test_no_scale_specific_shares_one_sequence(self):
         model = tiny_model(variant="no_scale_specific")
-        _, trace = model.forward(window(seed=14), inspect=True)
+        trace = backbone(model, window(seed=14))
         assert trace.graphs[0] is trace.graphs[1]
         # graphs are learned over the whole window
         assert trace.graphs[0].spec.length == 16
@@ -493,6 +495,32 @@ class TestCheckpoint:
         blob[key] = value
         path.write_text(json.dumps(blob))
         with pytest.raises(LoadError, match=match):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_parameter(self, tmp_path, value):
+        model = tiny_model()
+        name = "layer2.gcn.w1"
+        model.store.params[name].data.flat[3] = value
+        path = tmp_path / "ck.bin"
+        save_checkpoint(model, path)
+        with pytest.raises(LoadError, match=f"parameter {name} holds non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shape, bad", [
+        ((4, 1, 48), np.nan),   # a NaN step
+        ((5, 1, 48), 0.0),      # one node too many
+        ((4, 2, 48), 0.0),      # two channels for a one-channel model
+        ((4, 48), 0.0),         # no channel axis
+    ], ids=["nan", "nodes", "channels", "2-d"])
+    def test_bad_reference_series(self, tmp_path, shape, bad):
+        model = tiny_model()
+        ref = np.random.default_rng(17).normal(size=shape)
+        ref.flat[5] = bad
+        model.reference_series = T.Tensor(ref)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(model, path)
+        with pytest.raises(LoadError, match="reference series is not a finite"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key, value", [

@@ -181,7 +181,8 @@ def per_segment_reference(egl, mh, xi, alpha_s, d, graph_input=None, time_offset
     """The per-segment algorithm, one small op chain per segment.
 
     Each segment's mean is its own narrow and mean, each GRU step is its own
-    op chain over [γ, α], each GRU state is scored on its own, and each
+    op chain over [γ, α], each GRU state is scored, gated and
+    row-normalized on its own by one ``pairwise_graph`` call, and each
     segment's features are narrowed and propagated through that segment's
     (B, N, N) graph; the parts are concatenated.  Graphs are learned on
     ``graph_input`` (``xi`` by default), which spans [0, T_g) while ``xi``
@@ -204,14 +205,10 @@ def per_segment_reference(egl, mh, xi, alpha_s, d, graph_input=None, time_offset
         u = gate(cat, g.w_u, g.b_u, T.sigmoid)
         o = gate(T.concat([gamma, T.mul(r, alpha)], axis=2), g.w_o, g.b_o, T.tanh)
         alpha = T.add(T.mul(u, alpha), T.mul(1.0 - u, o))
-        scores = T.pairwise_mlp(alpha, egl.heads)  # (B, N, N, 2)
-        square = scores.shape[:-1]
-        a_hat = T.relu(T.reshape(T.narrow(scores, -1, 0, 1), square))
-        mask = T.reshape(T.narrow(scores, -1, 1, 1), square)
-        adj = T.mul(a_hat, T.sigmoid(mask))
+        adj, _ = T.pairwise_graph(alpha, egl.heads)  # (B, N, N), row-normalized
         s, e = max(start, lo) - lo, min(stop, hi) - lo
         if e > s:
-            parts.append(mh.propagate(T.narrow(xi, 1, s, e - s), normalized(adj), [(1, e - s)]))
+            parts.append(mh.propagate(T.narrow(xi, 1, s, e - s), over_time(adj), [(1, e - s)]))
     return T.concat(parts, axis=1)
 
 

@@ -16,6 +16,7 @@ from evograph.rng import RngSource
 from evograph.tensor import Tape, Tensor, no_grad
 from evograph.trainer import loss_tensor
 
+import test_graph_learner
 from gradcheck import assert_gradients_close, gradient_errors
 
 
@@ -719,12 +720,14 @@ class TestConcatSlice:
 
 
 class TestPairwiseMlp:
+    """The pair scorer's two perceptrons, read through :func:`pairwise_graph`."""
+
     C, H = 3, 4
 
-    def heads(self, seed=0, k=2):
+    def heads(self, seed=0):
         rng = np.random.default_rng(seed)
         out = []
-        for _ in range(k):
+        for _ in range(2):
             out.append((t(rng.normal(size=(2 * self.C, self.H))),
                         t(rng.normal(size=self.H)),
                         t(rng.normal(size=(self.H, 1))),
@@ -734,17 +737,20 @@ class TestPairwiseMlp:
         return out
 
     def reference(self, alpha, heads):
-        """Per-pair loop over [α_i, α_j] in plain numpy."""
+        """Per-pair loop over [α_i, α_j] in plain numpy, then the gate
+        relu(s_e)·σ(s_m) and the row normalization: Ā and r."""
         a = alpha.data
         n = a.shape[-2]
-        out = np.zeros(a.shape[:-2] + (n, n, len(heads)))
+        scores = np.zeros(a.shape[:-2] + (n, n, len(heads)))
         for i in range(n):
             for j in range(n):
                 pair = np.concatenate([a[..., i, :], a[..., j, :]], axis=-1)
                 for h, (w1, b1, w2, b2) in enumerate(heads):
                     hid = np.maximum(pair @ w1.data + b1.data, 0.0)
-                    out[..., i, j, h] = (hid @ w2.data + b2.data)[..., 0]
-        return out
+                    scores[..., i, j, h] = (hid @ w2.data + b2.data)[..., 0]
+        graph = np.maximum(scores[..., 0], 0.0) / (1.0 + np.exp(-scores[..., 1]))
+        r = graph.sum(axis=-1, keepdims=True)
+        return np.divide(graph, r, out=np.zeros_like(graph), where=r > 0), r
 
     @pytest.fixture(params=["one block", "block per graph"])
     def blocking(self, request, monkeypatch):
@@ -754,17 +760,21 @@ class TestPairwiseMlp:
     @pytest.mark.parametrize("shape", [(5, 3), (2, 4, 3), (2, 3, 4, 3)])
     def test_forward_matches_pair_loop(self, shape, blocking):
         alpha = t(np.random.default_rng(1).normal(size=shape))
-        heads = self.heads()
-        out = T.pairwise_mlp(alpha, heads)
-        assert out.shape == shape[:-1] + (shape[-2], 2)
-        assert np.allclose(out.data, self.reference(alpha, heads), rtol=1e-13, atol=1e-13)
+        heads = self.heads(seed=2)
+        a_bar, r = T.pairwise_graph(alpha, heads)
+        assert a_bar.shape == shape[:-1] + (shape[-2],)
+        assert r.shape == shape[:-1] + (1,)
+        want_bar, want_r = self.reference(alpha, heads)
+        assert np.count_nonzero(want_bar) > want_bar.size // 4
+        assert np.allclose(a_bar.data, want_bar, rtol=1e-13, atol=1e-13)
+        assert np.allclose(r, want_r, rtol=1e-13, atol=1e-13)
 
     @pytest.mark.parametrize("shape", [(5, 3), (2, 4, 3)])
     def test_gradcheck(self, shape, blocking):
         rng = np.random.default_rng(2)
         alpha = t(rng.normal(size=shape))
         heads = self.heads(seed=3)
-        weights = Tensor(rng.normal(size=shape[:-1] + (shape[-2], 2)))
+        weights = Tensor(rng.normal(size=shape[:-1] + (shape[-2],)))
         pre = (alpha.data[..., :, None, :] @ heads[1][0].data[:self.C]
                + alpha.data[..., None, :, :] @ heads[1][0].data[self.C:]
                + heads[1][1].data)
@@ -776,7 +786,7 @@ class TestPairwiseMlp:
                 tensors[f"{h}.{name}"] = p
         assert len(tensors) == 9
         assert_gradients_close(
-            lambda: T.reduce_sum(T.mul(T.pairwise_mlp(alpha, heads), weights)),
+            lambda: T.reduce_sum(T.mul(T.pairwise_graph(alpha, heads)[0], weights)),
             tensors,
         )
         # the dead unit gets no first-layer or output gradient
@@ -786,12 +796,12 @@ class TestPairwiseMlp:
     def test_bad_head_shapes(self):
         heads = self.heads()
         with pytest.raises(DimensionError, match="pair features"):
-            T.pairwise_mlp(t(np.zeros((4, self.C + 1))), heads)
+            T.pairwise_graph(t(np.zeros((4, self.C + 1))), heads)
         narrow = (t(heads[1][0].data[:, :2]),) + heads[1][1:]
         with pytest.raises(DimensionError, match="hidden units"):
-            T.pairwise_mlp(t(np.zeros((4, self.C))), [heads[0], narrow])
-        with pytest.raises(DimensionError, match="at least one head"):
-            T.pairwise_mlp(t(np.zeros((4, self.C))), [])
+            T.pairwise_graph(t(np.zeros((4, self.C))), [heads[0], narrow])
+        with pytest.raises(DimensionError, match="embeddings"):
+            T.pairwise_graph(t(np.zeros(self.C)), heads)
 
 
 class TestPairwiseGraph:
@@ -818,9 +828,40 @@ class TestPairwiseGraph:
         alpha[..., 0, :] = (-20.0, 0.0, 0.0)
         return t(alpha), heads
 
-    def chain(self, alpha, heads):
-        """The ops the fused record replaces, on pairwise_mlp's scores."""
-        scores = T.pairwise_mlp(alpha, heads)
+    @staticmethod
+    def explicit(alpha, heads):
+        """Ā, A and relu(s_e) from the explicit-pair chain of
+        ``TestPairScorerReference.reference``, on α's graphs flattened to
+        (graphs, N, C), and the chain's pair tensor."""
+        n, c = alpha.shape[-2:]
+        return test_graph_learner.TestPairScorerReference.reference(
+            heads, Tensor(alpha.data.reshape(-1, n, c)))
+
+    @staticmethod
+    def scores(alpha, heads):
+        """The op's (..., N, N, 2) raw scores as a leaf tensor, built with
+        its own expressions block by block, so they carry its bits."""
+        n, c = alpha.shape[-2:]
+        hd = heads[0][1].shape[0]
+        a = alpha.data.reshape(-1, n, c)
+        left = (a @ np.concatenate([w1.data[:c] for w1, _, _, _ in heads], axis=1)
+                + np.concatenate([b1.data for _, b1, _, _ in heads]))
+        right = a @ np.concatenate([w1.data[c:] for w1, _, _, _ in heads], axis=1)
+        w_out = np.zeros((2 * hd, 2))
+        for i, (_, _, w2, _) in enumerate(heads):
+            w_out[i * hd:(i + 1) * hd, i] = w2.data[:, 0]
+        b_out = np.concatenate([b2.data for _, _, _, b2 in heads])
+        step = max(1, T._PAIR_BLOCK // (n * n * 2 * hd))
+        s = np.empty((len(a), n, n, 2))
+        for lo in range(0, len(a), step):
+            hidden = np.maximum(left[lo:lo + step, :, None] + right[lo:lo + step, None], 0.0)
+            s[lo:lo + step] = (hidden.reshape(-1, 2 * hd) @ w_out).reshape(
+                hidden.shape[:3] + (2,)) + b_out
+        return Tensor(s.reshape(alpha.shape[:-1] + (n, 2)))
+
+    @staticmethod
+    def chain(scores):
+        """The elementwise ops the fused record replaces, on raw scores."""
         gated = T.mul(T.relu(T.select(scores, -1, 0)), T.sigmoid(T.select(scores, -1, 1)))
         return T.row_normalize(gated), gated
 
@@ -828,7 +869,7 @@ class TestPairwiseGraph:
     def test_gradcheck(self, shape, blocking):
         alpha, heads = self.operands(shape, seed=6)
         weights = Tensor(np.random.default_rng(5).normal(size=shape[:-1] + (shape[-2],)))
-        graph = self.chain(alpha, heads)[1].data
+        graph = self.explicit(alpha, heads)[1].data.reshape(weights.shape)
         assert np.all(graph[..., 0, :] == 0.0)
         assert np.count_nonzero(graph[..., 1:, :]) > graph[..., 1:, :].size // 4
         tensors = {"alpha": alpha}
@@ -849,25 +890,34 @@ class TestPairwiseGraph:
     @pytest.mark.parametrize("shape", [(5, 3), (2, 3, 4, 3)])
     def test_matches_the_chain(self, shape, blocking):
         # the forward runs the chain's elementwise ops in its order, so Ā is
-        # equal bit for bit; the gradients agree to rounding
+        # equal bit for bit to the chain on the op's own scores; the
+        # gradients agree to rounding with the explicit-pair chain
         alpha, heads = self.operands(shape, seed=6)
-        weights = Tensor(np.random.default_rng(7).normal(size=shape[:-1] + (shape[-2],)))
+        weights = np.random.default_rng(7).normal(size=shape[:-1] + (shape[-2],))
         params = [alpha] + [p for head in heads for p in head]
 
-        def run(graph):
+        def run(graph, w):
             for p in params:
                 p.grad = None
             with Tape() as tape:
                 out = graph()
-                loss = T.reduce_sum(T.mul(out[0], weights))
+                loss = T.reduce_sum(T.mul(out[0], Tensor(w)))
             tape.backward(loss)
             return out, [p.grad for p in params]
 
-        (a_bar, r), grads = run(lambda: T.pairwise_graph(alpha, heads))
-        (want, gated), want_grads = run(lambda: self.chain(alpha, heads))
+        (a_bar, r), grads = run(lambda: T.pairwise_graph(alpha, heads), weights)
+        want, gated = self.chain(self.scores(alpha, heads))
         assert a_bar.shape == r.shape[:-1] + (shape[-2],) == shape[:-1] + (shape[-2],)
         assert np.array_equal(a_bar.data, want.data)
         assert np.array_equal(r, gated.data.sum(axis=-1, keepdims=True))
+
+        n, c = shape[-2:]
+        flat = weights.reshape(-1, n, n)
+        (_, _, _, pairs), want_grads = run(lambda: self.explicit(alpha, heads), flat)
+        # the pair tensor's gradient folds back onto α_i (left) and α_j (right)
+        g_pairs = pairs.grad.reshape(flat.shape + (2 * c,))
+        g_alpha = g_pairs[..., :c].sum(axis=2) + g_pairs[..., c:].sum(axis=1)
+        want_grads[0] = g_alpha.reshape(shape)
         for got, ref in zip(grads, want_grads):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
