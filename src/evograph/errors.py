@@ -13,6 +13,10 @@ class SequenceTooShortError(DimensionError):
     """A temporal operation received fewer time steps than it needs."""
 
 
+class NonFiniteError(EvographError, ValueError):
+    """An input that must be finite holds NaN or infinity."""
+
+
 class ContractError(EvographError, RuntimeError):
     """An internal precondition was violated by the caller."""
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import write_atomic, write_csv_atomic
-from .errors import ContractError, SequenceTooShortError
+from .errors import ContractError
 from .nn import Linear, ParamStore, TanhConv1d
 from .tensor import Tensor
 
@@ -96,11 +96,11 @@ class StaticFeatureExtractor:
     pooling over time, and one affine projection; parameters are shared
     across nodes and trained end-to-end with the rest of the model.
 
-    Each convolution and its tanh is one :func:`tensor.tanh_conv1d` record,
-    which keeps its tanh output (read by its own backward and the next
-    convolution's) and, for the first, the time-major copy of the series
-    its kernel gradient reads; the pre-tanh outputs are never stored.  The
-    pooling keeps nothing and the projection only its (N, C_s) output.
+    The convolutions, their tanh and the pooling are one
+    :func:`tensor.static_features` record, which keeps only its parents (the
+    series and the four convolution parameters) and recomputes both
+    convolution outputs, a chunk of nodes at a time, in its backward pass;
+    the projection keeps only its (N, C_s) output.
     """
 
     KERNEL = 8
@@ -108,10 +108,8 @@ class StaticFeatureExtractor:
 
     def __init__(self, store: ParamStore, name: str, c_in: int, c_s: int,
                  c_hidden: int = 16):
-        self.conv1 = TanhConv1d(store, f"{name}.conv1", c_in, c_hidden,
-                                self.KERNEL, stride=self.STRIDE)
-        self.conv2 = TanhConv1d(store, f"{name}.conv2", c_hidden, c_hidden,
-                                self.KERNEL, stride=self.STRIDE)
+        self.conv1 = TanhConv1d(store, f"{name}.conv1", c_in, c_hidden, self.KERNEL)
+        self.conv2 = TanhConv1d(store, f"{name}.conv2", c_hidden, c_hidden, self.KERNEL)
         self.proj = Linear(store, f"{name}.proj", c_hidden, c_s)
 
     @classmethod
@@ -120,15 +118,12 @@ class StaticFeatureExtractor:
         return (cls.KERNEL - 1) * cls.STRIDE + cls.KERNEL
 
     def __call__(self, series: Tensor) -> Tensor:
-        """series: (N, C, T*) → α_s: (N, C_s)."""
-        if series.shape[-1] < self.min_length():
-            raise SequenceTooShortError(
-                f"static extractor needs ≥ {self.min_length()} training steps, "
-                f"got {series.shape[-1]}"
-            )
+        """series: (N, C, T*) → α_s: (N, C_s); a series shorter than
+        :meth:`min_length` raises :class:`SequenceTooShortError`."""
         h = T.transpose(series, (0, 2, 1))  # (N, T*, C): time on axis 1
-        h = self.conv2(self.conv1(h))
-        pooled = T.reduce_mean(h, axis=1)  # (N, C_hidden)
+        c1, c2 = self.conv1, self.conv2
+        pooled = T.static_features(h, c1.kernel, c1.bias, c2.kernel, c2.bias,
+                                   self.STRIDE)  # (N, C_hidden)
         return self.proj(pooled)
 
 

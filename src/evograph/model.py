@@ -39,7 +39,7 @@ from . import tensor as T
 from .config import ModelConfig, TrainConfig
 from .data import SCALER_MODES, write_atomic
 from .errors import (ConfigurationError, ContractError, DimensionError,
-                     LoadError, SequenceTooShortError)
+                     LoadError, NonFiniteError, SequenceTooShortError)
 from .graph_learner import (Egl, EvolvingGraphSequence, SegmentSpec,
                             StaticFeatureExtractor)
 from .nn import LayerNorm, Linear, ParamStore
@@ -131,7 +131,10 @@ class Model:
 
     def set_reference_series(self, series: np.ndarray) -> None:
         """Install the (normalized) training series (N, T*, C) that the
-        static representation is extracted from."""
+        static representation is extracted from.  It must be finite
+        (:class:`NonFiniteError`) and at least
+        :meth:`StaticFeatureExtractor.min_length` steps long
+        (:class:`SequenceTooShortError`)."""
         arr = np.asarray(series, dtype=np.float64)
         if arr.ndim != 3 or arr.shape[0] != self.config.n_nodes \
                 or arr.shape[2] != self.config.n_channels:
@@ -139,6 +142,13 @@ class Model:
                 f"reference series must be (N={self.config.n_nodes}, T*, "
                 f"C={self.config.n_channels}), got {arr.shape}"
             )
+        if arr.shape[1] < StaticFeatureExtractor.min_length():
+            raise SequenceTooShortError(
+                f"reference series has {arr.shape[1]} steps; the static extractor "
+                f"needs ≥ {StaticFeatureExtractor.min_length()}"
+            )
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteError("reference series holds non-finite values")
         self.reference_series = Tensor(arr.transpose(0, 2, 1))  # (N, C, T*)
 
     def parameter_count(self) -> int:
@@ -430,9 +440,11 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         p.data = arr
     ref = _decode(blob["reference_series"])
     n, c = config.n_nodes, config.n_channels
-    if ref.ndim != 3 or ref.shape[:2] != (n, c) or not np.all(np.isfinite(ref)):
-        raise LoadError(f"checkpoint reference series is not a finite (N={n}, C={c}, T*) "
-                        f"array: shape {ref.shape}")
+    t_min = StaticFeatureExtractor.min_length()
+    if ref.ndim != 3 or ref.shape[:2] != (n, c) or ref.shape[2] < t_min \
+            or not np.all(np.isfinite(ref)):
+        raise LoadError(f"checkpoint reference series is not a finite (N={n}, C={c}, "
+                        f"T* ≥ {t_min}) array: shape {ref.shape}")
     model.reference_series = Tensor(ref)
     scaler = blob.get("scaler")
     if scaler is not None:

@@ -53,25 +53,16 @@ class Linear:
 
 
 class TanhConv1d:
-    """Causal valid 1-D convolution over channel-last (B, T, ..., C_in)
-    inputs, followed by tanh.
+    """Parameters of a causal 1-D convolution followed by tanh: the kernel,
+    stored as (C_out, C_in, k), and the bias (C_out,).
 
-    The kernel is stored as (C_out, C_in, k); the bias is added by the
-    convolution itself, along the last axis.  It runs as a one-kernel bank
-    through :func:`tensor.tanh_conv1d`, one record that keeps only its
-    output.
+    It has no forward of its own: :func:`tensor.static_features` runs the
+    static extractor's two as one record.
     """
 
-    def __init__(self, store: ParamStore, name: str, c_in: int, c_out: int,
-                 k: int, dilation: int = 1, stride: int = 1):
-        self.dilation = dilation
-        self.stride = stride
+    def __init__(self, store: ParamStore, name: str, c_in: int, c_out: int, k: int):
         self.kernel = store.new(f"{name}.kernel", (c_out, c_in, k), fan_in=c_in * k)
         self.bias = store.new(f"{name}.bias", (c_out,), fan_in=c_in * k)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return T.tanh_conv1d(x, [self.kernel], [self.bias], dilation=self.dilation,
-                             stride=self.stride)
 
 
 class LayerNorm:

@@ -14,8 +14,8 @@ of possibly different widths, all aligned on the most recent sample, with
 optional biases, and concatenates their outputs along the channel axis, so
 a whole inception layer is one record.  Both passes are one GEMM per tap
 of the widest kernel over a (B, T_out·…, C) view of the input, so no
-im2col copy is made; :func:`gated_conv1d` and :func:`tanh_conv1d` run the
-same bank code.
+im2col copy is made; :func:`gated_conv1d` and :func:`static_features`'s
+second convolution run the same bank code.
 
 Gradients are recorded on an explicit :class:`Tape`. Each operation
 appends one record holding the output tensor, its parents and a backward
@@ -49,8 +49,10 @@ reads:
 - :func:`gated_conv1d` runs a kernel bank, its σ·tanh gating and dropout
   in place, keeping σ, the dropout mask and its output: the backward
   reads tanh back from the output;
-- :func:`tanh_conv1d` runs a kernel bank and tanh in place in its output,
-  keeping only that output: the backward reads tanh' = 1 − y² from it;
+- :func:`static_features` runs the static extractor's two strided
+  convolutions, their tanh and the time mean node chunk by node chunk,
+  keeping only its parents: the backward recomputes both convolutions one
+  chunk at a time;
 - :func:`layer_norm_residual` normalises, applies the affine map and adds
   a residual in one buffer, keeping a mean and a scale per row;
 - :func:`skip_linear` projects each node's flattened history, forming the
@@ -69,6 +71,7 @@ from contextvars import ContextVar
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractError, DimensionError, SequenceTooShortError
 
@@ -545,8 +548,8 @@ def _conv_bank(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | 
     Returns the (B, T_out, ..., ΣC_j) output and ``back(g)``, which takes
     the output's gradient in any shape with ΣC_j columns and accumulates
     the gradients of ``x``, the kernels and the biases.  :func:`conv1d`,
-    :func:`gated_conv1d` and :func:`tanh_conv1d` share it, so the per-tap
-    GEMM loop exists once.
+    :func:`gated_conv1d` and :func:`static_features` share it, so the
+    per-tap GEMM loop exists once.
     """
     shapes = [k.shape for k in kernels]
     if dilation < 1 or stride < 1:
@@ -642,26 +645,98 @@ def conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | None
     return _make(out, (x, *kernels, *(biases or ())), back)
 
 
-def tanh_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | None = None,
-                dilation: int = 1, stride: int = 1) -> Tensor:
-    """tanh of :func:`conv1d`, with the same arguments and output shape.
+_STATIC_BLOCK = 1 << 19  # first-convolution output elements per node chunk of static_features
 
-    One record, which keeps only its output: tanh is applied in place in
-    the convolution's output, so the pre-activation is never stored, and
-    the backward pass reads tanh' = 1 − y² from the output y.  The value
-    and every gradient are those of ``tanh(conv1d(...))``, bit for bit.
+
+def static_features(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
+                    stride: int) -> Tensor:
+    """Time mean of tanh(conv2(tanh(conv1(x)))): (N, T, C) → (N, C_h).
+
+    conv1 and conv2 are the causal valid convolutions of :func:`conv1d` at
+    ``stride``, with kernels ``k1`` (C_h, C, k₁) and ``k2`` (C_h, C_h, k₂)
+    and biases ``b1`` and ``b2`` (C_h,).  ``x`` is data: it takes no
+    gradient, and a ``x`` that requires one raises :class:`ContractError`.
+
+    Nodes share only the weights, so both passes walk the nodes in chunks
+    of about ``_STATIC_BLOCK`` conv1 output elements, and the transient is
+    bounded whatever N·T is.  conv1 is one GEMM of a chunk's gathered
+    (rows, k₁·C) taps against a (k₁·C, C_h) weight; conv2 is
+    :func:`_conv_bank`'s per-tap loop.
+
+    One record, which keeps only its parents: the backward recomputes both
+    convolution outputs chunk by chunk, Chen et al.'s recompute-instead-of-
+    store (arXiv 1604.06174), cheap here beside the rest of a step.  conv1's
+    taps are summed inside one GEMM, so the value and gradients are those of
+    ``reduce_mean(tanh(conv1d(tanh(conv1d(x)))), 1)`` to rounding, not bit
+    for bit.
     """
-    y, bank_back = _conv_bank(x, kernels, biases, dilation, stride)
-    np.tanh(y, out=y)
+    if x.requires_grad:
+        raise ContractError("static_features: the series is data and takes no gradient")
+    if x.ndim != 3 or k1.ndim != 3 or k2.ndim != 3 or stride < 1 \
+            or k1.shape[1] != x.shape[2] or k2.shape[:2] != (k1.shape[0],) * 2 \
+            or b1.shape != k1.shape[:1] or b2.shape != k1.shape[:1]:
+        raise DimensionError(
+            f"static_features: series, kernels and biases "
+            f"{tuple(p.shape for p in (x, k1, b1, k2, b2))} at stride {stride} "
+            f"are not (N, T, C), (C_h, C, k1), (C_h,), (C_h, C_h, k2), (C_h,)"
+        )
+    n, t, c = x.shape
+    c_h, _, k_a = k1.shape
+    k_b = k2.shape[2]
+    need = (k_b - 1) * stride + k_a
+    if t < need:
+        raise SequenceTooShortError(
+            f"static_features: {t} steps too short for a {k_a}- and a {k_b}-tap "
+            f"convolution at stride {stride} (needs ≥ {need})"
+        )
+    t1 = (t - k_a) // stride + 1
+    step = max(1, _STATIC_BLOCK // (t1 * c_h))
+    chunks = [slice(i, min(i + step, n)) for i in range(0, n, step)]
+    # row (c, w) of conv1's gathered weight is channel c at window position
+    # w, which is tap k₁ − 1 − w: tap 0 sits on the most recent sample
+    w1 = k1.data[:, :, ::-1].transpose(1, 2, 0).reshape(-1, c_h)
+
+    def convolutions(rs: slice) -> tuple[Array, Tensor, Array, Callable[[Array], None]]:
+        """A chunk's gathered conv1 taps, tanh(conv1) as a Tensor that takes
+        conv2's input gradient, tanh(conv2) and conv2's backward."""
+        windows = sliding_window_view(x.data[rs], k_a, axis=1)[:, ::stride]
+        taps = windows.reshape(-1, c * k_a)
+        y1 = taps @ w1
+        y1 += b1.data
+        np.tanh(y1, out=y1)
+        h1 = Tensor(y1.reshape(-1, t1, c_h), requires_grad=True)
+        y2, conv2_back = _conv_bank(h1, [k2], [b2], 1, stride)
+        np.tanh(y2, out=y2)
+        return taps, h1, y2, conv2_back
+
+    out = np.empty((n, c_h))
+    for rs in chunks:
+        convolutions(rs)[2].mean(axis=1, out=out[rs])
 
     def back(g):
-        # g · (1 − y²), in the order ``tanh``'s backward computes it
-        gy = y * y
-        np.subtract(1.0, gy, out=gy)
-        gy *= g
-        bank_back(gy)
+        g_w1 = np.zeros_like(w1)
+        g_b1 = np.zeros(c_h)
+        for rs in chunks:
+            taps, h1, y2, conv2_back = convolutions(rs)
+            # the mean's gradient g / T₂ through tanh: · (1 − y₂²)
+            g2 = y2 * y2
+            np.subtract(1.0, g2, out=g2)
+            g2 *= g[rs, None, :] / y2.shape[1]
+            conv2_back(g2)
+            del g2, y2
+            # conv2's input gradient through tanh: · (1 − y₁²)
+            g1 = h1.grad.reshape(-1, c_h)
+            d1 = h1.data.reshape(-1, c_h) ** 2
+            np.subtract(1.0, d1, out=d1)
+            g1 *= d1
+            g_w1 += taps.T @ g1
+            g_b1 += g1.sum(axis=0)
+            # freed before the next chunk's arrays are built, not after
+            del taps, h1, conv2_back, g1, d1
+        _accumulate(k1, g_w1.reshape(c, k_a, c_h).transpose(2, 0, 1)[:, :, ::-1])
+        _accumulate(b1, g_b1)
 
-    return _make(y, (x, *kernels, *(biases or ())), back)
+    return _make(out, (x, k1, b1, k2, b2), back)
 
 
 def gated_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],

@@ -14,7 +14,7 @@ the work fits::
     (ulimit -v 753664; PYTHONPATH=src python tests/scale_step.py --nodes 64)
     (ulimit -v 641024; PYTHONPATH=src python tests/scale_step.py --nodes 128 --predict 64)
     (ulimit -v 508928; PYTHONPATH=src python tests/scale_step.py --preset multi --nodes 128)
-    (ulimit -v 508928; PYTHONPATH=src python tests/scale_step.py --nodes 128 --batch 1 --reference-steps 15782)
+    (ulimit -v 282624; PYTHONPATH=src python tests/scale_step.py --nodes 128 --batch 1 --reference-steps 15782)
 
 pytest does not collect this file.
 """

@@ -15,7 +15,8 @@ from evograph.config import (
     multi_step_preset,
     single_step_preset,
 )
-from evograph.errors import ConfigurationError, ContractError, DimensionError, LoadError
+from evograph.errors import (ConfigurationError, ContractError, DimensionError, LoadError,
+                             NonFiniteError, SequenceTooShortError)
 from evograph.graph_learner import StaticFeatureExtractor
 from evograph.model import Model, load_checkpoint, save_checkpoint
 from evograph.optim import Adam
@@ -160,6 +161,25 @@ class TestForward:
         model = tiny_model()
         with pytest.raises(DimensionError):
             model.forward(window(p=15))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_reference_series(self, bad):
+        # caught when set: left in, it made predict return NaN without an error
+        model = tiny_model()
+        ref = np.random.default_rng(2).normal(size=(4, 48, 1))
+        ref[1, 7, 0] = bad
+        with pytest.raises(NonFiniteError, match="reference series"):
+            model.set_reference_series(ref)
+
+    def test_rejects_short_reference_series(self):
+        # caught when set, not at the next predict
+        model = Model(tiny_config())
+        n = StaticFeatureExtractor.min_length()
+        rng = np.random.default_rng(3)
+        with pytest.raises(SequenceTooShortError, match=f"needs ≥ {n}"):
+            model.set_reference_series(rng.normal(size=(4, n - 1, 1)))
+        model.set_reference_series(rng.normal(size=(4, n, 1)))
+        assert model.predict(window()).shape == (2, 4, 1)
 
     def test_trace_contents(self):
         model = tiny_model()
@@ -512,7 +532,8 @@ class TestCheckpoint:
         ((5, 1, 48), 0.0),      # one node too many
         ((4, 2, 48), 0.0),      # two channels for a one-channel model
         ((4, 48), 0.0),         # no channel axis
-    ], ids=["nan", "nodes", "channels", "2-d"])
+        ((4, 1, 35), 0.0),      # one step shorter than the static extractor needs
+    ], ids=["nan", "nodes", "channels", "2-d", "short"])
     def test_bad_reference_series(self, tmp_path, shape, bad):
         model = tiny_model()
         ref = np.random.default_rng(17).normal(size=shape)

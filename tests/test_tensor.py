@@ -209,33 +209,6 @@ class TestConv1d:
         with pytest.raises(DimensionError):
             T.conv1d(t(np.zeros((1, 5, 3))), [k, k], [t(np.zeros(2))])  # one bias for two
 
-    def test_tanh_conv1d_matches_op_chain(self):
-        # one record, bitwise the value and gradients of tanh(conv1d(...))
-        rng = np.random.default_rng(6)
-        x = t(rng.normal(size=(2, 29, 3, 2)))
-        k = t(0.5 * rng.normal(size=(4, 2, 3)))
-        b = t(rng.normal(size=(4,)))
-        w = Tensor(rng.normal(size=(2, 9, 3, 4)))
-
-        def run(fn):
-            with Tape() as tape:
-                out = fn()
-                loss = T.reduce_sum(T.mul(out, w))
-            tape.backward(loss)
-            return len(tape), out.data, [p.grad.copy() for p in (x, k, b)]
-
-        records, out, grads = run(lambda: T.tanh_conv1d(x, [k], [b], dilation=2, stride=3))
-        _, ref_out, ref_grads = run(
-            lambda: T.tanh(T.conv1d(x, [k], [b], dilation=2, stride=3)))
-        assert records == 3
-        assert np.array_equal(out, ref_out)
-        for g, ref in zip(grads, ref_grads):
-            assert np.array_equal(g, ref)
-        assert_gradients_close(
-            lambda: T.reduce_sum(T.mul(T.tanh_conv1d(x, [k], [b], dilation=2, stride=3), w)),
-            {"x": x, "k": k, "b": b},
-        )
-
     def test_branches_aligned_on_most_recent(self):
         # a 1-tap kernel must see the same (most recent) time steps as the
         # 3-tap kernel beside it
@@ -271,6 +244,79 @@ class TestConv1d:
             lambda: T.reduce_sum(T.mul(T.conv1d(x, [k1, k3, k2], [b1, b3, b2], dilation=2), w)),
             {"x": x, "k1": k1, "k3": k3, "k2": k2, "b1": b1, "b3": b3, "b2": b2},
         )
+
+
+class TestStaticFeatures:
+    """The static extractor's convolutions, their tanh and the time mean as one op."""
+
+    @staticmethod
+    def case(seed, c, n=5, c_h=4):
+        rng = np.random.default_rng(seed)
+        x = t(rng.normal(size=(n, 90, c)), rg=False)
+        params = [t(0.5 * rng.normal(size=(c_h, c, 8))), t(rng.normal(size=c_h)),
+                  t(0.5 * rng.normal(size=(c_h, c_h, 8))), t(rng.normal(size=c_h))]
+        return x, params, Tensor(rng.normal(size=(n, c_h)))
+
+    @staticmethod
+    def chain(x, k1, b1, k2, b2):
+        h = T.tanh(T.conv1d(x, [k1], [b1], stride=4))
+        h = T.tanh(T.conv1d(h, [k2], [b2], stride=4))
+        return T.reduce_mean(h, axis=1)
+
+    @pytest.fixture(params=["one_chunk", "node_chunks"])
+    def chunking(self, request, monkeypatch):
+        if request.param == "node_chunks":
+            monkeypatch.setattr(T, "_STATIC_BLOCK", 1)  # one node per chunk
+
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_matches_op_chain(self, c, chunking):
+        # one record; value and gradients within 1e-12 of the chain's, not
+        # bitwise, because conv1's taps are summed in one GEMM
+        x, params, w = self.case(6 + c, c)
+
+        def run(fn):
+            for p in params:
+                p.grad = None
+            with Tape() as tape:
+                out = fn(x, *params)
+                loss = T.reduce_sum(T.mul(out, w))
+            records = len(tape)
+            tape.backward(loss)
+            return records, [out.data] + [p.grad.copy() for p in params]
+
+        records, got = run(lambda *a: T.static_features(*a, stride=4))
+        ref_records, want = run(self.chain)
+        assert (records, ref_records) == (3, 7)
+        assert got[0].shape == (5, 4)
+        for g, ref in zip(got, want):
+            assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_gradcheck(self, chunking):
+        x, params, w = self.case(10, 2)
+        assert_gradients_close(
+            lambda: T.reduce_sum(T.mul(T.static_features(x, *params, stride=4), w)),
+            dict(zip(("k1", "b1", "k2", "b2"), params)),
+        )
+
+    def test_series_takes_no_gradient(self):
+        x, params, _ = self.case(11, 1)
+        x.requires_grad = True
+        with pytest.raises(ContractError, match="no gradient"):
+            T.static_features(x, *params, stride=4)
+
+    def test_shape_checks(self):
+        x, (k1, b1, k2, b2), _ = self.case(12, 2)
+        with pytest.raises(DimensionError):
+            T.static_features(x, k2, b1, k2, b2, 4)  # conv1 channel mismatch
+        with pytest.raises(DimensionError):
+            T.static_features(x, k1, b1, k1, b2, 4)  # conv2 is not (C_h, C_h, k)
+        with pytest.raises(DimensionError):
+            T.static_features(x, k1, b1, k2, b2, 0)
+        # two 8-tap convolutions at stride 4 need 7·4 + 8 = 36 steps
+        with pytest.raises(SequenceTooShortError):
+            T.static_features(t(np.zeros((2, 35, 2)), rg=False), k1, b1, k2, b2, 4)
+        assert T.static_features(t(np.zeros((2, 36, 2)), rg=False),
+                                 k1, b1, k2, b2, 4).shape == (2, 4)
 
 
 class TestGatedConv1d:
@@ -500,19 +546,42 @@ class TestRetention:
         held = self.held(lambda: T.linear(x, w, b))
         assert held <= 1.1 * x.data.nbytes
 
-    @pytest.mark.parametrize("conv", ["conv1", "conv2"])
-    def test_static_convolutions_keep_their_tanh_output_only(self, conv):
-        # each of the static extractor's convolutions is one record with its
-        # tanh, keeping only the tanh output; a conv1d record and a tanh
-        # record keep the pre-activation as well, 2 x
-        layer = getattr(StaticFeatureExtractor(ParamStore(RngSource(0)), "static", 1, 40), conv)
-        x = t(np.random.default_rng(38).normal(size=(8, 2000, layer.kernel.shape[1])), rg=False)
+    @staticmethod
+    def static_case():
+        ext = StaticFeatureExtractor(ParamStore(RngSource(0)), "static", 1, 40)
+        x = t(np.random.default_rng(38).normal(size=(8, 2000, 1)), rg=False)
+        c1, c2 = ext.conv1, ext.conv2
+        return lambda: T.static_features(x, c1.kernel, c1.bias, c2.kernel, c2.bias,
+                                         ext.STRIDE), x
+
+    def test_static_features_keeps_its_parents_only(self):
+        # the (8, 16) output and the closure, ~0.03 x; keeping tanh(conv2)
+        # takes ~1 x more, tanh(conv1) ~4 x and a copy of the series 1 x
+        fn, x = self.static_case()
         outs = []
-        held = self.held(lambda: outs.append(layer(x)) or outs[0])
+        held = self.held(lambda: outs.append(fn()) or outs[0])
         with no_grad():
-            ref = T.conv1d(x, [layer.kernel], [layer.bias], stride=layer.stride).data
-        assert np.array_equal(outs[0].data, np.tanh(ref))
-        assert held <= 1.1 * outs[0].data.nbytes
+            assert np.array_equal(outs[0].data, fn().data)
+        assert held <= 0.1 * x.data.nbytes
+
+    def test_static_features_passes_stay_within_chunks(self, monkeypatch):
+        # with one node per chunk, forward and backward peak at ~4.3 of one
+        # node's conv1 outputs: its gathered taps, tanh(conv1), that
+        # output's gradient and products in flight; passes over all 8 nodes
+        # at once peak at ~29, and tanh(conv1) kept for the backward adds 8
+        monkeypatch.setattr(T, "_STATIC_BLOCK", 1)
+        fn, x = self.static_case()
+        chunk = ((2000 - 8) // 4 + 1) * 16 * 8  # one node's conv1 output bytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                loss = T.reduce_sum(fn())
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * chunk
 
     def test_mixhop_keeps_its_output_only(self):
         # the output, which C_in = C_out makes the size of a hop; keeping
