@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, VARIANTS
-from .data import CsvLayout, load_csv, save_csv, write_atomic
+from .data import CsvLayout, Scaler, load_csv, save_csv, write_atomic
 from .errors import ConfigurationError, EvographError
 from .graph_learner import export_graphs
 from .model import Model, load_checkpoint
@@ -161,16 +161,20 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    out = claim_out_dir(args.out, args.force) if args.out else None
+def _checkpoint_and_data(args):
+    """``--checkpoint``'s model; the experiment config from ``--config`` or
+    else the defaults, with the checkpoint's model config either way; and
+    ``--data`` prepared with the checkpoint's scaler."""
     model, extras = load_checkpoint(args.checkpoint)
-    if args.config:
-        config = load_config(args.config)
-    else:
-        config = ExperimentConfig(model=model.config)
+    config = load_config(args.config) if args.config else ExperimentConfig(model=model.config)
     config.model = model.config
     dataset = load_dataset(args.data, model.config.n_channels)
-    data = trainer.prepare_data(dataset, config, scaler=extras.get("scaler"))
+    return model, config, trainer.prepare_data(dataset, config, scaler=extras.get("scaler"))
+
+
+def cmd_evaluate(args) -> int:
+    out = claim_out_dir(args.out, args.force) if args.out else None
+    model, _, data = _checkpoint_and_data(args)
     report = trainer.evaluate_split(model, data, args.split)
     headers, rows = metric_table(report)
     print_table(headers, rows)
@@ -209,14 +213,7 @@ def cmd_ablate(args) -> int:
 
 def cmd_scale_probe(args) -> int:
     out = claim_out_dir(args.out, args.force) if args.out else None
-    model, extras = load_checkpoint(args.checkpoint)
-    if args.config:
-        config = load_config(args.config)
-        config.model = model.config
-    else:
-        config = ExperimentConfig(model=model.config)
-    dataset = load_dataset(args.data, model.config.n_channels)
-    data = trainer.prepare_data(dataset, config, scaler=extras.get("scaler"))
+    model, config, data = _checkpoint_and_data(args)
     if args.scale == "all":
         scales = list(range(model.config.n_layers + 2))
     else:
@@ -252,7 +249,6 @@ def cmd_export_graphs(args) -> int:
     values = dataset.values
     scaler_dict = extras.get("scaler")
     if scaler_dict:
-        from .data import Scaler
         values = Scaler.from_dict(scaler_dict).transform_dataset(values)
     series = values.transpose(1, 0, 2)  # (T, N, C)
     seq = model.graph_inspection(series, args.layer)

@@ -148,12 +148,6 @@ class EvolvingGraphSequence:
     def __post_init__(self) -> None:
         self.matrices = [T.select(self.adjacency, 1, m) for m in range(self.adjacency.shape[1])]
 
-    @classmethod
-    def from_stack(cls, adjacency: Tensor, spec: SegmentSpec) -> "EvolvingGraphSequence":
-        """The sequence of nonnegative graphs A, (B, M, N, N), normalized
-        here by one :func:`tensor.row_normalize` record."""
-        return cls(T.row_normalize(adjacency), adjacency.data.sum(axis=-1, keepdims=True), spec)
-
     def unnormalized(self) -> np.ndarray:
         """A = Ā ⊙ r, the (B, M, N, N) graphs before row normalization."""
         return self.adjacency.data * self.row_sums
@@ -229,7 +223,8 @@ class Egl:
         if alpha.ndim == 2:
             alpha = T.broadcast_leading(alpha, batch)
         spec = SegmentSpec(d=t, m=1, boundaries=[(0, t)])
-        return EvolvingGraphSequence(*self.derive_adjacency(T.stack([alpha], axis=1)), spec)
+        alpha = T.reshape(alpha, alpha.shape[:1] + (1,) + alpha.shape[1:])  # (B, 1, N, C_e)
+        return EvolvingGraphSequence(*self.derive_adjacency(alpha), spec)
 
 
 def export_graphs(seq: EvolvingGraphSequence, out_dir, layer: int,

@@ -170,6 +170,8 @@ class Model:
             )
         if x.shape[0] == 0:
             raise DimensionError("input holds no windows")
+        if not np.all(np.isfinite(x.data)):
+            raise NonFiniteError("input windows hold non-finite values")
         return x
 
     def _alpha_s(self) -> Tensor:
@@ -300,10 +302,11 @@ class Model:
         it is in training, where a window holds only a few segments.  The
         backbone runs only up to the layer, 16 windows at a time.
 
-        Accepts (T, N, C) with T ≥ window.  Returns one sample whose
-        segments are the windows' last graphs; segment boundaries are
-        absolute series positions ``(e − stride, e)`` for each window end
-        e, the first starting at ``window − stride``.
+        Accepts a finite (T, N, C) series with T ≥ window.  Returns one
+        sample whose segments are the windows' last graphs, their Ā and r
+        exactly as the walk made them; segment boundaries are absolute
+        series positions ``(e − stride, e)`` for each window end e, the
+        first starting at ``window − stride``.
         """
         c = self.config
         if not 1 <= layer <= c.n_layers:
@@ -315,6 +318,8 @@ class Model:
             raise DimensionError(
                 f"series must be (T, {c.n_nodes}, {c.n_channels}), got {arr.shape}"
             )
+        if not np.all(np.isfinite(arr)):
+            raise NonFiniteError("series holds non-finite values")
         total, p = arr.shape[0], c.window
         if total < p:
             raise SequenceTooShortError(
@@ -330,14 +335,17 @@ class Model:
         windows = sliding_window_view(arr, p, axis=0).transpose(0, 3, 1, 2)
 
         def last_graphs(s: slice, alpha_s: Tensor) -> np.ndarray:
+            """Each window's last Ā and r side by side, (windows, N, N + 1)."""
             _, graphs = self._walk(Tensor(windows[starts[s]]), alpha_s, layer)
-            return graphs.adjacency.data[:, -1] * graphs.row_sums[:, -1]  # A = Ā ⊙ r
+            return np.concatenate([graphs.adjacency.data[:, -1], graphs.row_sums[:, -1]],
+                                  axis=-1)
 
-        last = self._sliced(starts.size, last_graphs)
+        # one sample whose M segments are the windows' last graphs
+        last = self._sliced(starts.size, last_graphs)[None]
         ends = range(p, total + 1, d)
         spec = SegmentSpec(d=d, m=len(ends), boundaries=[(e - d, e) for e in ends])
-        # one sample whose M segments are the windows' last graphs
-        return EvolvingGraphSequence.from_stack(Tensor(last[None]), spec)
+        n = c.n_nodes
+        return EvolvingGraphSequence(Tensor(last[..., :n]), last[..., n:], spec)
 
 
 def _flat(x: np.ndarray) -> np.ndarray:

@@ -4,8 +4,7 @@ Each hop mixes a β-weighted retention of the original node states with
 neighbour aggregation through the segment's adjacency matrix; hop outputs
 are projected and summed.  The adjacency is row-normalized, so the
 aggregation is an average rather than a sum.  The graphs arrive already
-normalized: the graph learner's :func:`tensor.pairwise_graph` record (or,
-for graphs given as they are, ``EvolvingGraphSequence.from_stack``) does
+normalized: the graph learner's :func:`tensor.pairwise_graph` record does
 it once per graph, so nothing here normalizes or copies them.
 
 A layer's graphs arrive as one (B, M, N, N) stack, which is checked once.

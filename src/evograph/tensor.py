@@ -1,21 +1,21 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-The operation set is exactly what the forecasting architecture needs:
-matrix products (with stacked leading batch dimensions), causal dilated
-1-D convolution, pointwise nonlinearities, reductions and segment means,
-concatenation and stacking, slicing/reshaping, layer normalisation and a
-row-normalisation primitive for adjacency matrices.
-Slices (:func:`narrow`, :func:`select`) are views of their input, and
-their backward adds into the input's gradient buffer in place.
+The operation set is what the forecasting model runs: elementwise
+arithmetic, tanh, ReLU and |·|, reductions and segment means,
+slicing/reshaping, a leading-axis broadcast, and eight fused ops that
+run the architecture's layers.  Slices (:func:`narrow`, :func:`select`)
+are views of their input, and their backward adds into the input's
+gradient buffer in place.
 
-:func:`conv1d` works on channel-last (B, T, ..., C) input, the layout the
-model's (B, T, N, C) sequences already have.  It takes a bank of kernels
-of possibly different widths, all aligned on the most recent sample, with
-optional biases, and concatenates their outputs along the channel axis, so
-a whole inception layer is one record.  Both passes are one GEMM per tap
-of the widest kernel over a (B, T_out·…, C) view of the input, so no
-im2col copy is made; :func:`gated_conv1d` and :func:`static_features`'s
-second convolution run the same bank code.
+:func:`_conv_bank` is the convolution under :func:`gated_conv1d` and
+:func:`static_features`'s second convolution.  It works on channel-last
+(B, T, ..., C) input, the layout the model's (B, T, N, C) sequences
+already have.  It takes a bank of kernels of possibly different widths,
+all aligned on the most recent sample, with optional biases, and
+concatenates their outputs along the channel axis, so a whole inception
+layer is one record.  Both passes are one GEMM per tap of the widest
+kernel over a (B, T_out·…, C) view of the input, so no im2col copy is
+made.
 
 Gradients are recorded on an explicit :class:`Tape`. Each operation
 appends one record holding the output tensor, its parents and a backward
@@ -28,11 +28,11 @@ Outside an active tape (or under :func:`no_grad`) operations compute
 forward values only.
 
 Design constraints: float64 everywhere; no implicit broadcasting between
-tensors (scalar * tensor excepted) — shape adaptation happens through
-explicit ops (``bias_add``, ``broadcast_leading``) so every backward rule
-stays auditable.  Eight ops are fused, each one tape record with a
-hand-written backward, so that a record keeps only what its backward
-reads:
+tensors (scalar * tensor excepted) — shape adaptation happens inside an
+op (a bias inside :func:`linear`) or through an explicit one
+(:func:`broadcast_leading`), so every backward rule stays auditable.
+Eight ops are fused, each one tape record with a hand-written backward,
+so that a record keeps only what its backward reads:
 
 - :func:`pairwise_graph` scores all node pairs with an edge and a mask
   perceptron without materialising the pair tensor, gates and
@@ -58,6 +58,10 @@ reads:
 - :func:`skip_linear` projects each node's flattened history, forming the
   flatten only transiently in each pass;
 - :func:`linear` is an affine map that keeps only its output.
+
+The generic ops that the tests chain into oracles for them (``conv1d``,
+``matmul``, ``bias_add``, ``concat``, ``stack``, ``sigmoid``,
+``row_normalize``) live with the tests, in ``tests/reference_ops.py``.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ import math
 import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -256,9 +260,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(()))
 
-    def numpy(self) -> Array:
-        return self.data
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -283,9 +284,6 @@ class Tensor:
 
     def __neg__(self):
         return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -409,15 +407,6 @@ def _sigmoid_into(x: Array, out: Array, e: Array | None = None) -> Array:
     return np.divide(out, e, out=out)
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    out = _sigmoid_into(x.data, np.empty_like(x.data))
-
-    def back(g, x=x, out=out):
-        _accumulate(x, g * out * (1.0 - out))
-
-    return _make(out, (x,), back)
-
-
 def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
 
@@ -448,37 +437,6 @@ def absolute(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Linear algebra
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, numpy stacking rules.
-
-    Leading axes follow broadcast semantics (a 2-D weight against a
-    batched operand is the common case); gradients for the broadcast side
-    are summed over the replicated leading axes.
-    """
-    if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError("matmul operands need at least 2 dimensions")
-    if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(
-            f"matmul: inner extents {a.shape[-1]} and {b.shape[-2]} differ"
-        )
-    try:
-        out = np.matmul(a.data, b.data)
-    except ValueError as exc:
-        raise DimensionError(f"matmul: incompatible stack shapes {a.shape} x {b.shape}") from exc
-
-    def back(g, a=a, b=b):
-        if a.requires_grad:
-            if b.ndim == 2:
-                # a plain weight: one flat GEMM over all of a's rows
-                _accumulate(a, (g.reshape(-1, b.shape[1]) @ b.data.T).reshape(a.shape))
-            else:
-                _accumulate(a, _summed_matmul(g, np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            _accumulate(b, _summed_matmul(np.swapaxes(a.data, -1, -2), g, b.shape))
-
-    return _make(out, (a, b), back)
-
-
 def _summed_matmul(x: Array, y: Array, shape: tuple[int, ...]) -> Array:
     """``x @ y`` summed down to ``shape`` (leading-axis broadcasting undone).
 
@@ -504,25 +462,14 @@ def _summed_matmul(x: Array, y: Array, shape: tuple[int, ...]) -> Array:
     return out if out.shape == tuple(shape) else out.reshape(shape)
 
 
-def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    """Add a vector along the last axis of ``x``."""
-    if b.ndim != 1 or b.shape[0] != x.shape[-1]:
-        raise DimensionError(f"bias_add: bias {b.shape} does not match last axis of {x.shape}")
-
-    def back(g, x=x, b=b):
-        _accumulate(x, g)
-        _accumulate(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
-
-    return _make(x.data + b.data, (x, b), back)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map along the last axis: ``x @ w + b`` for a (D_in, D_out)
     weight and a (D_out,) bias.
 
     One record, which keeps only its output.  The forward value and every
-    gradient are those of ``bias_add(matmul(x, w), b)``, bit for bit,
-    without the second record and the product it would hold.
+    gradient are those of a matrix product and a bias add recorded as two
+    ops, bit for bit, without the second record and the product it would
+    hold.
     """
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise DimensionError(
@@ -547,9 +494,20 @@ def _conv_bank(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | 
 
     Returns the (B, T_out, ..., ΣC_j) output and ``back(g)``, which takes
     the output's gradient in any shape with ΣC_j columns and accumulates
-    the gradients of ``x``, the kernels and the biases.  :func:`conv1d`,
+    the gradients of ``x``, the kernels and the biases.
     :func:`gated_conv1d` and :func:`static_features` share it, so the
     per-tap GEMM loop exists once.
+
+    ``x`` has shape (B, T, ..., C_in) with time on axis 1.  Kernel j has
+    shape (C_j, C_in, k_j) and the optional bias j (C_j,); the outputs of
+    the kernels are concatenated in order along the last axis, so the
+    output is (B, T_out, ..., ΣC_j) with
+    ``T_out = (T - (k_max-1)*dilation - 1) // stride + 1``; with stride 1
+    that is exactly ``T - (k_max-1)*dilation``.  Tap 0 of every kernel
+    aligns with the most recent sample, so output step j sees inputs at
+    positions ``j*stride + (k_max-1)*dilation - dilation*tau``, and a
+    k-tap kernel acts as a k_max-tap kernel whose taps k..k_max−1 are zero.
+    The taps' products are summed in tap order through one reused buffer.
     """
     shapes = [k.shape for k in kernels]
     if dilation < 1 or stride < 1:
@@ -621,30 +579,6 @@ def _conv_bank(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | 
     return out.reshape(tap_shape + (c_out,)), back
 
 
-def conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | None = None,
-           dilation: int = 1, stride: int = 1) -> Tensor:
-    """Causal valid 1-D convolution of channel-last input with a kernel bank.
-
-    ``x`` has shape (B, T, ..., C_in) with time on axis 1.  Kernel j has
-    shape (C_j, C_in, k_j) and the optional bias j (C_j,); the outputs of
-    the kernels are concatenated in order along the last axis, so the
-    output is (B, T_out, ..., ΣC_j) with
-    ``T_out = (T - (k_max-1)*dilation - 1) // stride + 1``; with stride 1
-    that is exactly ``T - (k_max-1)*dilation``.  Tap 0 of every kernel
-    aligns with the most recent sample, so output step j sees inputs at
-    positions ``j*stride + (k_max-1)*dilation - dilation*tau``, and a
-    k-tap kernel acts as a k_max-tap kernel whose taps k..k_max−1 are zero.
-
-    Each tap is one GEMM of a (B, T_out·…, C_in) view of the input against
-    the tap's (C_in, ΣC_j) weight, accumulated in tap order through one
-    reused product buffer.  The backward pass runs the same per-tap GEMMs,
-    adds each tap's input gradient into a strided view of the input
-    gradient, and splits the weight and bias gradients back per kernel.
-    """
-    out, back = _conv_bank(x, kernels, biases, dilation, stride)
-    return _make(out, (x, *kernels, *(biases or ())), back)
-
-
 _STATIC_BLOCK = 1 << 19  # first-convolution output elements per node chunk of static_features
 
 
@@ -652,8 +586,8 @@ def static_features(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
                     stride: int) -> Tensor:
     """Time mean of tanh(conv2(tanh(conv1(x)))): (N, T, C) → (N, C_h).
 
-    conv1 and conv2 are the causal valid convolutions of :func:`conv1d` at
-    ``stride``, with kernels ``k1`` (C_h, C, k₁) and ``k2`` (C_h, C_h, k₂)
+    conv1 and conv2 are the causal valid convolutions of :func:`_conv_bank`
+    at ``stride``, with kernels ``k1`` (C_h, C, k₁) and ``k2`` (C_h, C_h, k₂)
     and biases ``b1`` and ``b2`` (C_h,).  ``x`` is data: it takes no
     gradient, and a ``x`` that requires one raises :class:`ContractError`.
 
@@ -667,8 +601,8 @@ def static_features(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
     convolution outputs chunk by chunk, Chen et al.'s recompute-instead-of-
     store (arXiv 1604.06174), cheap here beside the rest of a step.  conv1's
     taps are summed inside one GEMM, so the value and gradients are those of
-    ``reduce_mean(tanh(conv1d(tanh(conv1d(x)))), 1)`` to rounding, not bit
-    for bit.
+    the two banks, each followed by tanh, and the time mean, to rounding,
+    not bit for bit.
     """
     if x.requires_grad:
         raise ContractError("static_features: the series is data and takes no gradient")
@@ -745,14 +679,14 @@ def gated_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
     """Gated temporal convolution: σ(a) ⊙ tanh(b), then inverted dropout.
 
     a and b are the first and second half of the channels of the stride-1
-    :func:`conv1d` of ``x`` with the bank, so the output is
+    :func:`_conv_bank` of ``x`` with the bank, so the output is
     (B, T_out, ..., ΣC_j / 2) and lies in (−1, 1) before dropout.  Dropout
     is inverted: in training mode at a rate above 0 it draws
     ``rng.random(shape) >= rate`` and scales the survivors by
     1 / (1 − rate); otherwise it is the identity, and draws nothing.
 
     One record: σ(a) and tanh(b) are computed into two arrays of their
-    own, with the arithmetic of :func:`sigmoid` and :func:`tanh`, the
+    own, with the arithmetic of :func:`_sigmoid_into` and :func:`tanh`, the
     convolution output is freed, and tanh(b) is freed once ξ is formed.
     The record keeps σ(a), the boolean mask and its output ξ; the gated
     product before dropout is never stored.  The backward pass reads
@@ -769,7 +703,7 @@ def gated_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
     c = y.shape[-1] // 2
     shape = y.shape[:-1] + (c,)
     y = y.reshape(-1, 2 * c)
-    # σ(a) and tanh(b), as ``sigmoid`` and ``tanh`` compute them, each in
+    # σ(a) and tanh(b), as ``_sigmoid_into`` and ``tanh`` compute them, each in
     # an array of its own, so that tanh(b) is freed once ξ is formed
     sig = np.empty((y.shape[0], c))
     th = np.empty_like(sig)
@@ -890,32 +824,6 @@ def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _make(out, (x,), back)
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise DimensionError("concat of zero tensors")
-    ndim = tensors[0].ndim
-    ax = _normalize_axes(axis, ndim)[0]
-    ref = tensors[0].shape
-    for t in tensors[1:]:
-        if t.ndim != ndim or any(
-            i != ax and t.shape[i] != ref[i] for i in range(ndim)
-        ):
-            raise DimensionError(f"concat: incompatible shapes {ref} and {t.shape}")
-    out = np.concatenate([t.data for t in tensors], axis=ax)
-    extents = [t.shape[ax] for t in tensors]
-
-    def back(g, tensors=tensors, extents=extents, ax=ax):
-        start = 0
-        for t, e in zip(tensors, extents):
-            idx = [slice(None)] * g.ndim
-            idx[ax] = slice(start, start + e)
-            _accumulate(t, g[tuple(idx)])
-            start += e
-
-    return _make(out, tuple(tensors), back)
-
-
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along ``axis``: a view of ``x``."""
     ax = _normalize_axes(axis, x.ndim)[0]
@@ -942,25 +850,6 @@ def select(x: Tensor, axis: int, index: int) -> Tensor:
         _accumulate_at(x, idx, g)
 
     return _make(x.data[idx], (x,), back)
-
-
-def stack(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    """Join same-shaped tensors along a new axis ``axis``."""
-    tensors = list(tensors)
-    if not tensors:
-        raise DimensionError("stack of zero tensors")
-    ref = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != ref:
-            raise DimensionError(f"stack: shapes {ref} and {t.shape} differ")
-    ax = _normalize_axes(axis, len(ref) + 1)[0]
-    out = np.stack([t.data for t in tensors], axis=ax)
-
-    def back(g, tensors=tensors, ax=ax):
-        for i, t in enumerate(tensors):
-            _accumulate(t, g[(slice(None),) * ax + (i,)])
-
-    return _make(out, tuple(tensors), back)
 
 
 def segment_mean(x: Tensor, boundaries: Sequence[tuple[int, int]]) -> Tensor:
@@ -1527,21 +1416,6 @@ def layer_norm_residual(x: Tensor, gain: Tensor, bias: Tensor, residual: Tensor,
         _accumulate(residual, g)
 
     return _make(out, (x, gain, bias, residual), back)
-
-
-def row_normalize(x: Tensor) -> Tensor:
-    """Divide each row (last axis) by its sum; all-zero rows pass through."""
-    r = x.data.sum(axis=-1, keepdims=True)
-    pos = r > 0
-    safe_r = np.where(pos, r, 1.0)
-    out = np.where(pos, x.data / safe_r, x.data)
-
-    def back(g, x=x, out=out, safe_r=safe_r, pos=pos):
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        gx = np.where(pos, (g - inner) / safe_r, g)
-        _accumulate(x, gx)
-
-    return _make(out, (x,), back)
 
 
 # ---------------------------------------------------------------------------

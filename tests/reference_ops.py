@@ -1,0 +1,157 @@
+"""Generic tape ops that the tests chain into oracles for the fused ops.
+
+The model runs none of these: each fused op in :mod:`evograph.tensor` is
+checked against a chain of them (``tanh(conv1d)``, per-run ``mixhop`` plus
+``concat``, the explicit-pair ``matmul``, ``bias_add``, σ, product and
+``row_normalize`` chain).  :func:`conv1d` is a thin wrapper over
+``tensor._conv_bank`` and :func:`sigmoid` over ``tensor._sigmoid_into``, so
+their tests still exercise the code that :func:`tensor.gated_conv1d` and
+:func:`tensor.static_features` run.
+"""
+
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from evograph import tensor as T
+from evograph.errors import DimensionError
+from evograph.graph_learner import EvolvingGraphSequence, SegmentSpec
+from evograph.tensor import Tensor, _accumulate, _make
+
+
+def sigmoid(x: Tensor) -> Tensor:
+    out = T._sigmoid_into(x.data, np.empty_like(x.data))
+
+    def back(g, x=x, out=out):
+        _accumulate(x, g * out * (1.0 - out))
+
+    return _make(out, (x,), back)
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes, numpy stacking rules.
+
+    Leading axes follow broadcast semantics (a 2-D weight against a
+    batched operand is the common case); gradients for the broadcast side
+    are summed over the replicated leading axes.
+    """
+    if a.ndim < 2 or b.ndim < 2:
+        raise DimensionError("matmul operands need at least 2 dimensions")
+    if a.shape[-1] != b.shape[-2]:
+        raise DimensionError(
+            f"matmul: inner extents {a.shape[-1]} and {b.shape[-2]} differ"
+        )
+    try:
+        out = np.matmul(a.data, b.data)
+    except ValueError as exc:
+        raise DimensionError(f"matmul: incompatible stack shapes {a.shape} x {b.shape}") from exc
+
+    def back(g, a=a, b=b):
+        if a.requires_grad:
+            if b.ndim == 2:
+                # a plain weight: one flat GEMM over all of a's rows
+                _accumulate(a, (g.reshape(-1, b.shape[1]) @ b.data.T).reshape(a.shape))
+            else:
+                _accumulate(a, T._summed_matmul(g, np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            _accumulate(b, T._summed_matmul(np.swapaxes(a.data, -1, -2), g, b.shape))
+
+    return _make(out, (a, b), back)
+
+
+def bias_add(x: Tensor, b: Tensor) -> Tensor:
+    """Add a vector along the last axis of ``x``."""
+    if b.ndim != 1 or b.shape[0] != x.shape[-1]:
+        raise DimensionError(f"bias_add: bias {b.shape} does not match last axis of {x.shape}")
+
+    def back(g, x=x, b=b):
+        _accumulate(x, g)
+        _accumulate(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
+
+    return _make(x.data + b.data, (x, b), back)
+
+
+def conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | None = None,
+           dilation: int = 1, stride: int = 1) -> Tensor:
+    """Causal valid 1-D convolution of channel-last input with a kernel bank.
+
+    ``x`` has shape (B, T, ..., C_in) with time on axis 1.  Kernel j has
+    shape (C_j, C_in, k_j) and the optional bias j (C_j,); the outputs of
+    the kernels are concatenated in order along the last axis, so the
+    output is (B, T_out, ..., ΣC_j) with
+    ``T_out = (T - (k_max-1)*dilation - 1) // stride + 1``.  Tap 0 of every
+    kernel aligns with the most recent sample, and a k-tap kernel acts as a
+    k_max-tap kernel whose taps k..k_max−1 are zero.  One record of
+    ``tensor._conv_bank``'s forward and backward.
+    """
+    out, back = T._conv_bank(x, kernels, biases, dilation, stride)
+    return _make(out, (x, *kernels, *(biases or ())), back)
+
+
+def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    tensors = list(tensors)
+    if not tensors:
+        raise DimensionError("concat of zero tensors")
+    ndim = tensors[0].ndim
+    ax = T._normalize_axes(axis, ndim)[0]
+    ref = tensors[0].shape
+    for t in tensors[1:]:
+        if t.ndim != ndim or any(
+            i != ax and t.shape[i] != ref[i] for i in range(ndim)
+        ):
+            raise DimensionError(f"concat: incompatible shapes {ref} and {t.shape}")
+    out = np.concatenate([t.data for t in tensors], axis=ax)
+    extents = [t.shape[ax] for t in tensors]
+
+    def back(g, tensors=tensors, extents=extents, ax=ax):
+        start = 0
+        for t, e in zip(tensors, extents):
+            idx = [slice(None)] * g.ndim
+            idx[ax] = slice(start, start + e)
+            _accumulate(t, g[tuple(idx)])
+            start += e
+
+    return _make(out, tuple(tensors), back)
+
+
+def stack(tensors: Sequence[Tensor], axis: int) -> Tensor:
+    """Join same-shaped tensors along a new axis ``axis``."""
+    tensors = list(tensors)
+    if not tensors:
+        raise DimensionError("stack of zero tensors")
+    ref = tensors[0].shape
+    for t in tensors[1:]:
+        if t.shape != ref:
+            raise DimensionError(f"stack: shapes {ref} and {t.shape} differ")
+    ax = T._normalize_axes(axis, len(ref) + 1)[0]
+    out = np.stack([t.data for t in tensors], axis=ax)
+
+    def back(g, tensors=tensors, ax=ax):
+        for i, t in enumerate(tensors):
+            _accumulate(t, g[(slice(None),) * ax + (i,)])
+
+    return _make(out, tuple(tensors), back)
+
+
+def row_normalize(x: Tensor) -> Tensor:
+    """Divide each row (last axis) by its sum; all-zero rows pass through."""
+    r = x.data.sum(axis=-1, keepdims=True)
+    pos = r > 0
+    safe_r = np.where(pos, r, 1.0)
+    out = np.where(pos, x.data / safe_r, x.data)
+
+    def back(g, x=x, out=out, safe_r=safe_r, pos=pos):
+        inner = (g * out).sum(axis=-1, keepdims=True)
+        gx = np.where(pos, (g - inner) / safe_r, g)
+        _accumulate(x, gx)
+
+    return _make(out, (x,), back)
+
+
+def graph_sequence(adjacency: Tensor, spec: SegmentSpec) -> EvolvingGraphSequence:
+    """The sequence of nonnegative graphs A, (B, M, N, N), normalized by one
+    :func:`row_normalize` record, with A's row sums."""
+    return EvolvingGraphSequence(row_normalize(adjacency),
+                                 adjacency.data.sum(axis=-1, keepdims=True), spec)

@@ -18,6 +18,7 @@ from evograph.rng import RngSource
 from evograph.tensor import Tensor
 
 from gradcheck import gradient_errors
+import reference_ops as R
 
 
 def store(seed=0):
@@ -208,13 +209,13 @@ class TestPairScorerReference:
         ], axis=-1).reshape(b, n * n, 2 * c), requires_grad=True)
 
         def mlp(w1, b1, w2, b2):
-            hidden = T.relu(T.bias_add(T.matmul(pairs, w1), b1))
-            return T.reshape(T.bias_add(T.matmul(hidden, w2), b2), (b, n, n))
+            hidden = T.relu(R.bias_add(R.matmul(pairs, w1), b1))
+            return T.reshape(R.bias_add(R.matmul(hidden, w2), b2), (b, n, n))
 
         edge, mask = heads
         a_hat = T.relu(mlp(*edge))
-        graph = T.mul(a_hat, T.sigmoid(mlp(*mask)))
-        return T.row_normalize(graph), graph, a_hat, pairs
+        graph = T.mul(a_hat, R.sigmoid(mlp(*mask)))
+        return R.row_normalize(graph), graph, a_hat, pairs
 
     def test_outputs_and_gradients_match(self):
         st = store(11)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tracemalloc
@@ -171,6 +172,21 @@ class TestForward:
         with pytest.raises(NonFiniteError, match="reference series"):
             model.set_reference_series(ref)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize("entry", ["forward", "predict", "branch_features",
+                                       "graph_inspection"])
+    def test_rejects_non_finite_windows(self, entry, bad):
+        # left in, one NaN made predict return NaN forecasts without an error
+        model = tiny_model()
+        x = window(seed=7)
+        x[1, 5, 2, 0] = bad
+        run = {"forward": lambda: model.forward(x),
+               "predict": lambda: model.predict(x),
+               "branch_features": lambda: model.branch_features(x, 1),
+               "graph_inspection": lambda: model.graph_inspection(x[1], 1)}[entry]
+        with pytest.raises(NonFiniteError, match="non-finite"):
+            run()
+
     def test_rejects_short_reference_series(self):
         # caught when set, not at the next predict
         model = Model(tiny_config())
@@ -241,6 +257,27 @@ class TestForward:
                     trace = backbone(model, series[None, e - 16:e])
                     want = trace.graphs[layer - 1].matrices[-1].data
                     assert np.allclose(mat.data, want, rtol=1e-13, atol=0), (variant, layer, e)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("preset", [single_step_preset, multi_step_preset])
+    def test_graph_inspection_returns_the_walks_graphs_bitwise(self, preset, variant):
+        config = dataclasses.replace(preset(3), variant=variant)
+        model = Model(config)
+        rng = np.random.default_rng(13)
+        model.set_reference_series(rng.normal(size=(3, 48, config.n_channels)))
+        for p in model.store.params.values():
+            p.data = p.data + 0.3 * rng.normal(size=p.shape)
+        # 16 windows at a stride of 1: one slice of the inspection's walk
+        p = config.window
+        series = rng.normal(size=(p + 15, 3, config.n_channels))
+        for layer in range(1, config.n_layers + 1):
+            d = config.intervals[0 if variant == "no_scale_specific" else layer - 1]
+            starts = range(0, 16, d)
+            seq = model.graph_inspection(series, layer)
+            walked = backbone(model, np.stack([series[s:s + p] for s in starts]))
+            graphs = walked.graphs[layer - 1]
+            assert np.array_equal(seq.adjacency.data[0], graphs.adjacency.data[:, -1]), layer
+            assert np.array_equal(seq.row_sums[0], graphs.row_sums[:, -1]), layer
 
     def test_graph_inspection_rejects_layer_out_of_range(self):
         model = tiny_model()

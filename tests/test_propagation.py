@@ -5,13 +5,14 @@ import pytest
 
 from evograph import tensor as T
 from evograph.errors import ContractError
-from evograph.graph_learner import Egl, EvolvingGraphSequence, SegmentSpec
+from evograph.graph_learner import Egl, SegmentSpec
 from evograph.nn import ParamStore
 from evograph.propagation import MixHop
 from evograph.rng import RngSource
 from evograph.tensor import Tensor
 
 from gradcheck import gradient_errors
+import reference_ops as R
 
 
 def store(seed=0):
@@ -33,7 +34,7 @@ def over_time(adj):
 
 def normalized(adj):
     """The row-normalized (B, 1, N, N) form that ``propagate`` expects."""
-    return over_time(T.row_normalize(adj))
+    return over_time(R.row_normalize(adj))
 
 
 def one_run(xi):
@@ -43,7 +44,7 @@ def one_run(xi):
 
 def seq_for(matrices, t, d):
     spec = SegmentSpec.for_length(t, d)
-    return EvolvingGraphSequence.from_stack(T.stack(matrices, axis=1), spec)
+    return R.graph_sequence(R.stack(matrices, axis=1), spec)
 
 
 class TestMixHop:
@@ -195,21 +196,21 @@ def per_segment_reference(egl, mh, xi, alpha_s, d, graph_input=None, time_offset
     g = egl.gru
 
     def gate(cat, w, b, act):
-        return act(T.bias_add(T.matmul(cat, w), b))
+        return act(R.bias_add(R.matmul(cat, w), b))
 
     parts = []
     for start, stop in spec.boundaries:
         gamma = T.reduce_mean(T.narrow(src, 1, start, stop - start), axis=1)
-        cat = T.concat([gamma, alpha], axis=2)
-        r = gate(cat, g.w_r, g.b_r, T.sigmoid)
-        u = gate(cat, g.w_u, g.b_u, T.sigmoid)
-        o = gate(T.concat([gamma, T.mul(r, alpha)], axis=2), g.w_o, g.b_o, T.tanh)
+        cat = R.concat([gamma, alpha], axis=2)
+        r = gate(cat, g.w_r, g.b_r, R.sigmoid)
+        u = gate(cat, g.w_u, g.b_u, R.sigmoid)
+        o = gate(R.concat([gamma, T.mul(r, alpha)], axis=2), g.w_o, g.b_o, T.tanh)
         alpha = T.add(T.mul(u, alpha), T.mul(1.0 - u, o))
         adj, _ = T.pairwise_graph(alpha, egl.heads)  # (B, N, N), row-normalized
         s, e = max(start, lo) - lo, min(stop, hi) - lo
         if e > s:
             parts.append(mh.propagate(T.narrow(xi, 1, s, e - s), over_time(adj), [(1, e - s)]))
-    return T.concat(parts, axis=1)
+    return R.concat(parts, axis=1)
 
 
 class TestSegmentBatching:
@@ -275,7 +276,7 @@ class TestRetention:
         xi = rand(2, 16, 4, c, seed=19)
         xi.requires_grad = True
         mats = Tensor(np.random.default_rng(20).random((2, 16, 4, 4)), requires_grad=True)
-        seq = EvolvingGraphSequence.from_stack(mats, SegmentSpec.for_length(16, 1))
+        seq = R.graph_sequence(mats, SegmentSpec.for_length(16, 1))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -297,7 +298,7 @@ class TestRetention:
         xi = rand(2, 174, 4, c, seed=21)
         xi.requires_grad = True
         mats = Tensor(np.random.default_rng(22).random((2, 5, 4, 4)), requires_grad=True)
-        seq = EvolvingGraphSequence.from_stack(mats, SegmentSpec.for_length(174, 31))
+        seq = R.graph_sequence(mats, SegmentSpec.for_length(174, 31))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from evograph import tensor as T
 from evograph.errors import ConfigurationError
-from evograph.graph_learner import EvolvingGraphSequence, SegmentSpec
+from evograph.graph_learner import SegmentSpec
 from evograph.synth import (
     GroundTruth,
     RegimeSpec,
@@ -13,6 +12,8 @@ from evograph.synth import (
     two_regime_benchmark,
 )
 from evograph.tensor import Tensor
+
+import reference_ops as R
 
 
 def random_coupling(n, rng, row_sum=0.9, density=0.4):
@@ -135,7 +136,7 @@ class TestGroundTruthIo:
 def seq_from_arrays(mats, t, d):
     spec = SegmentSpec.for_length(t, d)
     tensors = [Tensor(m[None]) for m in mats]
-    return EvolvingGraphSequence.from_stack(T.stack(tensors, axis=1), spec)
+    return R.graph_sequence(R.stack(tensors, axis=1), spec)
 
 
 class TestRecovery:

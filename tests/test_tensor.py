@@ -1,7 +1,10 @@
+import ast
+import inspect
 import platform
 import resource
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,39 +21,77 @@ from evograph.trainer import loss_tensor
 
 import test_graph_learner
 from gradcheck import assert_gradients_close, gradient_errors
+import reference_ops as R
 
 
 def t(data, rg=True):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=rg)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def tensor_calls(path: Path) -> set[str]:
+    """The :mod:`evograph.tensor` functions that the module at ``path``
+    calls: through the module under any alias (``T.name(...)``), by a
+    name imported from it, or by bare name inside ``tensor.py`` itself."""
+    tree = ast.parse(path.read_text())
+    own = path == ROOT / "src" / "evograph" / "tensor.py"
+    modules, names = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == "tensor":
+                    modules.add(alias.asname or "tensor")
+                elif (node.module or "").split(".")[-1] == "tensor":
+                    names[alias.asname or alias.name] = alias.name
+    called = set()
+    for node in ast.walk(tree):
+        f = node.func if isinstance(node, ast.Call) else None
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                and f.value.id in modules:
+            called.add(f.attr)
+        elif isinstance(f, ast.Name) and (own or f.id in names):
+            called.add(names.get(f.id, f.id))
+    return called
+
+
+def test_every_public_op_is_called_outside_the_tests():
+    # an op that only tests call is an oracle: it belongs in reference_ops
+    ops = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+           if fn.__module__ == T.__name__ and not name.startswith("_")}
+    called = set().union(*(tensor_calls(p) for d in ("src", "bench")
+                           for p in sorted((ROOT / d).rglob("*.py"))))
+    assert ops - called == set()
+
+
 class TestMatmul:
     def test_identity(self):
         a = t(np.eye(2))
         b = t([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(T.matmul(a, b).data, [[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(R.matmul(a, b).data, [[1.0, 2.0], [3.0, 4.0]])
 
     def test_hand_product(self):
-        out = T.matmul(t([[1.0, 2.0]]), t([[3.0], [4.0]]))
+        out = R.matmul(t([[1.0, 2.0]]), t([[3.0], [4.0]]))
         assert out.data.tolist() == [[11.0]]
 
     def test_backward_hand(self):
         a, b = t([[2.0]]), t([[5.0]])
         with Tape() as tape:
-            loss = T.reduce_sum(T.matmul(a, b))
+            loss = T.reduce_sum(R.matmul(a, b))
         tape.backward(loss)
         assert a.grad.tolist() == [[5.0]]
         assert b.grad.tolist() == [[2.0]]
 
     def test_inner_mismatch(self):
         with pytest.raises(DimensionError):
-            T.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
+            R.matmul(t(np.ones((2, 3))), t(np.ones((2, 3))))
 
     def test_batched_against_loop(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(4, 3, 5))
         b = rng.normal(size=(5, 2))
-        out = T.matmul(t(a), t(b)).data
+        out = R.matmul(t(a), t(b)).data
         for i in range(4):
             assert np.allclose(out[i], a[i] @ b)
 
@@ -58,7 +99,7 @@ class TestMatmul:
         rng = np.random.default_rng(1)
         a = t(rng.normal(size=(3, 2, 4)))
         b = t(rng.normal(size=(4, 3)))
-        assert_gradients_close(lambda: T.reduce_sum(T.matmul(a, b)), {"a": a, "b": b})
+        assert_gradients_close(lambda: T.reduce_sum(R.matmul(a, b)), {"a": a, "b": b})
 
     @pytest.mark.parametrize("a_shape, b_shape", [
         ((2, 1, 3, 3), (2, 4, 3, 2)),        # one graph per batch entry, over time
@@ -71,7 +112,7 @@ class TestMatmul:
         rng = np.random.default_rng(2)
         a, b = t(rng.normal(size=a_shape)), t(rng.normal(size=b_shape))
         w = Tensor(rng.normal(size=np.broadcast_shapes(a_shape[:-1] + (1,), b_shape[:-2] + (1, b_shape[-1]))))
-        assert_gradients_close(lambda: T.reduce_sum(T.mul(T.matmul(a, b), w)),
+        assert_gradients_close(lambda: T.reduce_sum(T.mul(R.matmul(a, b), w)),
                                {"a": a, "b": b})
 
     def test_broadcast_gradient_matches_summed_product(self):
@@ -82,7 +123,7 @@ class TestMatmul:
         b = t(rng.normal(size=(2, 3, 5, 4, 2)))
         g = rng.normal(size=(2, 3, 5, 4, 2))
         with Tape() as tape:
-            loss = T.reduce_sum(T.mul(T.matmul(a, b), Tensor(g)))
+            loss = T.reduce_sum(T.mul(R.matmul(a, b), Tensor(g)))
         tape.backward(loss)
         want = np.matmul(g, np.swapaxes(b.data, -1, -2)).sum(axis=2, keepdims=True)
         assert np.allclose(a.grad, want, rtol=1e-13, atol=1e-13)
@@ -98,12 +139,12 @@ class TestMatmul:
         g = rng.normal(size=a_shape[:-1] + (7,))
         axes = tuple(reversed(range(len(a_shape))))
         with Tape() as tape:
-            out = T.transpose(T.matmul(a, b), axes)
+            out = T.transpose(R.matmul(a, b), axes)
             loss = T.reduce_sum(T.mul(out, Tensor(g.transpose(axes))))
         tape.backward(loss)
         want = T._summed_matmul(g, b.data.T, a.shape)
         assert np.max(np.abs(a.grad - want)) <= 1e-12 * np.max(np.abs(want))
-        assert_gradients_close(lambda: T.reduce_sum(T.mul(T.matmul(a, b), Tensor(g))),
+        assert_gradients_close(lambda: T.reduce_sum(T.mul(R.matmul(a, b), Tensor(g))),
                                {"a": a, "b": b})
 
 
@@ -113,37 +154,37 @@ class TestConv1d:
     def test_identity_kernel(self):
         x = t([[[1.0], [2.0], [3.0], [4.0]]])
         k = t(np.ones((1, 1, 1)))
-        assert T.conv1d(x, [k]).data.tolist() == [[[1.0], [2.0], [3.0], [4.0]]]
+        assert R.conv1d(x, [k]).data.tolist() == [[[1.0], [2.0], [3.0], [4.0]]]
 
     def test_dilated_pairs(self):
         # kernel [1,1], dilation 2 pairs (3,1) and (4,2)
         x = t([[[1.0], [2.0], [3.0], [4.0]]])
         k = t(np.ones((1, 1, 2)))
-        assert T.conv1d(x, [k], dilation=2).data.tolist() == [[[4.0], [6.0]]]
+        assert R.conv1d(x, [k], dilation=2).data.tolist() == [[[4.0], [6.0]]]
 
     def test_length_law(self):
         x = t(np.zeros((1, 168, 1)))
         k = t(np.zeros((1, 1, 7)))
-        assert T.conv1d(x, [k], dilation=2).shape == (1, 156, 1)
+        assert R.conv1d(x, [k], dilation=2).shape == (1, 156, 1)
 
     @pytest.mark.parametrize("tt,k,s", [(10, 3, 1), (10, 3, 4), (20, 7, 2), (5, 1, 3)])
     def test_length_law_param(self, tt, k, s):
         x = t(np.zeros((1, tt, 2)))
         kr = t(np.zeros((3, 2, k)))
-        assert T.conv1d(x, [kr], dilation=s).shape == (1, tt - (k - 1) * s, 3)
+        assert R.conv1d(x, [kr], dilation=s).shape == (1, tt - (k - 1) * s, 3)
 
     def test_too_short(self):
         x = t(np.zeros((1, 4, 1)))
         k = t(np.zeros((1, 1, 3)))
         with pytest.raises(SequenceTooShortError):
-            T.conv1d(x, [k], dilation=2)
+            R.conv1d(x, [k], dilation=2)
 
     def test_matches_manual_sum(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(1, 9, 2))
         k = rng.normal(size=(3, 2, 3))
         s = 2
-        out = T.conv1d(t(x), [t(k)], dilation=s).data
+        out = R.conv1d(t(x), [t(k)], dilation=s).data
         t_out = 9 - 2 * s
         for o in range(3):
             for j in range(t_out):
@@ -158,7 +199,7 @@ class TestConv1d:
         # stride subsamples output positions
         x = np.arange(10.0)[None, :, None]
         k = np.ones((1, 1, 2))
-        out = T.conv1d(t(x), [t(k)], stride=3).data
+        out = R.conv1d(t(x), [t(k)], stride=3).data
         assert out.tolist() == [[[1.0], [7.0], [13.0]]]
 
     def test_gradients(self):
@@ -166,7 +207,7 @@ class TestConv1d:
         x = t(rng.normal(size=(2, 8, 3)))
         k = t(rng.normal(size=(4, 3, 3)))
         assert_gradients_close(
-            lambda: T.reduce_sum(T.conv1d(x, [k], dilation=2)), {"x": x, "k": k}
+            lambda: T.reduce_sum(R.conv1d(x, [k], dilation=2)), {"x": x, "k": k}
         )
 
     def test_strided_gradients(self):
@@ -174,7 +215,7 @@ class TestConv1d:
         x = t(rng.normal(size=(1, 12, 2)))
         k = t(rng.normal(size=(3, 2, 4)))
         assert_gradients_close(
-            lambda: T.reduce_sum(T.conv1d(x, [k], stride=2)), {"x": x, "k": k}
+            lambda: T.reduce_sum(R.conv1d(x, [k], stride=2)), {"x": x, "k": k}
         )
 
     def test_four_d_bias_dilated_strided(self):
@@ -183,7 +224,7 @@ class TestConv1d:
         x = t(rng.normal(size=(2, 11, 3, 2)))
         k = t(rng.normal(size=(4, 2, 3)))
         b = t(rng.normal(size=(4,)))
-        out = T.conv1d(x, [k], [b], dilation=2, stride=2).data
+        out = R.conv1d(x, [k], [b], dilation=2, stride=2).data
         assert out.shape == (2, 4, 3, 4)
         for j in range(4):
             ref = b.data + sum(
@@ -192,29 +233,29 @@ class TestConv1d:
             assert np.allclose(out[:, j], ref, rtol=1e-12, atol=0.0)
         w = Tensor(rng.normal(size=out.shape))
         assert_gradients_close(
-            lambda: T.reduce_sum(T.mul(T.conv1d(x, [k], [b], dilation=2, stride=2), w)),
+            lambda: T.reduce_sum(T.mul(R.conv1d(x, [k], [b], dilation=2, stride=2), w)),
             {"x": x, "k": k, "b": b},
         )
 
     def test_shape_checks(self):
         k = t(np.zeros((2, 3, 2)))
         with pytest.raises(DimensionError):
-            T.conv1d(t(np.zeros((5, 3))), [k])  # no batch axis
+            R.conv1d(t(np.zeros((5, 3))), [k])  # no batch axis
         with pytest.raises(DimensionError):
-            T.conv1d(t(np.zeros((1, 5, 2))), [k])  # channel mismatch
+            R.conv1d(t(np.zeros((1, 5, 2))), [k])  # channel mismatch
         with pytest.raises(DimensionError):
-            T.conv1d(t(np.zeros((1, 5, 3))), [k], [t(np.zeros(3))])  # bias mismatch
+            R.conv1d(t(np.zeros((1, 5, 3))), [k], [t(np.zeros(3))])  # bias mismatch
         with pytest.raises(DimensionError):
-            T.conv1d(t(np.zeros((1, 5, 3))), [])  # empty bank
+            R.conv1d(t(np.zeros((1, 5, 3))), [])  # empty bank
         with pytest.raises(DimensionError):
-            T.conv1d(t(np.zeros((1, 5, 3))), [k, k], [t(np.zeros(2))])  # one bias for two
+            R.conv1d(t(np.zeros((1, 5, 3))), [k, k], [t(np.zeros(2))])  # one bias for two
 
     def test_branches_aligned_on_most_recent(self):
         # a 1-tap kernel must see the same (most recent) time steps as the
         # 3-tap kernel beside it
         x = t(np.arange(5.0).reshape(1, 5, 1, 1))
         bank = [t(np.ones((1, 1, 1))), t(np.zeros((1, 1, 3)))]
-        out = T.conv1d(x, bank).data
+        out = R.conv1d(x, bank).data
         assert out.shape == (1, 3, 1, 2)
         # channel 0 is the identity kernel, truncated to the last 3 steps
         assert out[0, :, 0, 0].tolist() == [2.0, 3.0, 4.0]
@@ -227,9 +268,9 @@ class TestConv1d:
         biases = [t(rng.normal(size=(c,))) for c in (1, 3, 2)]
         padded = np.concatenate(
             [np.pad(k.data, ((0, 0), (0, 0), (0, 3 - k.shape[2]))) for k in bank])
-        want = T.conv1d(x, [t(padded)], [t(np.concatenate([b.data for b in biases]))],
+        want = R.conv1d(x, [t(padded)], [t(np.concatenate([b.data for b in biases]))],
                         dilation=2, stride=2).data
-        assert np.array_equal(T.conv1d(x, bank, biases, dilation=2, stride=2).data, want)
+        assert np.array_equal(R.conv1d(x, bank, biases, dilation=2, stride=2).data, want)
 
     def test_mixed_width_bank_gradients(self):
         # a bank of kernels of widths 1, 3 and 2, each with a bias, dilated
@@ -241,7 +282,7 @@ class TestConv1d:
         b1, b3, b2 = (t(rng.normal(size=(c,))) for c in (2, 1, 2))
         w = Tensor(rng.normal(size=(2, 5, 3, 5)))
         assert_gradients_close(
-            lambda: T.reduce_sum(T.mul(T.conv1d(x, [k1, k3, k2], [b1, b3, b2], dilation=2), w)),
+            lambda: T.reduce_sum(T.mul(R.conv1d(x, [k1, k3, k2], [b1, b3, b2], dilation=2), w)),
             {"x": x, "k1": k1, "k3": k3, "k2": k2, "b1": b1, "b3": b3, "b2": b2},
         )
 
@@ -259,8 +300,8 @@ class TestStaticFeatures:
 
     @staticmethod
     def chain(x, k1, b1, k2, b2):
-        h = T.tanh(T.conv1d(x, [k1], [b1], stride=4))
-        h = T.tanh(T.conv1d(h, [k2], [b2], stride=4))
+        h = T.tanh(R.conv1d(x, [k1], [b1], stride=4))
+        h = T.tanh(R.conv1d(h, [k2], [b2], stride=4))
         return T.reduce_mean(h, axis=1)
 
     @pytest.fixture(params=["one_chunk", "node_chunks"])
@@ -349,8 +390,8 @@ class TestGatedConv1d:
         # tanh's own arithmetic, so the values are equal bit for bit
         x = t(np.random.default_rng(23).normal(size=(2, 9, 2, 3)))
         kernels, biases = self.bank(24)
-        y = T.conv1d(x, kernels, biases, dilation=2)
-        want = T.mul(T.sigmoid(T.narrow(y, -1, 0, 4)), T.tanh(T.narrow(y, -1, 4, 4))).data
+        y = R.conv1d(x, kernels, biases, dilation=2)
+        want = T.mul(R.sigmoid(T.narrow(y, -1, 0, 4)), T.tanh(T.narrow(y, -1, 4, 4))).data
         out = T.gated_conv1d(x, kernels, biases, 2, 0.3, False)
         assert np.array_equal(out.data, want)
 
@@ -376,14 +417,14 @@ class TestGatedConv1d:
             return [p.grad for p in params]
 
         def chain():
-            y = T.conv1d(x, kernels, biases, dilation=2)
-            gated = T.mul(T.sigmoid(T.narrow(y, -1, 0, 4)), T.tanh(T.narrow(y, -1, 4, 4)))
+            y = R.conv1d(x, kernels, biases, dilation=2)
+            gated = T.mul(R.sigmoid(T.narrow(y, -1, 0, 4)), T.tanh(T.narrow(y, -1, 4, 4)))
             return T.mul(T.mul(gated, Tensor(mask.astype(np.float64))), 1.0 / (1.0 - rate))
 
         want = grads(chain)
         got = grads(lambda: T.gated_conv1d(x, kernels, biases, 2, rate, True,
                                            np.random.default_rng(3)))
-        assert not mask.all() and np.all(T.conv1d(x, kernels, biases, 2).data[..., 0] < -700)
+        assert not mask.all() and np.all(R.conv1d(x, kernels, biases, 2).data[..., 0] < -700)
         for g, ref in zip(got, want):
             assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -430,7 +471,7 @@ class TestSkipLinear:
             return out.data, [p.grad for p in (x, w, b)]
 
         flat = lambda: T.reshape(T.transpose(x, (0, 2, 1, 3)), (3, 4, 15))  # noqa: E731
-        want, want_grads = grads(lambda: T.bias_add(T.matmul(flat(), w), b))
+        want, want_grads = grads(lambda: R.bias_add(R.matmul(flat(), w), b))
         out, out_grads = grads(lambda: T.skip_linear(x, w, b))
         assert np.array_equal(out, want)
         for got, ref in zip(out_grads, want_grads):
@@ -474,7 +515,7 @@ class TestLinear:
             tape.backward(loss)
             return out.data, [p.grad for p in (x, w, b)]
 
-        want, want_grads = grads(lambda: T.bias_add(T.matmul(x, w), b))
+        want, want_grads = grads(lambda: R.bias_add(R.matmul(x, w), b))
         out, out_grads = grads(lambda: T.linear(x, w, b))
         assert np.array_equal(out, want)
         for got, ref in zip(out_grads, want_grads):
@@ -631,10 +672,10 @@ class TestRetention:
 
 class TestElementwise:
     def test_sigmoid_zero(self):
-        assert T.sigmoid(t([0.0])).data[0] == 0.5
+        assert R.sigmoid(t([0.0])).data[0] == 0.5
 
     def test_sigmoid_extremes_finite(self):
-        out = T.sigmoid(t([-1e4, 1e4])).data
+        out = R.sigmoid(t([-1e4, 1e4])).data
         assert np.all(np.isfinite(out))
         assert out[0] == pytest.approx(0.0, abs=1e-12)
         assert out[1] == pytest.approx(1.0, abs=1e-12)
@@ -651,9 +692,9 @@ class TestElementwise:
 
         special = np.array([0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300, np.inf, -np.inf])
         d = np.concatenate([np.random.default_rng(13).normal(size=10**6), special])
-        new, ref = T.sigmoid(t(d)).data, split(d)
+        new, ref = R.sigmoid(t(d)).data, split(d)
         assert np.array_equal(new.view(np.int64), ref.view(np.int64))
-        assert np.isnan(T.sigmoid(t([np.nan])).data[0])
+        assert np.isnan(R.sigmoid(t([np.nan])).data[0])
 
     def test_tanh_zero(self):
         assert T.tanh(t([0.0])).data[0] == 0.0
@@ -698,24 +739,24 @@ class TestReduce:
 
 class TestConcatSlice:
     def test_concat_rows(self):
-        out = T.concat([t([[1.0]]), t([[2.0]])], axis=0)
+        out = R.concat([t([[1.0]]), t([[2.0]])], axis=0)
         assert out.data.tolist() == [[1.0], [2.0]]
 
     def test_channel_widths_sum(self):
         parts = [t(np.zeros((2, c))) for c in (1, 3, 2)]
-        assert T.concat(parts, axis=1).shape == (2, 6)
+        assert R.concat(parts, axis=1).shape == (2, 6)
 
     def test_grad_roundtrip_shapes(self):
         a, b = t(np.ones((2, 3))), t(np.ones((2, 2)))
         with Tape() as tape:
-            loss = T.reduce_sum(T.concat([a, b], axis=1))
+            loss = T.reduce_sum(R.concat([a, b], axis=1))
         tape.backward(loss)
         assert a.grad.shape == (2, 3) and b.grad.shape == (2, 2)
         assert np.all(a.grad == 1.0) and np.all(b.grad == 1.0)
 
     def test_incompatible(self):
         with pytest.raises(DimensionError):
-            T.concat([t(np.zeros((2, 3))), t(np.zeros((3, 3)))], axis=1)
+            R.concat([t(np.zeros((2, 3))), t(np.zeros((3, 3)))], axis=1)
 
     def test_narrow_backward(self):
         x = t(np.arange(6.0))
@@ -757,18 +798,18 @@ class TestConcatSlice:
         w = Tensor(rng.normal(size=(2, 3, 3)))
 
         def loss_fn():
-            s = T.stack(parts, axis=1)  # (2, 3, 3)
-            picked = T.stack([T.select(s, 1, 2), T.select(s, 1, 0)], axis=-1)
+            s = R.stack(parts, axis=1)  # (2, 3, 3)
+            picked = R.stack([T.select(s, 1, 2), T.select(s, 1, 0)], axis=-1)
             return T.add(T.reduce_sum(T.mul(s, w)), T.reduce_sum(T.mul(picked, picked)))
 
-        assert T.stack(parts, axis=1).shape == (2, 3, 3)
+        assert R.stack(parts, axis=1).shape == (2, 3, 3)
         assert_gradients_close(loss_fn, {f"p{i}": p for i, p in enumerate(parts)})
 
     def test_stack_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            T.stack([t(np.zeros((2, 3))), t(np.zeros((3, 2)))], axis=0)
+            R.stack([t(np.zeros((2, 3))), t(np.zeros((3, 2)))], axis=0)
         with pytest.raises(DimensionError):
-            T.stack([], axis=0)
+            R.stack([], axis=0)
 
     def test_segment_mean_matches_slices(self):
         rng = np.random.default_rng(6)
@@ -931,8 +972,8 @@ class TestPairwiseGraph:
     @staticmethod
     def chain(scores):
         """The elementwise ops the fused record replaces, on raw scores."""
-        gated = T.mul(T.relu(T.select(scores, -1, 0)), T.sigmoid(T.select(scores, -1, 1)))
-        return T.row_normalize(gated), gated
+        gated = T.mul(T.relu(T.select(scores, -1, 0)), R.sigmoid(T.select(scores, -1, 1)))
+        return R.row_normalize(gated), gated
 
     @pytest.mark.parametrize("shape", [(5, 3), (2, 4, 3)])
     def test_gradcheck(self, shape, blocking):
@@ -1020,18 +1061,18 @@ class TestGruSequence:
         """One step at a time: [γ, α] concatenated, one GEMM → bias →
         activation chain per gate, the states stacked."""
         def gate(cat, w, b, act):
-            return act(T.bias_add(T.matmul(cat, w), b))
+            return act(R.bias_add(R.matmul(cat, w), b))
 
         states = []
         for m in range(gammas.shape[1]):
             gamma = T.select(gammas, 1, m)
-            cat = T.concat([gamma, alpha], axis=2)
-            r = gate(cat, w_r, b_r, T.sigmoid)
-            u = gate(cat, w_u, b_u, T.sigmoid)
-            o = gate(T.concat([gamma, T.mul(r, alpha)], axis=2), w_o, b_o, T.tanh)
+            cat = R.concat([gamma, alpha], axis=2)
+            r = gate(cat, w_r, b_r, R.sigmoid)
+            u = gate(cat, w_u, b_u, R.sigmoid)
+            o = gate(R.concat([gamma, T.mul(r, alpha)], axis=2), w_o, b_o, T.tanh)
             alpha = T.add(T.mul(u, alpha), T.mul(1.0 - u, o))
             states.append(alpha)
-        return T.stack(states, axis=1)
+        return R.stack(states, axis=1)
 
     @pytest.mark.parametrize("b, m", [(1, 1), (1, 4), (2, 3)])
     def test_gradcheck(self, b, m):
@@ -1110,10 +1151,10 @@ class TestMixhop:
         x = T.reshape(xi, xi.shape[:1] + (count, length) + xi.shape[2:])
         a = T.reshape(adj, adj.shape[:1] + (count, 1) + adj.shape[2:])
         h = x
-        out = T.matmul(h, weights[0])
+        out = R.matmul(h, weights[0])
         for w in weights[1:]:
-            h = T.add(T.mul(x, beta), T.mul(T.matmul(a, h), 1.0 - beta))
-            out = T.add(out, T.matmul(h, w))
+            h = T.add(T.mul(x, beta), T.mul(R.matmul(a, h), 1.0 - beta))
+            out = T.add(out, R.matmul(h, w))
         return T.reshape(out, xi.shape[:-1] + out.shape[-1:])
 
     @pytest.mark.parametrize("beta", [0.0, 0.05, 1.0])
@@ -1170,7 +1211,7 @@ class TestMixhop:
             parts.append(T.mixhop(T.narrow(xi, 1, t0, n * length), T.narrow(adj, 1, m0, n),
                                   weights, beta, [(n, length)]))
             t0, m0 = t0 + n * length, m0 + n
-        return T.concat(parts, axis=1)
+        return R.concat(parts, axis=1)
 
     @pytest.mark.parametrize("runs", RUNS)
     def test_runs_match_per_run_chain(self, runs):
@@ -1388,12 +1429,12 @@ class TestRowNormalize:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(8)
         x = t(rng.random((4, 4)) + 0.1)
-        out = T.row_normalize(x)
+        out = R.row_normalize(x)
         assert np.allclose(out.data.sum(axis=-1), 1.0)
 
     def test_zero_row_passthrough(self):
         x = t([[0.0, 0.0], [2.0, 2.0]])
-        out = T.row_normalize(x)
+        out = R.row_normalize(x)
         assert out.data.tolist() == [[0.0, 0.0], [0.5, 0.5]]
 
     def test_gradients(self):
@@ -1401,7 +1442,7 @@ class TestRowNormalize:
         x = t(rng.random((3, 4)) + 0.5)
         w = rng.normal(size=(3, 4))
         assert_gradients_close(
-            lambda: T.reduce_sum(T.mul(T.row_normalize(x), Tensor(w))), {"x": x}
+            lambda: T.reduce_sum(T.mul(R.row_normalize(x), Tensor(w))), {"x": x}
         )
 
 
@@ -1439,7 +1480,7 @@ class TestBackward:
         # random 3-op chains over the differentiable op set
         rng = np.random.default_rng(10)
         units = [
-            lambda z: T.sigmoid(z),
+            lambda z: R.sigmoid(z),
             lambda z: T.tanh(z),
             lambda z: T.mul(z, z),
             lambda z: T.add(z, z),
@@ -1463,7 +1504,7 @@ class TestBackward:
             x = t(rng.normal(size=(4, 4)))
             w = t(rng.normal(size=(4, 2)))
             with Tape() as tape:
-                y = T.tanh(T.matmul(x, w))
+                y = T.tanh(R.matmul(x, w))
                 loss = T.reduce_mean(T.mul(y, y))
             tape.backward(loss)
             return loss.item(), x.grad.copy(), w.grad.copy()
