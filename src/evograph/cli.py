@@ -21,10 +21,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .config import ExperimentConfig, VARIANTS
+from .config import ExperimentConfig
 from .data import CsvLayout, Scaler, load_csv, save_csv, write_atomic
 from .errors import ConfigurationError, EvographError
 from .graph_learner import export_graphs
@@ -258,6 +256,9 @@ def cmd_export_graphs(args) -> int:
 
 
 def cmd_gen_synth(args) -> int:
+    if args.regimes < 1 or args.nodes < 2:
+        raise ConfigurationError(f"gen-synth needs --regimes ≥ 1 and --nodes ≥ 2, "
+                                 f"got {args.regimes} and {args.nodes}")
     out = claim_out_dir(args.out, args.force)
     if args.regimes == 2:
         spec = two_regime_benchmark(

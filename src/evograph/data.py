@@ -20,7 +20,7 @@ import math
 import os
 import uuid
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np

@@ -45,14 +45,13 @@ from .tensor import Tensor
 
 @dataclass
 class SegmentSpec:
-    """Partition of [0, T) into M mean-pooled segments of width d.
+    """M mean-pooled segments of [0, T), as (start, stop) boundaries.
 
-    Segments 1..M−1 have exactly d steps; the remainder (if any) is folded
+    :meth:`for_length` partitions [0, T) into segments of width d:
+    segments 1..M−1 have exactly d steps; the remainder (if any) is folded
     into the last segment, so its length is in [d, 2d).
     """
 
-    d: int
-    m: int
     boundaries: list[tuple[int, int]]
 
     @classmethod
@@ -64,11 +63,13 @@ class SegmentSpec:
                 f"T={t} shorter than segment interval d={d}; using one segment",
                 stacklevel=2,
             )
-            return cls(d=d, m=1, boundaries=[(0, t)])
+            return cls([(0, t)])
         m = t // d
-        boundaries = [(i * d, (i + 1) * d) for i in range(m - 1)]
-        boundaries.append(((m - 1) * d, t))
-        return cls(d=d, m=m, boundaries=boundaries)
+        return cls([(i * d, (i + 1) * d) for i in range(m - 1)] + [((m - 1) * d, t)])
+
+    @property
+    def m(self) -> int:
+        return len(self.boundaries)
 
     @property
     def length(self) -> int:
@@ -222,7 +223,7 @@ class Egl:
         alpha = self.init_hidden(alpha_s)
         if alpha.ndim == 2:
             alpha = T.broadcast_leading(alpha, batch)
-        spec = SegmentSpec(d=t, m=1, boundaries=[(0, t)])
+        spec = SegmentSpec([(0, t)])
         alpha = T.reshape(alpha, alpha.shape[:1] + (1,) + alpha.shape[1:])  # (B, 1, N, C_e)
         return EvolvingGraphSequence(*self.derive_adjacency(alpha), spec)
 

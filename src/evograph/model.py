@@ -343,7 +343,7 @@ class Model:
         # one sample whose M segments are the windows' last graphs
         last = self._sliced(starts.size, last_graphs)[None]
         ends = range(p, total + 1, d)
-        spec = SegmentSpec(d=d, m=len(ends), boundaries=[(e - d, e) for e in ends])
+        spec = SegmentSpec([(e - d, e) for e in ends])
         n = c.n_nodes
         return EvolvingGraphSequence(Tensor(last[..., :n]), last[..., n:], spec)
 

@@ -27,10 +27,10 @@ leaves (requires_grad tensors the tape did not produce) keep a gradient.
 Outside an active tape (or under :func:`no_grad`) operations compute
 forward values only.
 
-Design constraints: float64 everywhere; no implicit broadcasting between
-tensors (scalar * tensor excepted) — shape adaptation happens inside an
-op (a bias inside :func:`linear`) or through an explicit one
-(:func:`broadcast_leading`), so every backward rule stays auditable.
+Design constraints: float64 everywhere; no broadcasting and no scalar
+operands — shape adaptation happens inside an op (a bias inside
+:func:`linear`) or through an explicit one (:func:`broadcast_leading`), so
+every backward rule stays auditable.
 Eight ops are fused, each one tape record with a hand-written backward,
 so that a record keeps only what its backward reads:
 
@@ -263,38 +263,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # operator sugar -------------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
 
 def _accumulate(t: Tensor, g: Array) -> None:
     if not t.requires_grad:
@@ -341,15 +309,7 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # ---------------------------------------------------------------------------
 # Elementwise operations
 
-def add(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        b = float(b)
-        av = a
-
-        def back_scalar(g, av=av):
-            _accumulate(av, g)
-
-        return _make(a.data + b, (a,), back_scalar)
+def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
 
     def back(g, a=a, b=b):
@@ -359,14 +319,7 @@ def add(a: Tensor, b) -> Tensor:
     return _make(a.data + b.data, (a, b), back)
 
 
-def sub(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        b = float(b)
-
-        def back_scalar(g, a=a):
-            _accumulate(a, g)
-
-        return _make(a.data - b, (a,), back_scalar)
+def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "sub")
 
     def back(g, a=a, b=b):
@@ -376,19 +329,15 @@ def sub(a: Tensor, b) -> Tensor:
     return _make(a.data - b.data, (a, b), back)
 
 
-def mul(a: Tensor, b) -> Tensor:
-    if not isinstance(b, Tensor):
-        s = float(b)
-
-        def back_scalar(g, a=a, s=s):
-            _accumulate(a, g * s)
-
-        return _make(a.data * s, (a,), back_scalar)
+def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
 
     def back(g, a=a, b=b):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
+        # a constant operand (one that needs no gradient) costs no product
+        if a.requires_grad:
+            _accumulate(a, g * b.data)
+        if b.requires_grad:
+            _accumulate(b, g * a.data)
 
     return _make(a.data * b.data, (a, b), back)
 
@@ -437,31 +386,6 @@ def absolute(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Linear algebra
 
-def _summed_matmul(x: Array, y: Array, shape: tuple[int, ...]) -> Array:
-    """``x @ y`` summed down to ``shape`` (leading-axis broadcasting undone).
-
-    The leading axes that ``shape`` broadcasts are folded into the
-    contraction instead of summed after it, so the unreduced product is
-    never formed: a (B, 1, N, N) adjacency applied to (B, T, N, C) features
-    gets its gradient from one (N, T·C) × (T·C, N) product per batch entry
-    rather than from a (B, T, N, N) one, and a plain weight from one flat
-    GEMM.
-    """
-    lead = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
-    nl = len(lead)
-    target = (1,) * (nl + 2 - len(shape)) + tuple(shape)
-    summed = [i for i in range(nl) if target[i] == 1 and lead[i] != 1]
-    kept = [i for i in range(nl) if i not in summed]
-    rows = tuple(lead[i] for i in kept)
-    fold = math.prod(lead[i] for i in summed)
-    # x → (kept, P, summed·Q), y → (kept, summed·Q, R)
-    x = np.broadcast_to(x, lead + x.shape[-2:]).transpose(kept + [nl] + summed + [nl + 1])
-    y = np.broadcast_to(y, lead + y.shape[-2:]).transpose(kept + summed + [nl, nl + 1])
-    out = np.matmul(x.reshape(rows + (x.shape[len(kept)], fold * x.shape[-1])),
-                    y.reshape(rows + (fold * y.shape[-2], y.shape[-1])))
-    return out if out.shape == tuple(shape) else out.reshape(shape)
-
-
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Affine map along the last axis: ``x @ w + b`` for a (D_in, D_out)
     weight and a (D_out,) bias.
@@ -469,7 +393,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     One record, which keeps only its output.  The forward value and every
     gradient are those of a matrix product and a bias add recorded as two
     ops, bit for bit, without the second record and the product it would
-    hold.
+    hold.  Both the input and the weight gradient are one flat GEMM over
+    all of ``x``'s rows.
     """
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != (w.shape[1],):
         raise DimensionError(
@@ -482,7 +407,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if x.requires_grad:
             _accumulate(x, (g.reshape(-1, w.shape[1]) @ w.data.T).reshape(x.shape))
         if w.requires_grad:
-            _accumulate(w, _summed_matmul(np.swapaxes(x.data, -1, -2), g, w.shape))
+            _accumulate(w, x.data.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]))
         _accumulate(b, g.reshape(-1, g.shape[-1]).sum(axis=0))
 
     return _make(out, (x, w, b), back)
@@ -1205,9 +1130,10 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
     freeing dHₖ₊₁, Hₖ₋₁ and each term at their last use, and writes the
     run's ξ and Â gradients straight into their slices of one buffer each:
     the runs cover disjoint steps and graphs, so nothing is zero-filled or
-    added.  Each graph's gradient is summed over its d steps by
-    :func:`_summed_matmul`.  Operands that need no gradient get none, and
-    at Ψ = 0 the adjacency gets none either.
+    added.  Each graph's gradient sums its d steps inside one
+    (N, d·C) × (d·C, N) product of dHₖ and Hₖ₋₁, so the per-step products
+    are never formed.  Operands that need no gradient get none, and at
+    Ψ = 0 the adjacency gets none either.
     """
     if not weights:
         raise DimensionError("mixhop needs at least one projection weight")
@@ -1309,11 +1235,13 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
                 del d
             hk = hops.pop()  # Hₖ₋₁, read here for the last time
             if ga is not None:
-                term = _summed_matmul(dk, np.swapaxes(hk, -1, -2), a.shape)
+                # each graph's d steps summed in one (N, d·C) × (d·C, N) product
+                term = np.matmul(dk.transpose(0, 1, 3, 2, 4).reshape(a.shape[:2] + (n, -1)),
+                                 hk.transpose(0, 1, 2, 4, 3).reshape(a.shape[:2] + (-1, n)))
                 if k == len(weights) - 1:
-                    ga[...] = term
+                    ga[:, :, 0] = term
                 else:
-                    ga += term
+                    ga[:, :, 0] += term
                 del term
             del hk
             if gx is not None and beta:

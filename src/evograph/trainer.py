@@ -489,8 +489,13 @@ def run_ablation(dataset: TimeSeriesDataset, config: ExperimentConfig,
     for v in variants:
         if v not in VARIANTS:
             raise ConfigurationError(f"unknown variant {v!r}")
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be ≥ 1, got {jobs}")
     seeds = ablation_seeds(config, repeats)
     tasks = [(variant, seed) for variant in variants for seed in seeds]
+    if not tasks:
+        raise ConfigurationError(f"the ablation has no run: {len(variants)} variants "
+                                 f"and {len(seeds)} seeds (repeats {repeats})")
     t0 = time.perf_counter()
     if jobs > 1:
         payload = [(dataset.values, list(dataset.node_ids), config.to_dict(),

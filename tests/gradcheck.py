@@ -6,7 +6,7 @@ independent of the analytic backward rules it is checking.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 

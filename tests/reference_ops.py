@@ -6,11 +6,16 @@ checked against a chain of them (``tanh(conv1d)``, per-run ``mixhop`` plus
 ``row_normalize`` chain).  :func:`conv1d` is a thin wrapper over
 ``tensor._conv_bank`` and :func:`sigmoid` over ``tensor._sigmoid_into``, so
 their tests still exercise the code that :func:`tensor.gated_conv1d` and
-:func:`tensor.static_features` run.
+:func:`tensor.static_features` run.  :func:`summed_matmul`, the general
+broadcasting reducer behind :func:`matmul`'s gradients, is an oracle for
+the one fixed product that ``tensor.linear`` and ``tensor.mixhop`` each
+write out; :func:`full_like` stands in for a scalar operand, which the tape
+ops do not take.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -18,7 +23,13 @@ import numpy as np
 from evograph import tensor as T
 from evograph.errors import DimensionError
 from evograph.graph_learner import EvolvingGraphSequence, SegmentSpec
-from evograph.tensor import Tensor, _accumulate, _make
+from evograph.tensor import Array, Tensor, _accumulate, _make
+
+
+def full_like(x: Tensor, value: float) -> Tensor:
+    """A constant of ``x``'s shape, every entry ``value``: the tape ops take
+    no scalar operands.  A read-only broadcast view, so it costs no memory."""
+    return Tensor(np.broadcast_to(np.float64(value), x.shape))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -28,6 +39,31 @@ def sigmoid(x: Tensor) -> Tensor:
         _accumulate(x, g * out * (1.0 - out))
 
     return _make(out, (x,), back)
+
+
+def summed_matmul(x: Array, y: Array, shape: tuple[int, ...]) -> Array:
+    """``x @ y`` summed down to ``shape`` (leading-axis broadcasting undone).
+
+    The leading axes that ``shape`` broadcasts are folded into the
+    contraction instead of summed after it, so the unreduced product is
+    never formed: a (B, 1, N, N) adjacency applied to (B, T, N, C) features
+    gets its gradient from one (N, T·C) × (T·C, N) product per batch entry
+    rather than from a (B, T, N, N) one, and a plain weight from one flat
+    GEMM.
+    """
+    lead = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
+    nl = len(lead)
+    target = (1,) * (nl + 2 - len(shape)) + tuple(shape)
+    summed = [i for i in range(nl) if target[i] == 1 and lead[i] != 1]
+    kept = [i for i in range(nl) if i not in summed]
+    rows = tuple(lead[i] for i in kept)
+    fold = math.prod(lead[i] for i in summed)
+    # x → (kept, P, summed·Q), y → (kept, summed·Q, R)
+    x = np.broadcast_to(x, lead + x.shape[-2:]).transpose(kept + [nl] + summed + [nl + 1])
+    y = np.broadcast_to(y, lead + y.shape[-2:]).transpose(kept + summed + [nl, nl + 1])
+    out = np.matmul(x.reshape(rows + (x.shape[len(kept)], fold * x.shape[-1])),
+                    y.reshape(rows + (fold * y.shape[-2], y.shape[-1])))
+    return out if out.shape == tuple(shape) else out.reshape(shape)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -54,9 +90,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 # a plain weight: one flat GEMM over all of a's rows
                 _accumulate(a, (g.reshape(-1, b.shape[1]) @ b.data.T).reshape(a.shape))
             else:
-                _accumulate(a, T._summed_matmul(g, np.swapaxes(b.data, -1, -2), a.shape))
+                _accumulate(a, summed_matmul(g, np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
-            _accumulate(b, T._summed_matmul(np.swapaxes(a.data, -1, -2), g, b.shape))
+            _accumulate(b, summed_matmul(np.swapaxes(a.data, -1, -2), g, b.shape))
 
     return _make(out, (a, b), back)
 

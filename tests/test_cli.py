@@ -199,6 +199,34 @@ class TestOutClaimedFirst:
         assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
 
+class TestRejectedCounts:
+    """A count that leaves a command nothing to make is a configuration error."""
+
+    @pytest.mark.parametrize("regimes, nodes", [("0", "8"), ("3", "0"), ("3", "1")])
+    def test_gen_synth(self, tmp_path, capsys, regimes, nodes):
+        out = tmp_path / "synth"
+        code, err = run_cli(capsys, "gen-synth", "--regimes", regimes, "--nodes", nodes,
+                            "--out", str(out))
+        assert code == cli.EXIT_CONFIG
+        assert err["error"] == "ConfigurationError"
+        assert err["exit_code"] == cli.EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--repeats", "0"), ("--repeats", "-2"),
+                                             ("--jobs", "0")])
+    def test_ablate(self, tmp_path, capsys, flag, value):
+        _, data = tiny_run(tmp_path, None)
+        config = tmp_path / "config.json"
+        config.write_text(ExperimentConfig(model=TINY, train=TrainConfig(max_epochs=1)).to_json())
+        out = tmp_path / "ablation"
+        code, err = run_cli(capsys, "ablate", "--config", str(config), "--data", str(data),
+                            "--out", str(out), flag, value)
+        assert code == cli.EXIT_CONFIG
+        assert err["error"] == "ConfigurationError"
+        assert err["exit_code"] == cli.EXIT_CONFIG
+        assert not (out / "ablation.json").exists()
+
+
 class TestRuntimeErrors:
     def test_memory_error_exits_1_with_json(self, tmp_path, capsys, monkeypatch):
         def out_of_memory(args):

@@ -205,7 +205,7 @@ def per_segment_reference(egl, mh, xi, alpha_s, d, graph_input=None, time_offset
         r = gate(cat, g.w_r, g.b_r, R.sigmoid)
         u = gate(cat, g.w_u, g.b_u, R.sigmoid)
         o = gate(R.concat([gamma, T.mul(r, alpha)], axis=2), g.w_o, g.b_o, T.tanh)
-        alpha = T.add(T.mul(u, alpha), T.mul(1.0 - u, o))
+        alpha = T.add(T.mul(u, alpha), T.mul(T.sub(R.full_like(u, 1.0), u), o))
         adj, _ = T.pairwise_graph(alpha, egl.heads)  # (B, N, N), row-normalized
         s, e = max(start, lo) - lo, min(stop, hi) - lo
         if e > s:

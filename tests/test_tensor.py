@@ -31,10 +31,26 @@ def t(data, rg=True):
 ROOT = Path(__file__).resolve().parents[1]
 
 
+# what a call through evograph.tensor returns a Tensor from
+MAKES_TENSOR = {"Tensor"} | {name for name, fn in inspect.getmembers(T, inspect.isfunction)
+                             if fn.__annotations__.get("return") == "Tensor"}
+
+
+def returns_tensor(fn: ast.AST) -> bool:
+    """Whether ``fn`` is a function annotated to return a Tensor."""
+    if not isinstance(fn, ast.FunctionDef) or fn.returns is None:
+        return False
+    return ast.unparse(fn.returns).strip("'\"").split(".")[-1] == "Tensor"
+
+
 def tensor_calls(path: Path) -> set[str]:
     """The :mod:`evograph.tensor` functions that the module at ``path``
     calls: through the module under any alias (``T.name(...)``), by a
-    name imported from it, or by bare name inside ``tensor.py`` itself."""
+    name imported from it, or by bare name inside ``tensor.py`` itself.
+    As ``Tensor.<name>``, the Tensor methods it calls on the result of a
+    call that returns a Tensor: of a :mod:`evograph.tensor` function
+    annotated to return one, or of such a function of its own
+    (``loss().item()``)."""
     tree = ast.parse(path.read_text())
     own = path == ROOT / "src" / "evograph" / "tensor.py"
     modules, names = set(), {}
@@ -45,6 +61,14 @@ def tensor_calls(path: Path) -> set[str]:
                     modules.add(alias.asname or "tensor")
                 elif (node.module or "").split(".")[-1] == "tensor":
                     names[alias.asname or alias.name] = alias.name
+    local = {node.name for node in ast.walk(tree) if returns_tensor(node)}
+
+    def yields_tensor(f: ast.AST) -> bool:
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name) \
+                and f.value.id in modules:
+            return f.attr in MAKES_TENSOR
+        return isinstance(f, ast.Name) and (names.get(f.id) in MAKES_TENSOR or f.id in local)
+
     called = set()
     for node in ast.walk(tree):
         f = node.func if isinstance(node, ast.Call) else None
@@ -53,6 +77,9 @@ def tensor_calls(path: Path) -> set[str]:
             called.add(f.attr)
         elif isinstance(f, ast.Name) and (own or f.id in names):
             called.add(names.get(f.id, f.id))
+        if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Call) \
+                and yields_tensor(f.value.func):
+            called.add("Tensor." + f.attr)
     return called
 
 
@@ -60,9 +87,31 @@ def test_every_public_op_is_called_outside_the_tests():
     # an op that only tests call is an oracle: it belongs in reference_ops
     ops = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
            if fn.__module__ == T.__name__ and not name.startswith("_")}
+    ops |= {"Tensor." + name for name, _ in inspect.getmembers(T.Tensor, inspect.isfunction)
+            if not name.startswith("_")}
     called = set().union(*(tensor_calls(p) for d in ("src", "bench")
                            for p in sorted((ROOT / d).rglob("*.py"))))
     assert ops - called == set()
+
+
+def unused_imports(path: Path) -> list[str]:
+    """The names that top-level imports of the module at ``path`` bind and
+    the module never reads; a name listed in ``__all__`` is read."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    bound = [(node.lineno, alias.asname or alias.name.split(".")[0])
+             for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+             and getattr(node, "module", None) != "__future__" for alias in node.names]
+    return [f"{path.name}:{line} {name}" for line, name in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    paths = [p for d in ("src/evograph", "tests") for p in sorted((ROOT / d).glob("*.py"))]
+    assert [name for path in paths for name in unused_imports(path)] == []
 
 
 class TestMatmul:
@@ -142,7 +191,7 @@ class TestMatmul:
             out = T.transpose(R.matmul(a, b), axes)
             loss = T.reduce_sum(T.mul(out, Tensor(g.transpose(axes))))
         tape.backward(loss)
-        want = T._summed_matmul(g, b.data.T, a.shape)
+        want = R.summed_matmul(g, b.data.T, a.shape)
         assert np.max(np.abs(a.grad - want)) <= 1e-12 * np.max(np.abs(want))
         assert_gradients_close(lambda: T.reduce_sum(T.mul(R.matmul(a, b), Tensor(g))),
                                {"a": a, "b": b})
@@ -419,7 +468,8 @@ class TestGatedConv1d:
         def chain():
             y = R.conv1d(x, kernels, biases, dilation=2)
             gated = T.mul(R.sigmoid(T.narrow(y, -1, 0, 4)), T.tanh(T.narrow(y, -1, 4, 4)))
-            return T.mul(T.mul(gated, Tensor(mask.astype(np.float64))), 1.0 / (1.0 - rate))
+            dropped = T.mul(gated, Tensor(mask.astype(np.float64)))
+            return T.mul(dropped, R.full_like(dropped, 1.0 / (1.0 - rate)))
 
         want = grads(chain)
         got = grads(lambda: T.gated_conv1d(x, kernels, biases, 2, rate, True,
@@ -706,12 +756,6 @@ class TestElementwise:
         with pytest.raises(DimensionError):
             T.add(t([1.0]), t([1.0, 2.0]))
 
-    def test_scalar_ops(self):
-        x = t([1.0, 2.0])
-        assert (x * 2.0).data.tolist() == [2.0, 4.0]
-        assert (x + 1.0).data.tolist() == [2.0, 3.0]
-        assert (1.0 - x).data.tolist() == [0.0, -1.0]
-
 
 class TestReduce:
     def test_mean_hand(self):
@@ -783,7 +827,7 @@ class TestConcatSlice:
         x, y = t(rng.normal(size=5)), t(rng.normal(size=5))
         w_sum, w_x, w_y = (rng.normal(size=s) for s in (5, 2, 3))
         with Tape() as tape:
-            p, q = T.mul(x, 1.0), T.mul(y, 1.0)
+            p, q = T.mul(x, R.full_like(x, 1.0)), T.mul(y, R.full_like(y, 1.0))
             tail_x, head_y = T.narrow(p, 0, 3, 2), T.narrow(q, 0, 0, 3)
             loss = T.reduce_sum(T.mul(T.add(p, q), Tensor(w_sum)))
             loss = T.add(loss, T.reduce_sum(T.mul(tail_x, Tensor(w_x))))
@@ -1070,7 +1114,7 @@ class TestGruSequence:
             r = gate(cat, w_r, b_r, R.sigmoid)
             u = gate(cat, w_u, b_u, R.sigmoid)
             o = gate(R.concat([gamma, T.mul(r, alpha)], axis=2), w_o, b_o, T.tanh)
-            alpha = T.add(T.mul(u, alpha), T.mul(1.0 - u, o))
+            alpha = T.add(T.mul(u, alpha), T.mul(T.sub(R.full_like(u, 1.0), u), o))
             states.append(alpha)
         return R.stack(states, axis=1)
 
@@ -1153,7 +1197,8 @@ class TestMixhop:
         h = x
         out = R.matmul(h, weights[0])
         for w in weights[1:]:
-            h = T.add(T.mul(x, beta), T.mul(R.matmul(a, h), 1.0 - beta))
+            h = T.add(T.mul(x, R.full_like(x, beta)),
+                      T.mul(R.matmul(a, h), R.full_like(x, 1.0 - beta)))
             out = T.add(out, R.matmul(h, w))
         return T.reshape(out, xi.shape[:-1] + out.shape[-1:])
 
@@ -1630,7 +1675,7 @@ class TestBackward:
             with Tape() as tape:
                 z = x
                 for i in range(k):
-                    z = T.mul(z, 1.0 + 1.0 / (i + 2))
+                    z = T.mul(z, R.full_like(z, 1.0 + 1.0 / (i + 2)))
                 loss = T.reduce_sum(z)
             del z
             tracemalloc.reset_peak()

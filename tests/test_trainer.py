@@ -1,6 +1,4 @@
-import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +30,6 @@ from evograph.trainer import (
     scale_probe,
     train,
     write_history,
-    write_run_dir,
 )
 
 
@@ -216,7 +213,7 @@ class TestTrain:
 
         def forward(batch):
             calls.append(batch)
-            out = T.mul(w, float(batch.sum()))
+            out = T.mul(w, Tensor(np.full(w.shape, float(batch.sum()))))
             if len(calls) - 1 == bad_batch:
                 before_bad.update(w=w.data.copy(), t=opt.t)
                 out = nan_grad(out)
@@ -424,6 +421,12 @@ class TestAblation:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("variant,rmse_mean,rmse_std")
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("repeats, jobs", [(0, 1), (-1, 1), (1, 0), (1, -2)])
+    def test_no_run_or_no_worker_rejected(self, repeats, jobs):
+        with pytest.raises(ConfigurationError, match="ablation has no run|jobs"):
+            run_ablation(sine_dataset(), experiment(max_epochs=1), repeats=repeats,
+                         variants=("full",), jobs=jobs)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigurationError, match="variant"):
