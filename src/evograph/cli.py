@@ -139,10 +139,10 @@ def cmd_train(args) -> int:
     seed = resolve_seed(config, args.seed)
     config.model.seed = seed
     dataset = load_dataset(args.data, config.model.n_channels)
+    data = trainer.prepare_data(dataset, config)  # validates compatibility
 
     if args.dry_run:
         model = Model(config.model)
-        trainer.prepare_data(dataset, config)  # validates compatibility
         print_table(["parameters", "seed", "variant"],
                     [[model.parameter_count(), seed, config.model.variant]])
         return EXIT_OK
@@ -151,7 +151,7 @@ def cmd_train(args) -> int:
     manifest = RunManifest.create("train", args.config,
                                   trainer.dataset_hash(dataset), [seed])
     manifest.write(out)
-    _, _, result, report = trainer.run_experiment(dataset, config,
+    _, _, result, report = trainer.run_experiment(data, config,
                                                   out_dir=out, force=True)
     headers, rows = metric_table(report)
     print_table(headers, rows)
@@ -188,12 +188,14 @@ def cmd_ablate(args) -> int:
     seed = resolve_seed(config, args.seed)
     config.model.seed = seed
     dataset = load_dataset(args.data, config.model.n_channels)
+    data = trainer.prepare_data(dataset, config)
+    trainer.ablation_tasks(config, args.repeats, jobs=args.jobs)  # checks the counts
     out = claim_out_dir(args.out, args.force)
     seeds = trainer.ablation_seeds(config, args.repeats)
     manifest = RunManifest.create("ablate", args.config,
                                   trainer.dataset_hash(dataset), seeds)
     manifest.write(out)
-    report = trainer.run_ablation(dataset, config, repeats=args.repeats,
+    report = trainer.run_ablation(data, config, repeats=args.repeats,
                                   jobs=args.jobs)
     write_atomic(out / "ablation.json", report.to_json())
     report.write_csv(out / "ablation.csv")

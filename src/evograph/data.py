@@ -251,10 +251,6 @@ class Scaler:
     shift: Array  # (N, C)
     scale: Array  # (N, C)
 
-    def transform(self, x: Array) -> Array:
-        """Normalize an array whose trailing axes are (N, C)."""
-        return (np.asarray(x, dtype=np.float64) - self.shift) / self.scale
-
     def inverse(self, x: Array) -> Array:
         # C order whatever the input's layout: the metrics' sums run in
         # memory order, so a strided window view must not change their bits

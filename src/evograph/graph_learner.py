@@ -7,8 +7,9 @@ matrix by a pairwise scorer with a sigmoid mask, so a feature sequence of
 M segments yields M graphs that evolve smoothly in time.
 
 A layer's pipeline is a fixed number of ops whatever its segment count M:
-the M segment means are one op (none when d = 1), the GRU over them is one
-(:func:`tensor.gru_sequence`, which returns its M states as one
+the M segment means of the node-major (B, N, T, C) features are one op
+(none when d = 1), the GRU over them is one (:func:`tensor.gru_sequence`,
+which reads the (B, N, M, C) means and returns its M states as one
 (B, M, N, C_e) tensor), and the states are scored, gated and
 row-normalized in one more, so a layer's graphs come out as one
 (B, M, N, N) tensor; ``EvolvingGraphSequence.matrices`` holds its
@@ -119,11 +120,10 @@ class StaticFeatureExtractor:
         return (cls.KERNEL - 1) * cls.STRIDE + cls.KERNEL
 
     def __call__(self, series: Tensor) -> Tensor:
-        """series: (N, C, T*) → α_s: (N, C_s); a series shorter than
+        """series: (N, T*, C) → α_s: (N, C_s); a series shorter than
         :meth:`min_length` raises :class:`SequenceTooShortError`."""
-        h = T.transpose(series, (0, 2, 1))  # (N, T*, C): time on axis 1
         c1, c2 = self.conv1, self.conv2
-        pooled = T.static_features(h, c1.kernel, c1.bias, c2.kernel, c2.bias,
+        pooled = T.static_features(series, c1.kernel, c1.bias, c2.kernel, c2.bias,
                                    self.STRIDE)  # (N, C_hidden)
         return self.proj(pooled)
 
@@ -204,13 +204,13 @@ class Egl:
         """Full pipeline: segment means → initial state → GRU over the
         segments → per-segment graphs.
 
-        xi: (B, T, N, C_in) → M graphs as one (B, M, N, N) stack.
+        xi: (B, N, T, C_in) → M graphs as one (B, M, N, N) stack.
         """
         if self.gru is None:
             raise ContractError("this learner was built without a GRU (static only)")
-        spec = SegmentSpec.for_length(xi.shape[1], d)
-        # (B, M, N, C_in); when d = 1 each segment is one step
-        gammas = xi if spec.m == xi.shape[1] else T.segment_mean(xi, spec.boundaries)
+        spec = SegmentSpec.for_length(xi.shape[2], d)
+        # (B, N, M, C_in); when d = 1 each segment is one step
+        gammas = xi if spec.m == xi.shape[2] else T.segment_mean(xi, spec.boundaries)
         alpha = self.init_hidden(alpha_s)
         if alpha.ndim == 2:
             alpha = T.broadcast_leading(alpha, xi.shape[0])

@@ -1,13 +1,16 @@
 """Full forecasting model: stacked multi-scale extractors over learned
 evolving graphs, with residual, skip, and output modules.
 
-Layer l turns Z⁽ˡ⁾ into temporal features ξ⁽ˡ⁾ (gated inception), learns a
-sequence of adjacency matrices from ξ⁽ˡ⁾ (variant-dependent), propagates
-per segment, then layer-normalizes and adds the time-aligned residual in
-one op.  Skip projections collapse the raw input, every ξ⁽ˡ⁾, and the final
-state into a shared C_skip space feeding the two-layer output head; each
-reads its (B, T, N, C) branch directly, flattening each node's history only
-inside the op, so a branch's tape keeps no flattened copy.
+The backbone runs node-major: the (B, P, N, C) windows are viewed once as
+(B, N, P, C), and the input projection, every ξ⁽ˡ⁾ and every Z⁽ˡ⁾ are
+(B, N, T, C), time on axis −2.  Layer l turns Z⁽ˡ⁾ into temporal features
+ξ⁽ˡ⁾ (gated inception), learns a sequence of adjacency matrices from ξ⁽ˡ⁾
+(variant-dependent), propagates per segment, then layer-normalizes and
+adds the time-aligned residual in one op.  Skip projections collapse the
+raw input, every ξ⁽ˡ⁾, and the final state into a shared C_skip space
+feeding the two-layer output head; each is a :class:`Linear` on its
+branch's (B, N, T·C) view, each node's history as one row, so a branch's
+tape keeps no flattened copy.
 
 The layer loop exists once, in ``Model._branches``, a generator that yields
 each skip branch's input with its graphs and Z as it goes: ``forward``
@@ -131,8 +134,8 @@ class Model:
 
     def set_reference_series(self, series: np.ndarray) -> None:
         """Install the (normalized) training series (N, T*, C) that the
-        static representation is extracted from.  It must be finite
-        (:class:`NonFiniteError`) and at least
+        static representation is extracted from, as it is given.  It must
+        be finite (:class:`NonFiniteError`) and at least
         :meth:`StaticFeatureExtractor.min_length` steps long
         (:class:`SequenceTooShortError`)."""
         arr = np.asarray(series, dtype=np.float64)
@@ -149,7 +152,7 @@ class Model:
             )
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError("reference series holds non-finite values")
-        self.reference_series = Tensor(arr.transpose(0, 2, 1))  # (N, C, T*)
+        self.reference_series = Tensor(arr)
 
     def parameter_count(self) -> int:
         return self.store.count()
@@ -187,11 +190,14 @@ class Model:
                   ) -> Iterator[tuple[Tensor, EvolvingGraphSequence | None, Tensor]]:
         """The backbone, one skip branch at a time.
 
-        Yields (branch input, graphs, Z): first (x, None, Z⁽¹⁾), where Z⁽¹⁾
-        is the input projection, then (ξ⁽ˡ⁾, its graphs, Z⁽ˡ⁺¹⁾) for each
-        layer l.  A caller that stops iterating skips the later layers.
+        Yields (branch input, graphs, Z): first (x, None, Z⁽¹⁾), where x is
+        the windows viewed node-major and Z⁽¹⁾ their input projection, then
+        (ξ⁽ˡ⁾, its graphs, Z⁽ˡ⁺¹⁾) for each layer l; every branch input and
+        Z is (B, N, T, C).  A caller that stops iterating skips the later
+        layers.
         """
         c = self.config
+        x = T.transpose(x, (0, 2, 1, 3))
         raw_graphs = None
         if c.variant == "no_scale_specific":
             raw_graphs = self.raw_egl.evolve(x, alpha_s, d=c.intervals[0])
@@ -200,16 +206,16 @@ class Model:
         for layer in range(c.n_layers):
             xi = self.tcn_layers[layer](z, training=training, rng=rng)
             offset = 0
+            keep = xi.shape[2]
             if c.variant == "no_scale_specific":
-                graphs, offset = raw_graphs, c.window - xi.shape[1]
+                graphs, offset = raw_graphs, c.window - keep
             elif c.variant == "static_only":
                 graphs = self.egls[layer].static_sequence(
-                    alpha_s, t=xi.shape[1], batch=xi.shape[0])
+                    alpha_s, t=keep, batch=xi.shape[0])
             else:
                 graphs = self.egls[layer].evolve(xi, alpha_s, d=c.intervals[layer])
             zp = self.mixhops[layer].apply_per_segment(xi, graphs, time_offset=offset)
-            keep = xi.shape[1]
-            z = self.norms[layer](zp, T.narrow(z, 1, z.shape[1] - keep, keep))
+            z = self.norms[layer](zp, T.narrow(z, 2, z.shape[2] - keep, keep))
             yield xi, graphs, z
 
     def forward(self, x, training: bool = False,
@@ -225,8 +231,8 @@ class Model:
         skips = []
         branches = self._branches(x, alpha_s, training, rng)
         for scale, (feats, _, z) in enumerate(branches):
-            skips.append(T.skip_linear(feats, projs[scale].w, projs[scale].b))
-        skips.append(T.skip_linear(z, self.skip_out.w, self.skip_out.b))
+            skips.append(projs[scale](_histories(feats)))
+        skips.append(self.skip_out(_histories(z)))
 
         agg = skips[0]
         for s in skips[1:]:
@@ -289,8 +295,8 @@ class Model:
                 f"scale index {scale} out of range 0..{c.n_layers + 1}"
             )
         x = self._as_input(x).data
-        return self._sliced(
-            len(x), lambda s, alpha_s: _flat(self._walk(Tensor(x[s]), alpha_s, scale)[0].data))
+        return self._sliced(len(x), lambda s, alpha_s: _histories(
+            self._walk(Tensor(x[s]), alpha_s, scale)[0]).data)
 
     def graph_inspection(self, series, layer: int) -> EvolvingGraphSequence:
         """The graphs layer ``layer`` (1..L) applies across a series.
@@ -348,11 +354,10 @@ class Model:
         return EvolvingGraphSequence(Tensor(last[..., :n]), last[..., n:], spec)
 
 
-def _flat(x: np.ndarray) -> np.ndarray:
-    """(B, T, N, C) → (B, N, T·C): each node's history as the vector that
-    :func:`~evograph.tensor.skip_linear` projects."""
-    b, t, n, c = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, n, t * c)
+def _histories(x: Tensor) -> Tensor:
+    """(B, N, T, C) → (B, N, T·C): each node's history as the row its skip
+    projection reads; a view when ``x`` is C-contiguous."""
+    return T.reshape(x, x.shape[:2] + (-1,))
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +387,8 @@ def save_checkpoint(model: Model, path, epoch: int = 0,
         "version": CHECKPOINT_VERSION,
         "config": model.config.to_dict(),
         "params": {name: _encode(p.data) for name, p in model.store.params.items()},
-        "reference_series": _encode(model.reference_series.data),
+        # stored (N, C, T*), the layout checkpoints have always held
+        "reference_series": _encode(model.reference_series.data.transpose(0, 2, 1)),
         "epoch": epoch,
         "scaler": scaler,
     }
@@ -446,14 +452,12 @@ def load_checkpoint(path) -> tuple[Model, dict]:
         if not np.all(np.isfinite(arr)):
             raise LoadError(f"parameter {name} holds non-finite values")
         p.data = arr
-    ref = _decode(blob["reference_series"])
-    n, c = config.n_nodes, config.n_channels
-    t_min = StaticFeatureExtractor.min_length()
-    if ref.ndim != 3 or ref.shape[:2] != (n, c) or ref.shape[2] < t_min \
-            or not np.all(np.isfinite(ref)):
-        raise LoadError(f"checkpoint reference series is not a finite (N={n}, C={c}, "
-                        f"T* ≥ {t_min}) array: shape {ref.shape}")
-    model.reference_series = Tensor(ref)
+    ref = _decode(blob["reference_series"])  # (N, C, T*)
+    try:
+        model.set_reference_series(ref.transpose(0, 2, 1) if ref.ndim == 3 else ref)
+    except (DimensionError, NonFiniteError) as exc:
+        raise LoadError(f"checkpoint {path} has a bad reference series, stored as "
+                        f"(N, C, T*): {exc}") from None
     scaler = blob.get("scaler")
     if scaler is not None:
         _check_scaler(scaler, model.config)

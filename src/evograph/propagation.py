@@ -8,14 +8,15 @@ normalized: the graph learner's :func:`tensor.pairwise_graph` record does
 it once per graph, so nothing here normalizes or copies them.
 
 A layer's graphs arrive as one (B, M, N, N) stack, which is checked once.
-The segments the features overlap are grouped into runs of equal length,
-and the whole layer is one :func:`tensor.mixhop` record: each run's steps
-are viewed as (B, n, d, N, C), and each hop is one batched product with
-the run's (B, n, 1, N, N) graphs broadcast over the d steps of their
-segment (for d = 1, one graph per step).  A longer last segment, or a
-first one clipped by a time offset, is one more run of the same record,
-written into its own slice of the one output buffer.  No per-step copy of
-the graphs is made, and no part of the output is copied to join the runs.
+The features are node-major, (B, N, T, C).  The segments they overlap are
+grouped into runs of equal length, and the whole layer is one
+:func:`tensor.mixhop` record: each run's steps are viewed, with no copy, as
+(B, n, N, d·C), each node's d steps of a segment side by side, so each hop
+is one (N × N)(N × d·C) product per graph (for d = 1, one graph per step).
+A longer last segment, or a first one clipped by a time offset, is one
+more run of the same record, written into its own slice of the one output
+buffer.  No per-step copy of the graphs is made, and no part of the output
+is copied to join the runs.
 
 The record runs all Ψ hops and Ψ + 1 projections and keeps only its
 output: the backward pass rebuilds one run's Ψ hop states at a time from
@@ -57,7 +58,7 @@ class MixHop:
             proj.data *= 0.0
 
     def propagate(self, xi: Tensor, adj: Tensor, runs: list[tuple[int, int]]) -> Tensor:
-        """xi: (B, T, N, C_in) → (B, T, N, C_out) through nonnegative,
+        """xi: (B, N, T, C_in) → (B, N, T, C_out) through nonnegative,
         already row-normalized ``adj``, (B, M, N, N).
 
         ``runs``, (segment count, segment length) pairs, tile ξ's T steps
@@ -85,7 +86,7 @@ class MixHop:
         into runs of equal length and propagated by one :meth:`propagate`
         call; the graphs are narrowed, as a view, to those segments.
         """
-        t = xi.shape[1]
+        t = xi.shape[2]
         lo, hi = time_offset, time_offset + t
         if graphs.spec.boundaries[0][0] > lo or graphs.spec.length < hi:
             raise ContractError(

@@ -1,9 +1,9 @@
 """Multi-scale temporal convolution: dilated inception banks with gated fusion.
 
-Sequences flow as (B, T, N, C) tensors and are convolved in that
-channel-last layout, time on axis 1.  Convolutions are causal and valid (no
-padding), so each layer shortens the sequence by (k_max − 1) · dilation and
-keeps the most recent steps.
+Sequences flow node-major, as (B, N, T, C) tensors, and are convolved in
+that channel-last layout, time on axis −2, as B·N independent sequences.
+Convolutions are causal and valid (no padding), so each layer shortens the
+sequence by (k_max − 1) · dilation and keeps the most recent steps.
 
 An inception bank is one causal convolution per filter size.  Its branches
 are aligned on the most recent sample and cut to the widest branch's output
@@ -63,6 +63,6 @@ class TcnLayer:
 
     def __call__(self, x: Tensor, training: bool = False,
                  rng: np.random.Generator | None = None) -> Tensor:
-        """x: (B, T, N, C_in) → (B, T − (k_max − 1)·dilation, N, c_out)."""
+        """x: (B, N, T, C_in) → (B, N, T − (k_max − 1)·dilation, c_out)."""
         return T.gated_conv1d(x, self.kernels, self.biases, self.dilation,
                               self.dropout, training, rng)

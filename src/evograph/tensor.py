@@ -2,20 +2,21 @@
 
 The operation set is what the forecasting model runs: elementwise
 arithmetic, tanh, ReLU and |·|, reductions and segment means,
-slicing/reshaping, a leading-axis broadcast, and eight fused ops that
+slicing/reshaping, a leading-axis broadcast, and seven fused ops that
 run the architecture's layers.  Slices (:func:`narrow`, :func:`select`)
 are views of their input, and their backward adds into the input's
 gradient buffer in place.
 
-:func:`_conv_bank` is the convolution under :func:`gated_conv1d` and
-:func:`static_features`'s second convolution.  It works on channel-last
-(B, T, ..., C) input, the layout the model's (B, T, N, C) sequences
-already have.  It takes a bank of kernels of possibly different widths,
-all aligned on the most recent sample, with optional biases, and
-concatenates their outputs along the channel axis, so a whole inception
-layer is one record.  Both passes are one GEMM per tap of the widest
-kernel over a (B, T_out·…, C) view of the input, so no im2col copy is
-made.
+The model's sequences are node-major, (B, N, T, C): the ops that run
+along time take it as axis −2, and those that mix nodes see each node's
+steps as one row.  :func:`_conv_bank` is the convolution under
+:func:`gated_conv1d` and :func:`static_features`'s second convolution.  It
+works on channel-last (..., T, C) input, the leading axes one batch of
+sequences.  It takes a bank of kernels of possibly different widths, all
+aligned on the most recent sample, with optional biases, and concatenates
+their outputs along the channel axis, so a whole inception layer is one
+record.  Both passes are one batched GEMM per tap of the widest kernel over
+a (sequences, T_out, C) view of the input, so no im2col copy is made.
 
 Gradients are recorded on an explicit :class:`Tape`. Each operation
 appends one record holding the output tensor, its parents and a backward
@@ -31,7 +32,7 @@ Design constraints: float64 everywhere; no broadcasting and no scalar
 operands — shape adaptation happens inside an op (a bias inside
 :func:`linear`) or through an explicit one (:func:`broadcast_leading`), so
 every backward rule stays auditable.
-Eight ops are fused, each one tape record with a hand-written backward,
+Seven ops are fused, each one tape record with a hand-written backward,
 so that a record keeps only what its backward reads:
 
 - :func:`pairwise_graph` scores all node pairs with an edge and a mask
@@ -44,8 +45,9 @@ so that a record keeps only what its backward reads:
   output, and from those every step's gates and candidates at once;
 - :func:`mixhop` runs every hop and projection of mix-hop graph
   propagation, for every run of equal-length segments of a layer into one
-  output buffer, keeping only its output: the backward rebuilds one run's
-  hop states at a time from ξ and Â and frees each at its last use;
+  output buffer, each hop one GEMM per graph, keeping only its output: the
+  backward rebuilds one run's hop states at a time from ξ and Â and frees
+  each at its last use;
 - :func:`gated_conv1d` runs a kernel bank, its σ·tanh gating and dropout
   in place, keeping σ, the dropout mask and its output: the backward
   reads tanh back from the output;
@@ -55,8 +57,6 @@ so that a record keeps only what its backward reads:
   chunk at a time;
 - :func:`layer_norm_residual` normalises, applies the affine map and adds
   a residual in one buffer, keeping a mean and a scale per row;
-- :func:`skip_linear` projects each node's flattened history, forming the
-  flatten only transiently in each pass;
 - :func:`linear` is an affine map that keeps only its output.
 
 The generic ops that the tests chain into oracles for them (``conv1d``,
@@ -413,20 +413,24 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out, (x, w, b), back)
 
 
+_BANK_BLOCK = 1 << 17  # (sequences, C_in, ΣC_j) partial sums per chunk of _conv_bank's backward
+
+
 def _conv_bank(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | None,
                dilation: int, stride: int) -> tuple[Array, Callable[[Array], None]]:
     """The forward value of a kernel bank and the backward that goes with it.
 
-    Returns the (B, T_out, ..., ΣC_j) output and ``back(g)``, which takes
+    Returns the (..., T_out, ΣC_j) output and ``back(g)``, which takes
     the output's gradient in any shape with ΣC_j columns and accumulates
     the gradients of ``x``, the kernels and the biases.
     :func:`gated_conv1d` and :func:`static_features` share it, so the
     per-tap GEMM loop exists once.
 
-    ``x`` has shape (B, T, ..., C_in) with time on axis 1.  Kernel j has
-    shape (C_j, C_in, k_j) and the optional bias j (C_j,); the outputs of
-    the kernels are concatenated in order along the last axis, so the
-    output is (B, T_out, ..., ΣC_j) with
+    ``x`` has shape (..., T, C_in), time on axis −2, and at least one
+    leading axis; the leading axes are one batch of sequences.  Kernel j
+    has shape (C_j, C_in, k_j) and the optional bias j (C_j,); the outputs
+    of the kernels are concatenated in order along the last axis, so the
+    output is (..., T_out, ΣC_j) with
     ``T_out = (T - (k_max-1)*dilation - 1) // stride + 1``; with stride 1
     that is exactly ``T - (k_max-1)*dilation``.  Tap 0 of every kernel
     aligns with the most recent sample, so output step j sees inputs at
@@ -438,14 +442,14 @@ def _conv_bank(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | 
     if dilation < 1 or stride < 1:
         raise DimensionError("conv1d: dilation and stride must be >= 1")
     if x.ndim < 3:
-        raise DimensionError(f"conv1d: input must be (B, T, ..., C_in), got {x.shape}")
+        raise DimensionError(f"conv1d: input must be (..., T, C_in), got {x.shape}")
     c_in = x.shape[-1]
     if not shapes or any(len(sh) != 3 or sh[1] != c_in for sh in shapes):
         raise DimensionError(f"conv1d: kernels {shapes} are not (C_j, {c_in}, k_j)")
     if biases is not None and [b.shape for b in biases] != [sh[:1] for sh in shapes]:
         raise DimensionError(f"conv1d: biases {[b.shape for b in biases]} do not match {shapes}")
     k_max = max(sh[2] for sh in shapes)
-    t = x.shape[1]
+    t = x.shape[-2]
     span = (k_max - 1) * dilation
     if t <= span:
         raise SequenceTooShortError(
@@ -455,9 +459,7 @@ def _conv_bank(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | 
     t_out = (t - span - 1) // stride + 1
     win = (t_out - 1) * stride + 1
     offsets = [span - dilation * tau for tau in range(k_max)]
-    n_batch = x.shape[0]
-    tap_shape = (n_batch, t_out) + x.shape[2:-1]
-    xd = np.ascontiguousarray(x.data)
+    xd = np.ascontiguousarray(x.data).reshape(-1, t, c_in)
     # one contiguous (C_in, ΣC_j) weight per tap; kernel j fills columns
     # cols[j] of its first k_j taps
     ends = list(itertools.accumulate(sh[0] for sh in shapes))
@@ -468,8 +470,8 @@ def _conv_bank(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | 
         w[:k.shape[2], :, col] = k.data.transpose(2, 1, 0)
 
     def rows(off: int) -> Array:
-        """(B, T_out·…, C_in) input rows read by the tap at ``off``; a view at stride 1."""
-        return xd[:, off:off + win:stride].reshape(n_batch, -1, c_in)
+        """(sequences, T_out, C_in) input rows read by the tap at ``off``, a view."""
+        return xd[:, off:off + win:stride]
 
     out = rows(offsets[0]) @ w[0]
     if k_max > 1:
@@ -482,26 +484,30 @@ def _conv_bank(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | 
         out += np.concatenate([b.data for b in biases])
 
     def back(g):
-        g2 = g.reshape(-1, c_out)
+        g3 = g.reshape(-1, t_out, c_out)
         if any(k.requires_grad for k in kernels):
-            g3 = g2.reshape(n_batch, -1, c_out)
-            gw = np.empty_like(w)
-            for tau, off in enumerate(offsets):
-                # (B, C_in, R) × (B, R, ΣC_j), summed over the batch
-                gw[tau] = np.matmul(rows(off).transpose(0, 2, 1), g3).sum(axis=0)
+            gw = np.zeros_like(w)
+            # (S, C_in, T_out) × (S, T_out, ΣC_j) per tap, summed over the S
+            # sequences of a chunk, so the per-sequence products stay small
+            step = max(1, _BANK_BLOCK // (c_in * c_out))
+            for s in range(0, len(xd), step):
+                ss = slice(s, s + step)
+                for tau, off in enumerate(offsets):
+                    gw[tau] += np.matmul(rows(off)[ss].transpose(0, 2, 1), g3[ss]).sum(axis=0)
             for k, col in zip(kernels, cols):
                 _accumulate(k, gw[:k.shape[2], :, col].transpose(2, 1, 0))
+        g2 = g3.reshape(-1, c_out)
         if x.requires_grad:
             gx = np.zeros_like(xd)
             for tau, off in enumerate(offsets):
-                gx[:, off:off + win:stride] += (g2 @ w[tau].T).reshape(tap_shape + (c_in,))
-            _accumulate(x, gx)
+                gx[:, off:off + win:stride] += (g2 @ w[tau].T).reshape(g3.shape[:2] + (c_in,))
+            _accumulate(x, gx.reshape(x.shape))
         if biases is not None:
             gb = g2.sum(axis=0)
             for b, col in zip(biases, cols):
                 _accumulate(b, gb[col])
 
-    return out.reshape(tap_shape + (c_out,)), back
+    return out.reshape(x.shape[:-2] + (t_out, c_out)), back
 
 
 _STATIC_BLOCK = 1 << 19  # first-convolution output elements per node chunk of static_features
@@ -605,10 +611,13 @@ def gated_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
 
     a and b are the first and second half of the channels of the stride-1
     :func:`_conv_bank` of ``x`` with the bank, so the output is
-    (B, T_out, ..., ΣC_j / 2) and lies in (−1, 1) before dropout.  Dropout
-    is inverted: in training mode at a rate above 0 it draws
+    (..., T_out, ΣC_j / 2) and lies in (−1, 1) before dropout.  Dropout
+    is inverted: in training mode at a rate above 0 it keeps the units where
     ``rng.random(shape) >= rate`` and scales the survivors by
-    1 / (1 − rate); otherwise it is the identity, and draws nothing.
+    1 / (1 − rate); otherwise it is the identity, and draws nothing.  The
+    draw numbers the units time-major, with the output's time axis moved to
+    axis 1: (B, T_out, N, C) for a (B, N, T_out, C) output, so a seed drops
+    the same units whichever way the sequences are laid out.
 
     One record: σ(a) and tanh(b) are computed into two arrays of their
     own, with the arithmetic of :func:`_sigmoid_into` and :func:`tanh`, the
@@ -637,8 +646,10 @@ def gated_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
     del y
     xi = sig * th
     del th
-    mask = _dropout_mask(shape, rate, training, rng)
+    mask = _dropout_mask(shape[:1] + shape[-2:-1] + shape[1:-2] + shape[-1:],
+                         rate, training, rng)
     if mask is not None:
+        mask = np.ascontiguousarray(np.moveaxis(mask, 1, -2))
         scale = 1.0 / (1.0 - rate)
         xi *= mask.reshape(-1, c)
         xi *= scale
@@ -672,38 +683,6 @@ def gated_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
         bank_back(gy)
 
     return _make(xi.reshape(shape), (x, *kernels, *biases), back)
-
-
-def skip_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map of each node's whole history: (B, T, N, C) → (B, N, S).
-
-    Node n of sample i reads ``x[i, :, n, :]`` as one T·C vector, time-major
-    with channels fastest, against ``w`` (T·C, S) and adds ``b`` (S,).  The
-    (B, N, T·C) flatten is formed only transiently, once in each pass, so
-    the record holds no copy of ``x``, whose producer keeps it anyway.
-    """
-    if x.ndim != 4 or w.ndim != 2 or w.shape[0] != x.shape[1] * x.shape[3] \
-            or b.shape != (w.shape[1],):
-        raise DimensionError(
-            f"skip_linear: weight {w.shape} and bias {b.shape} do not fit "
-            f"(B, T, N, C) features {x.shape}"
-        )
-    n_batch, t, n, c = x.shape
-    s = w.shape[1]
-    out = np.matmul(x.data.transpose(0, 2, 1, 3).reshape(n_batch, n, t * c), w.data)
-    out += b.data
-
-    def back(g):
-        g2 = g.reshape(-1, s)
-        if x.requires_grad:
-            gx = (g2 @ w.data.T).reshape(n_batch, n, t, c).transpose(0, 2, 1, 3)
-            _accumulate(x, gx)
-        if w.requires_grad:
-            # the flatten's transpose, (T·C, B·N), copied straight from x
-            _accumulate(w, x.data.transpose(1, 3, 0, 2).reshape(t * c, -1) @ g2)
-        _accumulate(b, g2.sum(axis=0))
-
-    return _make(out, (x, w, b), back)
 
 
 # ---------------------------------------------------------------------------
@@ -778,24 +757,24 @@ def select(x: Tensor, axis: int, index: int) -> Tensor:
 
 
 def segment_mean(x: Tensor, boundaries: Sequence[tuple[int, int]]) -> Tensor:
-    """Mean over each range [start, stop) of axis 1: (B, T, ...) → (B, M, ...).
+    """Mean over each range [start, stop) of axis −2: (..., T, C) → (..., M, C).
 
     The M ranges must tile [0, T) in order.
     """
     if x.ndim < 2:
-        raise DimensionError(f"segment_mean: input must be (B, T, ...), got {x.shape}")
+        raise DimensionError(f"segment_mean: input must be (..., T, C), got {x.shape}")
     edges = [0] + [stop for _, stop in boundaries]
     lengths = np.diff(edges)
     if not boundaries or [start for start, _ in boundaries] != edges[:-1] \
-            or np.any(lengths < 1) or edges[-1] != x.shape[1]:
+            or np.any(lengths < 1) or edges[-1] != x.shape[-2]:
         raise DimensionError(
-            f"segment_mean: {list(boundaries)} do not tile [0, {x.shape[1]})"
+            f"segment_mean: {list(boundaries)} do not tile [0, {x.shape[-2]})"
         )
-    counts = lengths.reshape((1, -1) + (1,) * (x.ndim - 2))
-    out = np.stack([x.data[:, start:stop].mean(axis=1) for start, stop in boundaries], axis=1)
+    out = np.stack([x.data[..., start:stop, :].mean(axis=-2) for start, stop in boundaries],
+                   axis=-2)
 
     def back(g, x=x):
-        _accumulate(x, np.repeat(g / counts, lengths, axis=1))
+        _accumulate(x, np.repeat(g / lengths[:, None], lengths, axis=-2))
 
     return _make(out, (x,), back)
 
@@ -976,7 +955,7 @@ def pairwise_graph(alpha: Tensor, heads: Sequence[tuple[Tensor, Tensor, Tensor, 
 
 def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: Tensor,
                  b_r: Tensor, b_u: Tensor, b_o: Tensor) -> Tensor:
-    """Run a GRU over M steps of per-node inputs: (B, M, N, C) → (B, M, N, H).
+    """Run a GRU over M steps of per-node inputs: (B, N, M, C) → (B, M, N, H).
 
     ``alpha0`` (B, N, H) is the initial state.  Each weight is (C + H, H):
     its first C rows read the input γ, the rest the state α.  Step m is
@@ -999,14 +978,15 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
     through time with only the two products with the state weights'
     transposes in its loop; the weight, bias and γ gradients are single
     GEMMs over all steps after it.  Per-step arrays are time-major, so each
-    step's slice is contiguous.
+    step's slice is contiguous; the output is time-major too, one (B, N, H)
+    state per step.
     """
     if gammas.ndim != 4 or alpha0.ndim != 3:
         raise DimensionError(
-            f"gru_sequence needs (B, M, N, C) inputs and a (B, N, H) state, "
+            f"gru_sequence needs (B, N, M, C) inputs and a (B, N, H) state, "
             f"got {gammas.shape} and {alpha0.shape}"
         )
-    b, m, n, c = gammas.shape
+    b, n, m, c = gammas.shape
     hd = alpha0.shape[-1]
     if alpha0.shape != (b, n, hd) \
             or any(w.shape != (c + hd, hd) for w in (w_r, w_u, w_o)) \
@@ -1026,7 +1006,7 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
 
     def gam() -> Array:
         """γ time-major, (M·B·N, C)."""
-        return gammas.data.transpose(1, 0, 2, 3).reshape(m * rows, c)
+        return gammas.data.transpose(2, 0, 1, 3).reshape(m * rows, c)
 
     pre = (gam() @ w_in + bias).reshape(m, rows, 3 * hd)
     states = np.empty((m + 1, rows, hd))
@@ -1088,7 +1068,7 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
         _accumulate(alpha0, carry.reshape(b, n, hd))
         d_flat = d_pre.reshape(-1, 3 * hd)
         if gammas.requires_grad:
-            d_gam = (d_flat @ w_in.T).reshape(m, b, n, c).transpose(1, 0, 2, 3)
+            d_gam = (d_flat @ w_in.T).reshape(m, b, n, c).transpose(1, 2, 0, 3)
             _accumulate(gammas, d_gam)
         g_in = gam().T @ d_flat
         g_ru = prev.reshape(-1, hd).T @ d_flat[:, :2 * hd]
@@ -1107,13 +1087,14 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
            runs: Sequence[tuple[int, int]]) -> Tensor:
     """Mix-hop propagation of depth Ψ = len(weights) − 1: Σₖ Hₖ Wₖ.
 
-    H₀ = ξ and Hₖ = β·ξ + (1 − β)·Â·Hₖ₋₁.  ``xi`` is (B, T, N, C_in),
+    H₀ = ξ and Hₖ = β·ξ + (1 − β)·Â·Hₖ₋₁.  ``xi`` is (B, N, T, C_in),
     ``adj`` (B, M, N, N), one graph per segment, and each weight is
     (C_in, C_out).  ``runs``, (segment count n, segment length d) pairs,
     split ξ's T steps and Â's M graphs in order and must tile both: each
-    run's steps, viewed as (B, n, d, N, C), go through its graphs viewed as
-    (B, n, 1, N, N).  One graph per step is one run of (T, 1), and one
-    graph for all steps one run of (1, T).
+    run's steps, viewed with no copy as (B, n, N, d·C), one row of d steps
+    per node, go through its (B, n, N, N) graphs, so each hop is one
+    (N × N)(N × d·C) GEMM per graph.  One graph per step is one run of
+    (T, 1), and one graph for all steps one run of (1, T).
 
     Each run writes into its slice of one output buffer.  The forward pass
     runs the hops in place with β·ξ computed once per run, in the operation
@@ -1138,9 +1119,9 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
     if not weights:
         raise DimensionError("mixhop needs at least one projection weight")
     if xi.ndim != 4 or adj.ndim != 4 or adj.shape[0] != xi.shape[0] \
-            or adj.shape[2:] != (xi.shape[2],) * 2:
+            or adj.shape[2:] != (xi.shape[1],) * 2:
         raise DimensionError(f"mixhop: adjacency {adj.shape} does not fit features {xi.shape}")
-    b, steps, n, c_in = xi.shape
+    b, n, steps, c_in = xi.shape
     c_out = weights[0].shape[-1]
     if any(w.shape != (c_in, c_out) for w in weights):
         raise DimensionError(
@@ -1152,57 +1133,56 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
             or sum(count for count, _ in runs) != adj.shape[1]:
         raise DimensionError(f"mixhop: runs {list(runs)} do not tile {steps} "
                              f"steps and {adj.shape[1]} graphs")
-    # per run: its steps of ξ and its graphs of Â (indices on axis 1), and
-    # the shapes they are viewed in
+    # per run: its steps of ξ (axis 2), its graphs of Â (axis 1) and its
+    # segment count
     pieces = []
     t0 = m0 = 0
     for count, length in runs:
         t1, m1 = t0 + count * length, m0 + count
-        pieces.append((slice(t0, t1), slice(m0, m1),
-                       (b, count, length, n, c_in), (b, count, 1, n, n)))
+        pieces.append((slice(t0, t1), slice(m0, m1), count))
         t0, m0 = t1, m1
     beta = float(beta)
     keep = 1.0 - beta
 
-    def view(arr: Array, idx: slice, shape: tuple[int, ...]) -> Array:
-        """A run's part of ``arr``; a view of a C-contiguous ``arr``."""
-        return arr[:, idx].reshape(shape)
+    def by_graph(arr: Array, count: int) -> Array:
+        """A run's (B, N, d·n, C) steps as (B, n, N, d·C), each graph's
+        segment one (N, d·C) block: a view."""
+        return arr.reshape(b, n, count, -1).transpose(0, 2, 1, 3)
 
-    def walk(x: Array, a: Array) -> Iterator[Array]:
-        """H₁ … H_Ψ of one run, each a new array, in the one op order both
-        passes use."""
+    def walk(x: Array, a: Array, count: int) -> Iterator[Array]:
+        """H₁ … H_Ψ of one run, each a new (B, N, d·n, C) array, in the one
+        op order both passes use."""
         if len(weights) == 1:
             return
         retained = x * beta
         h = x
         for _ in weights[1:]:
-            h = np.matmul(a, h)
-            h *= keep
-            h += retained
+            nxt = np.empty(x.shape)
+            np.matmul(a, by_graph(h, count), out=by_graph(nxt, count))
+            nxt *= keep
+            nxt += retained
+            h = nxt
             yield h
 
-    def forward_run(x: Array, a: Array, o: Array) -> None:
-        """One run's output, written into ``o``; its last hop is freed on return."""
-        np.matmul(x, weights[0].data, out=o)
-        for h, w in zip(walk(x, a), weights[1:]):
-            o += np.matmul(h, w.data)
-
     out = np.empty(xi.shape[:-1] + (c_out,))
-    for t_idx, a_idx, x_shape, a_shape in pieces:
-        forward_run(view(xi.data, t_idx, x_shape), view(adj.data, a_idx, a_shape),
-                    view(out, t_idx, x_shape[:-1] + (c_out,)))
+    for t_idx, a_idx, count in pieces:
+        x, o = xi.data[:, :, t_idx], out[:, :, t_idx]
+        np.matmul(x, weights[0].data, out=o)
+        for h, w in zip(walk(x, adj.data[:, a_idx], count), weights[1:]):
+            o += (h.reshape(-1, c_in) @ w.data).reshape(o.shape)
 
     def back_run(g2: Array, x: Array, a: Array, gx: Array | None, ga: Array | None,
-                 g_w: list[Array | None]) -> None:
-        """One run's backward: ``g2`` is its output gradient as (rows, C_out);
-        its ξ and Â gradients are written into ``gx`` and ``ga``, and its
-        weight gradients added into ``g_w``."""
+                 g_w: list[Array | None], count: int) -> None:
+        """One run's backward: ``g2`` is its output gradient as (rows, C_out)
+        and ``x`` its ξ, (B, N, d·n, C_in); its ξ and Â gradients are
+        written into ``gx`` and ``ga``, and its weight gradients added into
+        ``g_w``."""
         # the projections act on the channel axis alone, so their gradients
         # are flat (rows, C) GEMMs, each taken as soon as its hop is
         # rebuilt; the adjacency gradient reads H₀ … H_Ψ₋₁ on the way down,
         # so H_Ψ is dropped at once
         hops = []
-        for k, (w, hk) in enumerate(zip(weights, itertools.chain([x], walk(x, a)))):
+        for k, (w, hk) in enumerate(zip(weights, itertools.chain([x], walk(x, a, count)))):
             if w.requires_grad:
                 term = hk.reshape(-1, c_in).T @ g2
                 if g_w[k] is None:
@@ -1220,7 +1200,8 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
 
         def graph_back(d: Array) -> Array:
             """(1 − β)·Âᵀ·d"""
-            out = np.matmul(a_t, d)
+            out = np.empty(d.shape)
+            np.matmul(a_t, by_graph(d, count), out=by_graph(out, count))
             out *= keep
             return out
 
@@ -1229,19 +1210,21 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
             gx[...] = projected_back(0)
         d = None  # dHₖ₊₁ on the way down
         for k in range(len(weights) - 1, 0, -1):
-            dk = projected_back(k)
-            if d is not None:
-                dk += graph_back(d)
+            if d is None:
+                dk = projected_back(k)
+            else:
+                # dHₖ₊₁ is freed before the projection's term is formed
+                dk = graph_back(d)
                 del d
+                dk += projected_back(k)
             hk = hops.pop()  # Hₖ₋₁, read here for the last time
             if ga is not None:
                 # each graph's d steps summed in one (N, d·C) × (d·C, N) product
-                term = np.matmul(dk.transpose(0, 1, 3, 2, 4).reshape(a.shape[:2] + (n, -1)),
-                                 hk.transpose(0, 1, 2, 4, 3).reshape(a.shape[:2] + (-1, n)))
+                term = np.matmul(by_graph(dk, count), np.swapaxes(by_graph(hk, count), -1, -2))
                 if k == len(weights) - 1:
-                    ga[:, :, 0] = term
+                    ga[...] = term
                 else:
-                    ga[:, :, 0] += term
+                    ga += term
                 del term
             del hk
             if gx is not None and beta:
@@ -1256,11 +1239,10 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
         g_w: list[Array | None] = [None] * len(weights)
         g_x = np.empty(xi.shape) if xi.requires_grad else None
         g_adj = np.empty(adj.shape) if adj.requires_grad and len(weights) > 1 else None
-        for t_idx, a_idx, x_shape, a_shape in reversed(pieces):
-            back_run(g[:, t_idx].reshape(-1, c_out),
-                     view(xi.data, t_idx, x_shape), view(adj.data, a_idx, a_shape),
-                     None if g_x is None else view(g_x, t_idx, x_shape),
-                     None if g_adj is None else view(g_adj, a_idx, a_shape), g_w)
+        for t_idx, a_idx, count in reversed(pieces):
+            back_run(g[:, :, t_idx].reshape(-1, c_out), xi.data[:, :, t_idx],
+                     adj.data[:, a_idx], None if g_x is None else g_x[:, :, t_idx],
+                     None if g_adj is None else g_adj[:, a_idx], g_w, count)
         for w, gk in zip(weights, g_w):
             if gk is not None:
                 _accumulate(w, gk)

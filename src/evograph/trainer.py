@@ -353,11 +353,10 @@ def write_run_dir(out_dir, config: ExperimentConfig, model: Model,
     return paths
 
 
-def run_experiment(dataset: TimeSeriesDataset, config: ExperimentConfig,
+def run_experiment(data: PreparedData, config: ExperimentConfig,
                    out_dir=None, force: bool = False,
                    ) -> tuple[Model, PreparedData, TrainResult, MetricReport]:
-    """Prepare → train → evaluate on test → optionally persist the run."""
-    data = prepare_data(dataset, config)
+    """Train on prepared data → evaluate on test → optionally persist the run."""
     model = Model(config.model)
     result = train(model, data, config.train)
     report = evaluate_split(model, data, "test")
@@ -482,10 +481,12 @@ def ablation_seeds(config: ExperimentConfig, repeats: int) -> tuple[int, ...]:
     return tuple(config.model.seed + i for i in range(repeats))
 
 
-def run_ablation(dataset: TimeSeriesDataset, config: ExperimentConfig,
-                 repeats: int = 10, variants: tuple[str, ...] = VARIANTS,
-                 jobs: int = 1) -> ExperimentReport:
-    """Train every variant under identical per-repeat seeds and compare."""
+def ablation_tasks(config: ExperimentConfig, repeats: int,
+                   variants: tuple[str, ...] = VARIANTS, jobs: int = 1,
+                   ) -> list[tuple[str, int]]:
+    """The ablation's (variant, seed) runs, every variant under the same
+    seeds; a :class:`ConfigurationError` for an unknown variant, fewer than
+    one worker, or no run at all."""
     for v in variants:
         if v not in VARIANTS:
             raise ConfigurationError(f"unknown variant {v!r}")
@@ -496,6 +497,15 @@ def run_ablation(dataset: TimeSeriesDataset, config: ExperimentConfig,
     if not tasks:
         raise ConfigurationError(f"the ablation has no run: {len(variants)} variants "
                                  f"and {len(seeds)} seeds (repeats {repeats})")
+    return tasks
+
+
+def run_ablation(data: PreparedData, config: ExperimentConfig,
+                 repeats: int = 10, variants: tuple[str, ...] = VARIANTS,
+                 jobs: int = 1) -> ExperimentReport:
+    """Train every variant under identical per-repeat seeds and compare."""
+    tasks = ablation_tasks(config, repeats, variants, jobs)
+    dataset = data.dataset
     t0 = time.perf_counter()
     if jobs > 1:
         payload = [(dataset.values, list(dataset.node_ids), config.to_dict(),
@@ -503,7 +513,6 @@ def run_ablation(dataset: TimeSeriesDataset, config: ExperimentConfig,
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             runs = list(pool.map(_run_task, payload))
     else:
-        data = prepare_data(dataset, config)
         runs = [_single_run(dataset, config, variant, seed, data)
                 for variant, seed in tasks]
     return ExperimentReport(

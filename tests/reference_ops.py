@@ -26,6 +26,13 @@ from evograph.graph_learner import EvolvingGraphSequence, SegmentSpec
 from evograph.tensor import Array, Tensor, _accumulate, _make
 
 
+def node_major(x: Array) -> Array:
+    """(B, T, N, C) values as the C-contiguous (B, N, T, C) array that the
+    model's sequences are, so a test can feed an op the values it always
+    drew."""
+    return np.ascontiguousarray(x.transpose(0, 2, 1, 3))
+
+
 def full_like(x: Tensor, value: float) -> Tensor:
     """A constant of ``x``'s shape, every entry ``value``: the tape ops take
     no scalar operands.  A read-only broadcast view, so it costs no memory."""

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -224,7 +225,28 @@ class TestRejectedCounts:
         assert code == cli.EXIT_CONFIG
         assert err["error"] == "ConfigurationError"
         assert err["exit_code"] == cli.EXIT_CONFIG
-        assert not (out / "ablation.json").exists()
+        assert not out.exists()
+
+
+class TestRejectedRunsClaimNoOut:
+    """A run its data or counts reject exits 2 before claiming ``--out``, so
+    the corrected run needs no ``--force``."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("train", []), ("ablate", ["--repeats", "1"]),
+    ], ids=["train", "ablate"])
+    def test_node_count_mismatch(self, tmp_path, capsys, command, flags):
+        _, data = tiny_run(tmp_path, None)  # a 4-node series
+        config = tmp_path / "config.json"
+        model = dataclasses.replace(TINY, n_nodes=6)
+        config.write_text(ExperimentConfig(model=model, train=TrainConfig(max_epochs=1)).to_json())
+        out = tmp_path / "run"
+        code, err = run_cli(capsys, command, "--config", str(config), "--data", str(data),
+                            "--out", str(out), *flags)
+        assert code == cli.EXIT_CONFIG
+        assert err["error"] == "ConfigurationError"
+        assert "N=4" in err["message"]
+        assert not out.exists()
 
 
 class TestRuntimeErrors:

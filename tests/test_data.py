@@ -274,7 +274,8 @@ class TestScaler:
         for mode in ("max-abs", "zscore", "none"):
             sc = fit_scaler(ds, range(0, 20), mode)
             x = ds.values[:, 5, :]
-            assert np.allclose(sc.inverse(sc.transform(x)), x, atol=1e-10)
+            assert np.allclose(sc.inverse(sc.transform_dataset(ds.values)[:, 5, :]), x,
+                               atol=1e-10)
             # inverse takes any array whose trailing axes are (N, C)
             steps_first = sc.transform_dataset(ds.values).transpose(1, 0, 2)
             assert np.allclose(

@@ -47,22 +47,22 @@ class TestSegments:
         assert spec.boundaries == [(0, 3)]
 
     def test_aggregate_shapes(self):
-        xi = rand(2, 13, 5, 3)
+        xi = rand(2, 5, 13, 3)
         spec = SegmentSpec.for_length(13, 4)
         gammas = T.segment_mean(xi, spec.boundaries)
         assert spec.m == 3
-        assert gammas.shape == (2, 3, 5, 3)
+        assert gammas.shape == (2, 5, 3, 3)
 
     def test_aggregate_constant(self):
-        xi = Tensor(np.full((1, 12, 4, 2), 7.0))
+        xi = Tensor(np.full((1, 4, 12, 2), 7.0))
         gammas = T.segment_mean(xi, SegmentSpec.for_length(12, 4).boundaries)
         assert np.allclose(gammas.data, 7.0)
 
     def test_aggregate_means(self):
-        vals = np.arange(8.0).reshape(1, 8, 1, 1)
+        vals = np.arange(8.0).reshape(1, 1, 8, 1)
         gammas = T.segment_mean(Tensor(vals), SegmentSpec.for_length(8, 4).boundaries)
-        assert gammas.data[0, 0].item() == 1.5
-        assert gammas.data[0, 1].item() == 5.5
+        assert gammas.data[0, 0, 0].item() == 1.5
+        assert gammas.data[0, 0, 1].item() == 5.5
 
 
 def run_gru(cell, gammas, alpha0):
@@ -77,7 +77,7 @@ class TestGru:
         for p in st.params.values():
             p.data[:] = 0.0
         h = rand(2, 5, 4, seed=1)
-        out = run_gru(cell, rand(2, 1, 5, 3, seed=2), h)
+        out = run_gru(cell, rand(2, 5, 1, 3, seed=2), h)
         assert np.allclose(out.data[:, 0], 0.5 * h.data)
 
     def test_zero_hidden_zero_params(self):
@@ -85,12 +85,12 @@ class TestGru:
         cell = GruCell(st, "gru", 3, 4)
         for p in st.params.values():
             p.data[:] = 0.0
-        out = run_gru(cell, rand(1, 1, 5, 3, seed=3), Tensor(np.zeros((1, 5, 4))))
+        out = run_gru(cell, rand(1, 5, 1, 3, seed=3), Tensor(np.zeros((1, 5, 4))))
         assert np.allclose(out.data, 0.0)
 
     def test_state_stays_bounded(self):
         cell = GruCell(store(1), "gru", 2, 3)
-        h = run_gru(cell, rand(1, 50, 4, 2, seed=0), Tensor(np.zeros((1, 4, 3))))
+        h = run_gru(cell, rand(1, 4, 50, 2, seed=0), Tensor(np.zeros((1, 4, 3))))
         # convex mix of previous state and tanh keeps |h| < 1 forever
         assert np.all(np.abs(h.data) < 1.0)
 
@@ -98,7 +98,7 @@ class TestGru:
 class TestStaticExtractor:
     def test_identical_series_identical_rows(self):
         ext = StaticFeatureExtractor(store(), "fs", 1, 6, c_hidden=4)
-        series = np.random.default_rng(4).normal(size=(3, 1, 50))
+        series = np.random.default_rng(4).normal(size=(3, 50, 1))
         series[2] = series[0]
         alpha = ext(Tensor(series))
         assert alpha.shape == (3, 6)
@@ -108,11 +108,11 @@ class TestStaticExtractor:
     def test_too_short(self):
         ext = StaticFeatureExtractor(store(), "fs", 1, 6, c_hidden=4)
         with pytest.raises(SequenceTooShortError):
-            ext(rand(3, 1, 20, seed=5))
+            ext(rand(3, 20, 1, seed=5))
 
     def test_default_width(self):
         ext = StaticFeatureExtractor(store(), "fs", 2, 40)
-        alpha = ext(rand(4, 2, 60, seed=6))
+        alpha = ext(rand(4, 60, 2, seed=6))
         assert alpha.shape == (4, 40)
 
 
@@ -267,22 +267,22 @@ class TestEvolve:
 
     def test_single_segment_when_d_is_t(self):
         egl = self.make()
-        seq = egl.evolve(rand(1, 8, 5, 3, seed=11), rand(5, 5, seed=12), d=8)
+        seq = egl.evolve(rand(1, 5, 8, 3, seed=11), rand(5, 5, seed=12), d=8)
         assert len(seq.matrices) == 1
         assert seq.matrices[0].shape == (1, 5, 5)
 
     def test_graph_count_matches_segments(self):
         egl = self.make()
-        seq = egl.evolve(rand(2, 13, 5, 3, seed=13), rand(5, 5, seed=14), d=4)
+        seq = egl.evolve(rand(2, 5, 13, 3, seed=13), rand(5, 5, seed=14), d=4)
         assert len(seq.matrices) == seq.spec.m == 3
         assert all(m.shape == (2, 5, 5) for m in seq.matrices)
 
     def test_prefix_determinism(self):
         egl = self.make(1)
         alpha_s = rand(5, 5, seed=15)
-        xi = np.random.default_rng(16).normal(size=(1, 12, 5, 3))
+        xi = np.random.default_rng(16).normal(size=(1, 5, 12, 3))
         xi2 = xi.copy()
-        xi2[0, 8:] += 1.0  # perturb only segment 3
+        xi2[0, :, 8:] += 1.0  # perturb only segment 3
         s1 = egl.evolve(Tensor(xi), alpha_s, d=4)
         s2 = egl.evolve(Tensor(xi2), alpha_s, d=4)
         for m in range(2):
@@ -296,7 +296,7 @@ class TestEvolve:
         alpha_s = Tensor(np.random.default_rng(20).normal(size=(5, 5)), requires_grad=True)
 
         def records(t):
-            xi = Tensor(np.random.default_rng(21).normal(size=(2, t, 5, 3)), requires_grad=True)
+            xi = Tensor(np.random.default_rng(21).normal(size=(2, 5, t, 3)), requires_grad=True)
             with T.Tape() as tape:
                 seq = egl.evolve(xi, alpha_s, d=2)
             return len(tape), seq.spec.m
@@ -315,7 +315,7 @@ class TestEvolve:
     def test_gru_gradients_through_final_graph(self):
         st = store(6)
         egl = Egl(st, "egl", c_in=2, c_e=3, c_s=4)
-        xi = rand(1, 8, 4, 2, seed=18)
+        xi = Tensor(rand(1, 8, 4, 2, seed=18).data.transpose(0, 2, 1, 3))
         alpha_s = rand(4, 4, seed=19)
 
         def loss():
@@ -332,7 +332,7 @@ class TestEvolve:
 class TestExport:
     def test_files_and_index(self, tmp_path):
         egl = Egl(store(7), "egl", c_in=3, c_e=4, c_s=5)
-        seq = egl.evolve(rand(1, 13, 5, 3, seed=20), rand(5, 5, seed=21), d=4)
+        seq = egl.evolve(rand(1, 5, 13, 3, seed=20), rand(5, 5, seed=21), d=4)
         written = export_graphs(seq, tmp_path, layer=2, time_offset=10)
         index = json.loads((tmp_path / "layer2_index.json").read_text())
         assert len(index) == 3

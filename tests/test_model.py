@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import os
@@ -203,8 +204,8 @@ class TestForward:
         assert len(trace.xi) == 2
         assert len(trace.graphs) == 2
         assert len(trace.z) == 3
-        assert trace.xi[0].shape[1] == 14
-        assert trace.xi[1].shape[1] == 10
+        assert trace.xi[0].shape[2] == 14
+        assert trace.xi[1].shape[2] == 10
         assert trace.graphs[0].spec.m == 3   # 14 // 4
         assert trace.graphs[1].spec.m == 10  # 10 // 1
 
@@ -213,7 +214,7 @@ class TestForward:
         trace = backbone(model, window())
         lengths = model.config.layer_lengths()
         for l, xi in enumerate(trace.xi):
-            assert xi.shape[1] == lengths[l + 1]
+            assert xi.shape[2] == lengths[l + 1]
 
     def test_residual_identity_when_gcn_zeroed(self):
         model = tiny_model()
@@ -226,14 +227,14 @@ class TestForward:
         z1 = trace.z[0].data
         z2 = trace.z[1].data
         z3 = trace.z[2].data
-        assert np.array_equal(z2, z1[:, -z2.shape[1]:])
-        assert np.array_equal(z3, z2[:, -z3.shape[1]:])
+        assert np.array_equal(z2, z1[:, :, -z2.shape[2]:])
+        assert np.array_equal(z3, z2[:, :, -z3.shape[2]:])
 
     def test_segment_graph_alignment(self):
         model = tiny_model()
         trace = backbone(model, window())
         for l, graphs in enumerate(trace.graphs):
-            t = trace.xi[l].shape[1]
+            t = trace.xi[l].shape[2]
             d = model.config.intervals[l]
             assert len(graphs.matrices) == max(1, t // d)
 
@@ -294,15 +295,33 @@ class TestForward:
         assert not np.array_equal(a.data, b.data)
 
     @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("preset", [single_step_preset, multi_step_preset])
+    def test_backbone_is_node_major(self, preset, variant):
+        # every ξ and Z is a C-contiguous (B, N, T, C) array, so each skip
+        # branch's (B, N, T·C) flatten is a view
+        config = dataclasses.replace(preset(3), variant=variant)
+        model = Model(config)
+        c = config.n_channels
+        model.set_reference_series(np.random.default_rng(14).normal(size=(3, 48, c)))
+        x = np.random.default_rng(15).normal(size=(2, config.window, 3, c))
+        lengths = config.layer_lengths()
+        branches = model._branches(model._as_input(x), model._alpha_s())
+        for scale, (feats, _, z) in enumerate(branches):
+            states = [z] if scale == 0 else [feats, z]
+            for state in states:
+                assert state.shape[:3] == (2, 3, lengths[scale]), scale
+                assert state.data.flags.c_contiguous, scale
+
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_branch_features_match_forward_trace(self, variant):
         model = tiny_model(variant=variant)
         x = window(b=3, seed=16)
         trace = backbone(model, x)
-        branches = [x, *(xi.data for xi in trace.xi), trace.z[-1].data]
+        branches = [x.transpose(0, 2, 1, 3), *(xi.data for xi in trace.xi), trace.z[-1].data]
         assert len(branches) == model.config.n_layers + 2
         for scale, feats in enumerate(branches):
-            b, t, n, c = feats.shape
-            want = feats.transpose(0, 2, 1, 3).reshape(b, n, t * c)
+            b, n, t, c = feats.shape
+            want = feats.reshape(b, n, t * c)
             assert np.array_equal(model.branch_features(x, scale), want), scale
 
     def test_graph_inspection_walks_only_to_its_layer(self, monkeypatch):
@@ -319,14 +338,16 @@ class TestForward:
 
         monkeypatch.setattr(model, "input_proj", recording)
         monkeypatch.setattr(model, "tcn_layers", [model.tcn_layers[0], forbidden])
-        monkeypatch.setattr(T, "skip_linear", forbidden)
+        monkeypatch.setattr(model, "skip_in", forbidden)
+        monkeypatch.setattr(model, "skip_mid", [forbidden] * 2)
+        monkeypatch.setattr(model, "skip_out", forbidden)
         monkeypatch.setattr(model, "head", forbidden)
         series = np.random.default_rng(10).normal(size=(26, 4, 1))
         model.graph_inspection(series, 1)
         # layer 1's stride is 4: windows ending at 16, 20 and 24 only, not
-        # the 11 that layer 2's stride of 1 needs
-        assert np.array_equal(np.concatenate(fed),
-                              np.stack([series[e - 16:e] for e in (16, 20, 24)]))
+        # the 11 that layer 2's stride of 1 needs; fed node-major
+        windows = np.stack([series[e - 16:e] for e in (16, 20, 24)])
+        assert np.array_equal(np.concatenate(fed), windows.transpose(0, 2, 1, 3))
 
 
 TASKS = ({"task": "single"}, {"task": "multi", "horizon": 6})
@@ -572,14 +593,29 @@ class TestCheckpoint:
         ((4, 1, 35), 0.0),      # one step shorter than the static extractor needs
     ], ids=["nan", "nodes", "channels", "2-d", "short"])
     def test_bad_reference_series(self, tmp_path, shape, bad):
-        model = tiny_model()
+        # a checkpoint stores the series as (N, C, T*)
+        path = tmp_path / "ck.bin"
+        save_checkpoint(tiny_model(), path)
         ref = np.random.default_rng(17).normal(size=shape)
         ref.flat[5] = bad
-        model.reference_series = T.Tensor(ref)
+        blob = json.loads(path.read_bytes())
+        blob["reference_series"] = {"shape": list(shape),
+                                    "data": base64.b64encode(ref.tobytes()).decode("ascii")}
+        path.write_text(json.dumps(blob))
+        with pytest.raises(LoadError, match="bad reference series"):
+            load_checkpoint(path)
+
+    def test_reference_series_round_trips(self, tmp_path):
+        # held as given, (N, T*, C), and stored as (N, C, T*)
+        model = tiny_model()
+        series = model.reference_series.data
+        assert series.shape == (4, 48, 1)
         path = tmp_path / "ck.bin"
         save_checkpoint(model, path)
-        with pytest.raises(LoadError, match="reference series is not a finite"):
-            load_checkpoint(path)
+        stored = json.loads(path.read_bytes())["reference_series"]
+        assert stored["shape"] == [4, 1, 48]
+        loaded, _ = load_checkpoint(path)
+        assert np.array_equal(loaded.reference_series.data, series)
 
     @pytest.mark.parametrize("key, value", [
         ("n_nodes", "8"), ("intervals", 4), ("dropout", [0.3]),

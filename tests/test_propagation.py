@@ -39,7 +39,12 @@ def normalized(adj):
 
 def one_run(xi):
     """Runs for one graph over all of ``xi``'s steps."""
-    return [(1, xi.shape[1])]
+    return [(1, xi.shape[2])]
+
+
+def node_major(x):
+    """(B, T, N, C) values as a C-contiguous (B, N, T, C) array."""
+    return np.ascontiguousarray(x.transpose(0, 2, 1, 3))
 
 
 def seq_for(matrices, t, d):
@@ -51,7 +56,7 @@ class TestMixHop:
     def test_beta_one_identity(self):
         st = store(1)
         mh = MixHop(st, "mh", 3, 2, psi=2, beta=1.0)
-        xi = rand(1, 4, 5, 3, seed=1)
+        xi = rand(1, 5, 4, 3, seed=1)
         out = mh.propagate(xi, normalized(random_adj(5, seed=2)), one_run(xi))
         total_w = sum(p.data for p in mh.hop_proj)
         assert np.allclose(out.data, xi.data @ total_w)
@@ -60,7 +65,7 @@ class TestMixHop:
         st = store(2)
         beta = 0.3
         mh = MixHop(st, "mh", 3, 2, psi=2, beta=beta)
-        xi = rand(1, 4, 5, 3, seed=3)
+        xi = rand(1, 5, 4, 3, seed=3)
         out = mh.propagate(xi, over_time(Tensor(np.zeros((1, 5, 5)))), one_run(xi))
         w0, w1, w2 = (p.data for p in mh.hop_proj)
         expect = xi.data @ w0 + beta * xi.data @ w1 + beta * xi.data @ w2
@@ -71,7 +76,7 @@ class TestMixHop:
         mh = MixHop(st, "mh", 1, 1, psi=2, beta=0.0)
         for p in mh.hop_proj:
             p.data[:] = 1.0
-        xi = Tensor(np.array([1.0, 0.0]).reshape(1, 1, 2, 1))
+        xi = Tensor(np.array([1.0, 0.0]).reshape(1, 2, 1, 1))
         adj = Tensor(np.array([[0.0, 1.0], [1.0, 0.0]]).reshape(1, 2, 2))
         out = mh.propagate(xi, over_time(adj), one_run(xi))
         assert out.data.reshape(2).tolist() == [2.0, 1.0]
@@ -80,20 +85,20 @@ class TestMixHop:
         mh = MixHop(store(), "mh", 2, 2, psi=1, beta=0.5)
         adj = Tensor(np.array([[0.0, -1.0], [1.0, 0.0]]).reshape(1, 2, 2))
         with pytest.raises(ContractError):
-            mh.propagate(rand(1, 3, 2, 2, seed=4), over_time(adj), [(1, 3)])
+            mh.propagate(rand(1, 2, 3, 2, seed=4), over_time(adj), [(1, 3)])
 
     def test_row_normalized_diffusion_fixes_constants(self):
         mh = MixHop(store(3), "mh", 2, 2, psi=3, beta=0.4)
         c = np.array([1.5, -0.5])
-        xi = Tensor(np.broadcast_to(c, (1, 4, 6, 2)).copy())
+        xi = Tensor(np.broadcast_to(c, (1, 6, 4, 2)).copy())
         out = mh.propagate(xi, normalized(random_adj(6, seed=5)), one_run(xi))
         total_w = sum(p.data for p in mh.hop_proj)
-        assert np.allclose(out.data, np.broadcast_to(c @ total_w, (1, 4, 6, 2)))
+        assert np.allclose(out.data, np.broadcast_to(c @ total_w, (1, 6, 4, 2)))
 
     def test_linearity_in_features(self):
         mh = MixHop(store(4), "mh", 3, 2, psi=2, beta=0.05)
         adj = random_adj(5, seed=6)
-        x1, x2 = rand(1, 4, 5, 3, seed=7), rand(1, 4, 5, 3, seed=8)
+        x1, x2 = rand(1, 5, 4, 3, seed=7), rand(1, 5, 4, 3, seed=8)
         runs = one_run(x1)
         lhs = mh.propagate(Tensor(2.0 * x1.data + 3.0 * x2.data), normalized(adj), runs)
         rhs = 2.0 * mh.propagate(x1, normalized(adj), runs).data \
@@ -103,7 +108,7 @@ class TestMixHop:
     def test_gradients_through_adjacency_and_features(self):
         st = store(5)
         mh = MixHop(st, "mh", 2, 2, psi=2, beta=0.05)
-        xi = rand(1, 3, 4, 2, seed=9)
+        xi = rand(1, 4, 3, 2, seed=9)
         adj = Tensor(np.random.default_rng(10).random((1, 4, 4)) + 0.1,
                      requires_grad=True)
 
@@ -122,7 +127,7 @@ class TestMixHop:
 class TestPerSegment:
     def test_single_segment_equals_global(self):
         mh = MixHop(store(6), "mh", 3, 2, psi=2, beta=0.05)
-        xi = rand(2, 8, 4, 3, seed=11)
+        xi = rand(2, 4, 8, 3, seed=11)
         adj = random_adj(4, b=2, seed=12)
         seq = seq_for([adj], t=8, d=8)
         a = mh.apply_per_segment(xi, seq)
@@ -131,7 +136,7 @@ class TestPerSegment:
 
     def test_identical_graphs_match_monolithic(self):
         mh = MixHop(store(7), "mh", 3, 2, psi=2, beta=0.05)
-        xi = rand(1, 12, 4, 3, seed=13)
+        xi = rand(1, 4, 12, 3, seed=13)
         adj = random_adj(4, seed=14)
         seq = seq_for([adj, adj, adj], t=12, d=4)
         a = mh.apply_per_segment(xi, seq)
@@ -140,21 +145,21 @@ class TestPerSegment:
 
     def test_output_length_preserved(self):
         mh = MixHop(store(8), "mh", 3, 2, psi=1, beta=0.5)
-        xi = rand(1, 13, 4, 3, seed=15)
+        xi = rand(1, 4, 13, 3, seed=15)
         mats = [random_adj(4, seed=s) for s in (1, 2, 3)]
         out = mh.apply_per_segment(xi, seq_for(mats, t=13, d=4))
-        assert out.shape == (1, 13, 4, 2)
+        assert out.shape == (1, 4, 13, 2)
 
     def test_per_segment_isolation(self):
         mh = MixHop(store(9), "mh", 2, 2, psi=2, beta=0.05)
-        base = np.random.default_rng(16).normal(size=(1, 12, 4, 2))
+        base = np.random.default_rng(16).normal(size=(1, 4, 12, 2))
         mats = [random_adj(4, seed=s) for s in (4, 5, 6)]
         seq = seq_for(mats, t=12, d=4)
         ref = mh.apply_per_segment(Tensor(base), seq).data
         bumped = base.copy()
-        bumped[0, 5] += 1.0  # inside segment 2 = [4, 8)
+        bumped[0, :, 5] += 1.0  # inside segment 2 = [4, 8)
         out = mh.apply_per_segment(Tensor(bumped), seq).data
-        diff = np.abs(out - ref).sum(axis=(0, 2, 3))
+        diff = np.abs(out - ref).sum(axis=(0, 1, 3))
         assert np.all(diff[4:8] >= 0)
         assert np.any(diff[4:8] > 0)
         assert np.all(diff[:4] == 0)
@@ -164,18 +169,18 @@ class TestPerSegment:
         mh = MixHop(store(10), "mh", 2, 2, psi=1, beta=0.5)
         seq = seq_for([random_adj(4, seed=7)], t=8, d=8)
         with pytest.raises(ContractError):
-            mh.apply_per_segment(rand(1, 10, 4, 2, seed=17), seq)
+            mh.apply_per_segment(rand(1, 4, 10, 2, seed=17), seq)
 
     def test_time_offset_alignment(self):
         # graphs learned on [0, 12); features only span the last 5 steps
         mh = MixHop(store(11), "mh", 2, 2, psi=1, beta=0.5)
         mats = [random_adj(4, seed=s) for s in (8, 9, 10)]
         seq = seq_for(mats, t=12, d=4)
-        full = rand(1, 12, 4, 2, seed=18)
-        tail = Tensor(full.data[:, 7:, :, :])
+        full = rand(1, 4, 12, 2, seed=18)
+        tail = Tensor(full.data[:, :, 7:, :])
         out_tail = mh.apply_per_segment(tail, seq, time_offset=7)
         out_full = mh.apply_per_segment(full, seq)
-        assert np.allclose(out_tail.data, out_full.data[:, 7:])
+        assert np.allclose(out_tail.data, out_full.data[:, :, 7:])
 
 
 def per_segment_reference(egl, mh, xi, alpha_s, d, graph_input=None, time_offset=0):
@@ -190,9 +195,9 @@ def per_segment_reference(egl, mh, xi, alpha_s, d, graph_input=None, time_offset
     spans [time_offset, time_offset + T).
     """
     src = xi if graph_input is None else graph_input
-    spec = SegmentSpec.for_length(src.shape[1], d)
+    spec = SegmentSpec.for_length(src.shape[2], d)
     alpha = T.broadcast_leading(egl.init_hidden(alpha_s), xi.shape[0])
-    lo, hi = time_offset, time_offset + xi.shape[1]
+    lo, hi = time_offset, time_offset + xi.shape[2]
     g = egl.gru
 
     def gate(cat, w, b, act):
@@ -200,7 +205,7 @@ def per_segment_reference(egl, mh, xi, alpha_s, d, graph_input=None, time_offset
 
     parts = []
     for start, stop in spec.boundaries:
-        gamma = T.reduce_mean(T.narrow(src, 1, start, stop - start), axis=1)
+        gamma = T.reduce_mean(T.narrow(src, 2, start, stop - start), axis=2)
         cat = R.concat([gamma, alpha], axis=2)
         r = gate(cat, g.w_r, g.b_r, R.sigmoid)
         u = gate(cat, g.w_u, g.b_u, R.sigmoid)
@@ -209,8 +214,8 @@ def per_segment_reference(egl, mh, xi, alpha_s, d, graph_input=None, time_offset
         adj, _ = T.pairwise_graph(alpha, egl.heads)  # (B, N, N), row-normalized
         s, e = max(start, lo) - lo, min(stop, hi) - lo
         if e > s:
-            parts.append(mh.propagate(T.narrow(xi, 1, s, e - s), over_time(adj), [(1, e - s)]))
-    return R.concat(parts, axis=1)
+            parts.append(mh.propagate(T.narrow(xi, 2, s, e - s), over_time(adj), [(1, e - s)]))
+    return R.concat(parts, axis=2)
 
 
 class TestSegmentBatching:
@@ -232,12 +237,12 @@ class TestSegmentBatching:
         mh = MixHop(st, "mh", c_in, 2, psi=2, beta=0.05)
         for p in st.params.values():  # off the flat init, so every path carries gradient
             p.data = p.data + 0.5 * rng.normal(size=p.shape)
-        xi = Tensor(rng.normal(size=(b, t, n, c_in)), requires_grad=True)
+        xi = Tensor(node_major(rng.normal(size=(b, t, n, c_in))), requires_grad=True)
         offset = 0 if t_graph is None else t_graph - t
         graph_input = None if t_graph is None else \
-            Tensor(rng.normal(size=(b, t_graph, n, c_in)), requires_grad=True)
+            Tensor(node_major(rng.normal(size=(b, t_graph, n, c_in))), requires_grad=True)
         alpha_s = Tensor(rng.normal(size=(n, 6)), requires_grad=True)
-        weight = Tensor(rng.normal(size=(b, t, n, 2)))
+        weight = Tensor(node_major(rng.normal(size=(b, t, n, 2))))
         leaves = dict(st.params, xi=xi, alpha_s=alpha_s)
         if graph_input is not None:
             leaves["graph_input"] = graph_input
@@ -273,7 +278,7 @@ class TestRetention:
         # graphs, a quarter of that at N = 4, C = 16
         psi, c = 2, 16
         mh = MixHop(store(12), "mh", c, c, psi=psi, beta=0.05)
-        xi = rand(2, 16, 4, c, seed=19)
+        xi = rand(2, 4, 16, c, seed=19)
         xi.requires_grad = True
         mats = Tensor(np.random.default_rng(20).random((2, 16, 4, 4)), requires_grad=True)
         seq = R.graph_sequence(mats, SegmentSpec.for_length(16, 1))
@@ -295,7 +300,7 @@ class TestRetention:
         # keeps every part and the concatenation, ~2 x the output
         c = 8
         mh = MixHop(store(13), "mh", c, c, psi=2, beta=0.05)
-        xi = rand(2, 174, 4, c, seed=21)
+        xi = rand(2, 4, 174, c, seed=21)
         xi.requires_grad = True
         mats = Tensor(np.random.default_rng(22).random((2, 5, 4, 4)), requires_grad=True)
         seq = R.graph_sequence(mats, SegmentSpec.for_length(174, 31))

@@ -40,22 +40,22 @@ class TestDilation:
 class TestInception:
     def test_paper_single_step_length(self):
         layer = TcnLayer(store(), "tcn", 1, 16, (2, 3, 6, 7), dilation=1)
-        out = layer(rand(1, 168, 3, 1))
-        assert out.shape == (1, 162, 3, 16)
+        out = layer(rand(1, 3, 168, 1))
+        assert out.shape == (1, 3, 162, 16)
 
     def test_pointwise_filter_keeps_length(self):
         layer = TcnLayer(store(), "tcn", 2, 4, (1,), dilation=1)
-        assert layer(rand(1, 9, 3, 2)).shape == (1, 9, 3, 4)
+        assert layer(rand(1, 3, 9, 2)).shape == (1, 3, 9, 4)
 
     def test_two_filter_multi_step_length(self):
         layer = TcnLayer(store(), "tcn", 1, 8, (2, 6), dilation=1)
-        assert layer(rand(1, 12, 4, 1)).shape == (1, 7, 4, 8)
+        assert layer(rand(1, 4, 12, 1)).shape == (1, 4, 7, 8)
 
     def test_too_short_names_minimum(self):
         layer = TcnLayer(store(), "tcn", 1, 4, (2, 7), dilation=2)
         with pytest.raises(SequenceTooShortError, match="needs ≥ 13"):
-            layer(rand(1, 12, 3, 1))
-        assert layer(rand(1, 13, 3, 1)).shape == (1, 1, 3, 4)
+            layer(rand(1, 3, 12, 1))
+        assert layer(rand(1, 3, 13, 1)).shape == (1, 3, 1, 4)
 
     def test_channel_divisibility_enforced(self):
         with pytest.raises(ConfigurationError):
@@ -92,23 +92,23 @@ class TestGatedFusion:
 class TestTcnLayer:
     def test_causality_last_step(self):
         layer = TcnLayer(store(), "tcn", 1, 4, (2, 3), dilation=1)
-        x = np.random.default_rng(5).normal(size=(1, 10, 2, 1))
+        x = np.random.default_rng(5).normal(size=(1, 2, 10, 1))
         base = layer(Tensor(x)).data
         x2 = x.copy()
-        x2[0, -1, 0, 0] += 1.0
+        x2[0, 0, -1, 0] += 1.0
         out = layer(Tensor(x2)).data
-        diff = np.abs(out - base).sum(axis=(0, 2, 3))
+        diff = np.abs(out - base).sum(axis=(0, 1, 3))
         assert diff[-1] > 0
         assert np.all(diff[:-1] == 0)
 
     def test_output_bounded(self):
         layer = TcnLayer(store(), "tcn", 2, 4, (2, 3), dilation=2)
-        out = layer(rand(2, 12, 3, 2, seed=6)).data
+        out = layer(rand(2, 3, 12, 2, seed=6)).data
         assert np.all(np.abs(out) < 1.0)
 
     def test_dropout_only_in_training(self):
         layer = TcnLayer(store(), "tcn", 1, 4, (2,), dilation=1, dropout=0.5)
-        x = rand(1, 8, 2, 1, seed=7)
+        x = rand(1, 2, 8, 1, seed=7)
         a = layer(x).data
         b = layer(x).data
         assert np.array_equal(a, b)
@@ -129,20 +129,20 @@ class TestTcnLayer:
             p.data[:] = 1.0 if p.ndim == 3 else 0.0
         r = 1 + sum((max(filters) - 1) * q**i for i in range(n_layers))
         p_len = r + 4
-        base = np.zeros((1, p_len, 2, 1))
+        base = np.zeros((1, 2, p_len, 1))
 
         def final_step(x):
             z = Tensor(x)
             for layer in layers:
                 z = layer(z)
-            assert z.shape[1] >= 1
-            return z.data[0, -1]
+            assert z.shape[2] >= 1
+            return z.data[0, :, -1]
 
         ref = final_step(base)
         touched = []
         for i in range(p_len):
             bumped = base.copy()
-            bumped[0, i, 0, 0] = 1.0
+            bumped[0, 0, i, 0] = 1.0
             if not np.array_equal(final_step(bumped), ref):
                 touched.append(i)
         assert touched == list(range(p_len - r, p_len))
@@ -150,19 +150,19 @@ class TestTcnLayer:
     def test_length_law_stacked(self):
         st = store()
         filters = (2, 3, 6, 7)
-        x = rand(1, 64, 3, 1, seed=8)
+        x = rand(1, 3, 64, 1, seed=8)
         t = 64
         for i in range(2):
             s = layer_dilation(i + 1, 2)
             layer = TcnLayer(st, f"s{i}", x.shape[-1], 4, filters, dilation=s)
             x = layer(x)
             t = t - (7 - 1) * s
-            assert x.shape[1] == t
+            assert x.shape[2] == t
 
     def test_branch_gradients(self):
         st = store(3)
         layer = TcnLayer(st, "tcn", 1, 4, (2, 3), dilation=2)
-        x = rand(1, 9, 2, 1, seed=9)
+        x = rand(1, 2, 9, 1, seed=9)
 
         def loss():
             out = layer(x)
@@ -175,17 +175,18 @@ class TestTcnLayer:
     def test_training_call_records(self, sizes):
         # the bank, its gating and dropout are one record, whatever ω
         layer = TcnLayer(store(), "tcn", 2, 4 * len(sizes), sizes, dilation=2, dropout=0.3)
-        x = rand(2, 16, 3, 2)
+        x = rand(2, 3, 16, 2)
         with T.Tape() as tape:
             layer(x, training=True, rng=np.random.default_rng(0))
         assert len(tape) == 1
 
     def test_training_output_is_eval_output_under_the_dropout_mask(self):
-        # the mask is rng.random(shape) >= rate, drawn once per call
+        # the mask is rng.random(shape) >= rate, drawn once per call and
+        # time-major, (B, T, N, C), whatever the features' layout
         layer = TcnLayer(store(2), "tcn", 2, 8, (2, 3), dilation=2, dropout=0.3)
-        x = rand(2, 16, 3, 2, seed=5)
+        x = rand(2, 3, 16, 2, seed=5)
         xi = layer(x).data
-        keep = np.random.default_rng(4).random(xi.shape) >= 0.3
+        keep = np.random.default_rng(4).random((2, 12, 3, 8)).transpose(0, 2, 1, 3) >= 0.3
         out = layer(x, training=True, rng=np.random.default_rng(4)).data
         assert np.array_equal(out, xi * (keep / 0.7))
 
@@ -195,7 +196,7 @@ class TestTcnLayer:
         # C-channel arrays at peak; separate sigmoid, tanh and product
         # arrays take it to about 5
         layer = TcnLayer(store(), "tcn", 16, 16, (2, 3), dilation=1)
-        x = rand(2, 64, 32, 16, seed=11)
+        x = rand(2, 32, 64, 16, seed=11)
         tracemalloc.start()
         try:
             with T.no_grad():
@@ -205,7 +206,7 @@ class TestTcnLayer:
                 peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert out.shape == (2, 62, 32, 16)
+        assert out.shape == (2, 32, 62, 16)
         assert peak <= 4.5 * x.data.nbytes
 
     def test_parameter_names_in_registration_order(self):
@@ -225,7 +226,8 @@ class TestTcnLayer:
     def test_matches_per_branch_reference(self, sizes, d):
         # the per-branch algorithm in numpy: each bank runs one causal conv
         # per filter size, cuts it to the k_max output length and
-        # concatenates; the backward is written out by hand
+        # concatenates; the backward is written out by hand, all on
+        # (B, T, N, C) arrays that the layer gets node-major
         st = store(4)
         c_in, c_out = 3, 2 * len(sizes)
         layer = TcnLayer(st, "tcn", c_in, c_out, sizes, dilation=d)
@@ -272,17 +274,20 @@ class TestTcnLayer:
                     off = (k - 1 - tau) * d
                     ref_gx[:, off:off + t_k] += np.einsum("btno,oc->btnc", g_full, kern[:, :, tau])
 
-        xt = Tensor(x, requires_grad=True)
+        def node_major(a):
+            return np.ascontiguousarray(a.transpose(0, 2, 1, 3))
+
+        xt = Tensor(node_major(x), requires_grad=True)
         with T.Tape() as tape:
             out = layer(xt)
-            loss = T.reduce_sum(T.mul(out, Tensor(w)))
+            loss = T.reduce_sum(T.mul(out, Tensor(node_major(w))))
         tape.backward(loss)
 
         def rel(a, b):
             return np.abs(a - b).max() / np.abs(b).max()
 
-        assert rel(out.data, ref_out) <= 1e-12
-        assert rel(xt.grad, ref_gx) <= 1e-12
+        assert rel(out.data, node_major(ref_out)) <= 1e-12
+        assert rel(xt.grad, node_major(ref_gx)) <= 1e-12
         assert set(ref_grads) == set(st.params)
         for name, ref in ref_grads.items():
             assert rel(st.params[name].grad, ref) <= 1e-12, name

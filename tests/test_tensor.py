@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 import platform
 import resource
@@ -13,7 +14,7 @@ from evograph import tensor as T
 from evograph.config import multi_step_preset, single_step_preset
 from evograph.errors import ContractError, DimensionError, SequenceTooShortError
 from evograph.graph_learner import StaticFeatureExtractor
-from evograph.model import Model
+from evograph.model import Model, _histories
 from evograph.nn import ParamStore
 from evograph.rng import RngSource
 from evograph.tensor import Tape, Tensor, no_grad
@@ -83,15 +84,55 @@ def tensor_calls(path: Path) -> set[str]:
     return called
 
 
+# public functions and methods that code outside the package calls, so
+# that no caller shows in src/ or bench/
+CALLED_FROM_OUTSIDE = {
+    "cli.ArgumentParser.error",  # argparse reports a bad command line through it
+    "synth.score_recovery",  # only tests score graph recovery until training logs it
+}
+
+
+def public_callables() -> dict[str, str]:
+    """Every public function and method that an evograph module defines,
+    qualified as ``module.name`` or ``module.Class.name``, mapped to its
+    bare name."""
+    found = {}
+    for path in sorted((ROOT / "src" / "evograph").glob("*.py")):
+        module = importlib.import_module(f"evograph.{path.stem}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                found[f"{path.stem}.{name}"] = name
+            elif inspect.isclass(obj):
+                for attr, fn in vars(obj).items():
+                    fn = fn.__func__ if isinstance(fn, (staticmethod, classmethod)) else fn
+                    if not attr.startswith("_") and inspect.isfunction(fn):
+                        found[f"{path.stem}.{name}.{attr}"] = attr
+    return found
+
+
+def names_read(path: Path) -> set[str]:
+    """The names the module at ``path`` reads, bare or as an attribute."""
+    tree = ast.parse(path.read_text())
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
 def test_every_public_op_is_called_outside_the_tests():
     # an op that only tests call is an oracle: it belongs in reference_ops
     ops = {name for name, fn in inspect.getmembers(T, inspect.isfunction)
            if fn.__module__ == T.__name__ and not name.startswith("_")}
     ops |= {"Tensor." + name for name, _ in inspect.getmembers(T.Tensor, inspect.isfunction)
             if not name.startswith("_")}
-    called = set().union(*(tensor_calls(p) for d in ("src", "bench")
-                           for p in sorted((ROOT / d).rglob("*.py"))))
+    paths = [p for d in ("src", "bench") for p in sorted((ROOT / d).rglob("*.py"))]
+    called = set().union(*(tensor_calls(p) for p in paths))
     assert ops - called == set()
+    # every module's: a name that nothing in src/ or bench/ reads has only
+    # tests for callers
+    read = set().union(*(names_read(p) for p in paths))
+    unread = {qual for qual, name in public_callables().items() if name not in read}
+    assert unread == CALLED_FROM_OUTSIDE
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -268,18 +309,18 @@ class TestConv1d:
         )
 
     def test_four_d_bias_dilated_strided(self):
-        # (B, T, N, C) input, bias along the last axis, dilation 2, stride 2
+        # (B, N, T, C) input, bias along the last axis, dilation 2, stride 2
         rng = np.random.default_rng(5)
-        x = t(rng.normal(size=(2, 11, 3, 2)))
+        x = t(R.node_major(rng.normal(size=(2, 11, 3, 2))))
         k = t(rng.normal(size=(4, 2, 3)))
         b = t(rng.normal(size=(4,)))
         out = R.conv1d(x, [k], [b], dilation=2, stride=2).data
-        assert out.shape == (2, 4, 3, 4)
+        assert out.shape == (2, 3, 4, 4)
         for j in range(4):
             ref = b.data + sum(
-                x.data[:, 2 * j + 4 - 2 * tau] @ k.data[:, :, tau].T for tau in range(3)
+                x.data[:, :, 2 * j + 4 - 2 * tau] @ k.data[:, :, tau].T for tau in range(3)
             )
-            assert np.allclose(out[:, j], ref, rtol=1e-12, atol=0.0)
+            assert np.allclose(out[:, :, j], ref, rtol=1e-12, atol=0.0)
         w = Tensor(rng.normal(size=out.shape))
         assert_gradients_close(
             lambda: T.reduce_sum(T.mul(R.conv1d(x, [k], [b], dilation=2, stride=2), w)),
@@ -302,17 +343,17 @@ class TestConv1d:
     def test_branches_aligned_on_most_recent(self):
         # a 1-tap kernel must see the same (most recent) time steps as the
         # 3-tap kernel beside it
-        x = t(np.arange(5.0).reshape(1, 5, 1, 1))
+        x = t(np.arange(5.0).reshape(1, 1, 5, 1))
         bank = [t(np.ones((1, 1, 1))), t(np.zeros((1, 1, 3)))]
         out = R.conv1d(x, bank).data
-        assert out.shape == (1, 3, 1, 2)
+        assert out.shape == (1, 1, 3, 2)
         # channel 0 is the identity kernel, truncated to the last 3 steps
-        assert out[0, :, 0, 0].tolist() == [2.0, 3.0, 4.0]
+        assert out[0, 0, :, 0].tolist() == [2.0, 3.0, 4.0]
 
     def test_bank_equals_zero_padded_kernels(self):
         # kernel j acts as a k_max-tap kernel whose older taps are zero
         rng = np.random.default_rng(8)
-        x = t(rng.normal(size=(2, 11, 3, 2)))
+        x = t(R.node_major(rng.normal(size=(2, 11, 3, 2))))
         bank = [t(rng.normal(size=(c, 2, k))) for c, k in ((1, 1), (3, 3), (2, 2))]
         biases = [t(rng.normal(size=(c,))) for c in (1, 3, 2)]
         padded = np.concatenate(
@@ -324,12 +365,12 @@ class TestConv1d:
     def test_mixed_width_bank_gradients(self):
         # a bank of kernels of widths 1, 3 and 2, each with a bias, dilated
         rng = np.random.default_rng(9)
-        x = t(rng.normal(size=(2, 9, 3, 2)))
+        x = t(R.node_major(rng.normal(size=(2, 9, 3, 2))))
         k1 = t(rng.normal(size=(2, 2, 1)))
         k3 = t(rng.normal(size=(1, 2, 3)))
         k2 = t(rng.normal(size=(2, 2, 2)))
         b1, b3, b2 = (t(rng.normal(size=(c,))) for c in (2, 1, 2))
-        w = Tensor(rng.normal(size=(2, 5, 3, 5)))
+        w = Tensor(R.node_major(rng.normal(size=(2, 5, 3, 5))))
         assert_gradients_close(
             lambda: T.reduce_sum(T.mul(R.conv1d(x, [k1, k3, k2], [b1, b3, b2], dilation=2), w)),
             {"x": x, "k1": k1, "k3": k3, "k2": k2, "b1": b1, "b3": b3, "b2": b2},
@@ -421,9 +462,9 @@ class TestGatedConv1d:
     @pytest.mark.parametrize("rate", [0.0, 0.4])
     def test_gradcheck(self, rate):
         rng = np.random.default_rng(21)
-        x = t(rng.normal(size=(2, 9, 2, 3)))
+        x = t(R.node_major(rng.normal(size=(2, 9, 2, 3))))
         kernels, biases = self.bank(22)
-        w = Tensor(rng.normal(size=(2, 5, 2, 4)))
+        w = Tensor(R.node_major(rng.normal(size=(2, 5, 2, 4))))
 
         def loss():
             out = T.gated_conv1d(x, kernels, biases, 2, rate, True, np.random.default_rng(3))
@@ -437,7 +478,7 @@ class TestGatedConv1d:
     def test_matches_conv1d_then_gating(self):
         # σ and tanh of the bank's two channel halves, with sigmoid's and
         # tanh's own arithmetic, so the values are equal bit for bit
-        x = t(np.random.default_rng(23).normal(size=(2, 9, 2, 3)))
+        x = t(R.node_major(np.random.default_rng(23).normal(size=(2, 9, 2, 3))))
         kernels, biases = self.bank(24)
         y = R.conv1d(x, kernels, biases, dilation=2)
         want = T.mul(R.sigmoid(T.narrow(y, -1, 0, 4)), T.tanh(T.narrow(y, -1, 4, 4))).data
@@ -449,12 +490,13 @@ class TestGatedConv1d:
         # the op chain's to rounding, including a gate channel saturated to
         # σ = 0 (a ≈ −800) and units that dropout dropped
         rng = np.random.default_rng(26)
-        x = t(rng.normal(size=(2, 9, 2, 3)))
+        x = t(R.node_major(rng.normal(size=(2, 9, 2, 3))))
         kernels, biases = self.bank(27)
         biases[0].data[0] = -800.0
-        w = Tensor(rng.normal(size=(2, 5, 2, 4)))
+        w = Tensor(R.node_major(rng.normal(size=(2, 5, 2, 4))))
         rate = 0.4
-        mask = np.random.default_rng(3).random((2, 5, 2, 4)) >= rate
+        # drawn time-major, (B, T, N, C), as the op draws it
+        mask = R.node_major(np.random.default_rng(3).random((2, 5, 2, 4)) >= rate)
         params = [x, *kernels, *biases]
 
         def grads(fn):
@@ -479,7 +521,7 @@ class TestGatedConv1d:
             assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_dropout_contract(self):
-        x = t(np.ones((1, 4, 2, 3)))
+        x = t(np.ones((1, 2, 4, 3)))
         kernels, biases = self.bank(25)
         with pytest.raises(ContractError, match="needs an rng"):
             T.gated_conv1d(x, kernels, biases, 1, 0.5, True)
@@ -487,31 +529,41 @@ class TestGatedConv1d:
             T.gated_conv1d(x, kernels, biases, 1, 1.0, False)
 
     def test_odd_bank_rejected(self):
-        x = t(np.ones((1, 4, 2, 3)))
+        x = t(np.ones((1, 2, 4, 3)))
         with pytest.raises(DimensionError, match="odd"):
             T.gated_conv1d(x, [t(np.ones((3, 3, 2)))], [t(np.ones(3))], 1, 0.0, False)
 
 
+def skip_linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """A skip projection as the model runs it: :func:`T.linear` on the
+    (B, N, T·C) view of node-major (B, N, T, C) features."""
+    return T.linear(_histories(x), w, b)
+
+
 class TestSkipLinear:
+    """Each node's history, flattened by a view, through a Linear."""
+
     @staticmethod
     def operands(seed, b=3):
         rng = np.random.default_rng(seed)
-        return (t(rng.normal(size=(b, 5, 4, 3))), t(rng.normal(size=(15, 6))),
+        return (t(R.node_major(rng.normal(size=(b, 5, 4, 3)))), t(rng.normal(size=(15, 6))),
                 t(rng.normal(size=6)))
 
     def test_gradcheck(self):
         x, w, b = self.operands(26)
         g = Tensor(np.random.default_rng(27).normal(size=(3, 4, 6)))
-        assert_gradients_close(lambda: T.reduce_sum(T.mul(T.skip_linear(x, w, b), g)),
+        assert_gradients_close(lambda: T.reduce_sum(T.mul(skip_linear(x, w, b), g)),
                                {"x": x, "w": w, "b": b})
 
     def test_matches_flatten_then_linear(self):
-        # the same GEMMs as transpose → reshape → matmul → bias_add, so the
-        # output and every gradient are equal bit for bit
+        # the flatten of time-major features, transpose → reshape → matmul →
+        # bias_add, against the reshape view and linear: the same products,
+        # so the output and every gradient are equal bit for bit
         x, w, b = self.operands(28)
         g = Tensor(np.random.default_rng(29).normal(size=(3, 4, 6)))
+        steps = t(x.data.transpose(0, 2, 1, 3))  # (B, T, N, C)
 
-        def grads(fn):
+        def grads(fn, x):
             for p in (x, w, b):
                 p.grad = None
             with Tape() as tape:
@@ -520,19 +572,20 @@ class TestSkipLinear:
             tape.backward(loss)
             return out.data, [p.grad for p in (x, w, b)]
 
-        flat = lambda: T.reshape(T.transpose(x, (0, 2, 1, 3)), (3, 4, 15))  # noqa: E731
-        want, want_grads = grads(lambda: R.bias_add(R.matmul(flat(), w), b))
-        out, out_grads = grads(lambda: T.skip_linear(x, w, b))
+        flat = lambda: T.reshape(T.transpose(steps, (0, 2, 1, 3)), (3, 4, 15))  # noqa: E731
+        want, want_grads = grads(lambda: R.bias_add(R.matmul(flat(), w), b), steps)
+        want_grads[0] = want_grads[0].transpose(0, 2, 1, 3)
+        out, out_grads = grads(lambda: skip_linear(x, w, b), x)
         assert np.array_equal(out, want)
         for got, ref in zip(out_grads, want_grads):
             assert np.array_equal(got, ref)
 
     def test_shape_checks(self):
         x, w, b = self.operands(30)
-        with pytest.raises(DimensionError, match="skip_linear"):
-            T.skip_linear(x, t(np.ones((14, 6))), b)
-        with pytest.raises(DimensionError, match="skip_linear"):
-            T.skip_linear(x, w, t(np.ones(5)))
+        with pytest.raises(DimensionError, match="linear"):
+            skip_linear(x, t(np.ones((14, 6))), b)
+        with pytest.raises(DimensionError, match="linear"):
+            skip_linear(x, w, t(np.ones(5)))
 
 
 class TestLinear:
@@ -585,7 +638,7 @@ class TestRetention:
     """What one recorded fused op keeps alive, in multiples of its input's bytes."""
 
     @staticmethod
-    def held(fn) -> int:
+    def held(fn, records=1) -> int:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -594,7 +647,7 @@ class TestRetention:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert len(tape) == 1 and out.data.size
+        assert len(tape) == records and out.data.size
         return held
 
     def test_gated_conv1d_keeps_sigmoid_mask_and_output(self):
@@ -621,11 +674,12 @@ class TestRetention:
         assert held <= 1.5 * x.data.nbytes
 
     def test_skip_linear_keeps_no_flatten(self):
-        # the (B, N, 8) output only; a kept (B, N, T·C) flatten is 1 x
+        # the (B, N, 8) output and a reshape record whose output is a view;
+        # a kept (B, N, T·C) flatten is 1 x
         rng = np.random.default_rng(33)
-        x = t(rng.normal(size=(2, 30, 4, 16)))
+        x = t(rng.normal(size=(2, 4, 30, 16)))
         w, b = t(rng.normal(size=(480, 8))), t(np.zeros(8))
-        held = self.held(lambda: T.skip_linear(x, w, b))
+        held = self.held(lambda: skip_linear(x, w, b), records=2)
         assert held <= 0.25 * x.data.nbytes
 
     def test_linear_keeps_its_output_only(self):
@@ -678,7 +732,7 @@ class TestRetention:
         # the output, which C_in = C_out makes the size of a hop; keeping
         # H₁ and H₂ as well takes ~3 x
         rng = np.random.default_rng(35)
-        xi = t(rng.normal(size=(2, 30, 8, 16)))
+        xi = t(rng.normal(size=(2, 8, 30, 16)))
         adj = t(rng.random((2, 1, 8, 8)))
         weights = [t(rng.normal(size=(16, 16))) for _ in range(3)]
         held = self.held(lambda: T.mixhop(xi, adj, weights, 0.05, [(1, 30)]))
@@ -689,15 +743,15 @@ class TestRetention:
         # 4 x, and the time-major γ, r ⊙ α and the states on top ~7 x
         rng = np.random.default_rng(36)
         c = hd = 8
-        gammas = t(rng.normal(size=(2, 10, 40, c)))
+        gammas = t(rng.normal(size=(2, 40, 10, c)))
         alpha0 = t(np.tanh(rng.normal(size=(2, 40, hd))))
         weights = [t(rng.normal(size=(c + hd, hd))) for _ in range(3)]
         biases = [t(rng.normal(size=hd)) for _ in range(3)]
         held = self.held(lambda: T.gru_sequence(gammas, alpha0, *weights, *biases))
         assert held <= 1.2 * gammas.data.nbytes
 
-    @pytest.mark.parametrize("xi_shape, adj_shape", [((2, 30, 8, 16), (2, 1, 8, 8)),
-                                                     ((2, 30, 8, 16), (2, 6, 8, 8))])
+    @pytest.mark.parametrize("xi_shape, adj_shape", [((2, 8, 30, 16), (2, 1, 8, 8)),
+                                                     ((2, 8, 30, 16), (2, 6, 8, 8))])
     def test_mixhop_backward_frees_hops_at_last_use(self, xi_shape, adj_shape):
         # at Ψ = 2 with C_in = C_out, in ξ-sized arrays: the output's
         # gradient, ξ's, dHₖ₊₁, dHₖ and one product in flight, ~6.2 x with
@@ -707,7 +761,7 @@ class TestRetention:
         xi = t(rng.normal(size=xi_shape))
         adj = t(rng.random(adj_shape))
         weights = [t(rng.normal(size=(16, 16))) for _ in range(3)]
-        runs = [(adj_shape[1], xi_shape[1] // adj_shape[1])]
+        runs = [(adj_shape[1], xi_shape[2] // adj_shape[1])]
         with Tape() as tape:
             loss = T.reduce_sum(T.mixhop(xi, adj, weights, 0.05, runs))
         tracemalloc.start()
@@ -857,11 +911,11 @@ class TestConcatSlice:
 
     def test_segment_mean_matches_slices(self):
         rng = np.random.default_rng(6)
-        x = t(rng.normal(size=(2, 11, 3, 2)))
+        x = t(R.node_major(rng.normal(size=(2, 11, 3, 2))))
         bounds = [(0, 4), (4, 11)]
         out = T.segment_mean(x, bounds)
         for m, (start, stop) in enumerate(bounds):
-            assert np.array_equal(out.data[:, m], x.data[:, start:stop].mean(axis=1))
+            assert np.array_equal(out.data[:, :, m], x.data[:, :, start:stop].mean(axis=2))
         w = Tensor(rng.normal(size=out.shape))
         assert_gradients_close(
             lambda: T.reduce_sum(T.mul(T.segment_mean(x, bounds), w)), {"x": x})
@@ -1094,7 +1148,7 @@ class TestGruSequence:
 
     def inputs(self, b, m, seed=0):
         rng = np.random.default_rng(seed)
-        gammas = t(rng.normal(size=(b, m, self.N, self.C)))
+        gammas = t(R.node_major(rng.normal(size=(b, m, self.N, self.C))))
         alpha0 = t(np.tanh(rng.normal(size=(b, self.N, self.H))))
         weights = [t(rng.normal(size=(self.C + self.H, self.H))) for _ in range(3)]
         biases = [t(rng.normal(size=self.H)) for _ in range(3)]
@@ -1108,8 +1162,8 @@ class TestGruSequence:
             return act(R.bias_add(R.matmul(cat, w), b))
 
         states = []
-        for m in range(gammas.shape[1]):
-            gamma = T.select(gammas, 1, m)
+        for m in range(gammas.shape[2]):
+            gamma = T.select(gammas, 2, m)
             cat = R.concat([gamma, alpha], axis=2)
             r = gate(cat, w_r, b_r, R.sigmoid)
             u = gate(cat, w_u, b_u, R.sigmoid)
@@ -1160,7 +1214,7 @@ class TestGruSequence:
     def test_bad_shapes(self):
         args = self.inputs(1, 2)
         with pytest.raises(DimensionError, match="input channels"):
-            T.gru_sequence(t(np.zeros((1, 2, self.N, self.C + 1))), *args[1:])
+            T.gru_sequence(t(np.zeros((1, self.N, 2, self.C + 1))), *args[1:])
         with pytest.raises(DimensionError, match="state"):
             T.gru_sequence(args[0], t(np.zeros((1, self.N))), *args[2:])
 
@@ -1168,16 +1222,16 @@ class TestGruSequence:
 class TestMixhop:
     N, C_IN, C_OUT = 3, 2, 4
 
-    # (features, adjacency), propagated as one run of M equal segments:
-    # one graph per step, one graph for all steps, and one graph per
-    # segment of 3 steps
-    SHAPES = [((2, 3, N, C_IN), (2, 3, N, N)),
-              ((2, 3, N, C_IN), (2, 1, N, N)),
-              ((2, 6, N, C_IN), (2, 2, N, N))]
+    # (node-major features, adjacency), propagated as one run of M equal
+    # segments: one graph per step, one graph for all steps, and one graph
+    # per segment of 3 steps
+    SHAPES = [((2, N, 3, C_IN), (2, 3, N, N)),
+              ((2, N, 3, C_IN), (2, 1, N, N)),
+              ((2, N, 6, C_IN), (2, 2, N, N))]
 
     @staticmethod
     def one_run(xi_shape, adj_shape):
-        return [(adj_shape[1], xi_shape[1] // adj_shape[1])]
+        return [(adj_shape[1], xi_shape[2] // adj_shape[1])]
 
     def inputs(self, xi_shape, adj_shape, psi, seed=0):
         rng = np.random.default_rng(seed)
@@ -1190,9 +1244,10 @@ class TestMixhop:
     def reference(xi, adj, weights, beta, runs):
         """The per-hop op chain on one run's (B, n, d, N, C) steps and
         (B, n, 1, N, N) graphs: a product, two scalings and a sum per hop,
-        then a projection and a sum."""
+        then a projection and a sum; node-major in and out."""
         (count, length), = runs
-        x = T.reshape(xi, xi.shape[:1] + (count, length) + xi.shape[2:])
+        steps = T.transpose(xi, (0, 2, 1, 3))  # (B, T, N, C)
+        x = T.reshape(steps, steps.shape[:1] + (count, length) + steps.shape[2:])
         a = T.reshape(adj, adj.shape[:1] + (count, 1) + adj.shape[2:])
         h = x
         out = R.matmul(h, weights[0])
@@ -1200,7 +1255,8 @@ class TestMixhop:
             h = T.add(T.mul(x, R.full_like(x, beta)),
                       T.mul(R.matmul(a, h), R.full_like(x, 1.0 - beta)))
             out = T.add(out, R.matmul(h, w))
-        return T.reshape(out, xi.shape[:-1] + out.shape[-1:])
+        out = T.reshape(out, steps.shape[:-1] + out.shape[-1:])
+        return T.transpose(out, (0, 2, 1, 3))
 
     @pytest.mark.parametrize("beta", [0.0, 0.05, 1.0])
     @pytest.mark.parametrize("psi", [0, 1, 2])
@@ -1245,7 +1301,7 @@ class TestMixhop:
     def run_inputs(self, runs, psi, seed):
         steps = sum(n * length for n, length in runs)
         graphs = sum(n for n, _ in runs)
-        return self.inputs((2, steps, self.N, self.C_IN), (2, graphs, self.N, self.N), psi, seed)
+        return self.inputs((2, self.N, steps, self.C_IN), (2, graphs, self.N, self.N), psi, seed)
 
     @staticmethod
     def per_run_reference(xi, adj, weights, beta, runs):
@@ -1253,10 +1309,10 @@ class TestMixhop:
         a record of its own, and the parts concatenated."""
         parts, t0, m0 = [], 0, 0
         for n, length in runs:
-            parts.append(T.mixhop(T.narrow(xi, 1, t0, n * length), T.narrow(adj, 1, m0, n),
+            parts.append(T.mixhop(T.narrow(xi, 2, t0, n * length), T.narrow(adj, 1, m0, n),
                                   weights, beta, [(n, length)]))
             t0, m0 = t0 + n * length, m0 + n
-        return R.concat(parts, axis=1)
+        return R.concat(parts, axis=2)
 
     @pytest.mark.parametrize("runs", RUNS)
     def test_runs_match_per_run_chain(self, runs):
@@ -1316,7 +1372,7 @@ class TestMixhop:
             with pytest.raises(DimensionError, match="adjacency"):
                 T.mixhop(xi, t(a), weights, 0.5, runs)
         with pytest.raises(DimensionError, match="adjacency"):
-            T.mixhop(t(np.ones((2, 3, self.N + 1, self.C_IN))), adj, weights, 0.5, runs)
+            T.mixhop(t(np.ones((2, self.N + 1, 3, self.C_IN))), adj, weights, 0.5, runs)
         with pytest.raises(DimensionError, match="channels"):
             T.mixhop(xi, adj, [weights[0], t(np.ones((self.C_IN, 1)))], 0.5, runs)
         with pytest.raises(DimensionError, match="at least one"):
@@ -1335,7 +1391,7 @@ class TestDropout:
         return T.gated_conv1d(x, kernels, biases, 1, rate, training, rng)
 
     def test_rate_zero_identity(self):
-        x = t(np.random.default_rng(41).normal(size=(2, 9, 2, 3)))
+        x = t(R.node_major(np.random.default_rng(41).normal(size=(2, 9, 2, 3))))
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         out = self.gated(x, 0.0, True, rng)
@@ -1343,14 +1399,14 @@ class TestDropout:
         assert rng.bit_generator.state == state  # nothing drawn
 
     def test_inference_identity(self):
-        x = t(np.random.default_rng(42).normal(size=(2, 9, 2, 3)))
+        x = t(R.node_major(np.random.default_rng(42).normal(size=(2, 9, 2, 3))))
         out = self.gated(x, 0.9, False)
         assert np.array_equal(out.data, self.gated(x, 0.0, False).data)
 
     def test_inference_returns_input_unrecorded(self):
         # eval mode draws no mask, even when handed an rng, and the gated
         # op is still one record
-        x = t(np.random.default_rng(43).normal(size=(2, 9, 2, 3)))
+        x = t(R.node_major(np.random.default_rng(43).normal(size=(2, 9, 2, 3))))
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
         with Tape() as tape:
@@ -1359,7 +1415,7 @@ class TestDropout:
         assert len(tape) == 1
 
     def test_survivor_fraction(self):
-        x = t(np.random.default_rng(44).normal(size=(4, 400, 8, 3)))
+        x = t(R.node_major(np.random.default_rng(44).normal(size=(4, 400, 8, 3))))
         full = self.gated(x, 0.0, False).data
         out = self.gated(x, self.RATE, True, np.random.default_rng(7)).data
         kept = out != 0
@@ -1368,16 +1424,16 @@ class TestDropout:
 
     def test_needs_rng(self):
         with pytest.raises(ContractError, match="needs an rng"):
-            self.gated(t(np.ones((1, 4, 2, 3))), 0.5, True)
+            self.gated(t(np.ones((1, 2, 4, 3))), 0.5, True)
 
     def test_boolean_mask_matches_float_mask(self):
         # output and x's gradient equal the undropped op's under the float
-        # mask (rng.random(shape) >= rate) / 0.7; TestRetention bounds what
-        # the record keeps
+        # mask (rng.random(shape) >= rate) / 0.7, drawn time-major;
+        # TestRetention bounds what the record keeps
         rng = np.random.default_rng(8)
-        x = t(rng.normal(size=(2, 9, 2, 3)))
-        w = rng.normal(size=(2, 7, 2, 4))
-        keep = (np.random.default_rng(9).random(w.shape) >= self.RATE) / 0.7
+        x = t(R.node_major(rng.normal(size=(2, 9, 2, 3))))
+        w = R.node_major(rng.normal(size=(2, 7, 2, 4)))
+        keep = R.node_major(np.random.default_rng(9).random((2, 7, 2, 4)) >= self.RATE) / 0.7
 
         def run(rate, training, weight):
             x.grad = None

@@ -318,7 +318,7 @@ class TestRunDir:
         cfg = experiment(max_epochs=2)
         out = tmp_path / "run"
         model, data, result, report = run_experiment(
-            sine_dataset(), cfg, out_dir=out
+            prepare_data(sine_dataset(), cfg), cfg, out_dir=out
         )
         assert {p.name for p in out.iterdir()} == {
             "config.json", "history.csv", "checkpoint.bin",
@@ -338,16 +338,16 @@ class TestRunDir:
     def test_refuses_nonempty_dir_without_force(self, tmp_path):
         cfg = experiment(max_epochs=1)
         out = tmp_path / "run"
-        run_experiment(sine_dataset(), cfg, out_dir=out)
+        run_experiment(prepare_data(sine_dataset(), cfg), cfg, out_dir=out)
         with pytest.raises(ConfigurationError, match="not empty"):
-            run_experiment(sine_dataset(), cfg, out_dir=out)
-        run_experiment(sine_dataset(), cfg, out_dir=out, force=True)
+            run_experiment(prepare_data(sine_dataset(), cfg), cfg, out_dir=out)
+        run_experiment(prepare_data(sine_dataset(), cfg), cfg, out_dir=out, force=True)
 
     def test_identical_runs_bitwise(self, tmp_path):
         cfg = experiment(max_epochs=2)
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
-            run_experiment(sine_dataset(), cfg, out_dir=out)
+            run_experiment(prepare_data(sine_dataset(), cfg), cfg, out_dir=out)
         for name in ("metrics.json", "history.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         graph_files = sorted(p.name for p in (outs[0] / "graphs").iterdir())
@@ -380,7 +380,7 @@ class TestRunDir:
 class TestAblation:
     def test_report_shape_and_seed_pairing(self):
         cfg = experiment(max_epochs=1)
-        report = run_ablation(sine_dataset(), cfg, repeats=2,
+        report = run_ablation(prepare_data(sine_dataset(), cfg), cfg, repeats=2,
                               variants=("full", "static_only"))
         assert len(report.runs) == 4
         by_variant = {}
@@ -393,7 +393,7 @@ class TestAblation:
 
     def test_aggregates_recompute_from_runs(self):
         cfg = experiment(max_epochs=1)
-        report = run_ablation(sine_dataset(), cfg, repeats=2,
+        report = run_ablation(prepare_data(sine_dataset(), cfg), cfg, repeats=2,
                               variants=("full", "static_only"))
         recomputed = ExperimentReport.aggregate(report.runs)
         for variant, stats in report.aggregates.items():
@@ -403,15 +403,15 @@ class TestAblation:
 
     def test_parallel_jobs_match_sequential(self):
         cfg = experiment(max_epochs=1)
-        seq = run_ablation(sine_dataset(), cfg, repeats=2, variants=("full",))
-        par = run_ablation(sine_dataset(), cfg, repeats=2, variants=("full",),
+        seq = run_ablation(prepare_data(sine_dataset(), cfg), cfg, repeats=2, variants=("full",))
+        par = run_ablation(prepare_data(sine_dataset(), cfg), cfg, repeats=2, variants=("full",),
                            jobs=2)
         for a, b in zip(seq.runs, par.runs):
             assert a["metrics"] == b["metrics"]
 
     def test_json_and_csv_round_trip(self, tmp_path):
         cfg = experiment(max_epochs=1)
-        report = run_ablation(sine_dataset(), cfg, repeats=1,
+        report = run_ablation(prepare_data(sine_dataset(), cfg), cfg, repeats=1,
                               variants=("full",))
         back = ExperimentReport.from_json(report.to_json())
         assert back.aggregates == report.aggregates
@@ -425,12 +425,14 @@ class TestAblation:
     @pytest.mark.parametrize("repeats, jobs", [(0, 1), (-1, 1), (1, 0), (1, -2)])
     def test_no_run_or_no_worker_rejected(self, repeats, jobs):
         with pytest.raises(ConfigurationError, match="ablation has no run|jobs"):
-            run_ablation(sine_dataset(), experiment(max_epochs=1), repeats=repeats,
+            cfg = experiment(max_epochs=1)
+            run_ablation(prepare_data(sine_dataset(), cfg), cfg, repeats=repeats,
                          variants=("full",), jobs=jobs)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigurationError, match="variant"):
-            run_ablation(sine_dataset(), experiment(), repeats=1,
+            cfg = experiment()
+            run_ablation(prepare_data(sine_dataset(), cfg), cfg, repeats=1,
                          variants=("bogus",))
 
     def test_hashes_stable_and_content_sensitive(self):
