@@ -170,11 +170,8 @@ class TrainConfig:
     patience: int = 15          # 0 disables early stopping
     loss: str = "mae"
     clip_norm: float = 5.0
-    seeds: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.seeds is not None:
-            self.seeds = _as_tuple("seeds", self.seeds, "int")
         self.validate()
 
     def validate(self) -> None:
@@ -202,6 +199,9 @@ class TrainConfig:
     def from_dict(cls, d: dict) -> "TrainConfig":
         # "repeats" of earlier versions was never read: --repeats sets it
         d = {k: v for k, v in _section(d, "train config").items() if k != "repeats"}
+        # nor "seeds", which overrode --seed and --repeats; its null is dropped
+        if d.pop("seeds", None) is not None:
+            raise ConfigurationError('train config "seeds" is retired: use --seed and --repeats')
         names = {f.name for f in dataclasses.fields(cls)}
         unknown = set(d) - names
         if unknown:

@@ -211,18 +211,14 @@ class Egl:
         spec = SegmentSpec.for_length(xi.shape[2], d)
         # (B, N, M, C_in); when d = 1 each segment is one step
         gammas = xi if spec.m == xi.shape[2] else T.segment_mean(xi, spec.boundaries)
-        alpha = self.init_hidden(alpha_s)
-        if alpha.ndim == 2:
-            alpha = T.broadcast_leading(alpha, xi.shape[0])
+        alpha = T.broadcast_leading(self.init_hidden(alpha_s), xi.shape[0])
         g = self.gru
         states = T.gru_sequence(gammas, alpha, g.w_r, g.w_u, g.w_o, g.b_r, g.b_u, g.b_o)
         return EvolvingGraphSequence(*self.derive_adjacency(states), spec)
 
     def static_sequence(self, alpha_s: Tensor, t: int, batch: int) -> EvolvingGraphSequence:
         """One graph from the initial (static) embeddings covering [0, t)."""
-        alpha = self.init_hidden(alpha_s)
-        if alpha.ndim == 2:
-            alpha = T.broadcast_leading(alpha, batch)
+        alpha = T.broadcast_leading(self.init_hidden(alpha_s), batch)
         spec = SegmentSpec([(0, t)])
         alpha = T.reshape(alpha, alpha.shape[:1] + (1,) + alpha.shape[1:])  # (B, 1, N, C_e)
         return EvolvingGraphSequence(*self.derive_adjacency(alpha), spec)

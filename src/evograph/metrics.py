@@ -94,10 +94,6 @@ class MetricReport:
     def to_json(self) -> str:
         return json.dumps(self.rows, indent=2, sort_keys=False)
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricReport":
-        return cls(rows=json.loads(text))
-
     def write_csv(self, path) -> None:
         columns = sorted({k for row in self.rows.values() for k in row})
         write_csv_atomic(path, [

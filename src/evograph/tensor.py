@@ -1,11 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The operation set is what the forecasting model runs: elementwise
-arithmetic, tanh, ReLU and |·|, reductions and segment means,
-slicing/reshaping, a leading-axis broadcast, and seven fused ops that
-run the architecture's layers.  Slices (:func:`narrow`, :func:`select`)
-are views of their input, and their backward adds into the input's
-gradient buffer in place.
+arithmetic, tanh, ReLU and |·|, whole-tensor sums and means (a loss is
+one), segment means, slicing/reshaping, a leading-axis broadcast, and
+seven fused ops that run the architecture's layers.  Slices
+(:func:`narrow`, :func:`select`) are views of their input, and their
+backward adds into the input's gradient buffer in place.
 
 The model's sequences are node-major, (B, N, T, C): the ops that run
 along time take it as axis −2, and those that mix nodes see each node's
@@ -13,7 +13,7 @@ steps as one row.  :func:`_conv_bank` is the convolution under
 :func:`gated_conv1d` and :func:`static_features`'s second convolution.  It
 works on channel-last (..., T, C) input, the leading axes one batch of
 sequences.  It takes a bank of kernels of possibly different widths, all
-aligned on the most recent sample, with optional biases, and concatenates
+aligned on the most recent sample, each with its bias, and concatenates
 their outputs along the channel axis, so a whole inception layer is one
 record.  Both passes are one batched GEMM per tap of the widest kernel over
 a (sequences, T_out, C) view of the input, so no im2col copy is made.
@@ -42,12 +42,13 @@ so that a record keeps only what its backward reads:
   one block of graphs at a time;
 - :func:`gru_sequence` runs a whole GRU recurrence, keeping only its
   output: the backward rebuilds every step's previous state from the
-  output, and from those every step's gates and candidates at once;
+  output, and from those every step's gates and candidates at once,
+  through the one cell body the forward's steps run;
 - :func:`mixhop` runs every hop and projection of mix-hop graph
   propagation, for every run of equal-length segments of a layer into one
   output buffer, each hop one GEMM per graph, keeping only its output: the
-  backward rebuilds one run's hop states at a time from ξ and Â and frees
-  each at its last use;
+  backward rebuilds one run's hop states at a time from ξ and Â, frees
+  each at its last use, and always forms ξ's gradient;
 - :func:`gated_conv1d` runs a kernel bank, its σ·tanh gating and dropout
   in place, keeping σ, the dropout mask and its output: the backward
   reads tanh back from the output;
@@ -416,7 +417,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 _BANK_BLOCK = 1 << 17  # (sequences, C_in, ΣC_j) partial sums per chunk of _conv_bank's backward
 
 
-def _conv_bank(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | None,
+def _conv_bank(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
                dilation: int, stride: int) -> tuple[Array, Callable[[Array], None]]:
     """The forward value of a kernel bank and the backward that goes with it.
 
@@ -428,7 +429,7 @@ def _conv_bank(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | 
 
     ``x`` has shape (..., T, C_in), time on axis −2, and at least one
     leading axis; the leading axes are one batch of sequences.  Kernel j
-    has shape (C_j, C_in, k_j) and the optional bias j (C_j,); the outputs
+    has shape (C_j, C_in, k_j) and its bias j (C_j,); the outputs
     of the kernels are concatenated in order along the last axis, so the
     output is (..., T_out, ΣC_j) with
     ``T_out = (T - (k_max-1)*dilation - 1) // stride + 1``; with stride 1
@@ -446,7 +447,7 @@ def _conv_bank(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | 
     c_in = x.shape[-1]
     if not shapes or any(len(sh) != 3 or sh[1] != c_in for sh in shapes):
         raise DimensionError(f"conv1d: kernels {shapes} are not (C_j, {c_in}, k_j)")
-    if biases is not None and [b.shape for b in biases] != [sh[:1] for sh in shapes]:
+    if [b.shape for b in biases] != [sh[:1] for sh in shapes]:
         raise DimensionError(f"conv1d: biases {[b.shape for b in biases]} do not match {shapes}")
     k_max = max(sh[2] for sh in shapes)
     t = x.shape[-2]
@@ -480,8 +481,7 @@ def _conv_bank(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | 
             np.matmul(rows(off), w_tap, out=tap)
             out += tap
         del tap
-    if biases is not None:
-        out += np.concatenate([b.data for b in biases])
+    out += np.concatenate([b.data for b in biases])
 
     def back(g):
         g3 = g.reshape(-1, t_out, c_out)
@@ -502,10 +502,9 @@ def _conv_bank(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | 
             for tau, off in enumerate(offsets):
                 gx[:, off:off + win:stride] += (g2 @ w[tau].T).reshape(g3.shape[:2] + (c_in,))
             _accumulate(x, gx.reshape(x.shape))
-        if biases is not None:
-            gb = g2.sum(axis=0)
-            for b, col in zip(biases, cols):
-                _accumulate(b, gb[col])
+        gb = g2.sum(axis=0)
+        for b, col in zip(biases, cols):
+            _accumulate(b, gb[col])
 
     return out.reshape(x.shape[:-2] + (t_out, c_out)), back
 
@@ -688,49 +687,36 @@ def gated_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
 # ---------------------------------------------------------------------------
 # Reductions and shape ops
 
-def _normalize_axes(axis, ndim: int) -> tuple[int, ...]:
-    if axis is None:
-        return tuple(range(ndim))
-    if isinstance(axis, int):
-        axis = (axis,)
-    axes = []
-    for a in axis:
-        if not -ndim <= a < ndim:
-            raise DimensionError(f"axis {a} out of range for ndim {ndim}")
-        axes.append(a % ndim)
-    if len(set(axes)) != len(axes):
-        raise DimensionError(f"duplicate axes in {axis}")
-    return tuple(sorted(axes))
+def _axis(axis: int, ndim: int) -> int:
+    """``axis`` of an ``ndim``-axis array as an index in [0, ndim)."""
+    if not -ndim <= axis < ndim:
+        raise DimensionError(f"axis {axis} out of range for ndim {ndim}")
+    return axis % ndim
 
 
-def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _normalize_axes(axis, x.ndim)
-    out = x.data.sum(axis=axes, keepdims=keepdims)
+def reduce_sum(x: Tensor) -> Tensor:
+    """The sum of every entry of ``x``, a () tensor."""
+    out = x.data.sum()
 
-    def back(g, x=x, axes=axes, keepdims=keepdims):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
+    def back(g, x=x):
         _accumulate(x, np.broadcast_to(g, x.shape))
 
     return _make(out, (x,), back)
 
 
-def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    axes = _normalize_axes(axis, x.ndim)
-    n = int(np.prod([x.shape[a] for a in axes])) if axes else 1
-    out = x.data.mean(axis=axes, keepdims=keepdims)
+def reduce_mean(x: Tensor) -> Tensor:
+    """The mean of every entry of ``x``, a () tensor."""
+    out = x.data.mean()
 
-    def back(g, x=x, axes=axes, keepdims=keepdims, n=n):
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        _accumulate(x, np.broadcast_to(g, x.shape) / n)
+    def back(g, x=x):
+        _accumulate(x, np.broadcast_to(g, x.shape) / x.size)
 
     return _make(out, (x,), back)
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     """Contiguous slice [start, start+length) along ``axis``: a view of ``x``."""
-    ax = _normalize_axes(axis, x.ndim)[0]
+    ax = _axis(axis, x.ndim)
     if start < 0 or length < 0 or start + length > x.shape[ax]:
         raise DimensionError(
             f"narrow: [{start}, {start + length}) out of bounds for extent {x.shape[ax]}"
@@ -745,7 +731,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
 
 def select(x: Tensor, axis: int, index: int) -> Tensor:
     """Entry ``index`` of ``axis``, which is dropped: a view of ``x``."""
-    ax = _normalize_axes(axis, x.ndim)[0]
+    ax = _axis(axis, x.ndim)
     if not 0 <= index < x.shape[ax]:
         raise DimensionError(f"select: index {index} out of bounds for extent {x.shape[ax]}")
     idx = (slice(None),) * ax + (index,)
@@ -964,22 +950,22 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
         o = tanh([γ, r ⊙ α] W_o + b_o),   α' = u ⊙ α + (1 − u) ⊙ o,
 
     and the output stacks the M new states.  The γ half of all three gates
-    is one (B·M·N, C) × (C, 3H) GEMM before the loop, biases folded in; a
-    step then runs one (B·N, H) × (H, 2H) GEMM for r and u and one (H, H)
-    GEMM on r ⊙ α for o, through one reused slot each for r ‖ u, r ⊙ α
-    and o.  The record keeps its output and nothing else.  The backward
-    pass rebuilds every step's previous state from ``alpha0`` and the
-    output, so no recurrence is re-run: the time-major γ comes from
-    ``gammas``, and then every step's r ‖ u, r ⊙ α and o are rebuilt at
-    once with the forward's own GEMMs and arithmetic, so they, and every
-    gradient, are bitwise those of the forward.  That is safe because γ
-    and α₀ are parents whose producers keep them, this backward runs
-    before theirs, and no op writes a parent's data in place.  It runs back
-    through time with only the two products with the state weights'
-    transposes in its loop; the weight, bias and γ gradients are single
-    GEMMs over all steps after it.  Per-step arrays are time-major, so each
-    step's slice is contiguous; the output is time-major too, one (B, N, H)
-    state per step.
+    is one (B·M·N, C) × (C, 3H) GEMM before the loop, biases folded in.
+    One cell body gives r, u, r ⊙ α and o from a state and that half: a
+    step runs it on (B·N, ·) arrays, one (B·N, H) × (H, 2H) GEMM for r and
+    u and one (H, H) GEMM on r ⊙ α for o.  The record keeps its output
+    and nothing else.  The backward pass rebuilds every step's previous
+    state from ``alpha0`` and the output, so no recurrence is re-run: the
+    time-major γ comes from ``gammas``, and then the same cell body
+    rebuilds every step's r, u, r ⊙ α and o at once on (M, B·N, ·) arrays,
+    so they, and every gradient, are bitwise those of the forward.  That
+    is safe because γ and α₀ are parents whose producers keep them, this
+    backward runs before theirs, and no op writes a parent's data in
+    place.  It runs back through time with only the two products with the
+    state weights' transposes in its loop; the weight, bias and γ
+    gradients are single GEMMs over all steps after it.  Per-step arrays
+    are time-major, so each step's slice is contiguous; the output is
+    time-major too, one (B, N, H) state per step.
     """
     if gammas.ndim != 4 or alpha0.ndim != 3:
         raise DimensionError(
@@ -1008,24 +994,26 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
         """γ time-major, (M·B·N, C)."""
         return gammas.data.transpose(2, 0, 1, 3).reshape(m * rows, c)
 
+    def cell(a: Array, pre: Array) -> tuple[Array, Array, Array, Array]:
+        """r, u, r ⊙ α and o from states ``a`` and the γ half ``pre`` of the
+        pre-activations: one step's (rows, ·) arrays, or every step's
+        (M, rows, ·) at once."""
+        ru = np.matmul(a, w_ru)
+        ru += pre[..., :2 * hd]
+        _sigmoid_into(ru, ru)
+        r, u = ru[..., :hd], ru[..., hd:]
+        ra = r * a
+        o = np.matmul(ra, w_oa)
+        o += pre[..., 2 * hd:]
+        np.tanh(o, out=o)
+        return r, u, ra, o
+
     pre = (gam() @ w_in + bias).reshape(m, rows, 3 * hd)
     states = np.empty((m + 1, rows, hd))
     states[0] = alpha0.data.reshape(rows, hd)
-    # one slot each for r ‖ u, r ⊙ α and o, reused by every step
-    ru = np.empty((rows, 2 * hd))
-    ra = np.empty((rows, hd))
-    o = np.empty((rows, hd))
     for t in range(m):
-        a = states[t]
-        np.matmul(a, w_ru, out=ru)
-        ru += pre[t, :, :2 * hd]
-        _sigmoid_into(ru, ru)
-        r, u = ru[:, :hd], ru[:, hd:]
-        np.multiply(r, a, out=ra)
-        np.matmul(ra, w_oa, out=o)
-        o += pre[t, :, 2 * hd:]
-        np.tanh(o, out=o)
-        nxt = states[t + 1]
+        a, nxt = states[t], states[t + 1]
+        _, u, _, o = cell(a, pre[t])
         np.multiply(u, a, out=nxt)
         nxt += (1.0 - u) * o
     del pre
@@ -1034,18 +1022,9 @@ def gru_sequence(gammas: Tensor, alpha0: Tensor, w_r: Tensor, w_u: Tensor, w_o: 
     def back(g):
         g_tm = g.transpose(1, 0, 2, 3).reshape(m, rows, hd)
         # the state each step read, then every step's gates and candidates
-        # at once, with the forward's arithmetic
+        # at once, through the forward's cell
         prev = np.concatenate([alpha0.data[None], out.swapaxes(0, 1)[:-1]]).reshape(m, rows, hd)
-        pre = (gam() @ w_in + bias).reshape(m, rows, 3 * hd)
-        gates = np.matmul(prev, w_ru)
-        gates += pre[..., :2 * hd]
-        _sigmoid_into(gates, gates)
-        r, u = gates[..., :hd], gates[..., hd:]
-        ra = r * prev
-        cand = np.matmul(ra, w_oa)
-        cand += pre[..., 2 * hd:]
-        np.tanh(cand, out=cand)
-        del pre
+        r, u, ra, cand = cell(prev, (gam() @ w_in + bias).reshape(m, rows, 3 * hd))
         # each gate's local derivative, for all steps at once; only the
         # recurrence itself runs step by step
         k_o = (1.0 - u) * (1.0 - cand * cand)  # ∂α'/∂o_pre
@@ -1113,8 +1092,10 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
     the runs cover disjoint steps and graphs, so nothing is zero-filled or
     added.  Each graph's gradient sums its d steps inside one
     (N, d·C) × (d·C, N) product of dHₖ and Hₖ₋₁, so the per-step products
-    are never formed.  Operands that need no gradient get none, and at
-    Ψ = 0 the adjacency gets none either.
+    are never formed.  ξ's gradient is always formed, because the model's
+    ξ, a gated convolution's output, always takes one; the adjacency and a
+    weight that need no gradient get none, and at Ψ = 0 the adjacency gets
+    none either.
     """
     if not weights:
         raise DimensionError("mixhop needs at least one projection weight")
@@ -1171,7 +1152,7 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
         for h, w in zip(walk(x, adj.data[:, a_idx], count), weights[1:]):
             o += (h.reshape(-1, c_in) @ w.data).reshape(o.shape)
 
-    def back_run(g2: Array, x: Array, a: Array, gx: Array | None, ga: Array | None,
+    def back_run(g2: Array, x: Array, a: Array, gx: Array, ga: Array | None,
                  g_w: list[Array | None], count: int) -> None:
         """One run's backward: ``g2`` is its output gradient as (rows, C_out)
         and ``x`` its ξ, (B, N, d·n, C_in); its ξ and Â gradients are
@@ -1192,8 +1173,6 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
                 del term
             hops.append(hk)
         del hk, hops[-1]
-        if gx is None and ga is None:
-            return
 
         def projected_back(k: int) -> Array:
             return (g2 @ weights[k].data.T).reshape(x.shape)
@@ -1206,8 +1185,7 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
             return out
 
         a_t = np.swapaxes(a, -1, -2)
-        if gx is not None:
-            gx[...] = projected_back(0)
+        gx[...] = projected_back(0)
         d = None  # dHₖ₊₁ on the way down
         for k in range(len(weights) - 1, 0, -1):
             if d is None:
@@ -1227,27 +1205,25 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
                     ga += term
                 del term
             del hk
-            if gx is not None and beta:
+            if beta:
                 gx += beta * dk
             d = dk
-        if gx is not None and d is not None:
+        if d is not None:
             gx += graph_back(d)
         if ga is not None:
             ga *= keep
 
     def back(g):
         g_w: list[Array | None] = [None] * len(weights)
-        g_x = np.empty(xi.shape) if xi.requires_grad else None
+        g_x = np.empty(xi.shape)
         g_adj = np.empty(adj.shape) if adj.requires_grad and len(weights) > 1 else None
         for t_idx, a_idx, count in reversed(pieces):
-            back_run(g[:, :, t_idx].reshape(-1, c_out), xi.data[:, :, t_idx],
-                     adj.data[:, a_idx], None if g_x is None else g_x[:, :, t_idx],
-                     None if g_adj is None else g_adj[:, a_idx], g_w, count)
+            back_run(g[:, :, t_idx].reshape(-1, c_out), xi.data[:, :, t_idx], adj.data[:, a_idx],
+                     g_x[:, :, t_idx], None if g_adj is None else g_adj[:, a_idx], g_w, count)
         for w, gk in zip(weights, g_w):
             if gk is not None:
                 _accumulate(w, gk)
-        if g_x is not None:
-            _accumulate(xi, g_x)
+        _accumulate(xi, g_x)
         if g_adj is not None:
             _accumulate(adj, g_adj)
 

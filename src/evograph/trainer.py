@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -159,20 +160,6 @@ class TrainResult:
     wall_clock: float
 
 
-def _zero_grads(params: dict[str, Tensor]) -> None:
-    for p in params.values():
-        p.grad = None
-
-
-def _grad_list(params: dict[str, Tensor]) -> list[Array]:
-    grads = []
-    for p in params.values():
-        if p.grad is None:
-            p.grad = np.zeros_like(p.data)
-        grads.append(p.grad)
-    return grads
-
-
 def _abort(what: str, value: float, epoch: int, batch: int,
            params: dict[str, Tensor]) -> TrainingAbortedError:
     norms = {name: float(np.linalg.norm(p.data)) for name, p in params.items()}
@@ -192,7 +179,6 @@ def _run_epoch(forward, params: dict[str, Tensor], opt: Adam, xs: Array,
     total, seen = 0.0, 0
     for bi, start in enumerate(range(0, order.size, cfg.batch_size)):
         idx = order[start:start + cfg.batch_size]
-        _zero_grads(params)
         with Tape() as tape:
             pred = forward(xs[idx])
             loss = loss_tensor(pred, ys[idx], cfg.loss)
@@ -202,7 +188,7 @@ def _run_epoch(forward, params: dict[str, Tensor], opt: Adam, xs: Array,
         tape.backward(loss)
         # a NaN norm fails `norm > max_norm`, so clipping would pass NaN
         # gradients straight to Adam: stop before the step instead
-        norm = clip_gradients(_grad_list(params), cfg.clip_norm)
+        norm = clip_gradients([p.grad for p in params.values()], cfg.clip_norm)
         if not math.isfinite(norm):
             raise _abort("gradient norm", norm, epoch, bi, params)
         opt.step()
@@ -427,10 +413,6 @@ class ExperimentReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentReport":
-        return cls(**json.loads(text))
-
     def write_csv(self, path) -> None:
         """Variant-per-row table with mean ± std columns per metric."""
         header = ["variant"]
@@ -446,12 +428,8 @@ class ExperimentReport:
         write_csv_atomic(path, rows)
 
 
-def _single_run(dataset: TimeSeriesDataset, config: ExperimentConfig,
-                variant: str, seed: int,
-                data: PreparedData | None = None) -> dict:
+def _single_run(data: PreparedData, config: ExperimentConfig, variant: str, seed: int) -> dict:
     t0 = time.perf_counter()
-    if data is None:
-        data = prepare_data(dataset, config)
     model = Model(replace(config.model, seed=seed, variant=variant))
     result = train(model, data, config.train)
     report = evaluate_split(model, data, "test")
@@ -472,12 +450,32 @@ def _run_task(args: tuple) -> dict:
     values, node_ids, config_dict, variant, seed = args
     dataset = TimeSeriesDataset(values, node_ids)
     config = ExperimentConfig.from_dict(config_dict)
-    return _single_run(dataset, config, variant, seed)
+    return _single_run(prepare_data(dataset, config), config, variant, seed)
+
+
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _spawn_map(fn, items: list, jobs: int) -> list:
+    """``fn`` over ``items`` on ``jobs`` worker processes that run BLAS on one
+    thread each.  Forked workers kept the parent's BLAS threads, so two ran
+    four threads on two cores; these start from a fresh interpreter while
+    the BLAS thread variables read "1", and the parent's come back after."""
+    import multiprocessing  # here, as ProcessPoolExecutor is: not on every CLI start
+    saved = {var: os.environ.get(var) for var in _BLAS_THREADS}
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    try:
+        with concurrent.futures.ProcessPoolExecutor(
+                jobs, mp_context=multiprocessing.get_context("spawn")) as pool:
+            return list(pool.map(fn, items))
+    finally:
+        for var, value in saved.items():
+            os.environ.pop(var)
+            if value is not None:
+                os.environ[var] = value
 
 
 def ablation_seeds(config: ExperimentConfig, repeats: int) -> tuple[int, ...]:
-    if config.train.seeds:
-        return tuple(config.train.seeds)
     return tuple(config.model.seed + i for i in range(repeats))
 
 
@@ -510,11 +508,9 @@ def run_ablation(data: PreparedData, config: ExperimentConfig,
     if jobs > 1:
         payload = [(dataset.values, list(dataset.node_ids), config.to_dict(),
                     variant, seed) for variant, seed in tasks]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(_run_task, payload))
+        runs = _spawn_map(_run_task, payload, jobs)
     else:
-        runs = [_single_run(dataset, config, variant, seed, data)
-                for variant, seed in tasks]
+        runs = [_single_run(data, config, variant, seed) for variant, seed in tasks]
     return ExperimentReport(
         runs=runs,
         aggregates=ExperimentReport.aggregate(runs),

@@ -1,10 +1,10 @@
 """Generic tape ops that the tests chain into oracles for the fused ops.
 
 The model runs none of these: each fused op in :mod:`evograph.tensor` is
-checked against a chain of them (``tanh(conv1d)``, per-run ``mixhop`` plus
-``concat``, the explicit-pair ``matmul``, ``bias_add``, σ, product and
-``row_normalize`` chain).  :func:`conv1d` is a thin wrapper over
-``tensor._conv_bank`` and :func:`sigmoid` over ``tensor._sigmoid_into``, so
+checked against a chain of them (``tanh(conv1d)`` and the time ``mean``,
+per-run ``mixhop`` plus ``concat``, the explicit-pair ``matmul``,
+``bias_add``, σ, product and ``row_normalize`` chain).  :func:`conv1d` is a
+thin wrapper over ``tensor._conv_bank`` and :func:`sigmoid` over ``tensor._sigmoid_into``, so
 their tests still exercise the code that :func:`tensor.gated_conv1d` and
 :func:`tensor.static_features` run.  :func:`summed_matmul`, the general
 broadcasting reducer behind :func:`matmul`'s gradients, is an oracle for
@@ -126,11 +126,25 @@ def conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | None
     output is (B, T_out, ..., ΣC_j) with
     ``T_out = (T - (k_max-1)*dilation - 1) // stride + 1``.  Tap 0 of every
     kernel aligns with the most recent sample, and a k-tap kernel acts as a
-    k_max-tap kernel whose taps k..k_max−1 are zero.  One record of
-    ``tensor._conv_bank``'s forward and backward.
+    k_max-tap kernel whose taps k..k_max−1 are zero; no biases are zero
+    biases.  One record of ``tensor._conv_bank``'s forward and backward.
     """
+    if biases is None:
+        biases = [Tensor(np.zeros(k.shape[:1])) for k in kernels]
     out, back = T._conv_bank(x, kernels, biases, dilation, stride)
-    return _make(out, (x, *kernels, *(biases or ())), back)
+    return _make(out, (x, *kernels, *biases), back)
+
+
+def mean(x: Tensor, axis: int) -> Tensor:
+    """Mean over ``axis``, which is dropped: the time mean that
+    ``tensor.static_features`` and ``tensor.segment_mean`` take inside."""
+    ax = T._axis(axis, x.ndim)
+    out = x.data.mean(axis=ax)
+
+    def back(g, x=x, ax=ax):
+        _accumulate(x, np.broadcast_to(np.expand_dims(g, ax), x.shape) / x.shape[ax])
+
+    return _make(out, (x,), back)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -138,7 +152,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     if not tensors:
         raise DimensionError("concat of zero tensors")
     ndim = tensors[0].ndim
-    ax = T._normalize_axes(axis, ndim)[0]
+    ax = T._axis(axis, ndim)
     ref = tensors[0].shape
     for t in tensors[1:]:
         if t.ndim != ndim or any(
@@ -168,7 +182,7 @@ def stack(tensors: Sequence[Tensor], axis: int) -> Tensor:
     for t in tensors[1:]:
         if t.shape != ref:
             raise DimensionError(f"stack: shapes {ref} and {t.shape} differ")
-    ax = T._normalize_axes(axis, len(ref) + 1)[0]
+    ax = T._axis(axis, len(ref) + 1)
     out = np.stack([t.data for t in tensors], axis=ax)
 
     def back(g, tensors=tensors, ax=ax):

@@ -4,11 +4,11 @@ Builds the single-step preset (or, with ``--preset multi``, the multi-step
 one) at N nodes (default 64) and runs one training step (forward,
 backward, Adam) on a batch of B random windows (default 16) with a random
 reference series of ``--reference-steps`` steps (default 600), on one BLAS
-thread.  It prints the step's forward and backward times and the peak
-resident size, and exits non-zero if the step fails, a MemoryError
-included.  With ``--predict K`` it runs
-one ``Model.predict`` of K random windows instead and prints its time and
-the peak resident size.  Run it under an address-space cap to check that
+thread.  The windows are node-major in memory, as training batches are.
+It prints the step's forward and backward times and the peak resident
+size, and exits non-zero if the step fails, a MemoryError included.  With
+``--predict K`` it runs one ``Model.predict`` of K random windows instead
+and prints its time and the peak resident size.  Run it under an address-space cap to check that
 the work fits::
 
     (ulimit -v 753664; PYTHONPATH=src python tests/scale_step.py --nodes 64)
@@ -46,6 +46,13 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+def windows(rng: np.random.Generator, count: int, config) -> np.ndarray:
+    """``count`` random (P, N, C) windows, node-major in memory as training
+    batches are: the (B, P, N, C) transpose view of (B, N, P, C) values."""
+    x = rng.normal(size=(count, config.n_nodes, config.window, config.n_channels))
+    return x.transpose(0, 2, 1, 3)
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--preset", choices=PRESETS, default="single")
@@ -64,14 +71,14 @@ def main() -> None:
     model.set_reference_series(
         rng.normal(size=(args.nodes, args.reference_steps, config.n_channels)))
     if args.predict is not None:
-        x = rng.normal(size=(args.predict, config.window, args.nodes, config.n_channels))
+        x = windows(rng, args.predict, config)
         t0 = time.perf_counter()
         model.predict(x)
         seconds = time.perf_counter() - t0
         print(f"{args.preset} N={args.nodes} predict of {args.predict} windows: {seconds:.2f} s, "
               f"peak RSS {peak_rss_mb():.0f} MB")
         return
-    x = rng.normal(size=(args.batch, config.window, args.nodes, config.n_channels))
+    x = windows(rng, args.batch, config)
     opt = Adam(model.parameters())
 
     t0 = time.perf_counter()

@@ -117,6 +117,20 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="normalize_adjacency"):
             ExperimentConfig.from_json(json.dumps(legacy))
 
+    def test_legacy_null_seeds_dropped(self):
+        # earlier presets and run directories carry "seeds": null
+        exp = ExperimentConfig(model=tiny_config(), train=TrainConfig(lr=0.005))
+        legacy = exp.to_dict()
+        legacy["train"]["seeds"] = None
+        assert ExperimentConfig.from_json(json.dumps(legacy)) == exp
+
+    def test_seeds_list_rejected(self):
+        # it once overrode --seed and --repeats without a word
+        legacy = ExperimentConfig(model=tiny_config()).to_dict()
+        legacy["train"]["seeds"] = [3, 4]
+        with pytest.raises(ConfigurationError, match="--seed.*--repeats"):
+            ExperimentConfig.from_json(json.dumps(legacy))
+
     @pytest.mark.parametrize("name, preset", [
         ("single_step", single_step_preset),
         ("multi_step", multi_step_preset),

@@ -205,7 +205,7 @@ def per_segment_reference(egl, mh, xi, alpha_s, d, graph_input=None, time_offset
 
     parts = []
     for start, stop in spec.boundaries:
-        gamma = T.reduce_mean(T.narrow(src, 2, start, stop - start), axis=2)
+        gamma = R.mean(T.narrow(src, 2, start, stop - start), axis=2)
         cat = R.concat([gamma, alpha], axis=2)
         r = gate(cat, g.w_r, g.b_r, R.sigmoid)
         u = gate(cat, g.w_u, g.b_u, R.sigmoid)

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -409,13 +411,21 @@ class TestAblation:
         for a, b in zip(seq.runs, par.runs):
             assert a["metrics"] == b["metrics"]
 
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        # a worker that kept the parent's BLAS threads oversubscribed the
+        # cores; the parent's own settings come back once the pool closes
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        seen = trainer._spawn_map(os.getenv, trainer._BLAS_THREADS, jobs=2)
+        assert seen == ["1"] * len(trainer._BLAS_THREADS)
+        assert dict(os.environ) == before
+
     def test_json_and_csv_round_trip(self, tmp_path):
         cfg = experiment(max_epochs=1)
         report = run_ablation(prepare_data(sine_dataset(), cfg), cfg, repeats=1,
                               variants=("full",))
-        back = ExperimentReport.from_json(report.to_json())
-        assert back.aggregates == report.aggregates
-        assert back.dataset_hash == report.dataset_hash
+        assert json.loads(report.to_json()) == report.to_dict()
         path = tmp_path / "table.csv"
         report.write_csv(path)
         lines = path.read_text().splitlines()
