@@ -3,9 +3,10 @@
 Subcommands: train, evaluate, ablate, scale-probe, export-graphs, gen-synth.
 Every command that produces files takes ``--out`` and refuses to overwrite a
 non-empty directory unless ``--force`` is given.  Commands that train write a
-``manifest.json`` (command, config path, dataset hash, seed list, tool
-version, timestamp) before any other output, and every output file is
-written atomically.  Exit codes: 0 success, 1 runtime failure, 2
+``manifest.json`` with :func:`write_manifest` (command, config path, dataset
+hash, seed list, tool version, timestamp) before any other output, and
+every output file is written atomically.  A run's seed is ``--seed`` when
+given, else the config's.  Exit codes: 0 success, 1 runtime failure, 2
 configuration error, a bad command line included; failures print a
 machine-readable JSON object to stderr.
 """
@@ -13,17 +14,14 @@ machine-readable JSON object to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .config import ExperimentConfig
-from .data import CsvLayout, Scaler, load_csv, save_csv, write_atomic
+from .data import CsvLayout, claim_out_dir, load_csv, save_csv, write_atomic
 from .errors import ConfigurationError, EvographError
 from .graph_learner import export_graphs
 from .model import Model, load_checkpoint
@@ -36,49 +34,23 @@ EXIT_CONFIG = 2
 
 
 # ---------------------------------------------------------------------------
-# Manifest and output-directory handling
+# Manifest
 
-@dataclass
-class RunManifest:
-    """Provenance record written before any training output."""
-
-    command: str
-    config_path: str | None
-    dataset_hash: str
-    seed_list: list[int]
-    tool_version: str
-    timestamp: str
-
-    @classmethod
-    def create(cls, command: str, config_path, dataset_hash: str,
-               seeds) -> "RunManifest":
-        return cls(
-            command=command,
-            config_path=str(config_path) if config_path else None,
-            dataset_hash=dataset_hash,
-            seed_list=[int(s) for s in seeds],
-            tool_version=__version__,
-            timestamp=datetime.now(timezone.utc).isoformat(),
-        )
-
-    def write(self, out_dir: Path) -> Path:
-        """Atomic write: temp file in the target directory, then rename."""
-        out_dir.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps(dataclasses.asdict(self), indent=2)
-        return write_atomic(out_dir / "manifest.json", payload)
-
-
-def claim_out_dir(out_dir, force: bool) -> Path:
-    """Refuse to write into a non-empty directory unless forced."""
-    out = Path(out_dir)
-    if out.exists():
-        if not out.is_dir():
-            raise ConfigurationError(f"--out {out} exists and is not a directory")
-        if any(out.iterdir()) and not force:
-            raise ConfigurationError(
-                f"output directory {out} is not empty; pass --force to overwrite"
-            )
-    return out
+def write_manifest(out: Path, command: str, config_path, dataset_hash: str,
+                   seeds) -> Path:
+    """Write ``out/manifest.json``, the run's provenance, before any
+    training output: command, config path, dataset hash, seed list, tool
+    version and UTC timestamp, in that key order."""
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = {
+        "command": command,
+        "config_path": str(config_path) if config_path else None,
+        "dataset_hash": dataset_hash,
+        "seed_list": [int(s) for s in seeds],
+        "tool_version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+    }
+    return write_atomic(out / "manifest.json", json.dumps(manifest, indent=2))
 
 
 # ---------------------------------------------------------------------------
@@ -92,19 +64,6 @@ def load_config(path) -> ExperimentConfig:
         return ExperimentConfig.from_json(p.read_text())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"config file {p} is not valid JSON: {exc}") from None
-
-
-def resolve_seed(config: ExperimentConfig, flag_seed: int | None) -> int:
-    """Precedence: --seed flag, then ESG_SEED, then the config file."""
-    if flag_seed is not None:
-        return flag_seed
-    env = os.environ.get("ESG_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigurationError(f"ESG_SEED must be an integer, got {env!r}")
-    return config.model.seed
 
 
 def load_dataset(path, n_channels: int = 1):
@@ -136,8 +95,9 @@ def metric_table(report) -> tuple[list[str], list[list]]:
 
 def cmd_train(args) -> int:
     config = load_config(args.config)
-    seed = resolve_seed(config, args.seed)
-    config.model.seed = seed
+    if args.seed is not None:
+        config.model.seed = args.seed
+    seed = config.model.seed
     dataset = load_dataset(args.data, config.model.n_channels)
     data = trainer.prepare_data(dataset, config)  # validates compatibility
 
@@ -148,9 +108,7 @@ def cmd_train(args) -> int:
         return EXIT_OK
 
     out = claim_out_dir(args.out, args.force)
-    manifest = RunManifest.create("train", args.config,
-                                  trainer.dataset_hash(dataset), [seed])
-    manifest.write(out)
+    write_manifest(out, "train", args.config, trainer.dataset_hash(dataset), [seed])
     _, _, result, report = trainer.run_experiment(data, config,
                                                   out_dir=out, force=True)
     headers, rows = metric_table(report)
@@ -167,7 +125,7 @@ def _checkpoint_and_data(args):
     config = load_config(args.config) if args.config else ExperimentConfig(model=model.config)
     config.model = model.config
     dataset = load_dataset(args.data, model.config.n_channels)
-    return model, config, trainer.prepare_data(dataset, config, scaler=extras.get("scaler"))
+    return model, config, trainer.prepare_data(dataset, config, scaler=extras["scaler"])
 
 
 def cmd_evaluate(args) -> int:
@@ -185,16 +143,14 @@ def cmd_evaluate(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = load_config(args.config)
-    seed = resolve_seed(config, args.seed)
-    config.model.seed = seed
+    if args.seed is not None:
+        config.model.seed = args.seed
     dataset = load_dataset(args.data, config.model.n_channels)
     data = trainer.prepare_data(dataset, config)
     trainer.ablation_tasks(config, args.repeats, jobs=args.jobs)  # checks the counts
     out = claim_out_dir(args.out, args.force)
     seeds = trainer.ablation_seeds(config, args.repeats)
-    manifest = RunManifest.create("ablate", args.config,
-                                  trainer.dataset_hash(dataset), seeds)
-    manifest.write(out)
+    write_manifest(out, "ablate", args.config, trainer.dataset_hash(dataset), seeds)
     report = trainer.run_ablation(data, config, repeats=args.repeats,
                                   jobs=args.jobs)
     write_atomic(out / "ablation.json", report.to_json())
@@ -246,11 +202,9 @@ def cmd_export_graphs(args) -> int:
     out = claim_out_dir(args.out, args.force)
     model, extras = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.input, model.config.n_channels)
-    values = dataset.values
-    scaler_dict = extras.get("scaler")
-    if scaler_dict:
-        values = Scaler.from_dict(scaler_dict).transform_dataset(values)
-    series = values.transpose(1, 0, 2)  # (T, N, C)
+    series = dataset.values
+    if extras["scaler"] is not None:
+        series = extras["scaler"].transform_dataset(series)
     seq = model.graph_inspection(series, args.layer)
     export_graphs(seq, out, layer=args.layer)
     print_table(["layer", "graphs", "directory"], [[args.layer, seq.spec.m, out]])
@@ -335,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment config JSON")
     p.add_argument("--data", required=True, help="dataset CSV")
     p.add_argument("--seed", type=int, default=None,
-                   help="override the config seed (beats ESG_SEED)")
+                   help="override the config seed")
     p.add_argument("--dry-run", action="store_true",
                    help="validate config and print parameter count, no training")
     add_out(p, required=False)
@@ -356,9 +310,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=5,
                    help="seeds per variant (default 5)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes (default 1)")
+                   help="parallel worker processes (default 1), each on one "
+                        "BLAS thread; their results equal --jobs 1's bitwise "
+                        "only when it runs under OPENBLAS_NUM_THREADS=1")
     p.add_argument("--seed", type=int, default=None,
-                   help="base seed override (beats ESG_SEED)")
+                   help="override the config's base seed")
     add_out(p, required=True)
     p.set_defaults(func=cmd_ablate)
 

@@ -7,7 +7,8 @@ node_ids}.  All arrays are float64 with axis order (N, T, C).
 :func:`window_views` cuts a split into read-only window views of the
 series: nothing is copied until a batch is gathered with an index array.
 :func:`write_atomic` is the package's one way to write a file, and
-:func:`write_csv_atomic` renders rows through it.
+:func:`write_csv_atomic` renders rows through it; :func:`claim_out_dir` is
+its one check that an output directory may be written.
 """
 
 from __future__ import annotations
@@ -198,6 +199,20 @@ def write_atomic(path, payload: bytes | str) -> Path:
     return path
 
 
+def claim_out_dir(out_dir, force: bool) -> Path:
+    """``out_dir`` as a Path if it is missing, empty, or not empty and
+    ``force``; otherwise a :class:`ConfigurationError`, and nothing written."""
+    out = Path(out_dir)
+    if out.exists():
+        if not out.is_dir():
+            raise ConfigurationError(f"output path {out} is not a directory")
+        if any(out.iterdir()) and not force:
+            raise ConfigurationError(
+                f"output directory {out} is not empty; pass force (--force) to overwrite it"
+            )
+    return out
+
+
 def write_csv_atomic(path, rows) -> Path:
     """Render ``rows`` with the default ``csv.writer`` dialect (CRLF line
     ends) and write them with :func:`write_atomic`."""
@@ -268,12 +283,23 @@ class Scaler:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Scaler":
-        return cls(
-            mode=d["mode"],
-            shift=np.asarray(d["shift"], dtype=np.float64),
-            scale=np.asarray(d["scale"], dtype=np.float64),
-        )
+    def from_dict(cls, d, shape: tuple[int, int]) -> "Scaler":
+        """The scaler that :meth:`to_dict` wrote for (N, C) = ``shape``.
+        A :class:`LoadError` unless ``d`` has a known mode and finite
+        ``shape`` shift and scale, with no zero scale."""
+        if not isinstance(d, dict) or d.get("mode") not in SCALER_MODES:
+            raise LoadError(f"scaler {d!r:.60} has no mode in {SCALER_MODES}")
+        arrays = {}
+        for key in ("shift", "scale"):
+            try:
+                arrays[key] = np.asarray(d.get(key), dtype=np.float64)
+            except (TypeError, ValueError):
+                arrays[key] = np.empty(0)
+            if arrays[key].shape != shape or not np.all(np.isfinite(arrays[key])):
+                raise LoadError(f"scaler {key} is not a finite {shape} array")
+        if np.any(arrays["scale"] == 0):
+            raise LoadError("scaler has a zero scale")
+        return cls(d["mode"], arrays["shift"], arrays["scale"])
 
 
 def fit_scaler(

@@ -40,7 +40,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .config import ModelConfig, TrainConfig
-from .data import SCALER_MODES, write_atomic
+from .data import Scaler, write_atomic
 from .errors import (ConfigurationError, ContractError, DimensionError,
                      LoadError, NonFiniteError, SequenceTooShortError)
 from .graph_learner import (Egl, EvolvingGraphSequence, SegmentSpec,
@@ -205,16 +205,15 @@ class Model:
         yield x, None, z
         for layer in range(c.n_layers):
             xi = self.tcn_layers[layer](z, training=training, rng=rng)
-            offset = 0
             keep = xi.shape[2]
             if c.variant == "no_scale_specific":
-                graphs, offset = raw_graphs, c.window - keep
+                graphs = raw_graphs
             elif c.variant == "static_only":
                 graphs = self.egls[layer].static_sequence(
                     alpha_s, t=keep, batch=xi.shape[0])
             else:
                 graphs = self.egls[layer].evolve(xi, alpha_s, d=c.intervals[layer])
-            zp = self.mixhops[layer].apply_per_segment(xi, graphs, time_offset=offset)
+            zp = self.mixhops[layer].apply_per_segment(xi, graphs)
             z = self.norms[layer](zp, T.narrow(z, 2, z.shape[2] - keep, keep))
             yield xi, graphs, z
 
@@ -308,25 +307,23 @@ class Model:
         it is in training, where a window holds only a few segments.  The
         backbone runs only up to the layer, 16 windows at a time.
 
-        Accepts a finite (T, N, C) series with T ≥ window.  Returns one
-        sample whose segments are the windows' last graphs, their Ā and r
-        exactly as the walk made them; segment boundaries are absolute
-        series positions ``(e − stride, e)`` for each window end e, the
-        first starting at ``window − stride``.
+        Accepts a finite (N, T, C) series, the dataset's layout, with
+        T ≥ window.  Returns one sample whose segments are the windows' last
+        graphs, their Ā and r exactly as the walk made them; segment
+        boundaries are absolute series positions ``(e − stride, e)`` for
+        each window end e, the first starting at ``window − stride``.
         """
         c = self.config
         if not 1 <= layer <= c.n_layers:
             raise ConfigurationError(f"layer must be in 1..{c.n_layers}, got {layer}")
-        if isinstance(series, Tensor):
-            series = series.data
         arr = np.asarray(series, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[1:] != (c.n_nodes, c.n_channels):
+        if arr.ndim != 3 or (arr.shape[0], arr.shape[2]) != (c.n_nodes, c.n_channels):
             raise DimensionError(
-                f"series must be (T, {c.n_nodes}, {c.n_channels}), got {arr.shape}"
+                f"series must be ({c.n_nodes}, T, {c.n_channels}), got {arr.shape}"
             )
         if not np.all(np.isfinite(arr)):
             raise NonFiniteError("series holds non-finite values")
-        total, p = arr.shape[0], c.window
+        total, p = arr.shape[1], c.window
         if total < p:
             raise SequenceTooShortError(
                 f"series has {total} steps but the window needs {p}"
@@ -337,8 +334,8 @@ class Model:
             layer = 1
         d = c.intervals[layer - 1]
         starts = np.arange(0, total - p + 1, d)
-        # (T − P + 1, P, N, C): entry s is arr[s:s + P]
-        windows = sliding_window_view(arr, p, axis=0).transpose(0, 3, 1, 2)
+        # (T − P + 1, P, N, C): entry s holds steps s .. s + P − 1
+        windows = sliding_window_view(arr, p, axis=1).transpose(1, 3, 0, 2)
 
         def last_graphs(s: slice, alpha_s: Tensor) -> np.ndarray:
             """Each window's last Ā and r side by side, (windows, N, N + 1)."""
@@ -380,7 +377,9 @@ def _decode(blob: dict) -> np.ndarray:
 
 
 def save_checkpoint(model: Model, path, epoch: int = 0,
-                    scaler: dict | None = None) -> None:
+                    scaler: Scaler | None = None) -> None:
+    """Write the model's config, parameters and reference series, ``epoch``
+    and ``scaler`` (as :meth:`Scaler.to_dict` or null) as one JSON file."""
     if model.reference_series is None:
         raise ContractError("cannot checkpoint a model without its reference series")
     blob = {
@@ -390,29 +389,14 @@ def save_checkpoint(model: Model, path, epoch: int = 0,
         # stored (N, C, T*), the layout checkpoints have always held
         "reference_series": _encode(model.reference_series.data.transpose(0, 2, 1)),
         "epoch": epoch,
-        "scaler": scaler,
+        "scaler": None if scaler is None else scaler.to_dict(),
     }
     write_atomic(path, json.dumps(blob))
 
 
-def _check_scaler(blob, config: ModelConfig) -> None:
-    """Raise LoadError unless ``blob`` is a scaler dict for this model:
-    a known mode, and finite (N, C) shift and scale with no zero scale."""
-    if not isinstance(blob, dict) or blob.get("mode") not in SCALER_MODES:
-        raise LoadError(f"checkpoint scaler {blob!r:.60} has no mode in {SCALER_MODES}")
-    shape = (config.n_nodes, config.n_channels)
-    for key in ("shift", "scale"):
-        try:
-            arr = np.asarray(blob.get(key), dtype=np.float64)
-        except (TypeError, ValueError):
-            arr = np.empty(0)
-        if arr.shape != shape or not np.all(np.isfinite(arr)):
-            raise LoadError(f"checkpoint scaler {key} is not a finite {shape} array")
-    if np.any(np.asarray(blob["scale"]) == 0):
-        raise LoadError("checkpoint scaler has a zero scale")
-
-
 def load_checkpoint(path) -> tuple[Model, dict]:
+    """The model and its extras, ``"epoch"`` and ``"scaler"`` (a :class:`Scaler`
+    or None); any malformed part, the scaler included, is a LoadError."""
     path = Path(path)
     if not path.exists():
         raise LoadError(f"no such checkpoint: {path}")
@@ -460,5 +444,5 @@ def load_checkpoint(path) -> tuple[Model, dict]:
                         f"(N, C, T*): {exc}") from None
     scaler = blob.get("scaler")
     if scaler is not None:
-        _check_scaler(scaler, model.config)
+        scaler = Scaler.from_dict(scaler, (config.n_nodes, config.n_channels))
     return model, {"epoch": blob.get("epoch", 0), "scaler": scaler}

@@ -13,10 +13,11 @@ grouped into runs of equal length, and the whole layer is one
 :func:`tensor.mixhop` record: each run's steps are viewed, with no copy, as
 (B, n, N, d·C), each node's d steps of a segment side by side, so each hop
 is one (N × N)(N × d·C) product per graph (for d = 1, one graph per step).
-A longer last segment, or a first one clipped by a time offset, is one
-more run of the same record, written into its own slice of the one output
-buffer.  No per-step copy of the graphs is made, and no part of the output
-is copied to join the runs.
+The features end where their graphs end: ξ's T steps are the last T
+steps the segments cover.  A longer last segment, or a first one clipped
+because ξ starts inside it, is one more run of the same record, written
+into its own slice of the one output buffer.  No per-step copy of the
+graphs is made, and no part of the output is copied to join the runs.
 
 The record runs all Ψ hops and Ψ + 1 projections and keeps only its
 output: the backward pass rebuilds one run's Ψ hop states at a time from
@@ -74,31 +75,22 @@ class MixHop:
             raise ContractError("adjacency has negative entries")
         return T.mixhop(xi, adj, self.hop_proj, self.beta, runs)
 
-    def apply_per_segment(self, xi: Tensor, graphs: EvolvingGraphSequence,
-                          time_offset: int = 0) -> Tensor:
+    def apply_per_segment(self, xi: Tensor, graphs: EvolvingGraphSequence) -> Tensor:
         """Propagate each time step through its own segment's row-normalized
         adjacency matrix, ``graphs.adjacency``, as it is.
 
-        ``time_offset`` maps local feature index j to the absolute index
-        j + time_offset used by the graphs' segment boundaries (nonzero when
-        the graphs were learned on a longer, earlier-starting sequence).
-        The segments the features overlap, clipped to them, are grouped
-        into runs of equal length and propagated by one :meth:`propagate`
-        call; the graphs are narrowed, as a view, to those segments.
+        ξ's T steps are the last T steps that the graphs' segments cover:
+        all of them when the graphs were learned on ξ, the most recent ones
+        when they were learned on a longer sequence that ends where ξ ends.
+        The segments ξ overlaps, clipped to it, are grouped into runs of
+        equal length and propagated by one :meth:`propagate` call; the
+        graphs are narrowed, as a view, to those segments.
         """
         t = xi.shape[2]
-        lo, hi = time_offset, time_offset + t
-        if graphs.spec.boundaries[0][0] > lo or graphs.spec.length < hi:
-            raise ContractError(
-                f"graphs cover [{graphs.spec.boundaries[0][0]}, "
-                f"{graphs.spec.length}) but features span [{lo}, {hi})"
-            )
-        runs = _equal_runs(graphs.spec.boundaries, lo, hi)
-        if not runs:
-            raise ContractError("no segment overlapped the feature range")
-        covered = sum(n * length for _, n, length in runs)
-        if covered != t:
-            raise ContractError(f"segments covered {covered} of {t} time steps")
+        start, end = graphs.spec.boundaries[0][0], graphs.spec.length
+        if end - start < t:
+            raise ContractError(f"graphs cover [{start}, {end}) but features span {t} steps")
+        runs = _equal_runs(graphs.spec.boundaries, end - t, end)
         # a view of the graphs the features use
         first = runs[0][0]
         used = runs[-1][0] + runs[-1][1] - first

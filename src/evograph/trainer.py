@@ -1,8 +1,10 @@
 """Training loop, evaluation, ablation runner, and per-scale probes.
 
-One training run is single-threaded and fully determined by (seed,
-config, dataset).  The ablation and probe harnesses orchestrate many such
-runs and aggregate their reports; repeats can fan out across processes.
+One training run is a single Python thread, determined by (seed, config,
+dataset) and by the number of threads BLAS runs its products on: a
+different thread count can change a result at the level of rounding.  The
+ablation and probe harnesses orchestrate many such runs and aggregate their
+reports; repeats can fan out across processes, each on one BLAS thread.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ import numpy as np
 
 from . import tensor as T
 from .config import VARIANTS, ExperimentConfig, TrainConfig
-from .data import Scaler, TimeSeriesDataset, chronological_split, fit_scaler, \
-    window_views, write_atomic, write_csv_atomic
+from .data import Scaler, TimeSeriesDataset, chronological_split, claim_out_dir, \
+    fit_scaler, window_views, write_atomic, write_csv_atomic
 from .errors import ConfigurationError, LoadError, TrainingAbortedError
 from .graph_learner import export_graphs
 from .metrics import MetricReport, horizon_report, rmse, rse
@@ -84,7 +86,7 @@ class PreparedData:
 
 
 def prepare_data(dataset: TimeSeriesDataset, config: ExperimentConfig,
-                 scaler: Scaler | dict | None = None) -> PreparedData:
+                 scaler: Scaler | None = None) -> PreparedData:
     """Split chronologically, fit the scaler on train only, window each split.
 
     An already-fit scaler (e.g. the one stored in a checkpoint) can be
@@ -98,8 +100,6 @@ def prepare_data(dataset: TimeSeriesDataset, config: ExperimentConfig,
         )
     train_r, val_r, test_r = chronological_split(dataset, config.split_spec())
     ranges = {"train": train_r, "val": val_r, "test": test_r}
-    if isinstance(scaler, dict):
-        scaler = Scaler.from_dict(scaler)
     if scaler is None:
         scaler = fit_scaler(dataset, train_r, config.scaler_mode)
     normalized = scaler.transform_dataset(dataset.values)
@@ -302,7 +302,7 @@ def export_run_graphs(model: Model, data: PreparedData, out_dir) -> list[Path]:
     all with one α_s."""
     t_total = data.normalized.shape[1]
     p = model.config.window
-    window = data.normalized[:, t_total - p:, :].transpose(1, 0, 2)
+    window = data.normalized[:, t_total - p:, :]
     written = []
     with model._alpha_s_pinned():
         for layer in range(1, model.config.n_layers + 1):
@@ -315,11 +315,7 @@ def write_run_dir(out_dir, config: ExperimentConfig, model: Model,
                   data: PreparedData, result: TrainResult,
                   report: MetricReport, force: bool = False) -> dict[str, Path]:
     """Persist one run: config, history, checkpoint, metrics, graphs."""
-    out = Path(out_dir)
-    if out.exists() and any(out.iterdir()) and not force:
-        raise ConfigurationError(
-            f"run directory {out} is not empty; pass force to overwrite"
-        )
+    out = claim_out_dir(out_dir, force)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
         "config": out / "config.json",
@@ -332,7 +328,7 @@ def write_run_dir(out_dir, config: ExperimentConfig, model: Model,
     write_atomic(paths["config"], config.to_json())
     write_history(paths["history"], result.history)
     save_checkpoint(model, paths["checkpoint"], epoch=result.best_epoch,
-                    scaler=data.scaler.to_dict())
+                    scaler=data.scaler)
     write_atomic(paths["metrics_json"], report.to_json())
     report.write_csv(paths["metrics_csv"])
     export_run_graphs(model, data, paths["graphs"])
@@ -555,15 +551,14 @@ def scale_probe(model: Model, data: PreparedData, scale: int,
 
     Scale 0 feeds the raw window, 1..L the layer features, L+1 the final
     state; every other branch is absent entirely, so no backbone
-    parameter sees a gradient.
+    parameter sees a gradient.  The model must hold its reference series,
+    as a loaded checkpoint does.
     """
     c = model.config
     if not 0 <= scale <= c.n_layers + 1:
         raise ConfigurationError(
             f"scale index {scale} out of range 0..{c.n_layers + 1}"
         )
-    if model.reference_series is None:
-        model.set_reference_series(data.reference)
     xs, ys, _ = data.arrays("train")
     vx, vy, _ = data.arrays("val")
     feats_train = model.branch_features(xs, scale)

@@ -115,12 +115,17 @@ TINY = ModelConfig(
 
 
 def tiny_run(tmp_path, scaler):
-    """A 4-node checkpoint saved with ``scaler`` and a 120-step series for it."""
+    """A 4-node checkpoint that stores the ``scaler`` dict as it is (or
+    none) and a 120-step series for it."""
     rng = np.random.default_rng(0)
     model = Model(TINY)
     model.set_reference_series(rng.normal(size=(4, 48, 1)))
     ck = tmp_path / "ck.bin"
-    save_checkpoint(model, ck, scaler=scaler)
+    save_checkpoint(model, ck)
+    if scaler is not None:
+        blob = json.loads(ck.read_bytes())
+        blob["scaler"] = scaler
+        ck.write_text(json.dumps(blob))
     data = tmp_path / "series.csv"
     save_csv(TimeSeriesDataset(rng.normal(size=(4, 120, 1)),
                                [f"n{i}" for i in range(4)]), data)
@@ -263,9 +268,11 @@ class TestRuntimeErrors:
 
 class TestManifest:
     def test_written_atomically(self, tmp_path):
-        manifest = cli.RunManifest.create("train", None, "sha256:0", [3])
-        path = manifest.write(tmp_path / "run")
-        assert json.loads(path.read_text())["seed_list"] == [3]
+        path = cli.write_manifest(tmp_path / "run", "train", None, "sha256:0", [3])
+        manifest = json.loads(path.read_text())
+        assert list(manifest) == ["command", "config_path", "dataset_hash",
+                                  "seed_list", "tool_version", "timestamp"]
+        assert manifest["seed_list"] == [3]
         assert [p.name for p in path.parent.iterdir()] == ["manifest.json"]
 
 

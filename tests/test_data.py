@@ -29,6 +29,21 @@ def make_dataset(n=3, t=20, c=1, seed=0):
     )
 
 
+# stored scalers that do not fit a 4-node, one-channel model, with the word
+# their LoadError names (test_model stores each one in a checkpoint)
+BAD_SCALERS = [
+    ({}, "mode"),
+    ({"mode": "robust", "shift": [[0.0]] * 4, "scale": [[1.0]] * 4}, "mode"),
+    ({"mode": "zscore", "shift": [[0.0]], "scale": [[1.0]]}, "shift"),
+    ({"mode": "zscore", "shift": [[0.0]] * 4, "scale": [[1.0]] * 3}, "scale"),
+    ({"mode": "zscore", "shift": [[0.0]] * 4, "scale": "1"}, "scale"),
+    ({"mode": "zscore", "shift": [[float("nan")]] * 4, "scale": [[1.0]] * 4}, "shift"),
+    ({"mode": "zscore", "shift": [[0.0]] * 4, "scale": [[1.0]] * 3 + [[0.0]]},
+     "zero scale"),
+    ([1, 2], "mode"),
+]
+
+
 class TestDataset:
     def test_shape_accessors(self):
         ds = make_dataset(4, 10, 2)
@@ -302,10 +317,15 @@ class TestScaler:
     def test_dict_roundtrip(self):
         ds = make_dataset(3, 20, 2, seed=3)
         sc = fit_scaler(ds, range(0, 15), "zscore")
-        back = Scaler.from_dict(sc.to_dict())
+        back = Scaler.from_dict(sc.to_dict(), (3, 2))
         assert back.mode == sc.mode
         assert np.array_equal(back.scale, sc.scale)
         assert np.array_equal(back.shift, sc.shift)
+
+    @pytest.mark.parametrize("d, match", BAD_SCALERS + [({"mode": "max-abs"}, "shift")])
+    def test_from_dict_rejects(self, d, match):
+        with pytest.raises(LoadError, match=match):
+            Scaler.from_dict(d, (4, 1))
 
 
 class TestWindows:

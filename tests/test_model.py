@@ -17,6 +17,7 @@ from evograph.config import (
     multi_step_preset,
     single_step_preset,
 )
+from evograph.data import Scaler
 from evograph.errors import (ConfigurationError, ContractError, DimensionError, LoadError,
                              NonFiniteError, SequenceTooShortError)
 from evograph.graph_learner import StaticFeatureExtractor
@@ -25,6 +26,7 @@ from evograph.optim import Adam
 from evograph.trainer import loss_tensor
 
 from backbone import backbone
+from test_data import BAD_SCALERS
 
 
 VARIANTS = ("full", "static_only", "no_scale_specific", "shared_evolution")
@@ -50,6 +52,12 @@ def tiny_model(**kw):
 
 def window(b=2, seed=0, p=16, n=4, c=1):
     return np.random.default_rng(seed).normal(size=(b, p, n, c))
+
+
+def windows_of(series, starts, p=16):
+    """The (B, P, N, C) windows of an (N, T, C) series that start at
+    ``starts``, node-major in memory as ``graph_inspection``'s are."""
+    return np.stack([series[:, s:s + p] for s in starts]).transpose(0, 2, 1, 3)
 
 
 class TestConfig:
@@ -198,7 +206,8 @@ class TestForward:
         run = {"forward": lambda: model.forward(x),
                "predict": lambda: model.predict(x),
                "branch_features": lambda: model.branch_features(x, 1),
-               "graph_inspection": lambda: model.graph_inspection(x[1], 1)}[entry]
+               "graph_inspection": lambda: model.graph_inspection(
+                   x[1].transpose(1, 0, 2), 1)}[entry]
         with pytest.raises(NonFiniteError, match="non-finite"):
             run()
 
@@ -253,7 +262,7 @@ class TestForward:
             assert len(graphs.matrices) == max(1, t // d)
 
     def test_graph_inspection_keeps_each_windows_last_graph(self):
-        series = np.random.default_rng(10).normal(size=(26, 4, 1))
+        series = np.random.default_rng(10).normal(size=(4, 26, 1))
         for variant in VARIANTS:
             model = tiny_model(variant=variant)
             rng = np.random.default_rng(11)
@@ -269,7 +278,7 @@ class TestForward:
                 assert seq.spec.boundaries == [(e - d, e) for e in ends]
                 assert len(seq.matrices) == seq.spec.m == len(ends)
                 for mat, e in zip(seq.matrices, ends):
-                    trace = backbone(model, series[None, e - 16:e])
+                    trace = backbone(model, windows_of(series, [e - 16]))
                     want = trace.graphs[layer - 1].matrices[-1].data
                     assert np.allclose(mat.data, want, rtol=1e-13, atol=0), (variant, layer, e)
 
@@ -284,19 +293,19 @@ class TestForward:
             p.data = p.data + 0.3 * rng.normal(size=p.shape)
         # 16 windows at a stride of 1: one slice of the inspection's walk
         p = config.window
-        series = rng.normal(size=(p + 15, 3, config.n_channels))
+        series = rng.normal(size=(3, p + 15, config.n_channels))
         for layer in range(1, config.n_layers + 1):
             d = config.intervals[0 if variant == "no_scale_specific" else layer - 1]
             starts = range(0, 16, d)
             seq = model.graph_inspection(series, layer)
-            walked = backbone(model, np.stack([series[s:s + p] for s in starts]))
+            walked = backbone(model, windows_of(series, starts, p))
             graphs = walked.graphs[layer - 1]
             assert np.array_equal(seq.adjacency.data[0], graphs.adjacency.data[:, -1]), layer
             assert np.array_equal(seq.row_sums[0], graphs.row_sums[:, -1]), layer
 
     def test_graph_inspection_rejects_layer_out_of_range(self):
         model = tiny_model()
-        series = np.zeros((20, 4, 1))
+        series = np.zeros((4, 20, 1))
         for layer in (0, 3):
             with pytest.raises(ConfigurationError, match="1..2"):
                 model.graph_inspection(series, layer)
@@ -356,11 +365,11 @@ class TestForward:
         monkeypatch.setattr(model, "skip_mid", [forbidden] * 2)
         monkeypatch.setattr(model, "skip_out", forbidden)
         monkeypatch.setattr(model, "head", forbidden)
-        series = np.random.default_rng(10).normal(size=(26, 4, 1))
+        series = np.random.default_rng(10).normal(size=(4, 26, 1))
         model.graph_inspection(series, 1)
         # layer 1's stride is 4: windows ending at 16, 20 and 24 only, not
         # the 11 that layer 2's stride of 1 needs; fed node-major
-        windows = np.stack([series[e - 16:e] for e in (16, 20, 24)])
+        windows = windows_of(series, (0, 4, 8))
         assert np.array_equal(np.concatenate(fed), windows.transpose(0, 2, 1, 3))
 
 
@@ -412,7 +421,7 @@ class TestInference:
         model = tiny_model()
         x = window(b=40, seed=21)
         # layer 2's stride is 1: a 55-step series holds 40 windows of 16
-        series = np.random.default_rng(22).normal(size=(55, 4, 1))
+        series = np.random.default_rng(22).normal(size=(4, 55, 1))
         for run in (lambda: model.predict(x),
                     lambda: model.branch_features(x, 2),
                     lambda: model.graph_inspection(series, 2)):
@@ -506,14 +515,13 @@ class TestCheckpoint:
         x = window(seed=15)
         before = model.forward(x)[0].data
         path = tmp_path / "ck.bin"
-        scaler = {"mode": "none", "shift": np.zeros((4, 1)).tolist(),
-                  "scale": np.ones((4, 1)).tolist()}
+        scaler = Scaler("zscore", np.full((4, 1), 0.1), np.full((4, 1), 3.0))
         save_checkpoint(model, path, epoch=7, scaler=scaler)
         loaded, extras = load_checkpoint(path)
         after = loaded.forward(x)[0].data
         assert np.array_equal(before, after)
         assert extras["epoch"] == 7
-        assert extras["scaler"] == scaler
+        assert extras["scaler"].to_dict() == scaler.to_dict()
         for name, p in model.store.params.items():
             assert np.array_equal(p.data, loaded.store.params[name].data)
 
@@ -660,21 +668,15 @@ class TestCheckpoint:
         assert np.array_equal(loaded.forward(x)[0].data, model.forward(x)[0].data)
         assert extras["epoch"] == 2
 
-    @pytest.mark.parametrize("scaler, match", [
-        ({}, "mode"),
-        ({"mode": "robust", "shift": [[0.0]] * 4, "scale": [[1.0]] * 4}, "mode"),
-        ({"mode": "zscore", "shift": [[0.0]], "scale": [[1.0]]}, "shift"),
-        ({"mode": "zscore", "shift": [[0.0]] * 4, "scale": [[1.0]] * 3}, "scale"),
-        ({"mode": "zscore", "shift": [[0.0]] * 4, "scale": "1"}, "scale"),
-        ({"mode": "zscore", "shift": [[float("nan")]] * 4, "scale": [[1.0]] * 4},
-         "shift"),
-        ({"mode": "zscore", "shift": [[0.0]] * 4, "scale": [[1.0]] * 3 + [[0.0]]},
-         "zero scale"),
-        ([1, 2], "mode"),
-    ])
+    @pytest.mark.parametrize("scaler, match", BAD_SCALERS)
     def test_bad_scaler(self, tmp_path, scaler, match):
+        # Scaler.from_dict's checks (test_data) reach load_checkpoint's caller
+        # as a LoadError, whichever part of the stored scaler is wrong
         path = tmp_path / "ck.bin"
-        save_checkpoint(tiny_model(), path, scaler=scaler)
+        save_checkpoint(tiny_model(), path)
+        blob = json.loads(path.read_bytes())
+        blob["scaler"] = scaler
+        path.write_text(json.dumps(blob))
         with pytest.raises(LoadError, match=match):
             load_checkpoint(path)
 

@@ -171,19 +171,31 @@ class TestPerSegment:
         with pytest.raises(ContractError):
             mh.apply_per_segment(rand(1, 4, 10, 2, seed=17), seq)
 
-    def test_time_offset_alignment(self):
-        # graphs learned on [0, 12); features only span the last 5 steps
+    def test_last_steps_use_the_segments_they_overlap(self):
+        # graphs learned on [0, 12); ξ holds its last 5 steps, [7, 12): one
+        # step of segment 2 = [4, 8), then segment 3 = [8, 12)
         mh = MixHop(store(11), "mh", 2, 2, psi=1, beta=0.5)
         mats = [random_adj(4, seed=s) for s in (8, 9, 10)]
         seq = seq_for(mats, t=12, d=4)
         full = rand(1, 4, 12, 2, seed=18)
         tail = Tensor(full.data[:, :, 7:, :])
-        out_tail = mh.apply_per_segment(tail, seq, time_offset=7)
+        out_tail = mh.apply_per_segment(tail, seq)
         out_full = mh.apply_per_segment(full, seq)
         assert np.allclose(out_tail.data, out_full.data[:, :, 7:])
+        step = mh.propagate(Tensor(tail.data[:, :, :1]), normalized(mats[1]), [(1, 1)])
+        assert np.allclose(out_tail.data[:, :, :1], step.data)
+
+    def test_features_longer_than_the_graphs_span_rejected(self):
+        # the segments [4, 8) and [8, 12) span 8 steps, although they end at 12
+        mh = MixHop(store(10), "mh", 2, 2, psi=1, beta=0.5)
+        mats = R.stack([random_adj(4, seed=s) for s in (8, 9)], axis=1)
+        seq = R.graph_sequence(mats, SegmentSpec([(4, 8), (8, 12)]))
+        assert mh.apply_per_segment(rand(1, 4, 8, 2, seed=17), seq).shape == (1, 4, 8, 2)
+        with pytest.raises(ContractError, match=r"cover \[4, 12\) but features span 9"):
+            mh.apply_per_segment(rand(1, 4, 9, 2, seed=17), seq)
 
 
-def per_segment_reference(egl, mh, xi, alpha_s, d, graph_input=None, time_offset=0):
+def per_segment_reference(egl, mh, xi, alpha_s, d, graph_input=None):
     """The per-segment algorithm, one small op chain per segment.
 
     Each segment's mean is its own narrow and mean, each GRU step is its own
@@ -191,13 +203,13 @@ def per_segment_reference(egl, mh, xi, alpha_s, d, graph_input=None, time_offset
     row-normalized on its own by one ``pairwise_graph`` call, and each
     segment's features are narrowed and propagated through that segment's
     (B, N, N) graph; the parts are concatenated.  Graphs are learned on
-    ``graph_input`` (``xi`` by default), which spans [0, T_g) while ``xi``
-    spans [time_offset, time_offset + T).
+    ``graph_input`` (``xi`` by default), which spans [0, T_g), and ``xi``
+    is its last T steps, [T_g − T, T_g).
     """
     src = xi if graph_input is None else graph_input
     spec = SegmentSpec.for_length(src.shape[2], d)
     alpha = T.broadcast_leading(egl.init_hidden(alpha_s), xi.shape[0])
-    lo, hi = time_offset, time_offset + xi.shape[2]
+    lo, hi = src.shape[2] - xi.shape[2], src.shape[2]
     g = egl.gru
 
     def gate(cat, w, b, act):
@@ -238,7 +250,6 @@ class TestSegmentBatching:
         for p in st.params.values():  # off the flat init, so every path carries gradient
             p.data = p.data + 0.5 * rng.normal(size=p.shape)
         xi = Tensor(node_major(rng.normal(size=(b, t, n, c_in))), requires_grad=True)
-        offset = 0 if t_graph is None else t_graph - t
         graph_input = None if t_graph is None else \
             Tensor(node_major(rng.normal(size=(b, t_graph, n, c_in))), requires_grad=True)
         alpha_s = Tensor(rng.normal(size=(n, 6)), requires_grad=True)
@@ -256,11 +267,11 @@ class TestSegmentBatching:
 
         def batched():
             seq = egl.evolve(xi if graph_input is None else graph_input, alpha_s, d=d)
-            return mh.apply_per_segment(xi, seq, time_offset=offset)
+            return mh.apply_per_segment(xi, seq)
 
         out, grads = run(batched)
         ref_out, ref_grads = run(lambda: per_segment_reference(
-            egl, mh, xi, alpha_s, d, graph_input, offset))
+            egl, mh, xi, alpha_s, d, graph_input))
         assert np.max(np.abs(out - ref_out)) <= 1e-15 * np.max(np.abs(ref_out))
         # measured against the largest gradient entry: row normalization
         # nearly cancels some sums (the scorers' output biases), so their

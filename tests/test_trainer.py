@@ -331,7 +331,7 @@ class TestRunDir:
         assert [h["epoch"] for h in history] == [1, 2]
         loaded, extras = load_checkpoint(out / "checkpoint.bin")
         assert extras["epoch"] == result.best_epoch
-        assert extras["scaler"] == data.scaler.to_dict()
+        assert extras["scaler"].to_dict() == data.scaler.to_dict()
         # criterion rehearsal: evaluating the loaded model reproduces metrics
         x, y, _ = data.arrays("test")
         re_report = evaluate(loaded, x, y, data.scaler)
@@ -344,6 +344,16 @@ class TestRunDir:
         with pytest.raises(ConfigurationError, match="not empty"):
             run_experiment(prepare_data(sine_dataset(), cfg), cfg, out_dir=out)
         run_experiment(prepare_data(sine_dataset(), cfg), cfg, out_dir=out, force=True)
+
+    def test_refuses_a_file_as_run_directory(self, tmp_path):
+        # the ConfigurationError a non-empty directory gets, not the
+        # NotADirectoryError of listing a file
+        cfg = experiment(max_epochs=1)
+        out = tmp_path / "run"
+        out.write_text("kept")
+        with pytest.raises(ConfigurationError, match="not a directory"):
+            run_experiment(prepare_data(sine_dataset(), cfg), cfg, out_dir=out)
+        assert out.read_text() == "kept"
 
     def test_identical_runs_bitwise(self, tmp_path):
         cfg = experiment(max_epochs=2)
@@ -376,7 +386,7 @@ class TestRunDir:
         written = trainer.export_run_graphs(model, data, tmp_path)
         assert len(calls) == 1
         assert {p.name for p in written} >= {"layer1_index.json", "layer2_index.json"}
-        model.graph_inspection(data.normalized.transpose(1, 0, 2), 1)
+        model.graph_inspection(data.normalized, 1)
         assert len(calls) == 2
 
 class TestAblation:
