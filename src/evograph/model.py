@@ -191,13 +191,14 @@ class Model:
         """The backbone, one skip branch at a time.
 
         Yields (branch input, graphs, Z): first (x, None, Z⁽¹⁾), where x is
-        the windows viewed node-major and Z⁽¹⁾ their input projection, then
+        the windows node-major and Z⁽¹⁾ their input projection, then
         (ξ⁽ˡ⁾, its graphs, Z⁽ˡ⁺¹⁾) for each layer l; every branch input and
         Z is (B, N, T, C).  A caller that stops iterating skips the later
-        layers.
+        layers.  The windows are data, made C-contiguous node-major once (a
+        copy only if held otherwise), so no result depends on their layout.
         """
         c = self.config
-        x = T.transpose(x, (0, 2, 1, 3))
+        x = Tensor(np.ascontiguousarray(x.data.transpose(0, 2, 1, 3)))
         raw_graphs = None
         if c.variant == "no_scale_specific":
             raw_graphs = self.raw_egl.evolve(x, alpha_s, d=c.intervals[0])

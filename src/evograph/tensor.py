@@ -15,8 +15,9 @@ works on channel-last (..., T, C) input, the leading axes one batch of
 sequences.  It takes a bank of kernels of possibly different widths, all
 aligned on the most recent sample, each with its bias, and concatenates
 their outputs along the channel axis, so a whole inception layer is one
-record.  Both passes are one batched GEMM per tap of the widest kernel over
-a (sequences, T_out, C) view of the input, so no im2col copy is made.
+record.  Both passes walk the sequences in cache-sized chunks, so that the
+output never exists whole, and each tap is one batched GEMM over a
+(chunk, T_out, C) view of the input, so no im2col copy is made.
 
 Gradients are recorded on an explicit :class:`Tape`. Each operation
 appends one record holding the output tensor, its parents and a backward
@@ -46,16 +47,18 @@ so that a record keeps only what its backward reads:
   through the one cell body the forward's steps run;
 - :func:`mixhop` runs every hop and projection of mix-hop graph
   propagation, for every run of equal-length segments of a layer into one
-  output buffer, each hop one GEMM per graph, keeping only its output: the
-  backward rebuilds one run's hop states at a time from ξ and Â, frees
-  each at its last use, and always forms ξ's gradient;
-- :func:`gated_conv1d` runs a kernel bank, its σ·tanh gating and dropout
-  in place, keeping σ, the dropout mask and its output: the backward
-  reads tanh back from the output;
+  output buffer, each hop one GEMM per graph, on chunks of whole samples
+  of about ``_BANK_BLOCK`` elements, keeping only its output: the backward
+  rebuilds one chunk's hop states at a time from ξ and Â, frees each at
+  its last use, and always forms ξ's gradient;
+- :func:`gated_conv1d` runs a kernel bank with its σ·tanh gating and
+  dropout fused in, chunk by chunk, keeping σ, the dropout mask and its
+  output: the backward walks the same chunks and reads tanh back from the
+  output;
 - :func:`static_features` runs the static extractor's two strided
   convolutions, their tanh and the time mean node chunk by node chunk,
-  keeping only its parents: the backward recomputes both convolutions one
-  chunk at a time;
+  conv2's tanh fused into its bank's chunks, keeping only its parents: the
+  backward recomputes both convolutions one chunk at a time;
 - :func:`layer_norm_residual` normalises, applies the affine map and adds
   a residual in one buffer, keeping a mean and a scale per row;
 - :func:`linear` is an affine map that keeps only its output.
@@ -292,13 +295,17 @@ def _accumulate_at(t: Tensor, idx: tuple, g: Array) -> None:
     t.grad[idx] += g
 
 
+def _tracking(parents: tuple[Tensor, ...]) -> bool:
+    """Whether an op on ``parents`` is recorded."""
+    return _active_tape() is not None and any(p.requires_grad for p in parents)
+
+
 def _make(data: Array, parents: tuple[Tensor, ...], fn: Callable | None) -> Tensor:
-    tape = _active_tape()
-    track = tape is not None and any(p.requires_grad for p in parents)
+    track = _tracking(parents)
     out = Tensor(data, requires_grad=track)
     if track:
         assert fn is not None
-        tape._record(out, parents, fn)
+        _active_tape()._record(out, parents, fn)
     return out
 
 
@@ -414,30 +421,45 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _make(out, (x, w, b), back)
 
 
-_BANK_BLOCK = 1 << 17  # (sequences, C_in, ΣC_j) partial sums per chunk of _conv_bank's backward
+_BANK_BLOCK = 1 << 16  # output elements per chunk of _conv_bank's and mixhop's walks
+
+
+def _blocks(count: int, size: int, block: int) -> list[slice]:
+    """``count`` items of ``size`` elements each in consecutive slices of
+    about ``block`` elements, never less than one item."""
+    step = max(1, block // size)
+    return [slice(i, min(i + step, count)) for i in range(0, count, step)]
 
 
 def _conv_bank(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
-               dilation: int, stride: int) -> tuple[Array, Callable[[Array], None]]:
-    """The forward value of a kernel bank and the backward that goes with it.
+               dilation: int, stride: int,
+               ) -> tuple[tuple[int, ...], Callable[[], Iterator[tuple[slice, Array]]],
+                          Callable[[Callable[[slice], Array]], None]]:
+    """A kernel bank's output shape, a walk of its forward value chunk by
+    chunk, and the backward that goes with it.
 
-    Returns the (..., T_out, ΣC_j) output and ``back(g)``, which takes
-    the output's gradient in any shape with ΣC_j columns and accumulates
-    the gradients of ``x``, the kernels and the biases.
     :func:`gated_conv1d` and :func:`static_features` share it, so the
-    per-tap GEMM loop exists once.
-
-    ``x`` has shape (..., T, C_in), time on axis −2, and at least one
-    leading axis; the leading axes are one batch of sequences.  Kernel j
-    has shape (C_j, C_in, k_j) and its bias j (C_j,); the outputs
-    of the kernels are concatenated in order along the last axis, so the
-    output is (..., T_out, ΣC_j) with
+    per-tap GEMM loop exists once.  ``x`` has shape (..., T, C_in), time on
+    axis −2, and at least one leading axis; the leading axes are one batch
+    of S sequences.  Kernel j has shape (C_j, C_in, k_j) and its bias j
+    (C_j,); the outputs of the kernels are concatenated in order along the
+    last axis, so the output is (..., T_out, ΣC_j) with
     ``T_out = (T - (k_max-1)*dilation - 1) // stride + 1``; with stride 1
     that is exactly ``T - (k_max-1)*dilation``.  Tap 0 of every kernel
     aligns with the most recent sample, so output step j sees inputs at
     positions ``j*stride + (k_max-1)*dilation - dilation*tau``, and a
     k-tap kernel acts as a k_max-tap kernel whose taps k..k_max−1 are zero.
-    The taps' products are summed in tap order through one reused buffer.
+
+    The output never exists whole: ``walk()`` yields each chunk of the S
+    sequences, as a slice, with its (s, T_out, ΣC_j) output, about
+    ``_BANK_BLOCK`` elements in one of two buffers that every chunk reuses,
+    so a chunk's taps and its caller's epilogue run in cache.  Each tap is
+    one batched GEMM over a (s, T_out, C_in) view of the input, so no
+    im2col copy is made, and the taps are summed in tap order.
+    ``back(grad)`` walks the same chunks, ``grad(ss)`` giving a chunk's
+    output gradient: taps inner, it forms the chunk's rows of ∂x, bitwise
+    those of one whole pass as the output is, and its partial sums of the
+    kernel and bias gradients, which agree with one pass to rounding.
     """
     shapes = [k.shape for k in kernels]
     if dilation < 1 or stride < 1:
@@ -469,44 +491,51 @@ def _conv_bank(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
     w = np.zeros((k_max, c_in, c_out))
     for k, col in zip(kernels, cols):
         w[:k.shape[2], :, col] = k.data.transpose(2, 1, 0)
+    bias = np.concatenate([b.data for b in biases])
+    # a chunk's (s, C_in, ΣC_j) kernel-gradient partial sums fit a block too
+    chunks = _blocks(len(xd), c_out * max(t_out, c_in), _BANK_BLOCK)
 
-    def rows(off: int) -> Array:
-        """(sequences, T_out, C_in) input rows read by the tap at ``off``, a view."""
-        return xd[:, off:off + win:stride]
+    def rows(off: int, ss: slice) -> Array:
+        """Chunk ``ss``'s (s, T_out, C_in) input rows that the tap at ``off`` reads."""
+        return xd[ss, off:off + win:stride]
 
-    out = rows(offsets[0]) @ w[0]
-    if k_max > 1:
-        tap = np.empty_like(out)  # each later tap's product, one buffer for all
-        for off, w_tap in zip(offsets[1:], w[1:]):
-            np.matmul(rows(off), w_tap, out=tap)
-            out += tap
-        del tap
-    out += np.concatenate([b.data for b in biases])
+    def walk() -> Iterator[tuple[slice, Array]]:
+        out = np.empty((chunks[0].stop if chunks else 0, t_out, c_out))
+        tap = np.empty_like(out)  # each later tap's product
+        for ss in chunks:
+            y, p = out[:ss.stop - ss.start], tap[:ss.stop - ss.start]
+            np.matmul(rows(offsets[0], ss), w[0], out=y)
+            for off, w_tap in zip(offsets[1:], w[1:]):
+                np.matmul(rows(off, ss), w_tap, out=p)
+                y += p
+            y += bias
+            yield ss, y
 
-    def back(g):
-        g3 = g.reshape(-1, t_out, c_out)
-        if any(k.requires_grad for k in kernels):
-            gw = np.zeros_like(w)
-            # (S, C_in, T_out) × (S, T_out, ΣC_j) per tap, summed over the S
-            # sequences of a chunk, so the per-sequence products stay small
-            step = max(1, _BANK_BLOCK // (c_in * c_out))
-            for s in range(0, len(xd), step):
-                ss = slice(s, s + step)
-                for tau, off in enumerate(offsets):
-                    gw[tau] += np.matmul(rows(off)[ss].transpose(0, 2, 1), g3[ss]).sum(axis=0)
+    def back(grad: Callable[[slice], Array]) -> None:
+        gw = np.zeros_like(w) if any(k.requires_grad for k in kernels) else None
+        # in x's own shape, so that it is accumulated without a copy
+        gx = np.zeros(x.shape) if x.requires_grad else None
+        gb = np.zeros(c_out)
+        for ss in chunks:
+            g3 = grad(ss)
+            g2 = g3.reshape(-1, c_out)
+            for tau, off in enumerate(offsets):
+                if gw is not None:
+                    # (s, C_in, T_out) × (s, T_out, ΣC_j), summed over the chunk
+                    gw[tau] += np.matmul(rows(off, ss).transpose(0, 2, 1), g3).sum(axis=0)
+                if gx is not None:
+                    gx_rows = gx.reshape(-1, t, c_in)[ss, off:off + win:stride]
+                    gx_rows += (g2 @ w[tau].T).reshape(gx_rows.shape)
+            gb += g2.sum(axis=0)
+        if gw is not None:
             for k, col in zip(kernels, cols):
                 _accumulate(k, gw[:k.shape[2], :, col].transpose(2, 1, 0))
-        g2 = g3.reshape(-1, c_out)
-        if x.requires_grad:
-            gx = np.zeros_like(xd)
-            for tau, off in enumerate(offsets):
-                gx[:, off:off + win:stride] += (g2 @ w[tau].T).reshape(g3.shape[:2] + (c_in,))
-            _accumulate(x, gx.reshape(x.shape))
-        gb = g2.sum(axis=0)
+        if gx is not None:
+            _accumulate(x, gx)
         for b, col in zip(biases, cols):
             _accumulate(b, gb[col])
 
-    return out.reshape(x.shape[:-2] + (t_out, c_out)), back
+    return x.shape[:-2] + (t_out, c_out), walk, back
 
 
 _STATIC_BLOCK = 1 << 19  # first-convolution output elements per node chunk of static_features
@@ -525,7 +554,8 @@ def static_features(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
     of about ``_STATIC_BLOCK`` conv1 output elements, and the transient is
     bounded whatever N·T is.  conv1 is one GEMM of a chunk's gathered
     (rows, k₁·C) taps against a (k₁·C, C_h) weight; conv2 is
-    :func:`_conv_bank`'s per-tap loop.
+    :func:`_conv_bank`'s per-tap loop, which walks a node chunk in smaller
+    chunks of its own, its tanh applied to each as it is made.
 
     One record, which keeps only its parents: the backward recomputes both
     convolution outputs chunk by chunk, Chen et al.'s recompute-instead-of-
@@ -554,8 +584,7 @@ def static_features(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
             f"convolution at stride {stride} (needs ≥ {need})"
         )
     t1 = (t - k_a) // stride + 1
-    step = max(1, _STATIC_BLOCK // (t1 * c_h))
-    chunks = [slice(i, min(i + step, n)) for i in range(0, n, step)]
+    chunks = _blocks(n, t1 * c_h, _STATIC_BLOCK)
     # row (c, w) of conv1's gathered weight is channel c at window position
     # w, which is tap k₁ − 1 − w: tap 0 sits on the most recent sample
     w1 = k1.data[:, :, ::-1].transpose(1, 2, 0).reshape(-1, c_h)
@@ -569,8 +598,10 @@ def static_features(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
         y1 += b1.data
         np.tanh(y1, out=y1)
         h1 = Tensor(y1.reshape(-1, t1, c_h), requires_grad=True)
-        y2, conv2_back = _conv_bank(h1, [k2], [b2], 1, stride)
-        np.tanh(y2, out=y2)
+        shape, walk, conv2_back = _conv_bank(h1, [k2], [b2], 1, stride)
+        y2 = np.empty(shape)
+        for ss, y in walk():
+            np.tanh(y, out=y2[ss])
         return taps, h1, y2, conv2_back
 
     out = np.empty((n, c_h))
@@ -586,7 +617,7 @@ def static_features(x: Tensor, k1: Tensor, b1: Tensor, k2: Tensor, b2: Tensor,
             g2 = y2 * y2
             np.subtract(1.0, g2, out=g2)
             g2 *= g[rs, None, :] / y2.shape[1]
-            conv2_back(g2)
+            conv2_back(lambda ss: g2[ss])
             del g2, y2
             # conv2's input gradient through tanh: · (1 − y₁²)
             g1 = h1.grad.reshape(-1, c_h)
@@ -618,70 +649,79 @@ def gated_conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor],
     axis 1: (B, T_out, N, C) for a (B, N, T_out, C) output, so a seed drops
     the same units whichever way the sequences are laid out.
 
-    One record: σ(a) and tanh(b) are computed into two arrays of their
-    own, with the arithmetic of :func:`_sigmoid_into` and :func:`tanh`, the
-    convolution output is freed, and tanh(b) is freed once ξ is formed.
-    The record keeps σ(a), the boolean mask and its output ξ; the gated
-    product before dropout is never stored.  The backward pass reads
-    tanh(b) back as ξ / (σ·scale), to within a few roundings; where σ
-    underflowed to 0 or the unit was dropped, both gradients are zero
-    whatever tanh(b) is.  So the output is bitwise that of the op
-    chain, and the gradients agree with it to rounding.  Reading the
-    output is safe because no op writes its parents' data in place.
+    One record.  The gate is the epilogue of each chunk that
+    :func:`_conv_bank` walks: it computes σ(a) and tanh(b) into arrays of
+    their own, with the arithmetic of :func:`_sigmoid_into` and
+    :func:`tanh`, and writes the chunk's rows of ξ, and of σ(a) only when a
+    tape records.  The record keeps σ(a), the boolean mask and its output
+    ξ.  The backward walks the same chunks and reads tanh(b) back as
+    ξ / (σ·scale), to within a few roundings; where σ underflowed to 0 or
+    the unit was dropped, both gradients are zero whatever tanh(b) is.  So
+    the output is bitwise that of the op chain, and the gradients agree
+    with it to rounding.  Reading the output is safe because no op writes
+    its parents' data in place.
     """
     if sum(k.shape[0] for k in kernels) % 2:
         raise DimensionError(f"gated_conv1d: bank of {[k.shape for k in kernels]} has an "
                              f"odd number of output channels to split into two halves")
-    y, bank_back = _conv_bank(x, kernels, biases, dilation, 1)
-    c = y.shape[-1] // 2
-    shape = y.shape[:-1] + (c,)
-    y = y.reshape(-1, 2 * c)
-    # σ(a) and tanh(b), as ``_sigmoid_into`` and ``tanh`` compute them, each in
-    # an array of its own, so that tanh(b) is freed once ξ is formed
-    sig = np.empty((y.shape[0], c))
-    th = np.empty_like(sig)
-    _sigmoid_into(y[:, :c], sig, th)
-    np.tanh(y[:, c:], out=th)
-    del y
-    xi = sig * th
-    del th
+    parents = (x, *kernels, *biases)
+    bank_shape, walk, bank_back = _conv_bank(x, kernels, biases, dilation, 1)
+    t_out, c = bank_shape[-2], bank_shape[-1] // 2
+    shape = bank_shape[:-1] + (c,)
     mask = _dropout_mask(shape[:1] + shape[-2:-1] + shape[1:-2] + shape[-1:],
                          rate, training, rng)
     if mask is not None:
-        mask = np.ascontiguousarray(np.moveaxis(mask, 1, -2))
+        mask = np.ascontiguousarray(np.moveaxis(mask, 1, -2)).reshape(-1, c)
         scale = 1.0 / (1.0 - rate)
-        xi *= mask.reshape(-1, c)
-        xi *= scale
+    # (sequences · T_out, C) rows; chunk ss owns rows ss.start·T_out onwards
+    xi = np.empty((math.prod(shape[:-1]), c))
+    sig = np.empty(xi.shape) if _tracking(parents) else None
+    for ss, y in walk():
+        y = y.reshape(-1, 2 * c)
+        r = slice(ss.start * t_out, ss.stop * t_out)
+        s = np.empty((len(y), c)) if sig is None else sig[r]
+        th = np.empty_like(s)
+        _sigmoid_into(y[:, :c], s, th)
+        np.tanh(y[:, c:], out=th)
+        np.multiply(s, th, out=xi[r])
+        if mask is not None:
+            xi[r] *= mask[r]
+            xi[r] *= scale
 
     def back(g):
         g = g.reshape(-1, c)
-        # tanh(b) read back from the output as ξ / (σ·scale).  Where σ
-        # underflowed to 0, ξ is 0 too and is divided by the smallest
-        # subnormal instead, so it reads as 0; there, and where the unit
-        # was dropped, both gradients are zero whatever tanh(b) is
-        th = np.maximum(sig, np.finfo(np.float64).smallest_subnormal)
-        np.divide(xi, th, out=th)
-        if mask is not None:
-            th /= scale
-            g = g * mask.reshape(-1, c)
-            g *= scale
-        gy = np.empty((g.shape[0], 2 * c))
-        # the product's two sides, then each activation's derivative from
-        # its output, overwriting σ and tanh(b) (a record runs once)
-        np.multiply(g, sig, out=gy[:, c:])
-        g_sig = g * th
-        np.multiply(th, th, out=th)
-        np.subtract(1.0, th, out=th)
-        gy[:, c:] *= th
-        del th
-        g_sig *= sig
-        np.subtract(1.0, sig, out=sig)
-        g_sig *= sig
-        gy[:, :c] = g_sig
-        del g_sig
-        bank_back(gy)
 
-    return _make(xi.reshape(shape), (x, *kernels, *biases), back)
+        def grad(ss: slice) -> Array:
+            r = slice(ss.start * t_out, ss.stop * t_out)
+            gr, s = g[r], sig[r]
+            # tanh(b) read back from the output as ξ / (σ·scale).  Where σ
+            # underflowed to 0, ξ is 0 too and is divided by the smallest
+            # subnormal instead, so it reads as 0; there, and where the unit
+            # was dropped, both gradients are zero whatever tanh(b) is
+            th = np.maximum(s, np.finfo(np.float64).smallest_subnormal)
+            np.divide(xi[r], th, out=th)
+            if mask is not None:
+                th /= scale
+                gr = gr * mask[r]
+                gr *= scale
+            gy = np.empty((len(gr), 2 * c))
+            # the product's two sides, then each activation's derivative
+            # from its output, overwriting σ and tanh(b) (a record runs once)
+            np.multiply(gr, s, out=gy[:, c:])
+            g_sig = gr * th
+            np.multiply(th, th, out=th)
+            np.subtract(1.0, th, out=th)
+            gy[:, c:] *= th
+            del th
+            g_sig *= s
+            np.subtract(1.0, s, out=s)
+            g_sig *= s
+            gy[:, :c] = g_sig
+            return gy.reshape(-1, t_out, 2 * c)
+
+        bank_back(grad)
+
+    return _make(xi.reshape(shape), parents, back)
 
 
 # ---------------------------------------------------------------------------
@@ -845,8 +885,7 @@ def pairwise_graph(alpha: Tensor, heads: Sequence[tuple[Tensor, Tensor, Tensor, 
     n = alpha.shape[-2]
     flat_alpha = alpha.data.reshape(-1, n, c)
     rows = flat_alpha.shape[0]
-    step = max(1, _PAIR_BLOCK // (n * n * width))
-    blocks = [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+    blocks = _blocks(rows, n * n * width, _PAIR_BLOCK)
 
     def projections() -> tuple[Array, Array]:
         """(rows, N, 2H) left and right projections; b1 rides on the left."""
@@ -1075,27 +1114,30 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
     (N × N)(N × d·C) GEMM per graph.  One graph per step is one run of
     (T, 1), and one graph for all steps one run of (1, T).
 
-    Each run writes into its slice of one output buffer.  The forward pass
-    runs the hops in place with β·ξ computed once per run, in the operation
-    order of the per-hop op chain, and holds nothing beyond the hop in
-    flight.  The record keeps only its output: the backward pass rebuilds
-    one run's H₁ … H_Ψ at a time from ξ and Â in the forward's own op
-    order, so they, and every gradient, are bitwise those of the forward.
-    That is safe because ξ and Â are parents whose producers keep them,
-    this backward runs before theirs, and no op writes a parent's data in
-    place.  Each weight gradient is one flat GEMM over a run's rows, taken
-    as soon as its hop is rebuilt, so H_Ψ is dropped at once; the runs'
-    terms are summed last run first, as one record per run would sum them.
-    The backward then runs dHₖ = g·Wₖᵀ + (1 − β)·Âᵀ·dHₖ₊₁ down the hops,
+    Both passes walk each run in chunks of whole samples, about
+    ``_BANK_BLOCK`` elements of ξ each, so that a chunk's hops, projections
+    and backward products run in cache; each chunk writes into its slice of
+    one output buffer.  The forward pass runs the hops in place with β·ξ
+    computed once per chunk, in the operation order of the per-hop op
+    chain, and holds nothing beyond the hop in flight.  The record keeps
+    only its output: the backward pass rebuilds one chunk's H₁ … H_Ψ at a
+    time from ξ and Â in the forward's own op order, so they are bitwise
+    those of the forward.  That is safe because ξ and Â are parents whose
+    producers keep them, this backward runs before theirs, and no op writes
+    a parent's data in place.  Each weight gradient is one flat GEMM over a
+    chunk's rows, taken as soon as its hop is rebuilt, so H_Ψ is dropped at
+    once; the chunks' terms are summed last chunk first, so the weight
+    gradients agree with one pass over whole runs to rounding.  The
+    backward then runs dHₖ = g·Wₖᵀ + (1 − β)·Âᵀ·dHₖ₊₁ down the hops,
     freeing dHₖ₊₁, Hₖ₋₁ and each term at their last use, and writes the
-    run's ξ and Â gradients straight into their slices of one buffer each:
-    the runs cover disjoint steps and graphs, so nothing is zero-filled or
-    added.  Each graph's gradient sums its d steps inside one
-    (N, d·C) × (d·C, N) product of dHₖ and Hₖ₋₁, so the per-step products
-    are never formed.  ξ's gradient is always formed, because the model's
-    ξ, a gated convolution's output, always takes one; the adjacency and a
-    weight that need no gradient get none, and at Ψ = 0 the adjacency gets
-    none either.
+    chunk's ξ and Â gradients, bitwise those of one pass, straight into
+    their slices of one buffer each: the chunks cover disjoint samples,
+    steps and graphs, so nothing is zero-filled or added.  Each graph's
+    gradient sums its d steps inside one (N, d·C) × (d·C, N) product of dHₖ
+    and Hₖ₋₁, so the per-step products are never formed.  ξ's gradient is
+    always formed, because the model's ξ, a gated convolution's output,
+    always takes one; the adjacency and a weight that need no gradient get
+    none, and at Ψ = 0 the adjacency gets none either.
     """
     if not weights:
         raise DimensionError("mixhop needs at least one projection weight")
@@ -1114,25 +1156,26 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
             or sum(count for count, _ in runs) != adj.shape[1]:
         raise DimensionError(f"mixhop: runs {list(runs)} do not tile {steps} "
                              f"steps and {adj.shape[1]} graphs")
-    # per run: its steps of ξ (axis 2), its graphs of Â (axis 1) and its
-    # segment count
+    # per chunk of whole samples of each run: its samples, its steps of ξ
+    # (axis 2), its graphs of Â (axis 1) and its segment count
     pieces = []
     t0 = m0 = 0
     for count, length in runs:
         t1, m1 = t0 + count * length, m0 + count
-        pieces.append((slice(t0, t1), slice(m0, m1), count))
+        pieces += [(bs, slice(t0, t1), slice(m0, m1), count)
+                   for bs in _blocks(b, n * (t1 - t0) * c_in, _BANK_BLOCK)]
         t0, m0 = t1, m1
     beta = float(beta)
     keep = 1.0 - beta
 
     def by_graph(arr: Array, count: int) -> Array:
-        """A run's (B, N, d·n, C) steps as (B, n, N, d·C), each graph's
+        """A run's (s, N, d·n, C) steps as (s, n, N, d·C), each graph's
         segment one (N, d·C) block: a view."""
-        return arr.reshape(b, n, count, -1).transpose(0, 2, 1, 3)
+        return arr.reshape(len(arr), n, count, -1).transpose(0, 2, 1, 3)
 
     def walk(x: Array, a: Array, count: int) -> Iterator[Array]:
-        """H₁ … H_Ψ of one run, each a new (B, N, d·n, C) array, in the one
-        op order both passes use."""
+        """H₁ … H_Ψ of one run's chunk, each a new (s, N, d·n, C) array, in
+        the one op order both passes use."""
         if len(weights) == 1:
             return
         retained = x * beta
@@ -1146,18 +1189,18 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
             yield h
 
     out = np.empty(xi.shape[:-1] + (c_out,))
-    for t_idx, a_idx, count in pieces:
-        x, o = xi.data[:, :, t_idx], out[:, :, t_idx]
+    for bs, t_idx, a_idx, count in pieces:
+        x, o = xi.data[bs, :, t_idx], out[bs, :, t_idx]
         np.matmul(x, weights[0].data, out=o)
-        for h, w in zip(walk(x, adj.data[:, a_idx], count), weights[1:]):
+        for h, w in zip(walk(x, adj.data[bs, a_idx], count), weights[1:]):
             o += (h.reshape(-1, c_in) @ w.data).reshape(o.shape)
 
     def back_run(g2: Array, x: Array, a: Array, gx: Array, ga: Array | None,
                  g_w: list[Array | None], count: int) -> None:
-        """One run's backward: ``g2`` is its output gradient as (rows, C_out)
-        and ``x`` its ξ, (B, N, d·n, C_in); its ξ and Â gradients are
-        written into ``gx`` and ``ga``, and its weight gradients added into
-        ``g_w``."""
+        """One run's chunk's backward: ``g2`` is its output gradient as
+        (rows, C_out) and ``x`` its ξ, (s, N, d·n, C_in); its ξ and Â
+        gradients are written into ``gx`` and ``ga``, and its weight
+        gradients added into ``g_w``."""
         # the projections act on the channel axis alone, so their gradients
         # are flat (rows, C) GEMMs, each taken as soon as its hop is
         # rebuilt; the adjacency gradient reads H₀ … H_Ψ₋₁ on the way down,
@@ -1217,9 +1260,10 @@ def mixhop(xi: Tensor, adj: Tensor, weights: Sequence[Tensor], beta: float,
         g_w: list[Array | None] = [None] * len(weights)
         g_x = np.empty(xi.shape)
         g_adj = np.empty(adj.shape) if adj.requires_grad and len(weights) > 1 else None
-        for t_idx, a_idx, count in reversed(pieces):
-            back_run(g[:, :, t_idx].reshape(-1, c_out), xi.data[:, :, t_idx], adj.data[:, a_idx],
-                     g_x[:, :, t_idx], None if g_adj is None else g_adj[:, a_idx], g_w, count)
+        for bs, t_idx, a_idx, count in reversed(pieces):
+            back_run(g[bs, :, t_idx].reshape(-1, c_out), xi.data[bs, :, t_idx],
+                     adj.data[bs, a_idx], g_x[bs, :, t_idx],
+                     None if g_adj is None else g_adj[bs, a_idx], g_w, count)
         for w, gk in zip(weights, g_w):
             if gk is not None:
                 _accumulate(w, gk)

@@ -131,7 +131,16 @@ def conv1d(x: Tensor, kernels: Sequence[Tensor], biases: Sequence[Tensor] | None
     """
     if biases is None:
         biases = [Tensor(np.zeros(k.shape[:1])) for k in kernels]
-    out, back = T._conv_bank(x, kernels, biases, dilation, stride)
+    shape, walk, bank_back = T._conv_bank(x, kernels, biases, dilation, stride)
+    out = np.empty(shape)
+    chunks = out.reshape((-1,) + shape[-2:])
+    for ss, y in walk():
+        chunks[ss] = y
+
+    def back(g):
+        g = np.ascontiguousarray(g).reshape(chunks.shape)
+        bank_back(lambda ss: g[ss])
+
     return _make(out, (x, *kernels, *biases), back)
 
 

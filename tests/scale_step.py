@@ -11,9 +11,9 @@ size, and exits non-zero if the step fails, a MemoryError included.  With
 and prints its time and the peak resident size.  Run it under an address-space cap to check that
 the work fits::
 
-    (ulimit -v 753664; PYTHONPATH=src python tests/scale_step.py --nodes 64)
-    (ulimit -v 641024; PYTHONPATH=src python tests/scale_step.py --nodes 128 --predict 64)
-    (ulimit -v 508928; PYTHONPATH=src python tests/scale_step.py --preset multi --nodes 128)
+    (ulimit -v 716800; PYTHONPATH=src python tests/scale_step.py --nodes 64)
+    (ulimit -v 546816; PYTHONPATH=src python tests/scale_step.py --nodes 128 --predict 64)
+    (ulimit -v 490496; PYTHONPATH=src python tests/scale_step.py --preset multi --nodes 128)
     (ulimit -v 282624; PYTHONPATH=src python tests/scale_step.py --nodes 128 --batch 1 --reference-steps 15782)
 
 pytest does not collect this file.

@@ -509,6 +509,41 @@ class TestVariants:
                     assert np.array_equal(p.data, other.store.params[name].data), name
 
 
+class TestInputLayout:
+    """The same windows, or the same series, held in two memory layouts give
+    the same bits."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("preset", (single_step_preset, multi_step_preset))
+    def test_time_major_and_node_major_agree(self, preset, variant):
+        n = 6
+        config = dataclasses.replace(preset(n), variant=variant)
+        model = Model(config)
+        rng = np.random.default_rng(40)
+        for p in model.store.params.values():
+            p.data = p.data + 0.3 * rng.normal(size=p.shape)
+        c, w = config.n_channels, config.window
+        series = rng.normal(size=(w + 40, n, c))  # time-major, as a CSV file holds it
+        model.set_reference_series(series.transpose(1, 0, 2))
+        # C-ordered (B, P, N, C), as load_csv batches are, and node-major
+        x = rng.normal(size=(4, w, n, c))
+        x_nm = np.ascontiguousarray(x.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+        target = rng.normal(size=model.predict(x).shape)
+
+        def loss(windows):
+            with T.Tape():
+                pred, _ = model.forward(windows, training=True, rng=np.random.default_rng(0))
+                return loss_tensor(pred, target, "mae").data
+
+        def graphs(arr):
+            return model.graph_inspection(arr, 1).adjacency.data
+
+        assert np.array_equal(model.predict(x), model.predict(x_nm))
+        assert np.array_equal(loss(x), loss(x_nm))
+        assert np.array_equal(graphs(series.transpose(1, 0, 2)),
+                              graphs(np.ascontiguousarray(series.transpose(1, 0, 2))))
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         model = tiny_model()

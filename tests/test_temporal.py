@@ -209,6 +209,26 @@ class TestTcnLayer:
         assert out.shape == (2, 32, 62, 16)
         assert peak <= 4.5 * x.data.nbytes
 
+    @pytest.mark.parametrize("taped, bound", [(False, 2.0), (True, 3.0)])
+    def test_call_peak_where_a_chunk_is_small(self, taped, bound):
+        # 128 sequences of 186 output steps, about 11 to a bank chunk: the
+        # output, with σ beside it when a tape records, and a few chunk
+        # buffers, ~1.6 x the output without a tape and ~2.5 x with one; a
+        # whole-array bank output takes either to ~4.2 x
+        layer = TcnLayer(store(), "tcn", 16, 16, (2, 3, 6, 7), dilation=1)
+        x = rand(16, 8, 192, 16, seed=12)
+        tracemalloc.start()
+        try:
+            with T.Tape() if taped else T.no_grad():
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = layer(x)
+                peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (16, 8, 186, 16) and out.requires_grad == taped
+        assert peak <= bound * out.data.nbytes
+
     def test_parameter_names_in_registration_order(self):
         # the order checkpoints and the gradient-norm sum follow
         st = store()

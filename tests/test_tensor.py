@@ -1408,6 +1408,74 @@ class TestMixhop:
             T.mixhop(xi, adj, [], 0.5, runs)
 
 
+class TestChunkBoundaries:
+    """``_BANK_BLOCK`` shrunk so that the chunks of the convolution bank
+    split 2 × 5 sequences 3 + 3 + 3 + 1, and mix-hop's chunks split a batch
+    of 5 with a remainder in every run: each op matches a one-chunk run,
+    its outputs bit for bit and its gradients to rounding, and passes
+    gradcheck at the split sizes."""
+
+    @staticmethod
+    def run(fn, leaves):
+        for p in leaves:
+            p.grad = None
+        with Tape() as tape:
+            out = fn()
+            target = Tensor(np.random.default_rng(50).normal(size=out.shape))
+            loss = T.reduce_sum(T.mul(out, target))
+        tape.backward(loss)
+        with no_grad():
+            plain = fn().data
+        return out.data, plain, [p.grad.copy() for p in leaves if p.requires_grad]
+
+    @staticmethod
+    def check(monkeypatch, block, chunks, fn, leaves):
+        """``fn`` with one chunk and with ``block``, under which the op must
+        walk chunks of each of the sizes in ``chunks``."""
+        monkeypatch.setattr(T, "_BANK_BLOCK", 1 << 40)
+        out, plain, grads = TestChunkBoundaries.run(fn, leaves)
+        monkeypatch.setattr(T, "_BANK_BLOCK", block)
+        walked, blocks = [], T._blocks
+        monkeypatch.setattr(T, "_blocks", lambda *a: walked.append(blocks(*a)) or walked[-1])
+        got_out, got_plain, got_grads = TestChunkBoundaries.run(fn, leaves)
+        for sizes in chunks:
+            assert sizes in [[s.stop - s.start for s in w] for w in walked]
+        assert np.array_equal(got_out, out) and np.array_equal(got_plain, plain)
+        for g, ref in zip(got_grads, grads):
+            assert np.any(ref != 0)
+            assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert_gradients_close(lambda: T.reduce_sum(fn()),
+                               {f"p{i}": p for i, p in enumerate(leaves) if p.requires_grad})
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_gated_conv1d(self, monkeypatch, training):
+        rng = np.random.default_rng(51)
+        x = t(R.node_major(rng.normal(size=(2, 9, 5, 3))))
+        kernels, biases = TestGatedConv1d.bank(52)
+        # 8 bank channels × max(T_out = 5, C_in = 3) per sequence
+        self.check(monkeypatch, 3 * 8 * 5, [[3, 3, 3, 1]],
+                   lambda: T.gated_conv1d(x, kernels, biases, 2, 0.4, training,
+                                          np.random.default_rng(3)),
+                   [x, *kernels, *biases])
+
+    def test_static_features(self, monkeypatch):
+        # 5 nodes in one static chunk; conv2 makes 4 steps of 4 channels
+        x, params, _ = TestStaticFeatures.case(53, 2)
+        self.check(monkeypatch, 3 * 4 * 4, [[3, 2]],
+                   lambda: T.static_features(x, *params, stride=4), params)
+
+    def test_mixhop(self, monkeypatch):
+        # runs of 4 × 3 and 1 × 5 steps over 3 nodes and 2 channels: 72 and
+        # 30 elements per sample
+        runs = [(4, 3), (1, 5)]
+        rng = np.random.default_rng(54)
+        xi = t(rng.normal(size=(5, 3, 17, 2)))
+        adj = t(rng.random((5, 5, 3, 3)))
+        weights = [t(rng.normal(size=(2, 4))) for _ in range(3)]
+        self.check(monkeypatch, 2 * 72, [[2, 2, 1], [4, 1]],
+                   lambda: T.mixhop(xi, adj, weights, 0.05, runs), [xi, adj, *weights])
+
+
 class TestDropout:
     """Inverted dropout, which :func:`T.gated_conv1d` applies to its gated
     output: compared with the same call in eval mode, the identity."""
